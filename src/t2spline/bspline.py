@@ -31,7 +31,7 @@ class KnotVector:
         n = knots.size - k
         if n < k:
             raise OrderExceedsControlCount(f"order {k} curve needs at least {k} control points, got {n}")
-        if np.any(np.diff(knots) < 0.0):
+        if not np.all(np.diff(knots) >= 0.0):  # also rejects NaN
             raise T2SplineError("knots must be non-decreasing")
         if knots[k - 1] != knots[0] or knots[n] != knots[-1]:
             raise T2SplineError("knot vector must be clamped (end multiplicity = order)")
@@ -101,6 +101,23 @@ def basis_row(kv: KnotVector, t: float) -> np.ndarray:
     return np.array([_cox_de_boor(knots, i, kv.order, t) for i in range(kv.n_controls)])
 
 
+def check_curve_setup(n: int, weights: np.ndarray, order: int, knots: KnotVector) -> None:
+    """Raise unless order, weights and knots fit a curve over n control points."""
+    if order < 2:
+        raise T2SplineError(f"order must be at least 2, got {order}")
+    if order > n:
+        raise OrderExceedsControlCount(f"order {order} exceeds control count {n}")
+    if weights.shape != (n,):
+        raise T2SplineError(f"expected {n} weights, got shape {weights.shape}")
+    if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
+        raise T2SplineError("weights must all be finite and > 0")
+    if knots.order != order or knots.n_controls != n:
+        raise T2SplineError(
+            f"knot vector (order {knots.order}, {knots.n_controls} controls) "
+            f"does not match model (order {order}, {n} controls)"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class RationalCurveModel:
     """Crisp rational B-spline: n planar controls, n positive weights, order k."""
@@ -118,20 +135,7 @@ class RationalCurveModel:
         object.__setattr__(self, "order", int(self.order))
         if controls.ndim != 2 or controls.shape[1] != 2:
             raise T2SplineError(f"controls must be an (n, 2) array, got shape {controls.shape}")
-        n = controls.shape[0]
-        if self.order < 2:
-            raise T2SplineError(f"order must be at least 2, got {self.order}")
-        if self.order > n:
-            raise OrderExceedsControlCount(f"order {self.order} exceeds control count {n}")
-        if weights.shape != (n,):
-            raise T2SplineError(f"expected {n} weights, got shape {weights.shape}")
-        if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
-            raise T2SplineError("weights must all be finite and > 0")
-        if self.knots.order != self.order or self.knots.n_controls != n:
-            raise T2SplineError(
-                f"knot vector (order {self.knots.order}, {self.knots.n_controls} controls) "
-                f"does not match model (order {self.order}, {n} controls)"
-            )
+        check_curve_setup(controls.shape[0], weights, self.order, self.knots)
 
     @classmethod
     def with_uniform_knots(cls, controls, weights=None, order: int = 3) -> "RationalCurveModel":
@@ -158,7 +162,7 @@ class Polyline:
             raise T2SplineError(f"points must be an (m, 2) array, got shape {points.shape}")
         if params.shape != (points.shape[0],):
             raise T2SplineError("params must match points in length")
-        if np.any(np.diff(params) <= 0.0):
+        if not np.all(np.diff(params) > 0.0):  # also rejects NaN
             raise T2SplineError("params must be strictly increasing")
 
     def __len__(self) -> int:
@@ -177,9 +181,21 @@ def rational_point(m: RationalCurveModel, t: float) -> np.ndarray:
 
 def sample_curve(m: RationalCurveModel, samples: int) -> Polyline:
     """Evaluate the curve at `samples` uniform parameters across the domain."""
+    return sample_curves(m.knots, m.weights, m.controls[None], samples)[0]
+
+
+def sample_curves(knots: KnotVector, weights: np.ndarray, polygons, samples: int) -> list[Polyline]:
+    """Evaluate one rational curve per (n, 2) control polygon of the stack at
+    `samples` uniform parameters; the weighted basis rows are computed once
+    and shared by every polygon."""
     if samples < 2:
         raise TooFewSamples(f"need at least 2 samples, got {samples}")
-    lo, hi = m.knots.domain
+    lo, hi = knots.domain
     ts = np.linspace(lo, hi, samples)
-    pts = np.array([rational_point(m, t) for t in ts])
-    return Polyline(points=pts, params=ts)
+    coeff = np.array([weights * basis_row(knots, t) for t in ts])
+    # One (1, n) @ (n, 2) product per sample and polygon, exactly as
+    # rational_point computes it; a single (m, n) @ (n, 2) product would
+    # round differently.
+    points = np.matmul(coeff[None, :, None, :], np.asarray(polygons, dtype=float)[:, None])[:, :, 0]
+    points /= coeff.sum(axis=1)[:, None]
+    return [Polyline(points=p, params=ts) for p in points]

@@ -12,17 +12,12 @@ import sys
 import numpy as np
 
 from . import curves
-from .document import (
-    demo_document,
-    document_to_json,
-    load_document,
-    save_document,
-)
+from .document import demo_document, document_to_json, load_document
 from .errors import ParseError, T2SplineError
-from .output import Scene, render_svg, write_csv
+from .output import Scene, _scene_series, render_svg, write_csv
 from .pipeline import pipeline_point
 
-SERIES_CHOICES = ("band", "reduced", "defuzzified", "crisp", "all")
+SERIES_CHOICES = (*curves.GROUPS, "all")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,7 +63,7 @@ def _parse_series(spec: str) -> set[str]:
     if bad:
         raise T2SplineError(f"unknown series {sorted(bad)}; choose from {', '.join(SERIES_CHOICES)}")
     if not names or "all" in names:
-        return {"band", "reduced", "defuzzified", "crisp"}
+        return set(curves.GROUPS)
     return names
 
 
@@ -83,18 +78,27 @@ def _load(args) -> tuple:
     return doc, doc.to_model()
 
 
-def _open_out(path: str):
+def _write(path: str, render) -> None:
+    """Call ``render(stream)`` on stdout ("-") or on the file at ``path``."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        render(sys.stdout)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            render(f)
+
+
+def _scene(args) -> Scene:
+    """Load the document and evaluate the requested series in one pass."""
+    doc, model = _load(args)
+    return Scene(
+        controls=np.array([p.crisp_xy for p in model.fuzzy_controls]),
+        **curves.evaluate(model, _parse_series(args.series), doc.samples),
+    )
 
 
 def _cmd_demo(args) -> int:
-    doc = demo_document()
-    if args.out == "-":
-        sys.stdout.write(document_to_json(doc))
-    else:
-        save_document(doc, args.out)
+    text = document_to_json(demo_document())
+    _write(args.out, lambda f: f.write(text))
     return 0
 
 
@@ -105,81 +109,26 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    doc, model = _load(args)
+    _, model = _load(args)
     solutions = [pipeline_point(p, model.alpha) for p in model.fuzzy_controls]
-    out, close = _open_out(args.out)
-    try:
-        if args.format == "json":
-            payload = {
-                "alpha": model.alpha,
-                "points": [{"x": x, "y": y} for x, y in solutions],
-            }
-            out.write(json.dumps(payload, indent=2) + "\n")
-        else:
-            out.write("index,x,y\n")
-            for i, (x, y) in enumerate(solutions):
-                out.write(f"{i},{x:.16e},{y:.16e}\n")
-    finally:
-        if close:
-            out.close()
+    if args.format == "json":
+        payload = {"alpha": model.alpha, "points": [{"x": x, "y": y} for x, y in solutions]}
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = "index,x,y\n" + "".join(f"{i},{x:.16e},{y:.16e}\n" for i, (x, y) in enumerate(solutions))
+    _write(args.out, lambda f: f.write(text))
     return 0
 
 
-def _series_pairs(model, names: set[str], samples: int) -> list:
-    pairs = []
-    seen = set()
-
-    def add(name, line):
-        if name not in seen:
-            seen.add(name)
-            pairs.append((name, line))
-
-    if "band" in names:
-        for name, line in curves.fuzzy_curve_band(model, samples).items():
-            add(name, line)
-    if "reduced" in names:
-        red = curves.reduced_curves(model, samples)
-        add("tr_left", red.left)
-        add("crisp", red.crisp)
-        add("tr_right", red.right)
-    if "crisp" in names:
-        add("crisp", curves.sample_curve(model.crisp_model(), samples))
-    if "defuzzified" in names:
-        add("defuzzified", curves.defuzzified_curve(model, samples))
-    return pairs
-
-
 def _cmd_curve(args) -> int:
-    doc, model = _load(args)
-    names = _parse_series(args.series)
-    pairs = _series_pairs(model, names, doc.samples)
-    out, close = _open_out(args.out)
-    try:
-        write_csv(pairs, out)
-    finally:
-        if close:
-            out.close()
+    scene = _scene(args)
+    _write(args.out, lambda f: write_csv(_scene_series(scene), f))
     return 0
 
 
 def _cmd_plot(args) -> int:
-    doc, model = _load(args)
-    names = _parse_series(args.series)
-    scene = Scene(controls=np.array([p.crisp_xy for p in model.fuzzy_controls]))
-    if "band" in names:
-        scene.band = curves.fuzzy_curve_band(model, doc.samples)
-    if "reduced" in names:
-        scene.reduced = curves.reduced_curves(model, doc.samples)
-    if "crisp" in names:
-        scene.crisp = curves.sample_curve(model.crisp_model(), doc.samples)
-    if "defuzzified" in names:
-        scene.defuzzified = curves.defuzzified_curve(model, doc.samples)
-    out, close = _open_out(args.out)
-    try:
-        render_svg(scene, out)
-    finally:
-        if close:
-            out.close()
+    scene = _scene(args)
+    _write(args.out, lambda f: render_svg(scene, f))
     return 0
 
 

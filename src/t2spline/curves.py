@@ -2,8 +2,9 @@
 defuzzified solution curves, and sample-wise deviation reports.
 
 All processing happens on CONTROL points: the seven component control
-polygons (or the type-reduced / defuzzified ones) share a single weight
-vector and knot vector, and one rational curve is evaluated per polygon.
+polygons (and the type-reduced / defuzzified ones) share a single weight
+vector and knot vector, so the basis is computed once and shared by every
+polygon the requested curves need.
 """
 
 from __future__ import annotations
@@ -13,15 +14,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bspline import KnotVector, Polyline, RationalCurveModel, clamped_uniform_knots, sample_curve
-from .errors import OrderExceedsControlCount, SampleMismatch, T2SplineError
+from .bspline import KnotVector, Polyline, RationalCurveModel, check_curve_setup, clamped_uniform_knots
+from .bspline import sample_curve, sample_curves  # noqa: F401  (curves.sample_curve stays importable)
+from .errors import SampleMismatch, T2SplineError
 from .fuzzy import NT2FuzzyPoint
-from .pipeline import alpha_cut_scalar, defuzzify, pipeline_point, type_reduce
+from .pipeline import alpha_cut_point, defuzzify, type_reduce
 
 #: Band labels in control-polygon order; "crisp" extracts the c component.
 COMPONENT_LABELS = ("ll", "l", "rl", "crisp", "lr", "r", "rr")
 
 _LABEL_TO_FIELD = {label: ("c" if label == "crisp" else label) for label in COMPONENT_LABELS}
+
+#: Curve groups :func:`evaluate` produces, named like the :class:`Scene` fields.
+GROUPS = ("band", "reduced", "defuzzified", "crisp")
 
 DEFAULT_SAMPLES = 101
 
@@ -42,19 +47,9 @@ class FuzzyCurveModel:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         object.__setattr__(self, "order", int(self.order))
         object.__setattr__(self, "alpha", float(self.alpha))
-        n = len(controls)
         if not all(isinstance(p, NT2FuzzyPoint) for p in controls):
             raise T2SplineError("fuzzy_controls must be NT2FuzzyPoint instances")
-        if self.order < 2:
-            raise T2SplineError(f"order must be at least 2, got {self.order}")
-        if self.order > n:
-            raise OrderExceedsControlCount(f"order {self.order} exceeds control count {n}")
-        if self.weights.shape != (n,):
-            raise T2SplineError(f"expected {n} weights, got shape {self.weights.shape}")
-        if np.any(self.weights <= 0.0) or not np.all(np.isfinite(self.weights)):
-            raise T2SplineError("weights must all be finite and > 0")
-        if self.knots.order != self.order or self.knots.n_controls != n:
-            raise T2SplineError("knot vector does not match model order/control count")
+        check_curve_setup(len(controls), self.weights, self.order, self.knots)
         if not 0.0 <= self.alpha < 1.0:
             raise T2SplineError(f"alpha must lie in [0, 1), got {self.alpha}")
 
@@ -67,11 +62,7 @@ class FuzzyCurveModel:
 
     def crisp_model(self) -> RationalCurveModel:
         """The rational curve through the crisp (c, c) control polygon."""
-        return self._component_model("crisp")
-
-    def _component_model(self, label: str) -> RationalCurveModel:
-        polygon = component_polygons(self)[label]
-        return RationalCurveModel(polygon, self.weights, self.order, self.knots)
+        return RationalCurveModel(component_polygons(self)["crisp"], self.weights, self.order, self.knots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,41 +115,57 @@ def component_polygons(model: FuzzyCurveModel) -> dict[str, np.ndarray]:
     return out
 
 
+def evaluate(model: FuzzyCurveModel, groups, samples: int = DEFAULT_SAMPLES) -> dict:
+    """Evaluate the requested curve groups (names from :data:`GROUPS`) as one
+    stack of control polygons over one shared basis.
+
+    Each coordinate is cut and type-reduced once, and the one crisp polygon
+    serves the band, the reduced triple and "crisp".  Returns a dict keyed by
+    group: a :class:`CurveBand`, a :class:`ReducedCurves` or a :class:`Polyline`.
+    """
+    groups = set(groups)
+    if not groups <= set(GROUPS):
+        raise T2SplineError(f"unknown curve groups {sorted(groups - set(GROUPS))}")
+    if "band" in groups:
+        polygons = component_polygons(model)
+    else:
+        polygons = {"crisp": np.array([p.crisp_xy for p in model.fuzzy_controls])}
+    if groups & {"reduced", "defuzzified"}:
+        cuts = (alpha_cut_point(p, model.alpha) for p in model.fuzzy_controls)
+        intervals = [(type_reduce(cut_x), type_reduce(cut_y)) for cut_x, cut_y in cuts]
+        if "reduced" in groups:
+            polygons["tr_left"] = np.array([(tx.left, ty.left) for tx, ty in intervals])
+            polygons["tr_right"] = np.array([(tx.right, ty.right) for tx, ty in intervals])
+        if "defuzzified" in groups:
+            polygons["defuzzified"] = np.array([(defuzzify(tx), defuzzify(ty)) for tx, ty in intervals])
+    lines = dict(zip(polygons, sample_curves(model.knots, model.weights, list(polygons.values()), samples)))
+    out = {name: lines[name] for name in ("defuzzified", "crisp") if name in groups}
+    if "band" in groups:
+        out["band"] = CurveBand(**{label: lines[label] for label in COMPONENT_LABELS})
+    if "reduced" in groups:
+        out["reduced"] = ReducedCurves(left=lines["tr_left"], crisp=lines["crisp"], right=lines["tr_right"])
+    return out
+
+
 def fuzzy_curve_band(model: FuzzyCurveModel, samples: int = DEFAULT_SAMPLES) -> CurveBand:
     """Sample the rational curve over each of the seven component polygons.
 
     All seven curves share the model's weights, order and knots; only the
     control positions differ.
     """
-    sampled = {
-        label: sample_curve(model._component_model(label), samples) for label in COMPONENT_LABELS
-    }
-    return CurveBand(**{label: sampled[label] for label in COMPONENT_LABELS})
+    return evaluate(model, ["band"], samples)["band"]
 
 
 def reduced_curves(model: FuzzyCurveModel, samples: int = DEFAULT_SAMPLES) -> ReducedCurves:
     """Cut and type-reduce every control point, then sample the rational
     curve over the left-interval, crisp, and right-interval polygons."""
-    left_polygon, crisp_polygon, right_polygon = [], [], []
-    for p in model.fuzzy_controls:
-        tr_x = type_reduce(alpha_cut_scalar(p.x, model.alpha))
-        tr_y = type_reduce(alpha_cut_scalar(p.y, model.alpha))
-        left_polygon.append((tr_x.left, tr_y.left))
-        crisp_polygon.append((tr_x.c, tr_y.c))
-        right_polygon.append((tr_x.right, tr_y.right))
-    def make(poly):
-        return sample_curve(
-            RationalCurveModel(np.array(poly), model.weights, model.order, model.knots), samples
-        )
-
-    return ReducedCurves(left=make(left_polygon), crisp=make(crisp_polygon), right=make(right_polygon))
+    return evaluate(model, ["reduced"], samples)["reduced"]
 
 
 def defuzzified_curve(model: FuzzyCurveModel, samples: int = DEFAULT_SAMPLES) -> Polyline:
     """Sample the rational curve over the defuzzified control polygon
     (the crisp solution curve)."""
-    polygon = np.array([pipeline_point(p, model.alpha) for p in model.fuzzy_controls])
-    return sample_curve(RationalCurveModel(polygon, model.weights, model.order, model.knots), samples)
+    return evaluate(model, ["defuzzified"], samples)["defuzzified"]
 
 
 def deviation(a: Polyline, b: Polyline) -> DeviationReport:

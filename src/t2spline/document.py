@@ -36,13 +36,12 @@ from typing import Any
 
 import numpy as np
 
-from .curves import FuzzyCurveModel
+from .curves import DEFAULT_SAMPLES, FuzzyCurveModel
 from .errors import ParseError, T2SplineError, ValidationError
 from .fuzzy import COMPONENT_FIELDS, NT2FuzzyPoint, NT2FuzzyScalar
 
 DEFAULT_ORDER = 3
 DEFAULT_ALPHA = 0.8
-DEFAULT_SAMPLES = 101
 
 _EXPLICIT_KEYS = set(COMPONENT_FIELDS) | {"h"}
 _SPREAD_KEYS = (
@@ -123,6 +122,8 @@ def parse_document(text: str) -> ModelDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError("document is nested too deeply") from exc
 
     if not isinstance(raw, dict):
         raise ValidationError(f"document root must be an object, got {type(raw).__name__}")
@@ -143,23 +144,18 @@ def parse_document(text: str) -> ModelDocument:
             )
         )
 
-    n = len(points)
-    weights_raw = raw.get("weights", [1.0] * n)
+    weights_raw = raw.get("weights", [1.0] * len(points))
     if not isinstance(weights_raw, list):
         raise ValidationError("'weights' must be a list of numbers")
     weights = [_require_number(w, f"weights[{i}]") for i, w in enumerate(weights_raw)]
-    if len(weights) != n:
-        raise ValidationError(f"{len(weights)} weights for {n} points")
-    if any(w <= 0 for w in weights):
-        raise ValidationError("weights must all be > 0")
 
     order_raw = raw.get("order", DEFAULT_ORDER)
     if isinstance(order_raw, bool) or not isinstance(order_raw, int):
         raise ValidationError(f"'order' must be an integer, got {order_raw!r}")
     alpha = _require_number(raw.get("alpha", DEFAULT_ALPHA), "alpha")
     samples_raw = raw.get("samples", DEFAULT_SAMPLES)
-    if isinstance(samples_raw, bool) or not isinstance(samples_raw, int):
-        raise ValidationError(f"'samples' must be an integer, got {samples_raw!r}")
+    if isinstance(samples_raw, bool) or not isinstance(samples_raw, int) or samples_raw < 2:
+        raise ValidationError(f"'samples' must be an integer of at least 2, got {samples_raw!r}")
 
     doc = ModelDocument(points=points, weights=weights, order=order_raw, alpha=alpha, samples=samples_raw)
     try:
@@ -173,7 +169,11 @@ def parse_document(text: str) -> ModelDocument:
 
 def load_document(path) -> ModelDocument:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_document(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason}") from exc
+    return parse_document(text)
 
 
 def load_model(path) -> FuzzyCurveModel:

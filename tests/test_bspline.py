@@ -16,6 +16,7 @@ from t2spline import (
     rational_point,
     sample_curve,
 )
+from t2spline.bspline import sample_curves
 
 DEMO_CONTROLS = np.array([[0.0, 0.0], [2.0, 4.0], [5.0, 5.0], [7.0, 1.0]])
 DEMO_WEIGHTS = np.array([1.0, 1.0, 3.0, 1.0])
@@ -210,3 +211,27 @@ def test_polyline_validation():
         Polyline(np.zeros((3, 2)), np.array([0.0, 0.5, 0.5]))
     with pytest.raises(T2SplineError):
         Polyline(np.zeros((3, 2)), np.array([0.0, 0.5]))
+
+
+def test_knot_vector_rejects_nan_knot():
+    with pytest.raises(T2SplineError):
+        KnotVector(np.array([0, 0, 0, np.nan, 1, 1, 1]), order=3)
+
+
+def test_polyline_rejects_nan_param():
+    with pytest.raises(T2SplineError):
+        Polyline(np.zeros((3, 2)), np.array([0.0, np.nan, 1.0]))
+
+
+@pytest.mark.parametrize("n, order", [(4, 3), (30, 8)])
+def test_sample_curves_shares_basis_and_matches_rational_point(n, order):
+    rng = np.random.default_rng(n)
+    polygons = rng.normal(size=(5, n, 2))
+    weights = rng.uniform(0.5, 3.0, n)
+    kv = clamped_uniform_knots(n, order)
+    lines = sample_curves(kv, weights, polygons, 17)
+    assert len(lines) == len(polygons)
+    for polygon, line in zip(polygons, lines):
+        m = RationalCurveModel(polygon, weights, order, kv)
+        expected = np.array([rational_point(m, t) for t in line.params])
+        assert np.array_equal(line.points, expected)

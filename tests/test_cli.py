@@ -6,7 +6,18 @@ import sys
 import numpy as np
 import pytest
 
-from t2spline import demo_document, document_to_json, pipeline_point
+from t2spline import (
+    ModelDocument,
+    NT2FuzzyPoint,
+    NT2FuzzyScalar,
+    defuzzified_curve,
+    demo_document,
+    document_to_json,
+    fuzzy_curve_band,
+    pipeline_point,
+    reduced_curves,
+    sample_curve,
+)
 from t2spline.cli import run
 
 
@@ -129,3 +140,72 @@ def test_console_module_entrypoint(demo_path, tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "curve"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"points": [], "note": "caf\xe9"}')
+    assert run([command, str(path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "curve"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert run([command, str(path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def _order4_document(n=12):
+    """Order-4 document with asymmetric spreads and heights on both sides
+    of the cut level, so both alpha-cut regimes occur."""
+    rng = np.random.default_rng(12)
+    points = []
+    for i in range(n):
+        coords = []
+        for c in (1.5 * i + rng.uniform(-0.3, 0.3), rng.uniform(-2.0, 2.0)):
+            left = np.sort(rng.uniform(0.05, 1.0, 3))[::-1]
+            right = np.sort(rng.uniform(0.05, 1.0, 3))
+            coords.append(NT2FuzzyScalar.from_spreads(c, (*left, *right), rng.uniform(0.5, 1.0)))
+        points.append(NT2FuzzyPoint(*coords))
+    weights = list(rng.uniform(0.5, 3.0, n))
+    return ModelDocument(points=points, weights=weights, order=4, alpha=0.8, samples=37)
+
+
+@pytest.mark.parametrize("doc", [demo_document(), _order4_document()], ids=["demo", "order4"])
+def test_curve_all_columns_match_library_views(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(document_to_json(doc))
+    out = tmp_path / "all.csv"
+    assert run(["curve", str(path), "--series", "all", "--out", str(out)]) == 0
+    rows = list(csv.reader(out.open()))
+    columns = dict(zip(rows[0], np.array(rows[1:], dtype=float).T))
+
+    model = doc.to_model()
+    reduced = reduced_curves(model, doc.samples)
+    expected = dict(fuzzy_curve_band(model, doc.samples).items())
+    expected.update(tr_left=reduced.left, tr_right=reduced.right)
+    expected["defuzzified"] = defuzzified_curve(model, doc.samples)
+    crisp = sample_curve(model.crisp_model(), doc.samples)
+    assert np.array_equal(reduced.crisp.points, crisp.points)
+    assert np.array_equal(expected["crisp"].points, crisp.points)
+
+    assert len(columns) == 1 + 2 * len(expected)
+    assert np.array_equal(columns["t"], crisp.params)
+    for name, line in expected.items():
+        assert np.array_equal(columns[f"{name}_x"], line.points[:, 0]), name
+        assert np.array_equal(columns[f"{name}_y"], line.points[:, 1]), name
+
+
+@pytest.mark.parametrize("order", ["-1", "0", "1"])
+def test_curve_order_below_two_exits_1(demo_path, capsys, order):
+    assert run(["curve", str(demo_path), "--order", order]) == 1
+    assert "order must be at least 2" in capsys.readouterr().err
+
+
+def test_failed_curve_creates_no_output_file(demo_path, tmp_path):
+    out = tmp_path / "x.csv"
+    assert run(["curve", str(demo_path), "--samples", "1", "--out", str(out)]) == 1
+    assert not out.exists()

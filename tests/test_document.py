@@ -150,3 +150,11 @@ def test_spread_keys_must_be_complete():
     coord = {"c": 5, "h": 0.6, "spreads": {"outer_left": 1}}
     with pytest.raises(ValidationError):
         parse_document(minimal_doc_text(coord))
+
+
+@pytest.mark.parametrize("samples", [1, 0, -3])
+def test_samples_below_two_rejected(samples):
+    payload = json.loads(minimal_doc_text(EXPLICIT_COORD))
+    payload["samples"] = samples
+    with pytest.raises(ValidationError):
+        parse_document(json.dumps(payload))
