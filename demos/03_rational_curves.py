@@ -3,7 +3,8 @@ Crisp rational B-spline curves
 ==============================
 
 The curve engine underneath everything: clamped uniform knot vectors,
-Cox-de Boor basis functions, and weighted rational evaluation
+B-spline basis functions (de Boor's triangular table), and weighted
+rational evaluation
 
     C(t) = sum_i w_i N_i(t) P_i / sum_r w_r N_r(t).
 """

@@ -1,4 +1,10 @@
-"""Rational B-spline machinery: clamped knots, Cox-de Boor basis, evaluation."""
+"""Rational B-spline machinery: clamped knots, a vectorised basis, evaluation.
+
+The basis is de Boor's triangular table (Piegl & Tiller, *The NURBS Book*,
+algorithm A2.2 ``BasisFuns``): each parameter's knot span is found by binary
+search and only the ``order`` basis functions that are non-zero on that span
+are computed, for all parameters at once.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +18,11 @@ from .errors import (
     T2SplineError,
     TooFewSamples,
 )
+
+#: Largest sample count :func:`sample_curves` accepts.  Every curve's points
+#: and the dense basis rows grow with it, so a larger request is refused
+#: before anything is allocated.
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,23 +67,41 @@ def clamped_uniform_knots(n: int, k: int) -> KnotVector:
     return KnotVector(np.concatenate([np.zeros(k), interior, np.ones(k)]), order=k)
 
 
-def _cox_de_boor(knots: np.ndarray, i: int, order: int, t: float) -> float:
-    # 0/0 := 0 convention for repeated knots; the final non-empty span is
-    # closed on the right so the curve reaches its last control point.
-    if order == 1:
-        if knots[i] <= t < knots[i + 1]:
-            return 1.0
-        if t == knots[-1] and knots[i] < knots[i + 1] == knots[-1]:
-            return 1.0
-        return 0.0
-    total = 0.0
-    left_den = knots[i + order - 1] - knots[i]
-    if left_den > 0.0:
-        total += (t - knots[i]) / left_den * _cox_de_boor(knots, i, order - 1, t)
-    right_den = knots[i + order] - knots[i + 1]
-    if right_den > 0.0:
-        total += (knots[i + order] - t) / right_den * _cox_de_boor(knots, i + 1, order - 1, t)
-    return total
+def basis_rows(knots: np.ndarray, order: int, ts) -> np.ndarray:
+    """Dense ``(len(ts), n)`` matrix of the n basis functions of the given
+    order over ``knots``, one row per parameter in ``ts``.
+
+    Each row depends on its own parameter only, so a parameter evaluated
+    alone or inside a batch gives identical bits.  The last non-empty span
+    is closed on the right, so the row at the domain's upper end is defined.
+    """
+    knots = np.asarray(knots, dtype=float)
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    n = knots.size - order
+    lo, hi = knots[order - 1], knots[n]
+    if not lo < hi:
+        raise T2SplineError(f"order {order} basis over these knots has an empty domain [{lo}, {hi}]")
+    inside = (ts >= lo) & (ts <= hi)  # also rejects NaN
+    if not inside.all():
+        raise ParameterOutOfDomain(f"t={float(ts[~inside][0])!r} outside domain [{lo}, {hi}]")
+    last = np.searchsorted(knots, hi, side="left") - 1
+    span = np.minimum(np.searchsorted(knots, ts, side="right") - 1, last)[:, None]
+    offsets = np.arange(1, order)
+    left = ts[:, None] - knots[span + 1 - offsets]  # left[:, j - 1] = t - knots[span + 1 - j]
+    right = knots[span + offsets] - ts[:, None]  # right[:, j - 1] = knots[span + j] - t
+    values = np.zeros((ts.size, order))
+    values[:, 0] = 1.0
+    for j in range(1, order):
+        # Order j + 1 from order j.  Each denominator is the length of a knot
+        # interval containing the span, so it is positive; taking the ratios
+        # first keeps every factor in [0, 1], even for subnormal intervals.
+        den = right[:, :j] + left[:, j - 1 :: -1]
+        rising = left[:, j - 1 :: -1] / den * values[:, :j]
+        values[:, :j] *= right[:, :j] / den
+        values[:, 1 : j + 1] += rising
+    rows = np.zeros((ts.size, n))
+    np.put_along_axis(rows, span - (order - 1) + np.arange(order), values, axis=1)
+    return rows
 
 
 def basis(kv: KnotVector, i: int, order: int, t: float) -> float:
@@ -81,24 +110,15 @@ def basis(kv: KnotVector, i: int, order: int, t: float) -> float:
     Non-negative, zero outside [knots[i], knots[i + order]], and the basis
     functions of one knot vector sum to 1 across the domain.
     """
-    knots = kv.knots
-    n = knots.size - order
+    n = kv.knots.size - order
     if not 0 <= i < n:
         raise IndexError(f"basis index {i} out of range for {n} basis functions")
-    lo, hi = knots[order - 1], knots[n]
-    if not lo <= t <= hi:
-        raise ParameterOutOfDomain(f"t={t!r} outside domain [{lo}, {hi}]")
-    return _cox_de_boor(knots, i, order, float(t))
+    return float(basis_rows(kv.knots, order, t)[0, i])
 
 
 def basis_row(kv: KnotVector, t: float) -> np.ndarray:
     """All n basis values of the knot vector's own order at parameter t."""
-    knots = kv.knots
-    lo, hi = kv.domain
-    if not lo <= t <= hi:
-        raise ParameterOutOfDomain(f"t={t!r} outside domain [{lo}, {hi}]")
-    t = float(t)
-    return np.array([_cox_de_boor(knots, i, kv.order, t) for i in range(kv.n_controls)])
+    return basis_rows(kv.knots, kv.order, t)[0]
 
 
 def check_curve_setup(n: int, weights: np.ndarray, order: int, knots: KnotVector) -> None:
@@ -190,9 +210,12 @@ def sample_curves(knots: KnotVector, weights: np.ndarray, polygons, samples: int
     and shared by every polygon."""
     if samples < 2:
         raise TooFewSamples(f"need at least 2 samples, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise T2SplineError(f"at most {MAX_SAMPLES} samples are supported, got {samples}")
     lo, hi = knots.domain
     ts = np.linspace(lo, hi, samples)
-    coeff = np.array([weights * basis_row(knots, t) for t in ts])
+    coeff = basis_rows(knots.knots, knots.order, ts)
+    coeff *= weights
     # One (1, n) @ (n, 2) product per sample and polygon, exactly as
     # rational_point computes it; a single (m, n) @ (n, 2) product would
     # round differently.

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -79,12 +80,22 @@ def _load(args) -> tuple:
 
 
 def _write(path: str, render) -> None:
-    """Call ``render(stream)`` on stdout ("-") or on the file at ``path``."""
+    """Call ``render(stream)`` on stdout ("-"), or on a new file beside
+    ``path`` that replaces ``path`` only once ``render`` has returned, so a
+    failed render leaves any existing file untouched."""
     if path == "-":
         render(sys.stdout)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as f:
+        return
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    # Mode 0o666 under the umask, as open(path, "w") would create it.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as f:
             render(f)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _scene(args) -> Scene:

@@ -5,7 +5,7 @@ Document layout::
     {
       "order": 3,            // optional, default 3
       "alpha": 0.8,          // optional, default 0.8
-      "samples": 101,        // optional, default 101
+      "samples": 101,        // optional, default 101, at most 1000000
       "weights": [1, 1, 3, 1],   // optional, default all ones
       "points": [
         {"x": <coordinate>, "y": <coordinate>},
@@ -36,6 +36,7 @@ from typing import Any
 
 import numpy as np
 
+from .bspline import MAX_SAMPLES
 from .curves import DEFAULT_SAMPLES, FuzzyCurveModel
 from .errors import ParseError, T2SplineError, ValidationError
 from .fuzzy import COMPONENT_FIELDS, NT2FuzzyPoint, NT2FuzzyScalar
@@ -154,8 +155,8 @@ def parse_document(text: str) -> ModelDocument:
         raise ValidationError(f"'order' must be an integer, got {order_raw!r}")
     alpha = _require_number(raw.get("alpha", DEFAULT_ALPHA), "alpha")
     samples_raw = raw.get("samples", DEFAULT_SAMPLES)
-    if isinstance(samples_raw, bool) or not isinstance(samples_raw, int) or samples_raw < 2:
-        raise ValidationError(f"'samples' must be an integer of at least 2, got {samples_raw!r}")
+    if isinstance(samples_raw, bool) or not isinstance(samples_raw, int) or not 2 <= samples_raw <= MAX_SAMPLES:
+        raise ValidationError(f"'samples' must be an integer from 2 to {MAX_SAMPLES}, got {samples_raw!r}")
 
     doc = ModelDocument(points=points, weights=weights, order=order_raw, alpha=alpha, samples=samples_raw)
     try:

@@ -1,9 +1,34 @@
 """Independent brute-force oracles used by the tests.
 
 The quadratic basis polynomials below were expanded by hand from the
-order-3 recursion on the clamped knot vector (0, 0, 0, 0.5, 1, 1, 1); they
-deliberately do NOT call the library.
+order-3 recursion on the clamped knot vector (0, 0, 0, 0.5, 1, 1, 1), and
+``cox_de_boor`` is the textbook recursive definition of any basis function;
+they deliberately do NOT call the library.
 """
+
+
+def cox_de_boor(knots, i, order, t):
+    """Basis function N_i of the given order at t by the Cox-de Boor recursion.
+
+    0/0 := 0 for repeated knots; the final non-empty span is closed on the
+    right so the basis reaches the last control point at the domain's end.
+    A knot interval below about 1e-308 overflows the ratio (t - knot) /
+    interval, so compare against it only on knots spaced wider than that.
+    """
+    if order == 1:
+        if knots[i] <= t < knots[i + 1]:
+            return 1.0
+        if t == knots[-1] and knots[i] < knots[i + 1] == knots[-1]:
+            return 1.0
+        return 0.0
+    total = 0.0
+    left_den = knots[i + order - 1] - knots[i]
+    if left_den > 0.0:
+        total += (t - knots[i]) / left_den * cox_de_boor(knots, i, order - 1, t)
+    right_den = knots[i + order] - knots[i + 1]
+    if right_den > 0.0:
+        total += (knots[i + order] - t) / right_den * cox_de_boor(knots, i + 1, order - 1, t)
+    return total
 
 
 def quad_basis_0(t):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import QUAD_BASIS, brute_force_rational
+from oracles import QUAD_BASIS, brute_force_rational, cox_de_boor
 from t2spline import (
     KnotVector,
     OrderExceedsControlCount,
@@ -16,7 +18,7 @@ from t2spline import (
     rational_point,
     sample_curve,
 )
-from t2spline.bspline import sample_curves
+from t2spline.bspline import MAX_SAMPLES, basis_rows, sample_curves
 
 DEMO_CONTROLS = np.array([[0.0, 0.0], [2.0, 4.0], [5.0, 5.0], [7.0, 1.0]])
 DEMO_WEIGHTS = np.array([1.0, 1.0, 3.0, 1.0])
@@ -218,6 +220,12 @@ def test_knot_vector_rejects_nan_knot():
         KnotVector(np.array([0, 0, 0, np.nan, 1, 1, 1]), order=3)
 
 
+def test_basis_of_knot_vector_with_empty_domain_rejected():
+    kv = KnotVector(np.zeros(6), order=3)
+    with pytest.raises(T2SplineError, match="empty domain"):
+        basis_row(kv, 0.0)
+
+
 def test_polyline_rejects_nan_param():
     with pytest.raises(T2SplineError):
         Polyline(np.zeros((3, 2)), np.array([0.0, np.nan, 1.0]))
@@ -235,3 +243,76 @@ def test_sample_curves_shares_basis_and_matches_rational_point(n, order):
         m = RationalCurveModel(polygon, weights, order, kv)
         expected = np.array([rational_point(m, t) for t in line.params])
         assert np.array_equal(line.points, expected)
+
+
+def test_sample_count_above_bound_rejected_before_allocation():
+    with pytest.raises(T2SplineError, match="at most"):
+        sample_curve(demo_rational(), MAX_SAMPLES + 1)
+    with pytest.raises(T2SplineError, match="at most"):
+        sample_curve(demo_rational(), 10**12)
+
+
+# --- vectorised basis kernel against the recursive definition -----------------------
+
+_any_interior = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+# The recursive oracle divides by knot intervals, which overflows for
+# subnormal ones; it is compared on knots at least 2**-20 apart.
+_dyadic_interior = st.integers(1, 2**20 - 1).map(lambda v: v / 2**20)
+
+
+@st.composite
+def knots_and_params(draw, interior_knots=_any_interior):
+    """A clamped knot vector on [0, 1] of order 2..10 whose interior knots
+    repeat up to `order` times, plus parameters on every knot, at both ends
+    of the domain and in between."""
+    order = draw(st.integers(2, 10))
+    distinct = draw(st.lists(interior_knots, max_size=4, unique=True))
+    interior = sorted(v for v in distinct for _ in range(draw(st.integers(1, order))))
+    knots = np.array([0.0] * order + interior + [1.0] * order)
+    inner = draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    ts = np.array([0.0, 1.0, *interior, *inner])
+    return knots, order, np.array(draw(st.permutations(ts)))
+
+
+@settings(deadline=None)
+@given(knots_and_params(_dyadic_interior))
+def test_basis_rows_match_recursive_oracle(case):
+    knots, order, ts = case
+    n = knots.size - order
+    rows = basis_rows(knots, order, ts)
+    assert rows.shape == (ts.size, n)
+    for t, row in zip(ts, rows):
+        for i in range(n):
+            assert abs(row[i] - cox_de_boor(knots, i, order, t)) <= 1e-14
+            if not knots[i] <= t <= knots[i + order]:
+                assert row[i] == 0.0
+
+
+@settings(deadline=None)
+@given(knots_and_params())
+@example((np.array([0.0, 0.0, 5e-324, 1.0, 1.0]), 2, np.array([0.0, 1.0, 5e-324])))  # subnormal interval
+def test_basis_rows_partition_of_unity_nonnegative_and_per_sample(case):
+    knots, order, ts = case
+    rows = basis_rows(knots, order, ts)
+    assert np.all(rows >= 0.0)
+    assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
+    for t, row in zip(ts, rows):  # one parameter alone gives the same bits as in the batch
+        assert np.array_equal(basis_rows(knots, order, t)[0], row)
+
+
+_outside_unit = st.one_of(
+    st.just(np.nan),
+    st.floats(max_value=-5e-324),
+    st.floats(min_value=1.0, exclude_min=True),
+)
+
+
+@settings(deadline=None)
+@given(knots_and_params(), _outside_unit, st.integers(0, 10))
+def test_basis_rows_reject_nan_and_out_of_domain(case, bad, where):
+    knots, order, ts = case
+    ts = np.insert(ts, min(where, ts.size), bad)
+    with pytest.raises(ParameterOutOfDomain):
+        basis_rows(knots, order, ts)
+    with pytest.raises(ParameterOutOfDomain):
+        basis_row(KnotVector(knots, order), bad)

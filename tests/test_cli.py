@@ -10,6 +10,7 @@ from t2spline import (
     ModelDocument,
     NT2FuzzyPoint,
     NT2FuzzyScalar,
+    T2SplineError,
     defuzzified_curve,
     demo_document,
     document_to_json,
@@ -18,6 +19,7 @@ from t2spline import (
     reduced_curves,
     sample_curve,
 )
+from t2spline import bspline, cli
 from t2spline.cli import run
 
 
@@ -209,3 +211,39 @@ def test_failed_curve_creates_no_output_file(demo_path, tmp_path):
     out = tmp_path / "x.csv"
     assert run(["curve", str(demo_path), "--samples", "1", "--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["curve", "plot"])
+def test_oversized_sample_count_exits_1_without_output(demo_path, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run([command, str(demo_path), "--samples", str(10**9), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "samples" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_failed_render_leaves_existing_output_untouched(demo_path, tmp_path, monkeypatch):
+    out = tmp_path / "curve.csv"
+    out.write_bytes(b"previous,bytes\r\n")
+
+    def half_then_fail(series, f):
+        f.write("t,crisp_x\n0.0,")
+        raise T2SplineError("render failed")
+
+    monkeypatch.setattr(cli, "write_csv", half_then_fail)
+    assert run(["curve", str(demo_path), "--out", str(out)]) == 1
+    assert out.read_bytes() == b"previous,bytes\r\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "model.json"]
+
+
+def test_curve_all_computes_the_basis_once(demo_path, tmp_path, monkeypatch):
+    calls = []
+    kernel = bspline.basis_rows
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(bspline, "basis_rows", counted)
+    assert run(["curve", str(demo_path), "--series", "all", "--out", str(tmp_path / "all.csv")]) == 0
+    assert len(calls) == 1

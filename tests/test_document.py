@@ -14,6 +14,7 @@ from t2spline import (
     parse_document,
     save_document,
 )
+from t2spline.bspline import MAX_SAMPLES
 
 EXPLICIT_COORD = {"ll": 4, "l": 4.3, "rl": 4.6, "c": 5, "lr": 5.4, "r": 5.7, "rr": 6, "h": 0.6}
 SPREADS_COORD = {
@@ -158,3 +159,13 @@ def test_samples_below_two_rejected(samples):
     payload["samples"] = samples
     with pytest.raises(ValidationError):
         parse_document(json.dumps(payload))
+
+
+def test_samples_bound_is_the_evaluator_bound():
+    payload = json.loads(minimal_doc_text(EXPLICIT_COORD))
+    payload["samples"] = MAX_SAMPLES
+    assert parse_document(json.dumps(payload)).samples == MAX_SAMPLES
+    for samples in (MAX_SAMPLES + 1, 10**9):
+        payload["samples"] = samples
+        with pytest.raises(ValidationError, match="samples"):
+            parse_document(json.dumps(payload))
