@@ -19,10 +19,11 @@ from .errors import (
     TooFewSamples,
 )
 
-#: Largest sample count :func:`sample_curves` accepts.  Every curve's points
-#: and the dense basis rows grow with it, so a larger request is refused
-#: before anything is allocated.
-MAX_SAMPLES = 1_000_000
+#: Largest samples × control points product :func:`sample_curves` accepts:
+#: the cell count of its dense ``(samples, n)`` basis matrix, 256 MiB of
+#: float64.  Each curve's points are at most as many numbers, so a larger
+#: request is refused before anything is allocated.
+MAX_BASIS_CELLS = 2**25
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,8 +211,11 @@ def sample_curves(knots: KnotVector, weights: np.ndarray, polygons, samples: int
     and shared by every polygon."""
     if samples < 2:
         raise TooFewSamples(f"need at least 2 samples, got {samples}")
-    if samples > MAX_SAMPLES:
-        raise T2SplineError(f"at most {MAX_SAMPLES} samples are supported, got {samples}")
+    n = knots.n_controls
+    if samples * n > MAX_BASIS_CELLS:
+        raise T2SplineError(
+            f"at most {MAX_BASIS_CELLS // n} samples are supported for {n} control points, got {samples}"
+        )
     lo, hi = knots.domain
     ts = np.linspace(lo, hi, samples)
     coeff = basis_rows(knots.knots, knots.order, ts)

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation failure, 2 I/O or parse failure.
+Exit codes: 0 success, 1 validation failure or out of memory, 2 I/O or parse
+failure.
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -80,15 +82,23 @@ def _load(args) -> tuple:
 
 
 def _write(path: str, render) -> None:
-    """Call ``render(stream)`` on stdout ("-"), or on a new file beside
-    ``path`` that replaces ``path`` only once ``render`` has returned, so a
-    failed render leaves any existing file untouched."""
+    """Call ``render(stream)`` on stdout ("-") or on the file ``path``.
+
+    A new file, or a regular file of this user with one link, is rendered
+    into a file beside it that replaces it only once ``render`` has
+    returned, so a failed render leaves an existing file untouched.  Any
+    other target (a symlink, a device, a FIFO, a hard-linked or foreign
+    file) is written in place, so the path stays what it was.
+    """
     if path == "-":
         render(sys.stdout)
         return
-    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
-    # Mode 0o666 under the umask, as open(path, "w") would create it.
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    staged = _stage_beside(path)
+    if staged is None:
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            render(f)
+        return
+    fd, tmp = staged
     try:
         with open(fd, "w", encoding="utf-8", newline="") as f:
             render(f)
@@ -96,6 +106,33 @@ def _write(path: str, render) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _stage_beside(path: str) -> tuple[int, str] | None:
+    """Open a new empty file beside ``path`` with the mode of the file it
+    will replace; None when ``path`` is to be written in place."""
+    try:
+        old = os.lstat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not (
+        stat.S_ISREG(old.st_mode) and old.st_nlink == 1 and (old.st_uid, old.st_gid) == (os.geteuid(), os.getegid())
+    ):
+        return None
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        # Mode 0o666 under the umask, as open(path, "w") would create it.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:  # e.g. a read-only directory holding a writable file
+        return None
+    if old is not None:
+        try:
+            os.fchmod(fd, stat.S_IMODE(old.st_mode))
+        except BaseException:
+            os.close(fd)
+            os.unlink(tmp)
+            raise
+    return fd, tmp
 
 
 def _scene(args) -> Scene:
@@ -169,6 +206,10 @@ def run(argv=None) -> int:
         return 2
     except T2SplineError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

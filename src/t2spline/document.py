@@ -5,7 +5,7 @@ Document layout::
     {
       "order": 3,            // optional, default 3
       "alpha": 0.8,          // optional, default 0.8
-      "samples": 101,        // optional, default 101, at most 1000000
+      "samples": 101,        // optional, default 101, at most 2**25 // points
       "weights": [1, 1, 3, 1],   // optional, default all ones
       "points": [
         {"x": <coordinate>, "y": <coordinate>},
@@ -36,7 +36,7 @@ from typing import Any
 
 import numpy as np
 
-from .bspline import MAX_SAMPLES
+from .bspline import MAX_BASIS_CELLS
 from .curves import DEFAULT_SAMPLES, FuzzyCurveModel
 from .errors import ParseError, T2SplineError, ValidationError
 from .fuzzy import COMPONENT_FIELDS, NT2FuzzyPoint, NT2FuzzyScalar
@@ -155,8 +155,11 @@ def parse_document(text: str) -> ModelDocument:
         raise ValidationError(f"'order' must be an integer, got {order_raw!r}")
     alpha = _require_number(raw.get("alpha", DEFAULT_ALPHA), "alpha")
     samples_raw = raw.get("samples", DEFAULT_SAMPLES)
-    if isinstance(samples_raw, bool) or not isinstance(samples_raw, int) or not 2 <= samples_raw <= MAX_SAMPLES:
-        raise ValidationError(f"'samples' must be an integer from 2 to {MAX_SAMPLES}, got {samples_raw!r}")
+    most = MAX_BASIS_CELLS // len(points)
+    if isinstance(samples_raw, bool) or not isinstance(samples_raw, int) or not 2 <= samples_raw <= most:
+        raise ValidationError(
+            f"'samples' must be an integer from 2 to {most} for {len(points)} points, got {samples_raw!r}"
+        )
 
     doc = ModelDocument(points=points, weights=weights, order=order_raw, alpha=alpha, samples=samples_raw)
     try:

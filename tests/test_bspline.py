@@ -18,7 +18,7 @@ from t2spline import (
     rational_point,
     sample_curve,
 )
-from t2spline.bspline import MAX_SAMPLES, basis_rows, sample_curves
+from t2spline.bspline import MAX_BASIS_CELLS, basis_rows, sample_curves
 
 DEMO_CONTROLS = np.array([[0.0, 0.0], [2.0, 4.0], [5.0, 5.0], [7.0, 1.0]])
 DEMO_WEIGHTS = np.array([1.0, 1.0, 3.0, 1.0])
@@ -247,9 +247,18 @@ def test_sample_curves_shares_basis_and_matches_rational_point(n, order):
 
 def test_sample_count_above_bound_rejected_before_allocation():
     with pytest.raises(T2SplineError, match="at most"):
-        sample_curve(demo_rational(), MAX_SAMPLES + 1)
+        sample_curve(demo_rational(), MAX_BASIS_CELLS // len(DEMO_CONTROLS) + 1)
     with pytest.raises(T2SplineError, match="at most"):
         sample_curve(demo_rational(), 10**12)
+
+
+@pytest.mark.parametrize("n", [4, 400, 5000])
+def test_sample_bound_is_on_basis_cells(n):
+    kv = clamped_uniform_knots(n, 3)
+    polygon = np.zeros((1, n, 2))
+    with pytest.raises(T2SplineError, match=f"at most {MAX_BASIS_CELLS // n} samples"):
+        sample_curves(kv, np.ones(n), polygon, MAX_BASIS_CELLS // n + 1)
+
 
 
 # --- vectorised basis kernel against the recursive definition -----------------------

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -247,3 +249,72 @@ def test_curve_all_computes_the_basis_once(demo_path, tmp_path, monkeypatch):
     monkeypatch.setattr(bspline, "basis_rows", counted)
     assert run(["curve", str(demo_path), "--series", "all", "--out", str(tmp_path / "all.csv")]) == 0
     assert len(calls) == 1
+
+
+def test_many_points_at_a_million_samples_exit_1_without_output(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(document_to_json(_order4_document(400)))
+    out = tmp_path / "out.csv"
+    assert run(["curve", str(path), "--samples", str(10**6), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: at most") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_out_of_memory_is_one_error_line(demo_path, tmp_path, capsys, monkeypatch):
+    message = "Unable to allocate 2.98 GiB for an array with shape (1000000, 400)"
+
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(bspline, "basis_rows", exhausted)
+    out = tmp_path / "out.csv"
+    assert run(["curve", str(demo_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+    assert not out.exists()
+
+
+def test_out_through_symlink_keeps_the_link(demo_path, tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert run(["demo", "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text() == demo_path.read_text()
+
+
+def test_out_keeps_the_mode_of_an_existing_file(demo_path, tmp_path):
+    out = tmp_path / "private.csv"
+    out.write_text("old")
+    out.chmod(0o600)
+    assert run(["curve", str(demo_path), "--series", "crisp", "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert out.read_text().startswith("t,crisp_x,crisp_y\n")
+
+
+def test_out_keeps_hard_links(demo_path, tmp_path):
+    out = tmp_path / "a.json"
+    out.write_text("old")
+    other = tmp_path / "b.json"
+    os.link(out, other)
+    assert run(["demo", "--out", str(out)]) == 0
+    assert os.path.samefile(out, other)
+    assert other.read_text() == demo_path.read_text()
+
+
+def test_out_to_a_fifo_writes_into_it(demo_path, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # A reader opened without blocking lets the writer open the FIFO at once;
+    # the demo document fits in the pipe buffer.
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(["demo", "--out", str(fifo)]) == 0
+        data = b""
+        while chunk := os.read(fd, 1 << 16):
+            data += chunk
+    finally:
+        os.close(fd)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert data == demo_path.read_bytes()

@@ -14,7 +14,7 @@ from t2spline import (
     parse_document,
     save_document,
 )
-from t2spline.bspline import MAX_SAMPLES
+from t2spline.bspline import MAX_BASIS_CELLS
 
 EXPLICIT_COORD = {"ll": 4, "l": 4.3, "rl": 4.6, "c": 5, "lr": 5.4, "r": 5.7, "rr": 6, "h": 0.6}
 SPREADS_COORD = {
@@ -161,11 +161,19 @@ def test_samples_below_two_rejected(samples):
         parse_document(json.dumps(payload))
 
 
-def test_samples_bound_is_the_evaluator_bound():
-    payload = json.loads(minimal_doc_text(EXPLICIT_COORD))
-    payload["samples"] = MAX_SAMPLES
-    assert parse_document(json.dumps(payload)).samples == MAX_SAMPLES
-    for samples in (MAX_SAMPLES + 1, 10**9):
+@pytest.mark.parametrize("n", [3, 4, 400])
+def test_samples_bound_is_the_evaluator_bound(n):
+    payload = json.loads(minimal_doc_text(EXPLICIT_COORD, n))
+    most = MAX_BASIS_CELLS // n
+    payload["samples"] = most
+    assert parse_document(json.dumps(payload)).samples == most
+    for samples in (most + 1, 10**9):
         payload["samples"] = samples
-        with pytest.raises(ValidationError, match="samples"):
+        with pytest.raises(ValidationError, match=f"from 2 to {most} for {n} points"):
             parse_document(json.dumps(payload))
+
+
+def test_samples_above_a_million_accepted_for_few_points():
+    payload = json.loads(minimal_doc_text(EXPLICIT_COORD, 4))
+    payload["samples"] = 2_000_000
+    assert parse_document(json.dumps(payload)).samples == 2_000_000
