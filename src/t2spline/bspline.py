@@ -222,7 +222,14 @@ def sample_curves(knots: KnotVector, weights: np.ndarray, polygons, samples: int
     coeff *= weights
     # One (1, n) @ (n, 2) product per sample and polygon, exactly as
     # rational_point computes it; a single (m, n) @ (n, 2) product would
-    # round differently.
-    points = np.matmul(coeff[None, :, None, :], np.asarray(polygons, dtype=float)[:, None])[:, :, 0]
-    points /= coeff.sum(axis=1)[:, None]
+    # round differently, and so can a matmul over a strided polygon, so the
+    # stack is made contiguous.
+    stack = np.ascontiguousarray(polygons, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        points = np.matmul(coeff[None, :, None, :], stack[:, None])[:, :, 0]
+        points /= coeff.sum(axis=1)[:, None]
+    if not np.isfinite(points).all():
+        raise T2SplineError(
+            "curve points are not finite: the weighted control coordinates must stay within the float range"
+        )
     return [Polyline(points=p, params=ts) for p in points]

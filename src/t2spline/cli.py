@@ -7,18 +7,15 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
-
-import numpy as np
 
 from . import curves
 from .document import demo_document, document_to_json, load_document
 from .errors import ParseError, T2SplineError
 from .output import Scene, _scene_series, render_svg, write_csv
-from .pipeline import pipeline_point
+from .pipeline import solve
 
 SERIES_CHOICES = (*curves.GROUPS, "all")
 
@@ -71,6 +68,8 @@ def _parse_series(spec: str) -> set[str]:
 
 
 def _load(args) -> tuple:
+    """The document and its model; the model parsing built is reused unless
+    ``--alpha`` or ``--order`` changes it."""
     doc = load_document(args.file)
     if getattr(args, "alpha", None) is not None:
         doc.alpha = args.alpha
@@ -139,7 +138,7 @@ def _scene(args) -> Scene:
     """Load the document and evaluate the requested series in one pass."""
     doc, model = _load(args)
     return Scene(
-        controls=np.array([p.crisp_xy for p in model.fuzzy_controls]),
+        controls=model.coords[:, :, 3],
         **curves.evaluate(model, _parse_series(args.series), doc.samples),
     )
 
@@ -156,14 +155,24 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+# One solution point in the layout of json.dumps(..., indent=2); %r of a
+# float is the repr json.dumps writes for a finite float.
+_JSON_POINT = '    {\n      "x": %r,\n      "y": %r\n    }'
+
+
 def _cmd_pipeline(args) -> int:
     _, model = _load(args)
-    solutions = [pipeline_point(p, model.alpha) for p in model.fuzzy_controls]
+    solution = solve(model.coords, model.alpha)[-1]
+    n = len(solution)
     if args.format == "json":
-        payload = {"alpha": model.alpha, "points": [{"x": x, "y": y} for x, y in solutions]}
-        text = json.dumps(payload, indent=2) + "\n"
+        # json.dumps({"alpha": ..., "points": [{"x": ..., "y": ...}, ...]}, indent=2) + "\n"
+        points = ",\n".join([_JSON_POINT] * n) % tuple(solution.ravel().tolist())
+        text = f'{{\n  "alpha": {model.alpha!r},\n  "points": [\n{points}\n  ]\n}}\n'
     else:
-        text = "index,x,y\n" + "".join(f"{i},{x:.16e},{y:.16e}\n" for i, (x, y) in enumerate(solutions))
+        rows = [None] * (3 * n)
+        rows[0::3] = range(n)
+        rows[1::3], rows[2::3] = solution.T.tolist()
+        text = "index,x,y\n" + ("%d,%.16e,%.16e\n" * n) % tuple(rows)
     _write(args.out, lambda f: f.write(text))
     return 0
 

@@ -4,7 +4,9 @@ defuzzified solution curves, and sample-wise deviation reports.
 All processing happens on CONTROL points: the seven component control
 polygons (and the type-reduced / defuzzified ones) share a single weight
 vector and knot vector, so the basis is computed once and shared by every
-polygon the requested curves need.
+polygon the requested curves need.  The controls are stored as one
+``(n, 2, 8)`` coordinate array (see :mod:`t2spline.fuzzy`), so each
+component polygon is a slice of it.
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ import numpy as np
 from .bspline import KnotVector, Polyline, RationalCurveModel, check_curve_setup, clamped_uniform_knots
 from .bspline import sample_curve, sample_curves  # noqa: F401  (curves.sample_curve stays importable)
 from .errors import SampleMismatch, T2SplineError
-from .fuzzy import NT2FuzzyPoint
-from .pipeline import alpha_cut_point, defuzzify, type_reduce
+from .fuzzy import NT2FuzzyPoint, as_coords, points_of
+from .pipeline import solve
 
 #: Band labels in control-polygon order; "crisp" extracts the c component.
 COMPONENT_LABELS = ("ll", "l", "rl", "crisp", "lr", "r", "rr")
-
-_LABEL_TO_FIELD = {label: ("c" if label == "crisp" else label) for label in COMPONENT_LABELS}
 
 #: Curve groups :func:`evaluate` produces, named like the :class:`Scene` fields.
 GROUPS = ("band", "reduced", "defuzzified", "crisp")
@@ -33,36 +33,43 @@ DEFAULT_SAMPLES = 101
 
 @dataclass(frozen=True, eq=False)
 class FuzzyCurveModel:
-    """Rational curve over fuzzy control points plus the pipeline cut level."""
+    """Rational curve over fuzzy control points plus the pipeline cut level.
 
-    fuzzy_controls: tuple[NT2FuzzyPoint, ...]
+    ``coords`` is the read-only ``(n, 2, 8)`` coordinate array of the
+    controls; it may be given as a sequence of :class:`NT2FuzzyPoint`.
+    """
+
+    coords: np.ndarray
     weights: np.ndarray
     order: int
     knots: KnotVector
     alpha: float
 
     def __post_init__(self):
-        controls = tuple(self.fuzzy_controls)
-        object.__setattr__(self, "fuzzy_controls", controls)
+        object.__setattr__(self, "coords", as_coords(self.coords))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         object.__setattr__(self, "order", int(self.order))
         object.__setattr__(self, "alpha", float(self.alpha))
-        if not all(isinstance(p, NT2FuzzyPoint) for p in controls):
-            raise T2SplineError("fuzzy_controls must be NT2FuzzyPoint instances")
-        check_curve_setup(len(controls), self.weights, self.order, self.knots)
+        check_curve_setup(len(self.coords), self.weights, self.order, self.knots)
         if not 0.0 <= self.alpha < 1.0:
             raise T2SplineError(f"alpha must lie in [0, 1), got {self.alpha}")
 
     @classmethod
     def with_uniform_knots(cls, points, weights=None, order: int = 3, alpha: float = 0.8) -> "FuzzyCurveModel":
-        points = tuple(points)
+        if not isinstance(points, np.ndarray):
+            points = tuple(points)
         if weights is None:
             weights = np.ones(len(points))
         return cls(points, weights, order, clamped_uniform_knots(len(points), order), alpha)
 
+    @property
+    def fuzzy_controls(self) -> tuple[NT2FuzzyPoint, ...]:
+        """The controls as fuzzy points, built on each access."""
+        return tuple(points_of(self.coords))
+
     def crisp_model(self) -> RationalCurveModel:
         """The rational curve through the crisp (c, c) control polygon."""
-        return RationalCurveModel(component_polygons(self)["crisp"], self.weights, self.order, self.knots)
+        return RationalCurveModel(self.coords[:, :, 3], self.weights, self.order, self.knots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,39 +112,30 @@ class DeviationReport:
 
 
 def component_polygons(model: FuzzyCurveModel) -> dict[str, np.ndarray]:
-    """Extract the seven crisp control polygons, one per component label."""
-    out = {}
-    for label in COMPONENT_LABELS:
-        field = _LABEL_TO_FIELD[label]
-        out[label] = np.array(
-            [(getattr(p.x, field), getattr(p.y, field)) for p in model.fuzzy_controls]
-        )
-    return out
+    """The seven crisp control polygons, one per component label: slices
+    of the coordinate array."""
+    return {label: model.coords[:, :, i] for i, label in enumerate(COMPONENT_LABELS)}
 
 
 def evaluate(model: FuzzyCurveModel, groups, samples: int = DEFAULT_SAMPLES) -> dict:
     """Evaluate the requested curve groups (names from :data:`GROUPS`) as one
     stack of control polygons over one shared basis.
 
-    Each coordinate is cut and type-reduced once, and the one crisp polygon
+    The controls are cut and type-reduced once, and the one crisp polygon
     serves the band, the reduced triple and "crisp".  Returns a dict keyed by
     group: a :class:`CurveBand`, a :class:`ReducedCurves` or a :class:`Polyline`.
     """
     groups = set(groups)
     if not groups <= set(GROUPS):
         raise T2SplineError(f"unknown curve groups {sorted(groups - set(GROUPS))}")
-    if "band" in groups:
-        polygons = component_polygons(model)
-    else:
-        polygons = {"crisp": np.array([p.crisp_xy for p in model.fuzzy_controls])}
+    polygons = component_polygons(model) if "band" in groups else {"crisp": model.coords[:, :, 3]}
     if groups & {"reduced", "defuzzified"}:
-        cuts = (alpha_cut_point(p, model.alpha) for p in model.fuzzy_controls)
-        intervals = [(type_reduce(cut_x), type_reduce(cut_y)) for cut_x, cut_y in cuts]
+        left, _, right, solution = solve(model.coords, model.alpha)
         if "reduced" in groups:
-            polygons["tr_left"] = np.array([(tx.left, ty.left) for tx, ty in intervals])
-            polygons["tr_right"] = np.array([(tx.right, ty.right) for tx, ty in intervals])
+            polygons["tr_left"] = left
+            polygons["tr_right"] = right
         if "defuzzified" in groups:
-            polygons["defuzzified"] = np.array([(defuzzify(tx), defuzzify(ty)) for tx, ty in intervals])
+            polygons["defuzzified"] = solution
     lines = dict(zip(polygons, sample_curves(model.knots, model.weights, list(polygons.values()), samples)))
     out = {name: lines[name] for name in ("defuzzified", "crisp") if name in groups}
     if "band" in groups:

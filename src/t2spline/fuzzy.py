@@ -7,6 +7,12 @@ with apex ``(c, 1)``; the lower membership function (LMF) is the triangle on
 the inner support ``[rl, lr]`` with apex ``(c, h)``.  The region between the
 two triangles is the footprint of uncertainty.  A scalar is *normal* when
 ``h < 1`` while the UMF peaks at exactly 1.
+
+Many coordinates are held as one float array whose last axis is
+:data:`COORD_FIELDS` (the seven components, then ``h``); a model's controls
+are an ``(n, 2, 8)`` array.  :func:`coords_from_rows` validates such an array
+with the scalar constructors' rules and messages, and :func:`points_of`
+builds the scalar view of it.
 """
 
 from __future__ import annotations
@@ -14,16 +20,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import (
     HeightOutOfRange,
     NegativeSpread,
     OrderingViolation,
     SpreadOrderViolation,
     T2SplineError,
+    ValidationError,
 )
 
 #: Component names in their guaranteed order (outer-left to outer-right).
 COMPONENT_FIELDS = ("ll", "l", "rl", "c", "lr", "r", "rr")
+
+#: The last axis of a coordinate array: the seven components, then ``h``.
+COORD_FIELDS = (*COMPONENT_FIELDS, "h")
+
+# Positions of the six spreads in a spreads-layout row (``c`` sits at 3).
+_SPREAD_SLOTS = [0, 1, 2, 4, 5, 6]
 
 
 @dataclass(frozen=True)
@@ -163,3 +178,67 @@ class NT2FuzzyPoint:
     @property
     def crisp_xy(self) -> tuple[float, float]:
         return (self.x.c, self.y.c)
+
+
+def coords_from_rows(rows: np.ndarray, spreads: np.ndarray | None = None) -> np.ndarray:
+    """Validate ``(m, 8)`` coordinate rows and return them in the component
+    layout of :data:`COORD_FIELDS`.
+
+    Row ``i`` is coordinate ``"xy"[i % 2]`` of point ``i // 2``.  A row
+    flagged in the boolean mask ``spreads`` holds ``(outer_left,
+    principal_left, inner_left, c, inner_right, principal_right,
+    outer_right, h)`` and is converted with the arithmetic of
+    :meth:`NT2FuzzyScalar.from_spreads`.  A row is rejected exactly when its
+    scalar constructor would reject it; the first rejected row raises that
+    constructor's error as a :class:`ValidationError` prefixed with
+    ``point i, coordinate x:``.
+    """
+    comps = np.array(rows, dtype=float)
+    bad = np.zeros(len(comps), dtype=bool)
+    if spreads is not None and spreads.any():
+        raw = comps[spreads]
+        widths = raw[:, _SPREAD_SLOTS]
+        bad[spreads] = ~(np.isfinite(widths) & (widths >= 0.0)).all(axis=1) | ~(
+            (raw[:, 2] <= raw[:, 1]) & (raw[:, 1] <= raw[:, 0]) & (raw[:, 4] <= raw[:, 5]) & (raw[:, 5] <= raw[:, 6])
+        )
+        c = raw[:, 3:4]
+        with np.errstate(over="ignore", invalid="ignore"):  # such rows fail the finiteness test below
+            raw[:, :3] = c - raw[:, :3]
+            raw[:, 4:7] = c + raw[:, 4:7]
+        comps[spreads] = raw
+    values, h = comps[:, :7], comps[:, 7]
+    bad |= ~np.isfinite(values).all(axis=1) | ~((h > 0.0) & (h <= 1.0)) | (values[:, :-1] > values[:, 1:]).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        row = np.asarray(rows[i], dtype=float).tolist()
+        try:
+            if spreads is not None and spreads[i]:
+                NT2FuzzyScalar.from_spreads(row[3], row[:3] + row[4:7], row[7])
+            else:
+                NT2FuzzyScalar(*row)
+        except T2SplineError as exc:
+            raise ValidationError(f"point {i // 2}, coordinate {'xy'[i % 2]}: {exc}") from exc
+    return comps
+
+
+def as_coords(points) -> np.ndarray:
+    """The read-only ``(n, 2, 8)`` coordinate array of a sequence of
+    :class:`NT2FuzzyPoint`, or of an array of that shape, which is validated
+    by :func:`coords_from_rows`."""
+    if isinstance(points, np.ndarray):
+        if points.ndim != 3 or points.shape[1:] != (2, len(COORD_FIELDS)):
+            raise T2SplineError(f"coordinates must be an (n, 2, 8) array, got shape {points.shape}")
+        coords = coords_from_rows(points.reshape(-1, len(COORD_FIELDS))).reshape(points.shape)
+    else:
+        points = tuple(points)
+        if not all(isinstance(p, NT2FuzzyPoint) for p in points):
+            raise T2SplineError("fuzzy_controls must be NT2FuzzyPoint instances")
+        rows = [(*p.x.components(), p.x.h, *p.y.components(), p.y.h) for p in points]
+        coords = np.array(rows, dtype=float).reshape(len(points), 2, len(COORD_FIELDS))
+    coords.flags.writeable = False
+    return coords
+
+
+def points_of(coords: np.ndarray) -> list[NT2FuzzyPoint]:
+    """The fuzzy points of an ``(n, 2, 8)`` coordinate array."""
+    return [NT2FuzzyPoint(NT2FuzzyScalar(*x), NT2FuzzyScalar(*y)) for x, y in coords.tolist()]

@@ -9,11 +9,20 @@ are therefore cut at the effective level ``alpha / h``.  Two regimes follow:
 * ``alpha > h``  (*between*): the LMF has been cut away entirely and only
   the four UMF components survive.
 
-Vanished LMF entries are represented as ``None``, never as numeric zero:
-a literal 0.0 would poison averages for data away from the origin.
 Type-reduction then collapses each side to the mean of its surviving cut
 values (three terms below, two above), and defuzzification averages
 (left, c, right) into one crisp number.
+
+The chain exists twice.  The scalar functions (:func:`alpha_cut_scalar`,
+:func:`type_reduce`, :func:`defuzzify`, :func:`pipeline_point`) work on one
+:class:`~t2spline.fuzzy.NT2FuzzyScalar`; vanished LMF entries are ``None``
+there, never numeric zero, since a literal 0.0 would poison averages for
+data away from the origin.  The array functions (:func:`alpha_cut_array`,
+:func:`type_reduce_array`, :func:`defuzzify_array`, and :func:`solve`, which
+chains them) work on the ``(..., 8)`` coordinate arrays the models store;
+there the vanished entries are the complement of an ``alpha <= h`` mask.
+Both use the same operations in the same order, so their results are equal
+bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import AlphaOutOfRange, T2SplineError
+import numpy as np
+
+from .errors import AlphaOutOfRange, T2SplineError, ValidationError
 from .fuzzy import NT2FuzzyPoint, NT2FuzzyScalar
 
 
@@ -85,6 +96,13 @@ def _toward(v: float, c: float, a: float) -> float:
     return v + a * (c - v)
 
 
+def _check_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not 0.0 <= alpha < 1.0:
+        raise AlphaOutOfRange(f"alpha must lie in [0, 1), got {alpha!r}")
+    return alpha
+
+
 def alpha_cut_scalar(s: NT2FuzzyScalar, alpha: float) -> AlphaCutScalar:
     """Cut a fuzzy scalar at level ``alpha`` in [0, 1).
 
@@ -92,9 +110,7 @@ def alpha_cut_scalar(s: NT2FuzzyScalar, alpha: float) -> AlphaCutScalar:
     LMF cut reaches ``c`` exactly, so the three-term and collapsed readings
     coincide and the closed boundary avoids a spurious case.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise AlphaOutOfRange(f"alpha must lie in [0, 1), got {alpha!r}")
+    alpha = _check_alpha(alpha)
     below = alpha <= s.h
     if below:
         lmf_level = alpha / s.h
@@ -150,3 +166,56 @@ def pipeline_point(p: NT2FuzzyPoint, alpha: float) -> tuple[float, float]:
     """
     cut_x, cut_y = alpha_cut_point(p, alpha)
     return (defuzzify(type_reduce(cut_x)), defuzzify(type_reduce(cut_y)))
+
+
+def alpha_cut_array(coords: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cut every coordinate of a ``(..., 8)`` coordinate array at ``alpha``.
+
+    Returns the ``(..., 7)`` cut values in component order and the
+    ``alpha <= h`` mask.  Where the mask is False the LMF entries (positions
+    2 and 4) have vanished and their slots hold the uncut components.
+    """
+    alpha = _check_alpha(alpha)
+    values, c, h = coords[..., :7], coords[..., 3:4], coords[..., 7]
+    below = alpha <= h
+    level = np.full(values.shape, alpha)
+    level[..., [2, 4]] = np.divide(alpha, h, out=np.zeros(h.shape), where=below)[..., None]
+    cuts = values + level * (c - values)
+    cuts[..., 3] = coords[..., 3]
+    return cuts, below
+
+
+def type_reduce_array(cuts: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centroid-min type-reduction of :func:`alpha_cut_array` output: the
+    ``(left, c, right)`` arrays."""
+    lo, lp, li, c, ri, rp, ro = np.moveaxis(cuts, -1, 0)
+    left = np.where(below, (lo + lp + li) / 3.0, (lo + lp) / 2.0)
+    right = np.where(below, (ri + rp + ro) / 3.0, (rp + ro) / 2.0)
+    return left, c, right
+
+
+def defuzzify_array(left: np.ndarray, c: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Collapse type-reduced arrays to the mean of (left, c, right)."""
+    return (left + c + right) / 3.0
+
+
+def solve(coords: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cut, type-reduce and defuzzify an ``(n, 2, 8)`` coordinate array.
+
+    Returns the ``(n, 2)`` arrays ``(left, c, right, solution)``: the
+    type-reduced intervals and the crisp solution points.  Raises
+    :class:`ValidationError` naming the first point and coordinate whose
+    interval or solution overflows the float range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        left, c, right = type_reduce_array(*alpha_cut_array(coords, alpha))
+        solution = defuzzify_array(left, c, right)
+    bad = ~(np.isfinite(left) & np.isfinite(right) & np.isfinite(solution))
+    if bad.any():
+        i, axis = np.unravel_index(np.argmax(bad), bad.shape)
+        interval = (float(left[i, axis]), float(c[i, axis]), float(right[i, axis]))
+        raise ValidationError(
+            f"point {i}, coordinate {'xy'[axis]}: the type-reduced interval {interval} and its "
+            f"defuzzified value {float(solution[i, axis])!r} at alpha {float(alpha)!r} must be finite"
+        )
+    return left, c, right, solution

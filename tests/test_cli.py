@@ -17,11 +17,12 @@ from t2spline import (
     demo_document,
     document_to_json,
     fuzzy_curve_band,
+    load_model,
     pipeline_point,
     reduced_curves,
     sample_curve,
 )
-from t2spline import bspline, cli
+from t2spline import bspline, cli, curves
 from t2spline.cli import run
 
 
@@ -318,3 +319,103 @@ def test_out_to_a_fifo_writes_into_it(demo_path, tmp_path):
         os.close(fd)
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert data == demo_path.read_bytes()
+
+
+def _write_doc(path, points, **settings):
+    path.write_text(json.dumps({**settings, "points": points}))
+    return path
+
+
+def _crisp(v):
+    return {"ll": v, "l": v, "rl": v, "c": v, "lr": v, "r": v, "rr": v, "h": 0.5}
+
+
+_UNIT = {"ll": 0, "l": 0.5, "rl": 0.8, "c": 1, "lr": 1.2, "r": 1.5, "rr": 2, "h": 0.6}
+
+
+def _exits_1_with_one_error_line(argv, out, capsys):
+    assert run([*argv, "--out", str(out)] if argv[0] != "validate" else argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert not out.exists()
+    return captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "pipeline", "curve", "plot"])
+def test_overflowing_type_reduction_is_refused(tmp_path, capsys, command):
+    wide = {"ll": -1e308, "l": -1e308, "rl": 0, "c": 1e308, "lr": 1e308, "r": 1e308, "rr": 1e308, "h": 0.6}
+    points = [{"x": wide, "y": _UNIT}] + [{"x": _UNIT, "y": _UNIT}] * 2
+    doc = _write_doc(tmp_path / "wide.json", points, order=2, alpha=0.5)
+    err = _exits_1_with_one_error_line([command, str(doc)], tmp_path / "out", capsys)
+    assert err.startswith("error: point 0, coordinate x: the type-reduced interval")
+
+
+@pytest.mark.parametrize("command", ["curve", "plot"])
+def test_non_finite_curve_points_are_refused(tmp_path, capsys, command):
+    points = [{"x": _crisp(5e307), "y": _crisp(1.0)}] * 4
+    doc = _write_doc(tmp_path / "heavy.json", points, weights=[1, 1, 100, 1])
+    assert run(["validate", str(doc)]) == 0
+    capsys.readouterr()
+    err = _exits_1_with_one_error_line([command, str(doc), "--series", "crisp"], tmp_path / "out", capsys)
+    assert "curve points are not finite" in err
+
+
+@pytest.mark.parametrize("digits,code", [(400, 1), (5000, 2)])
+def test_huge_integer_literal_exits_without_traceback(tmp_path, capsys, digits, code):
+    doc = _write_doc(tmp_path / "big.json", [{"x": _UNIT, "y": _UNIT}] * 3)
+    doc.write_text(doc.read_text().replace('"rr": 2', '"rr": 1' + "0" * digits, 1))
+    assert run(["validate", str(doc)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _gen_style_document(seed=5, n=40):
+    """Abscissae in micro-units and heights on both sides of the cut level,
+    as the benchmark's generated documents have."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for i in range(n):
+        coords = []
+        for c in (i * 1_500_000 + int(rng.integers(-300_000, 300_000)), int(rng.integers(-2_000_000, 2_000_000))):
+            left = np.sort(rng.integers(0, 1_200_000, 3))[::-1]
+            right = np.sort(rng.integers(0, 1_200_000, 3))
+            micro = (c - left[0], c - left[1], c - left[2], c, c + right[0], c + right[1], c + right[2])
+            coord = {k: int(v) / 1e6 for k, v in zip(("ll", "l", "rl", "c", "lr", "r", "rr"), micro)}
+            coord["h"] = int(rng.integers(500, 1000)) / 1000
+            coords.append(coord)
+        points.append({"x": coords[0], "y": coords[1]})
+    return {"order": 3, "alpha": 0.8, "weights": [int(w) / 1000 for w in rng.integers(500, 3000, n)], "points": points}
+
+
+@pytest.mark.parametrize("source", ["demo", "generated"])
+@pytest.mark.parametrize("alpha", [None, "0.3", "0"])
+def test_pipeline_output_equals_the_scalar_chain_serialised(tmp_path, source, alpha):
+    path = tmp_path / "doc.json"
+    if source == "demo":
+        path.write_text(document_to_json(demo_document()))
+    else:
+        path.write_text(json.dumps(_gen_style_document(), indent=2))
+    model = load_model(path)
+    if alpha is not None:
+        model = curves.FuzzyCurveModel(model.coords, model.weights, model.order, model.knots, float(alpha))
+    solutions = [pipeline_point(p, model.alpha) for p in model.fuzzy_controls]
+    expected_json = json.dumps({"alpha": model.alpha, "points": [{"x": x, "y": y} for x, y in solutions]}, indent=2)
+    expected_csv = "index,x,y\n" + "".join(f"{i},{x:.16e},{y:.16e}\n" for i, (x, y) in enumerate(solutions))
+    override = [] if alpha is None else ["--alpha", alpha]
+    for fmt, expected in (("json", expected_json + "\n"), ("csv", expected_csv)):
+        out = tmp_path / f"out.{fmt}"
+        assert run(["pipeline", str(path), "--format", fmt, *override, "--out", str(out)]) == 0
+        assert out.read_text() == expected, fmt
+
+
+def test_pipeline_builds_the_model_once(demo_path, tmp_path, monkeypatch):
+    built = []
+    post_init = curves.FuzzyCurveModel.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(curves.FuzzyCurveModel, "__post_init__", counting)
+    assert run(["pipeline", str(demo_path), "--out", str(tmp_path / "p.json")]) == 0
+    assert len(built) == 1

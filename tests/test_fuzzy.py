@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +13,9 @@ from t2spline import (
     OrderingViolation,
     SpreadOrderViolation,
     T2SplineError,
+    ValidationError,
 )
+from t2spline.fuzzy import as_coords, coords_from_rows, points_of
 
 REFERENCE = NT2FuzzyScalar(4, 4.3, 4.6, 5, 5.4, 5.7, 6, h=0.6)
 
@@ -203,3 +206,74 @@ def test_crisp_point_constructor():
     p = NT2FuzzyPoint.crisp(5.0, 3.0)
     assert p.x.is_degenerate and p.y.is_degenerate
     assert p.crisp_xy == (5.0, 3.0)
+
+
+# --- coordinate arrays -----------------------------------------------------------
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True)
+_width = st.floats(0.0, 1e6)
+
+
+@st.composite
+def coordinate_rows(draw):
+    """(rows, spreads mask): rows in the explicit or the spreads layout, each
+    either built valid or drawn from all floats (NaN, infinities, huge)."""
+    rows, spreads = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        spreads_form = draw(st.booleans())
+        h = draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True), _any_float))
+        if draw(st.booleans()):
+            row = draw(st.lists(_any_float, min_size=7, max_size=7)) + [h]
+        elif spreads_form:
+            left = sorted(draw(st.lists(_width, min_size=3, max_size=3)), reverse=True)
+            right = sorted(draw(st.lists(_width, min_size=3, max_size=3)))
+            row = [*left, draw(st.floats(-1e6, 1e6)), *right, h]
+        else:
+            row = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=7, max_size=7))) + [h]
+        rows.append(row)
+        spreads.append(spreads_form)
+    return np.array(rows), np.array(spreads)
+
+
+def _scalar(row, spreads_form):
+    row = row.tolist()
+    if spreads_form:
+        return NT2FuzzyScalar.from_spreads(row[3], row[:3] + row[4:7], row[7])
+    return NT2FuzzyScalar(*row)
+
+
+@given(case=coordinate_rows())
+def test_array_validation_matches_the_scalar_constructors(case):
+    rows, spreads = case
+    expected = []
+    for i, (row, spreads_form) in enumerate(zip(rows, spreads)):
+        try:
+            s = _scalar(row, spreads_form)
+        except T2SplineError as exc:
+            message = f"point {i // 2}, coordinate {'xy'[i % 2]}: {exc}"
+            with pytest.raises(ValidationError) as raised:
+                coords_from_rows(rows, spreads)
+            assert str(raised.value) == message
+            assert type(raised.value.__cause__) is type(exc)
+            return
+        expected.append((*s.components(), s.h))
+    assert np.array_equal(coords_from_rows(rows, spreads), np.array(expected))
+
+
+def test_points_and_coordinate_array_round_trip():
+    skewed = NT2FuzzyScalar.from_spreads(1, (3, 2, 1, 1, 2, 3), 0.4)
+    points = [NT2FuzzyPoint(REFERENCE, skewed), NT2FuzzyPoint.crisp(2, 3)]
+    coords = as_coords(points)
+    assert coords.shape == (2, 2, 8) and not coords.flags.writeable
+    assert points_of(coords) == points
+    assert np.array_equal(as_coords(coords), coords)
+
+
+def test_coordinate_array_shape_and_values_checked():
+    with pytest.raises(T2SplineError, match=r"\(n, 2, 8\) array"):
+        as_coords(np.zeros((3, 8)))
+    bad = np.array([[[4, 4.3, 4.6, 5, 5.4, 5.7, 6, 0.6], [4, 4.3, 4.6, 5, 5.4, 5.7, 6, 1.5]]])
+    with pytest.raises(ValidationError, match="^point 0, coordinate y: h must lie in"):
+        as_coords(bad)
+    with pytest.raises(T2SplineError, match="NT2FuzzyPoint instances"):
+        as_coords([REFERENCE])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,12 +10,15 @@ from t2spline import (
     NT2FuzzyScalar,
     Regime,
     TRInterval,
+    ValidationError,
     alpha_cut_point,
     alpha_cut_scalar,
     defuzzify,
     pipeline_point,
     type_reduce,
 )
+from t2spline.fuzzy import points_of
+from t2spline.pipeline import alpha_cut_array, solve
 
 TALL = NT2FuzzyScalar(4, 4.3, 4.6, 5, 5.4, 5.7, 6, h=0.9)   # alpha=0.8 cuts below h
 SHORT = NT2FuzzyScalar(4, 4.3, 4.6, 5, 5.4, 5.7, 6, h=0.6)  # alpha=0.8 cuts between
@@ -260,3 +264,65 @@ def test_tr_interval_brackets_crisp(s, alpha):
     tol = 1e-9 * max(1.0, abs(s.c))
     assert tr.left <= s.c + tol
     assert s.c - tol <= tr.right
+
+
+# --- array chain -----------------------------------------------------------------
+
+_component = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def chain_cases(draw):
+    """An (n, 2, 8) coordinate array and a cut level: random ordered and
+    degenerate coordinates, some with h equal to alpha, alpha = 0 often."""
+    alpha = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)))
+    n = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(2 * n):
+        if draw(st.booleans()):
+            values = sorted(draw(st.lists(_component, min_size=7, max_size=7)))
+        else:
+            values = [draw(_component)] * 7
+        h = alpha if alpha > 0.0 and draw(st.booleans()) else draw(st.floats(0.0, 1.0, exclude_min=True))
+        rows.append([*values, h])
+    return np.array(rows).reshape(n, 2, 8), alpha
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@given(case=chain_cases())
+def test_array_chain_equals_scalar_chain_bit_for_bit(case):
+    coords, alpha = case
+    cuts, below = alpha_cut_array(coords, alpha)
+    left, c, right, solution = solve(coords, alpha)
+    for i, point in enumerate(points_of(coords)):
+        assert _bits(solution[i]) == _bits(pipeline_point(point, alpha))
+        for axis, s in enumerate((point.x, point.y)):
+            cut = alpha_cut_scalar(s, alpha)
+            assert below[i, axis] == (cut.regime is Regime.BELOW)
+            present = [0, 1, 3, 5, 6] + ([2, 4] if below[i, axis] else [])
+            scalar = (*cut.left, cut.c, *cut.right)
+            assert _bits(cuts[i, axis, present]) == _bits([scalar[k] for k in present])
+            tr = type_reduce(cut)
+            assert _bits([left[i, axis], c[i, axis], right[i, axis]]) == _bits([tr.left, tr.c, tr.right])
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.0, float("nan")])
+def test_array_chain_alpha_out_of_range(alpha):
+    coords = np.array([[[4, 4.3, 4.6, 5, 5.4, 5.7, 6, 0.6]] * 2])
+    with pytest.raises(AlphaOutOfRange):
+        solve(coords, alpha)
+
+
+def test_array_chain_names_the_first_overflowing_coordinate():
+    ok = [0.0, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0, 0.6]
+    wide = [-1e308, -1e308, 0.0, 1e308, 1e308, 1e308, 1e308, 0.6]
+    coords = np.array([[ok, ok], [ok, wide], [wide, ok]])
+    with pytest.raises(ValidationError, match=r"^point 1, coordinate y: .* at alpha 0\.5 must be finite"):
+        solve(coords, 0.5)
+    # the sum of three finite cut values can overflow too
+    huge = [1e308] * 7 + [0.9]
+    with pytest.raises(ValidationError, match="^point 0, coordinate x: "):
+        solve(np.array([[huge, ok]]), 0.5)
