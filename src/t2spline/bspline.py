@@ -123,11 +123,8 @@ def basis_row(kv: KnotVector, t: float) -> np.ndarray:
 
 
 def check_curve_setup(n: int, weights: np.ndarray, order: int, knots: KnotVector) -> None:
-    """Raise unless order, weights and knots fit a curve over n control points."""
-    if order < 2:
-        raise T2SplineError(f"order must be at least 2, got {order}")
-    if order > n:
-        raise OrderExceedsControlCount(f"order {order} exceeds control count {n}")
+    """Raise unless order, weights and knots fit a curve over n control points.
+    The knots check the order: a :class:`KnotVector` has 2 <= order <= n."""
     if weights.shape != (n,):
         raise T2SplineError(f"expected {n} weights, got shape {weights.shape}")
     if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
@@ -156,6 +153,8 @@ class RationalCurveModel:
         object.__setattr__(self, "order", int(self.order))
         if controls.ndim != 2 or controls.shape[1] != 2:
             raise T2SplineError(f"controls must be an (n, 2) array, got shape {controls.shape}")
+        if not np.isfinite(controls).all():
+            raise T2SplineError("controls must be finite")
         check_curve_setup(controls.shape[0], weights, self.order, self.knots)
 
     @classmethod

@@ -20,7 +20,7 @@ from .bspline import KnotVector, Polyline, RationalCurveModel, check_curve_setup
 from .bspline import sample_curve, sample_curves  # noqa: F401  (curves.sample_curve stays importable)
 from .errors import SampleMismatch, T2SplineError
 from .fuzzy import NT2FuzzyPoint, as_coords, points_of
-from .pipeline import solve
+from .pipeline import check_alpha, solve
 
 #: Band labels in control-polygon order; "crisp" extracts the c component.
 COMPONENT_LABELS = ("ll", "l", "rl", "crisp", "lr", "r", "rr")
@@ -49,10 +49,8 @@ class FuzzyCurveModel:
         object.__setattr__(self, "coords", as_coords(self.coords))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         object.__setattr__(self, "order", int(self.order))
-        object.__setattr__(self, "alpha", float(self.alpha))
         check_curve_setup(len(self.coords), self.weights, self.order, self.knots)
-        if not 0.0 <= self.alpha < 1.0:
-            raise T2SplineError(f"alpha must lie in [0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
 
     @classmethod
     def with_uniform_knots(cls, points, weights=None, order: int = 3, alpha: float = 0.8) -> "FuzzyCurveModel":

@@ -23,7 +23,9 @@ or a crisp value, six named spreads and h::
      "spreads": {"outer_left": 1, "principal_left": 0.7, "inner_left": 0.4,
                  "inner_right": 0.4, "principal_right": 0.7, "outer_right": 1}}
 
-The writer always emits the canonical explicit form.  Parse failures raise
+The parser converts the spreads form with
+:meth:`~t2spline.fuzzy.NT2FuzzyScalar.from_spreads` and the writer always
+emits the canonical explicit form.  Parse failures raise
 :class:`~t2spline.errors.ParseError` with the text position; invariant
 failures raise :class:`~t2spline.errors.ValidationError` naming the point,
 the first failure in document order.
@@ -125,12 +127,14 @@ def _floats(values: list) -> np.ndarray | None:
         return None
 
 
-def _read_coordinate(record: Any, where: str) -> tuple[list[float], bool]:
-    """The eight numbers of one coordinate object and whether it is in the
-    spreads form, in the row layouts of :func:`~t2spline.fuzzy.coords_from_rows`.
+def _read_coordinate(record: Any, where: str) -> list[float]:
+    """The eight numbers of one coordinate object in the explicit layout of
+    :data:`~t2spline.fuzzy.COORD_FIELDS`.
 
-    Raises :class:`ValidationError` for a wrong key or a value that is not a
-    number; the values themselves are checked later, all at once.
+    Raises :class:`ValidationError` for a wrong key, a value that is not a
+    number or a spreads-form coordinate that
+    :meth:`~t2spline.fuzzy.NT2FuzzyScalar.from_spreads` rejects; the values
+    of an explicit-form coordinate are checked later, all at once.
     """
     if not isinstance(record, dict):
         raise ValidationError(f"{where}: coordinate must be an object, got {type(record).__name__}")
@@ -150,25 +154,29 @@ def _read_coordinate(record: Any, where: str) -> tuple[list[float], bool]:
         c = _require_number(record["c"], where)
         widths = [_require_number(spreads[k], f"{where}.spreads.{k}") for k in _SPREAD_KEYS]
         h = _require_number(record["h"], where)
-        return [*widths[:3], c, *widths[3:], h], True
+        try:
+            s = NT2FuzzyScalar.from_spreads(c, widths, h)
+        except T2SplineError as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
+        return [*s.components(), s.h]
     extra = keys - _EXPLICIT_KEYS
     if extra:
         raise ValidationError(f"{where}: unexpected keys {sorted(extra)}")
     missing = _EXPLICIT_KEYS - keys
     if missing:
         raise ValidationError(f"{where}: missing keys {sorted(missing)}")
-    return [_require_number(record[k], f"{where}.{k}") for k in COORD_FIELDS], False
+    return [_require_number(record[k], f"{where}.{k}") for k in COORD_FIELDS]
 
 
 def _where(row: int) -> str:
     return f"point {row // 2}, coordinate {'xy'[row % 2]}"
 
 
-def _scan_points(points: list, flat: list, spread_rows: list[int]) -> ValidationError | None:
-    """Append the eight numbers of each coordinate, in document order, to
-    ``flat`` and the row index of each spreads-form coordinate to
-    ``spread_rows``.  Stops at the first wrong key or, in the spreads form,
-    the first value that is not a number, and returns that error."""
+def _scan_points(points: list, flat: list) -> ValidationError | None:
+    """Append the eight explicit-form numbers of each coordinate, in
+    document order, to ``flat``.  Stops at the first wrong key or the first
+    spreads-form coordinate that :func:`_read_coordinate` rejects, and
+    returns that error."""
     for idx, rec in enumerate(points):
         if type(rec) is not dict or rec.keys() != _POINT_KEYS:
             return ValidationError(f"point {idx}: must be an object with exactly 'x' and 'y'")
@@ -176,14 +184,10 @@ def _scan_points(points: list, flat: list, spread_rows: list[int]) -> Validation
             if type(coord) is dict and coord.keys() == _EXPLICIT_KEYS:
                 flat.extend(_EXPLICIT_VALUES(coord))
                 continue
-            row = len(flat) // 8
             try:
-                values, spreads_form = _read_coordinate(coord, _where(row))
+                flat.extend(_read_coordinate(coord, _where(len(flat) // 8)))
             except ValidationError as exc:
                 return exc
-            if spreads_form:
-                spread_rows.append(row)
-            flat.extend(values)
     return None
 
 
@@ -195,8 +199,7 @@ def _read_points(points: list) -> np.ndarray:
     constructors reject.
     """
     flat: list = []
-    spread_rows: list[int] = []
-    error = _scan_points(points, flat, spread_rows)
+    error = _scan_points(points, flat)
     rows = _floats(flat)
     if rows is None:
         # Some explicit-form coordinate holds a non-number: re-read the first
@@ -207,11 +210,7 @@ def _read_points(points: list) -> np.ndarray:
         except ValidationError as exc:
             error = exc
         rows = np.array(flat[: 8 * bad], dtype=float)
-    rows = rows.reshape(-1, len(COORD_FIELDS))
-    spreads = np.zeros(len(rows), dtype=bool)
-    spread_at = np.array(spread_rows, dtype=np.intp)
-    spreads[spread_at[spread_at < len(rows)]] = True
-    comps = coords_from_rows(rows, spreads)
+    comps = coords_from_rows(rows.reshape(-1, len(COORD_FIELDS)))
     if error is not None:
         raise error
     return comps.reshape(-1, 2, len(COORD_FIELDS))

@@ -12,7 +12,9 @@ Many coordinates are held as one float array whose last axis is
 :data:`COORD_FIELDS` (the seven components, then ``h``); a model's controls
 are an ``(n, 2, 8)`` array.  :func:`coords_from_rows` validates such an array
 with the scalar constructors' rules and messages, and :func:`points_of`
-builds the scalar view of it.
+builds the scalar view of it.  The array holds the explicit form only; a
+coordinate given as ``c``, six spreads and ``h`` is converted by
+:meth:`NT2FuzzyScalar.from_spreads` alone.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ COMPONENT_FIELDS = ("ll", "l", "rl", "c", "lr", "r", "rr")
 
 #: The last axis of a coordinate array: the seven components, then ``h``.
 COORD_FIELDS = (*COMPONENT_FIELDS, "h")
-
-# Positions of the six spreads in a spreads-layout row (``c`` sits at 3).
-_SPREAD_SLOTS = [0, 1, 2, 4, 5, 6]
 
 
 @dataclass(frozen=True)
@@ -180,42 +179,24 @@ class NT2FuzzyPoint:
         return (self.x.c, self.y.c)
 
 
-def coords_from_rows(rows: np.ndarray, spreads: np.ndarray | None = None) -> np.ndarray:
-    """Validate ``(m, 8)`` coordinate rows and return them in the component
-    layout of :data:`COORD_FIELDS`.
+def coords_from_rows(rows: np.ndarray) -> np.ndarray:
+    """Validate ``(m, 8)`` coordinate rows in the layout of
+    :data:`COORD_FIELDS` and return them as a float array.
 
-    Row ``i`` is coordinate ``"xy"[i % 2]`` of point ``i // 2``.  A row
-    flagged in the boolean mask ``spreads`` holds ``(outer_left,
-    principal_left, inner_left, c, inner_right, principal_right,
-    outer_right, h)`` and is converted with the arithmetic of
-    :meth:`NT2FuzzyScalar.from_spreads`.  A row is rejected exactly when its
-    scalar constructor would reject it; the first rejected row raises that
-    constructor's error as a :class:`ValidationError` prefixed with
-    ``point i, coordinate x:``.
+    Row ``i`` is coordinate ``"xy"[i % 2]`` of point ``i // 2``.  A row is
+    rejected exactly when :class:`NT2FuzzyScalar` would reject it; the first
+    rejected row raises that constructor's error as a
+    :class:`ValidationError` prefixed with ``point i, coordinate x:``.
+    Spreads-form coordinates are converted by
+    :meth:`NT2FuzzyScalar.from_spreads` before they reach this array.
     """
     comps = np.array(rows, dtype=float)
-    bad = np.zeros(len(comps), dtype=bool)
-    if spreads is not None and spreads.any():
-        raw = comps[spreads]
-        widths = raw[:, _SPREAD_SLOTS]
-        bad[spreads] = ~(np.isfinite(widths) & (widths >= 0.0)).all(axis=1) | ~(
-            (raw[:, 2] <= raw[:, 1]) & (raw[:, 1] <= raw[:, 0]) & (raw[:, 4] <= raw[:, 5]) & (raw[:, 5] <= raw[:, 6])
-        )
-        c = raw[:, 3:4]
-        with np.errstate(over="ignore", invalid="ignore"):  # such rows fail the finiteness test below
-            raw[:, :3] = c - raw[:, :3]
-            raw[:, 4:7] = c + raw[:, 4:7]
-        comps[spreads] = raw
     values, h = comps[:, :7], comps[:, 7]
-    bad |= ~np.isfinite(values).all(axis=1) | ~((h > 0.0) & (h <= 1.0)) | (values[:, :-1] > values[:, 1:]).any(axis=1)
+    bad = ~np.isfinite(values).all(axis=1) | ~((h > 0.0) & (h <= 1.0)) | (values[:, :-1] > values[:, 1:]).any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
-        row = np.asarray(rows[i], dtype=float).tolist()
         try:
-            if spreads is not None and spreads[i]:
-                NT2FuzzyScalar.from_spreads(row[3], row[:3] + row[4:7], row[7])
-            else:
-                NT2FuzzyScalar(*row)
+            NT2FuzzyScalar(*comps[i].tolist())
         except T2SplineError as exc:
             raise ValidationError(f"point {i // 2}, coordinate {'xy'[i % 2]}: {exc}") from exc
     return comps

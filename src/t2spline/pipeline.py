@@ -96,7 +96,8 @@ def _toward(v: float, c: float, a: float) -> float:
     return v + a * (c - v)
 
 
-def _check_alpha(alpha: float) -> float:
+def check_alpha(alpha: float) -> float:
+    """``alpha`` as a float; raises :class:`AlphaOutOfRange` unless it lies in [0, 1)."""
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must lie in [0, 1), got {alpha!r}")
@@ -110,7 +111,7 @@ def alpha_cut_scalar(s: NT2FuzzyScalar, alpha: float) -> AlphaCutScalar:
     LMF cut reaches ``c`` exactly, so the three-term and collapsed readings
     coincide and the closed boundary avoids a spurious case.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     below = alpha <= s.h
     if below:
         lmf_level = alpha / s.h
@@ -175,7 +176,7 @@ def alpha_cut_array(coords: np.ndarray, alpha: float) -> tuple[np.ndarray, np.nd
     ``alpha <= h`` mask.  Where the mask is False the LMF entries (positions
     2 and 4) have vanished and their slots hold the uncut components.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     values, c, h = coords[..., :7], coords[..., 3:4], coords[..., 7]
     below = alpha <= h
     level = np.full(values.shape, alpha)

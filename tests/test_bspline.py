@@ -175,6 +175,19 @@ def test_model_validation():
         RationalCurveModel(DEMO_CONTROLS, np.ones(4), 3, clamped_uniform_knots(5, 3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_rejects_non_finite_controls(bad):
+    controls = np.array([[0.0, 0.0], [1.0, bad], [2.0, 0.0]])
+    with pytest.raises(T2SplineError, match="^controls must be finite$"):
+        RationalCurveModel.with_uniform_knots(controls, order=2)
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_model_order_must_match_the_knots(order):
+    with pytest.raises(T2SplineError):
+        RationalCurveModel(DEMO_CONTROLS, np.ones(4), order, clamped_uniform_knots(4, 3))
+
+
 # --- sampling ------------------------------------------------------------------------
 
 def test_sample_two_gives_clamped_endpoints():

@@ -3,6 +3,7 @@ import pytest
 
 from t2spline import (
     COMPONENT_LABELS,
+    AlphaOutOfRange,
     FuzzyCurveModel,
     NT2FuzzyPoint,
     NT2FuzzyScalar,
@@ -10,6 +11,7 @@ from t2spline import (
     SampleMismatch,
     T2SplineError,
     basis_row,
+    clamped_uniform_knots,
     component_polygons,
     defuzzified_curve,
     deviation,
@@ -230,3 +232,18 @@ def test_fuzzy_model_validation():
         FuzzyCurveModel.with_uniform_knots(points, weights=np.array([1, 1, 1, -1.0]), order=3)
     with pytest.raises(T2SplineError):
         FuzzyCurveModel.with_uniform_knots(points[:2], order=3)
+
+
+@pytest.mark.parametrize("alpha", [1.0, float("nan"), -0.1])
+def test_fuzzy_model_alpha_is_checked_by_the_pipeline_rule(alpha):
+    points = [NT2FuzzyPoint.crisp(x, y) for x, y in CRISP_XY]
+    with pytest.raises(AlphaOutOfRange) as exc:
+        FuzzyCurveModel.with_uniform_knots(points, order=3, alpha=alpha)
+    assert str(exc.value) == f"alpha must lie in [0, 1), got {alpha!r}"
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_fuzzy_model_order_must_match_the_knots(order):
+    points = [NT2FuzzyPoint.crisp(x, y) for x, y in CRISP_XY]
+    with pytest.raises(T2SplineError):
+        FuzzyCurveModel(points, np.ones(4), order, clamped_uniform_knots(4, 3), 0.8)

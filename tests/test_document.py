@@ -2,10 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from t2spline import (
     FuzzyCurveModel,
+    NT2FuzzyScalar,
     ParseError,
+    T2SplineError,
     ValidationError,
     demo_document,
     document_to_json,
@@ -367,6 +371,75 @@ def test_spreads_and_explicit_coordinates_mix_in_one_document():
     payload["points"][3]["x"] = SPREADS_COORD
     doc = parse_document(json.dumps(payload))
     assert doc.points == parse_document(minimal_doc_text(EXPLICIT_COORD, 4)).points
+
+
+_SPREAD_NAMES = list(SPREADS_COORD["spreads"])
+_any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _rarely(draw, odds=9):
+    """True once in ``odds + 1`` draws."""
+    return draw(st.integers(0, odds)) == odds
+
+
+def _heights(draw):
+    return draw(_any_float if _rarely(draw) else st.floats(0.0, 1.0, exclude_min=True))
+
+
+@st.composite
+def _explicit_coordinates(draw):
+    """An explicit-form coordinate, mostly valid: ordered values and h in
+    (0, 1], else values in any order or an arbitrary h."""
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=7, max_size=7))
+    if not _rarely(draw):
+        values.sort()
+    return dict(zip(EXPLICIT_COORD, [*values, _heights(draw)]))
+
+
+@st.composite
+def _spreads_coordinates(draw):
+    """A spreads-form coordinate: valid, zero or huge widths, else negative
+    or non-finite ones; each side ordered inner <= principal <= outer or
+    left as drawn; h in (0, 1] or arbitrary."""
+    good = st.one_of(st.floats(0.0, 10.0), st.just(0.0), st.floats(1e300, 1.7e308))
+    bad = st.one_of(st.floats(max_value=-5e-324), st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    sides = []
+    for _ in range(2):
+        side = [draw(bad if _rarely(draw, 11) else good) for _ in range(3)]
+        if not _rarely(draw, 3):
+            side.sort()
+        sides.append(side)
+    (inner_l, prin_l, outer_l), (inner_r, prin_r, outer_r) = sides
+    widths = [outer_l, prin_l, inner_l, inner_r, prin_r, outer_r]
+    c = draw(st.floats(-1e6, 1e6))
+    return {"c": c, "h": _heights(draw), "spreads": dict(zip(_SPREAD_NAMES, widths))}
+
+
+def _scalar_of(coord):
+    if "spreads" in coord:
+        return NT2FuzzyScalar.from_spreads(coord["c"], [coord["spreads"][k] for k in _SPREAD_NAMES], coord["h"])
+    return NT2FuzzyScalar(*coord.values())
+
+
+@given(
+    before=st.lists(st.tuples(_explicit_coordinates(), _explicit_coordinates()), min_size=1, max_size=2),
+    middle=st.tuples(_spreads_coordinates(), _spreads_coordinates()),
+    after=st.lists(st.tuples(_explicit_coordinates(), _explicit_coordinates()), min_size=1, max_size=2),
+)
+def test_spreads_form_is_parsed_by_from_spreads(before, middle, after):
+    points = (*before, middle, *after)
+    text = json.dumps({"points": [{"x": x, "y": y} for x, y in points]})
+    expected = []
+    for row, coord in enumerate(coord for point in points for coord in point):
+        try:
+            s = _scalar_of(coord)
+        except T2SplineError as exc:
+            with pytest.raises(ValidationError) as raised:
+                parse_document(text)
+            assert str(raised.value) == f"point {row // 2}, coordinate {'xy'[row % 2]}: {exc}"
+            return
+        expected.append([*s.components(), s.h])
+    assert parse_document(text).coords.tobytes() == np.array(expected).reshape(-1, 2, 8).tobytes()
 
 
 def test_integer_too_large_for_a_float_is_a_validation_error():

@@ -211,53 +211,38 @@ def test_crisp_point_constructor():
 # --- coordinate arrays -----------------------------------------------------------
 
 _any_float = st.floats(allow_nan=True, allow_infinity=True)
-_width = st.floats(0.0, 1e6)
 
 
 @st.composite
 def coordinate_rows(draw):
-    """(rows, spreads mask): rows in the explicit or the spreads layout, each
-    either built valid or drawn from all floats (NaN, infinities, huge)."""
-    rows, spreads = [], []
+    """Rows in the explicit layout, each either built valid or drawn from
+    all floats (NaN, infinities, huge)."""
+    rows = []
     for _ in range(draw(st.integers(1, 8))):
-        spreads_form = draw(st.booleans())
         h = draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True), _any_float))
         if draw(st.booleans()):
             row = draw(st.lists(_any_float, min_size=7, max_size=7)) + [h]
-        elif spreads_form:
-            left = sorted(draw(st.lists(_width, min_size=3, max_size=3)), reverse=True)
-            right = sorted(draw(st.lists(_width, min_size=3, max_size=3)))
-            row = [*left, draw(st.floats(-1e6, 1e6)), *right, h]
         else:
             row = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=7, max_size=7))) + [h]
         rows.append(row)
-        spreads.append(spreads_form)
-    return np.array(rows), np.array(spreads)
+    return np.array(rows)
 
 
-def _scalar(row, spreads_form):
-    row = row.tolist()
-    if spreads_form:
-        return NT2FuzzyScalar.from_spreads(row[3], row[:3] + row[4:7], row[7])
-    return NT2FuzzyScalar(*row)
-
-
-@given(case=coordinate_rows())
-def test_array_validation_matches_the_scalar_constructors(case):
-    rows, spreads = case
+@given(rows=coordinate_rows())
+def test_array_validation_matches_the_scalar_constructors(rows):
     expected = []
-    for i, (row, spreads_form) in enumerate(zip(rows, spreads)):
+    for i, row in enumerate(rows):
         try:
-            s = _scalar(row, spreads_form)
+            s = NT2FuzzyScalar(*row.tolist())
         except T2SplineError as exc:
             message = f"point {i // 2}, coordinate {'xy'[i % 2]}: {exc}"
             with pytest.raises(ValidationError) as raised:
-                coords_from_rows(rows, spreads)
+                coords_from_rows(rows)
             assert str(raised.value) == message
             assert type(raised.value.__cause__) is type(exc)
             return
         expected.append((*s.components(), s.h))
-    assert np.array_equal(coords_from_rows(rows, spreads), np.array(expected))
+    assert np.array_equal(coords_from_rows(rows), np.array(expected))
 
 
 def test_points_and_coordinate_array_round_trip():
