@@ -168,7 +168,7 @@ class RationalCurveModel:
 
 @dataclass(frozen=True, eq=False)
 class Polyline:
-    """A sampled curve: points[i] evaluated at strictly increasing params[i]."""
+    """A sampled curve: m >= 1 points[i] evaluated at strictly increasing params[i]."""
 
     points: np.ndarray
     params: np.ndarray
@@ -180,6 +180,8 @@ class Polyline:
         object.__setattr__(self, "params", params)
         if points.ndim != 2 or points.shape[1] != 2:
             raise T2SplineError(f"points must be an (m, 2) array, got shape {points.shape}")
+        if not len(points):
+            raise T2SplineError("a polyline needs at least one point")
         if params.shape != (points.shape[0],):
             raise T2SplineError("params must match points in length")
         if not np.all(np.diff(params) > 0.0):  # also rejects NaN
@@ -201,13 +203,14 @@ def rational_point(m: RationalCurveModel, t: float) -> np.ndarray:
 
 def sample_curve(m: RationalCurveModel, samples: int) -> Polyline:
     """Evaluate the curve at `samples` uniform parameters across the domain."""
-    return sample_curves(m.knots, m.weights, m.controls[None], samples)[0]
+    ts, points = sample_curves(m.knots, m.weights, m.controls[None], samples)
+    return Polyline(points[0], ts)
 
 
-def sample_curves(knots: KnotVector, weights: np.ndarray, polygons, samples: int) -> list[Polyline]:
+def sample_curves(knots: KnotVector, weights: np.ndarray, polygons, samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate one rational curve per (n, 2) control polygon of the stack at
-    `samples` uniform parameters; the weighted basis rows are computed once
-    and shared by every polygon."""
+    `samples` uniform parameters ``ts``; return ``ts`` and the ``(polygons,
+    samples, 2)`` points.  The weighted basis rows are computed once."""
     if samples < 2:
         raise TooFewSamples(f"need at least 2 samples, got {samples}")
     n = knots.n_controls
@@ -231,4 +234,4 @@ def sample_curves(knots: KnotVector, weights: np.ndarray, polygons, samples: int
         raise T2SplineError(
             "curve points are not finite: the weighted control coordinates must stay within the float range"
         )
-    return [Polyline(points=p, params=ts) for p in points]
+    return ts, points

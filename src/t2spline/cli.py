@@ -11,10 +11,13 @@ import os
 import stat
 import sys
 
+import numpy as np
+
 from . import curves
+from .bspline import Polyline
 from .document import demo_document, document_to_json, load_document
 from .errors import ParseError, T2SplineError
-from .output import Scene, _scene_series, render_svg, write_csv
+from .output import FLOAT_FORMAT, svg_figure, write_csv, write_table
 from .pipeline import solve
 
 SERIES_CHOICES = (*curves.GROUPS, "all")
@@ -134,15 +137,6 @@ def _stage_beside(path: str) -> tuple[int, str] | None:
     return fd, tmp
 
 
-def _scene(args) -> Scene:
-    """Load the document and evaluate the requested series in one pass."""
-    doc, model = _load(args)
-    return Scene(
-        controls=model.coords[:, :, 3],
-        **curves.evaluate(model, _parse_series(args.series), doc.samples),
-    )
-
-
 def _cmd_demo(args) -> int:
     text = document_to_json(demo_document())
     _write(args.out, lambda f: f.write(text))
@@ -168,24 +162,23 @@ def _cmd_pipeline(args) -> int:
         # json.dumps({"alpha": ..., "points": [{"x": ..., "y": ...}, ...]}, indent=2) + "\n"
         points = ",\n".join([_JSON_POINT] * n) % tuple(solution.ravel().tolist())
         text = f'{{\n  "alpha": {model.alpha!r},\n  "points": [\n{points}\n  ]\n}}\n'
+        _write(args.out, lambda f: f.write(text))
     else:
-        rows = [None] * (3 * n)
-        rows[0::3] = range(n)
-        rows[1::3], rows[2::3] = solution.T.tolist()
-        text = "index,x,y\n" + ("%d,%.16e,%.16e\n" * n) % tuple(rows)
-    _write(args.out, lambda f: f.write(text))
+        columns = [np.arange(n)[:, None], solution]
+        _write(args.out, lambda f: write_table(f, ["index", "x", "y"], columns, ["%d", FLOAT_FORMAT, FLOAT_FORMAT]))
     return 0
 
 
-def _cmd_curve(args) -> int:
-    scene = _scene(args)
-    _write(args.out, lambda f: write_csv(_scene_series(scene), f))
-    return 0
-
-
-def _cmd_plot(args) -> int:
-    scene = _scene(args)
-    _write(args.out, lambda f: render_svg(scene, f))
+def _cmd_curves(args) -> int:
+    """``curve`` and ``plot``: evaluate the requested series in one pass,
+    then write them as CSV or draw them, with the crisp controls, as SVG."""
+    doc, model = _load(args)
+    ts, series = curves.evaluate(model, _parse_series(args.series), doc.samples)
+    if args.command == "curve":
+        lines = [(label, Polyline(points, ts)) for label, points in series.items()]
+        _write(args.out, lambda f: write_csv(lines, f))
+    else:
+        _write(args.out, lambda f: f.write(svg_figure(series.items(), model.coords[:, :, 3], "")))
     return 0
 
 
@@ -193,8 +186,8 @@ _HANDLERS = {
     "demo": _cmd_demo,
     "validate": _cmd_validate,
     "pipeline": _cmd_pipeline,
-    "curve": _cmd_curve,
-    "plot": _cmd_plot,
+    "curve": _cmd_curves,
+    "plot": _cmd_curves,
 }
 
 

@@ -3,8 +3,10 @@ defuzzified solution curves, and sample-wise deviation reports.
 
 All processing happens on CONTROL points: the seven component control
 polygons (and the type-reduced / defuzzified ones) share a single weight
-vector and knot vector, so the basis is computed once and shared by every
-polygon the requested curves need.  The controls are stored as one
+vector and knot vector, so the curves are one basis times one stack of
+polygons, sampled by :func:`evaluate` into one table of labelled points
+sharing one parameter array; :class:`CurveBand`, :class:`ReducedCurves` and
+:class:`Polyline` are views of it.  The controls are stored as one
 ``(n, 2, 8)`` coordinate array (see :mod:`t2spline.fuzzy`), so each
 component polygon is a slice of it.
 """
@@ -25,8 +27,17 @@ from .pipeline import check_alpha, solve
 #: Band labels in control-polygon order; "crisp" extracts the c component.
 COMPONENT_LABELS = ("ll", "l", "rl", "crisp", "lr", "r", "rr")
 
-#: Curve groups :func:`evaluate` produces, named like the :class:`Scene` fields.
-GROUPS = ("band", "reduced", "defuzzified", "crisp")
+#: Labels of the curves each group (named like a :class:`Scene` field) gives,
+#: in CSV column order; a label two groups give is one column, at its first place.
+SERIES = {
+    "band": COMPONENT_LABELS,
+    "reduced": ("tr_left", "crisp", "tr_right"),
+    "crisp": ("crisp",),
+    "defuzzified": ("defuzzified",),
+}
+
+#: Curve groups :func:`evaluate` produces.
+GROUPS = tuple(SERIES)
 
 DEFAULT_SAMPLES = 101
 
@@ -115,32 +126,30 @@ def component_polygons(model: FuzzyCurveModel) -> dict[str, np.ndarray]:
     return {label: model.coords[:, :, i] for i, label in enumerate(COMPONENT_LABELS)}
 
 
-def evaluate(model: FuzzyCurveModel, groups, samples: int = DEFAULT_SAMPLES) -> dict:
+def evaluate(model: FuzzyCurveModel, groups, samples: int = DEFAULT_SAMPLES) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Evaluate the requested curve groups (names from :data:`GROUPS`) as one
     stack of control polygons over one shared basis.
 
-    The controls are cut and type-reduced once, and the one crisp polygon
-    serves the band, the reduced triple and "crisp".  Returns a dict keyed by
-    group: a :class:`CurveBand`, a :class:`ReducedCurves` or a :class:`Polyline`.
+    The controls are cut and type-reduced once, and only if a requested
+    curve needs it.  Returns the sample parameters ``ts`` and a dict of
+    ``(samples, 2)`` points keyed by label, in :data:`SERIES` column order,
+    each label once.
     """
     groups = set(groups)
     if not groups <= set(GROUPS):
         raise T2SplineError(f"unknown curve groups {sorted(groups - set(GROUPS))}")
-    polygons = component_polygons(model) if "band" in groups else {"crisp": model.coords[:, :, 3]}
+    labels = dict.fromkeys(label for group in GROUPS if group in groups for label in SERIES[group])
+    polygons = component_polygons(model)
     if groups & {"reduced", "defuzzified"}:
-        left, _, right, solution = solve(model.coords, model.alpha)
-        if "reduced" in groups:
-            polygons["tr_left"] = left
-            polygons["tr_right"] = right
-        if "defuzzified" in groups:
-            polygons["defuzzified"] = solution
-    lines = dict(zip(polygons, sample_curves(model.knots, model.weights, list(polygons.values()), samples)))
-    out = {name: lines[name] for name in ("defuzzified", "crisp") if name in groups}
-    if "band" in groups:
-        out["band"] = CurveBand(**{label: lines[label] for label in COMPONENT_LABELS})
-    if "reduced" in groups:
-        out["reduced"] = ReducedCurves(left=lines["tr_left"], crisp=lines["crisp"], right=lines["tr_right"])
-    return out
+        polygons["tr_left"], _, polygons["tr_right"], polygons["defuzzified"] = solve(model.coords, model.alpha)
+    ts, points = sample_curves(model.knots, model.weights, [polygons[label] for label in labels], samples)
+    return ts, dict(zip(labels, points))
+
+
+def _views(model: FuzzyCurveModel, group: str, samples: int) -> list[Polyline]:
+    """The curves of one group as polylines sharing one parameter array."""
+    ts, points = evaluate(model, [group], samples)
+    return [Polyline(points[label], ts) for label in SERIES[group]]
 
 
 def fuzzy_curve_band(model: FuzzyCurveModel, samples: int = DEFAULT_SAMPLES) -> CurveBand:
@@ -149,19 +158,19 @@ def fuzzy_curve_band(model: FuzzyCurveModel, samples: int = DEFAULT_SAMPLES) -> 
     All seven curves share the model's weights, order and knots; only the
     control positions differ.
     """
-    return evaluate(model, ["band"], samples)["band"]
+    return CurveBand(*_views(model, "band", samples))
 
 
 def reduced_curves(model: FuzzyCurveModel, samples: int = DEFAULT_SAMPLES) -> ReducedCurves:
     """Cut and type-reduce every control point, then sample the rational
     curve over the left-interval, crisp, and right-interval polygons."""
-    return evaluate(model, ["reduced"], samples)["reduced"]
+    return ReducedCurves(*_views(model, "reduced", samples))
 
 
 def defuzzified_curve(model: FuzzyCurveModel, samples: int = DEFAULT_SAMPLES) -> Polyline:
     """Sample the rational curve over the defuzzified control polygon
     (the crisp solution curve)."""
-    return evaluate(model, ["defuzzified"], samples)["defuzzified"]
+    return _views(model, "defuzzified", samples)[0]
 
 
 def deviation(a: Polyline, b: Polyline) -> DeviationReport:

@@ -1,7 +1,9 @@
 """Sampled-curve output: CSV tables and static SVG figures.
 
 Both writers are deterministic: identical inputs produce byte-identical
-files (fixed column order, fixed float formatting, no timestamps).
+files (fixed column order, fixed float formatting, no timestamps).  Both
+draw on ``(label, points)`` series sharing one parameter array, and every
+CSV is formatted by :func:`write_table`.
 """
 
 from __future__ import annotations
@@ -12,11 +14,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import Polyline
-from .curves import CurveBand, ReducedCurves
+from .curves import SERIES, CurveBand, ReducedCurves
 from .errors import SampleMismatch, T2SplineError
 
-# 17 significant digits: locale-independent, round-trips doubles exactly.
-_NUM_FORMAT = "{:.16e}"
+#: Cells :func:`write_table` formats at once: a bounded block of rows keeps
+#: the text of a long table from being held whole.
+BLOCK_CELLS = 4096
+
+#: 17 significant digits: locale-independent, round-trips doubles exactly.
+FLOAT_FORMAT = "%.16e"
+
+
+def write_table(f, header, columns, formats) -> None:
+    """Write a CSV table to the text stream ``f``: the ``header`` row, then
+    one row per row of the ``(rows, k)`` arrays of ``columns`` placed side by
+    side, each cell printed with its ``%`` format from ``formats``."""
+    csv.writer(f, lineterminator="\n").writerow(header)  # quotes names as needed
+    row_format = ",".join(formats) + "\n"
+    step = max(1, BLOCK_CELLS // len(formats))
+    for start in range(0, len(columns[0]), step):
+        block = np.hstack([c[start : start + step] for c in columns])
+        f.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _normalize_series(series) -> list[tuple[str, Polyline]]:
@@ -33,6 +51,15 @@ def _normalize_series(series) -> list[tuple[str, Polyline]]:
     return pairs
 
 
+def _emit(path_or_file, write) -> None:
+    """Call ``write(stream)`` on an open text stream, or on the file at a path."""
+    if hasattr(path_or_file, "write"):
+        write(path_or_file)
+    else:
+        with open(path_or_file, "w", encoding="utf-8", newline="") as f:
+            write(f)
+
+
 def write_csv(series, path_or_file) -> None:
     """Write sampled curves as CSV: t column, then x/y per named series.
 
@@ -41,30 +68,13 @@ def write_csv(series, path_or_file) -> None:
     identical parameters.
     """
     pairs = _normalize_series(series)
-    ref = pairs[0][1].params
+    ts = pairs[0][1].params
     for name, line in pairs[1:]:
-        if line.params.shape != ref.shape or np.any(line.params != ref):
+        if not np.array_equal(line.params, ts):
             raise SampleMismatch(f"series {name!r} sampled at different parameters")
-
-    header = ["t"]
-    for name, _ in pairs:
-        header += [f"{name}_x", f"{name}_y"]
-
-    def emit(f):
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for row_idx in range(ref.size):
-            row = [_NUM_FORMAT.format(ref[row_idx])]
-            for _, line in pairs:
-                row.append(_NUM_FORMAT.format(line.points[row_idx, 0]))
-                row.append(_NUM_FORMAT.format(line.points[row_idx, 1]))
-            writer.writerow(row)
-
-    if hasattr(path_or_file, "write"):
-        emit(path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as f:
-            emit(f)
+    header = ["t", *(f"{name}_{axis}" for name, _ in pairs for axis in "xy")]
+    columns = [ts[:, None], *(line.points for _, line in pairs)]
+    _emit(path_or_file, lambda f: write_table(f, header, columns, [FLOAT_FORMAT] * len(header)))
 
 
 # ---------------------------------------------------------------------------
@@ -107,48 +117,38 @@ class Scene:
     title: str = ""
 
 
-def _scene_series(scene: Scene) -> list[tuple[str, Polyline]]:
-    pairs: list[tuple[str, Polyline]] = []
-    seen = set()
-
-    def add(name, line):
-        if name not in seen:
-            seen.add(name)
-            pairs.append((name, line))
-
-    if scene.band is not None:
-        for name, line in scene.band.items():
-            add(name, line)
-    if scene.reduced is not None:
-        add("tr_left", scene.reduced.left)
-        add("crisp", scene.reduced.crisp)
-        add("tr_right", scene.reduced.right)
-    if scene.crisp is not None:
-        add("crisp", scene.crisp)
-    if scene.defuzzified is not None:
-        add("defuzzified", scene.defuzzified)
-    return pairs
-
-
-def _data_bounds(scene: Scene) -> tuple[float, float, float, float]:
-    xs, ys = [], []
-    for _, line in _scene_series(scene):
-        xs.append(line.points[:, 0])
-        ys.append(line.points[:, 1])
-    if scene.controls is not None and len(scene.controls):
-        pts = np.asarray(scene.controls, dtype=float)
-        xs.append(pts[:, 0])
-        ys.append(pts[:, 1])
-    if not xs:
-        return (0.0, 1.0, 0.0, 1.0)
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    return (float(x.min()), float(x.max()), float(y.min()), float(y.max()))
+def _scene_series(scene: Scene) -> list[tuple[str, np.ndarray]]:
+    """The scene's curves as (label, points) in :data:`~t2spline.curves.SERIES`
+    column order, each label once."""
+    series = {}
+    for group, labels in SERIES.items():
+        view = getattr(scene, group)
+        if isinstance(view, Polyline):
+            view = (view,)
+        elif isinstance(view, CurveBand):
+            view = [line for _, line in view.items()]
+        for label, line in zip(labels, view or ()):
+            series.setdefault(label, line.points)
+    return list(series.items())
 
 
 def svg_document(scene: Scene) -> str:
     """Render a scene to an SVG 1.1 string (fixed canvas, 5% data padding)."""
-    xmin, xmax, ymin, ymax = _data_bounds(scene)
+    return svg_figure(_scene_series(scene), scene.controls, scene.title)
+
+
+def svg_figure(series, controls, title: str) -> str:
+    """Render ``(label, (m, 2) points)`` series, styled by label, and the
+    (m, 2) ``controls`` (None for none) like :func:`svg_document`."""
+    series = list(series)
+    controls = np.empty((0, 2)) if controls is None or not np.size(controls) else np.asarray(controls, dtype=float)
+    if controls.ndim != 2 or controls.shape[1] != 2:
+        raise T2SplineError(f"controls must be an (m, 2) array, got shape {controls.shape}")
+    xy = np.concatenate([points for _, points in series] + [controls])
+    if len(xy):
+        (xmin, ymin), (xmax, ymax) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
+    else:
+        xmin, xmax, ymin, ymax = 0.0, 1.0, 0.0, 1.0
     xspan = (xmax - xmin) or 1.0
     yspan = (ymax - ymin) or 1.0
     xmin -= xspan * PAD_FRACTION
@@ -173,10 +173,10 @@ def svg_document(scene: Scene) -> str:
         f'width="{CANVAS_W}" height="{CANVAS_H}" viewBox="0 0 {CANVAS_W} {CANVAS_H}">',
         f'<rect x="0" y="0" width="{CANVAS_W}" height="{CANVAS_H}" fill="#ffffff"/>',
     ]
-    if scene.title:
+    if title:
         out.append(
             f'<text x="{(plot_x0 + plot_x1) / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{_escape(scene.title)}</text>'
+            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
         )
 
     # axes with min/max tick labels
@@ -184,23 +184,18 @@ def svg_document(scene: Scene) -> str:
     out.append(f'<line x1="{plot_x0}" y1="{plot_y1}" x2="{plot_x1}" y2="{plot_y1}" {axis}/>')
     out.append(f'<line x1="{plot_x0}" y1="{plot_y0}" x2="{plot_x0}" y2="{plot_y1}" {axis}/>')
     label = 'font-family="sans-serif" font-size="11" fill="#333333"'
-    out.append(
-        f'<text x="{plot_x0}" y="{plot_y1 + 16}" text-anchor="middle" {label}>{xmin:.4g}</text>'
-    )
-    out.append(
-        f'<text x="{plot_x1}" y="{plot_y1 + 16}" text-anchor="middle" {label}>{xmax:.4g}</text>'
-    )
-    out.append(
-        f'<text x="{plot_x0 - 6}" y="{plot_y1 + 4}" text-anchor="end" {label}>{ymin:.4g}</text>'
-    )
-    out.append(
-        f'<text x="{plot_x0 - 6}" y="{plot_y0 + 4}" text-anchor="end" {label}>{ymax:.4g}</text>'
-    )
+    for x, y, anchor, value in (
+        (plot_x0, plot_y1 + 16, "middle", xmin),
+        (plot_x1, plot_y1 + 16, "middle", xmax),
+        (plot_x0 - 6, plot_y1 + 4, "end", ymin),
+        (plot_x0 - 6, plot_y0 + 4, "end", ymax),
+    ):
+        out.append(f'<text x="{x}" y="{y}" text-anchor="{anchor}" {label}>{value:.4g}</text>')
 
     legend_entries = []
-    for name, line in _scene_series(scene):
+    for name, points in series:
         colour, width, markers = SERIES_STYLE[name]
-        pts = " ".join(f"{fmt(px)},{fmt(py)}" for px, py in (to_px(p) for p in line.points))
+        pts = " ".join(f"{fmt(px)},{fmt(py)}" for px, py in (to_px(p) for p in points))
         out.append(
             f'<polyline class="series-{name}" fill="none" stroke="{colour}" '
             f'stroke-width="{width}" points="{pts}"/>'
@@ -208,16 +203,16 @@ def svg_document(scene: Scene) -> str:
         if markers:
             circles = "".join(
                 f'<circle cx="{fmt(px)}" cy="{fmt(py)}" r="2.5"/>'
-                for px, py in (to_px(p) for p in line.points)
+                for px, py in (to_px(p) for p in points)
             )
             out.append(f'<g class="markers-{name}" fill="{colour}">{circles}</g>')
         legend_entries.append((name, colour))
 
-    if scene.controls is not None and len(scene.controls):
+    if len(controls):
         colour = SERIES_STYLE["controls"][0]
         circles = "".join(
             f'<circle cx="{fmt(px)}" cy="{fmt(py)}" r="4"/>'
-            for px, py in (to_px(p) for p in np.asarray(scene.controls, dtype=float))
+            for px, py in (to_px(p) for p in controls)
         )
         out.append(f'<g class="markers-controls" fill="{colour}">{circles}</g>')
         legend_entries.append(("controls", colour))
@@ -243,8 +238,4 @@ def _escape(text: str) -> str:
 def render_svg(scene: Scene, path_or_file) -> None:
     """Write the scene as an SVG file."""
     doc = svg_document(scene)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(doc)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as f:
-            f.write(doc)
+    _emit(path_or_file, lambda f: f.write(doc))

@@ -244,18 +244,24 @@ def test_polyline_rejects_nan_param():
         Polyline(np.zeros((3, 2)), np.array([0.0, np.nan, 1.0]))
 
 
+def test_polyline_needs_a_point():
+    with pytest.raises(T2SplineError, match="at least one point"):
+        Polyline(np.zeros((0, 2)), np.zeros(0))
+
+
 @pytest.mark.parametrize("n, order", [(4, 3), (30, 8)])
 def test_sample_curves_shares_basis_and_matches_rational_point(n, order):
     rng = np.random.default_rng(n)
     polygons = rng.normal(size=(5, n, 2))
     weights = rng.uniform(0.5, 3.0, n)
     kv = clamped_uniform_knots(n, order)
-    lines = sample_curves(kv, weights, polygons, 17)
-    assert len(lines) == len(polygons)
-    for polygon, line in zip(polygons, lines):
+    ts, points = sample_curves(kv, weights, polygons, 17)
+    assert points.shape == (len(polygons), 17, 2)
+    assert np.array_equal(ts, np.linspace(0.0, 1.0, 17))
+    for polygon, curve in zip(polygons, points):
         m = RationalCurveModel(polygon, weights, order, kv)
-        expected = np.array([rational_point(m, t) for t in line.params])
-        assert np.array_equal(line.points, expected)
+        expected = np.array([rational_point(m, t) for t in ts])
+        assert np.array_equal(curve, expected)
 
 
 def test_sample_count_above_bound_rejected_before_allocation():

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from t2spline import (
     ModelDocument,
     NT2FuzzyPoint,
     NT2FuzzyScalar,
+    Scene,
     T2SplineError,
     defuzzified_curve,
     demo_document,
@@ -21,9 +23,11 @@ from t2spline import (
     pipeline_point,
     reduced_curves,
     sample_curve,
+    svg_document,
 )
 from t2spline import bspline, cli, curves
 from t2spline.cli import run
+from t2spline.output import BLOCK_CELLS
 
 
 @pytest.fixture
@@ -419,3 +423,61 @@ def test_pipeline_builds_the_model_once(demo_path, tmp_path, monkeypatch):
     monkeypatch.setattr(curves.FuzzyCurveModel, "__post_init__", counting)
     assert run(["pipeline", str(demo_path), "--out", str(tmp_path / "p.json")]) == 0
     assert len(built) == 1
+
+
+_BAND = ["ll", "l", "rl", "crisp", "lr", "r", "rr"]
+
+#: Curve labels, in column and drawing order, for each --series subset.
+_SERIES_COLUMNS = {
+    "band": _BAND,
+    "reduced": ["tr_left", "crisp", "tr_right"],
+    "defuzzified": ["defuzzified"],
+    "crisp": ["crisp"],
+    "band,reduced": [*_BAND, "tr_left", "tr_right"],
+    "band,defuzzified": [*_BAND, "defuzzified"],
+    "band,crisp": _BAND,
+    "reduced,defuzzified": ["tr_left", "crisp", "tr_right", "defuzzified"],
+    "reduced,crisp": ["tr_left", "crisp", "tr_right"],
+    "defuzzified,crisp": ["crisp", "defuzzified"],
+    "band,reduced,defuzzified": [*_BAND, "tr_left", "tr_right", "defuzzified"],
+    "band,reduced,crisp": [*_BAND, "tr_left", "tr_right"],
+    "band,defuzzified,crisp": [*_BAND, "defuzzified"],
+    "reduced,defuzzified,crisp": ["tr_left", "crisp", "tr_right", "defuzzified"],
+    "band,reduced,defuzzified,crisp": [*_BAND, "tr_left", "tr_right", "defuzzified"],
+}
+
+
+@pytest.mark.parametrize("spec, labels", _SERIES_COLUMNS.items(), ids=list(_SERIES_COLUMNS))
+def test_series_subset_column_and_drawing_order(demo_path, tmp_path, spec, labels):
+    table, figure = tmp_path / "out.csv", tmp_path / "out.svg"
+    assert run(["curve", str(demo_path), "--series", spec, "--samples", "3", "--out", str(table)]) == 0
+    assert run(["plot", str(demo_path), "--series", spec, "--samples", "3", "--out", str(figure)]) == 0
+    assert table.read_text().split("\n")[0].split(",") == ["t", *(f"{label}_{axis}" for label in labels for axis in "xy")]
+    assert re.findall(r'<polyline class="series-([^"]*)"', figure.read_text()) == labels
+
+
+@pytest.mark.parametrize("spec", _SERIES_COLUMNS)
+def test_plot_equals_the_scene_of_library_views(tmp_path, spec):
+    doc = _order4_document()
+    path, out = tmp_path / "model.json", tmp_path / "out.svg"
+    path.write_text(document_to_json(doc))
+    assert run(["plot", str(path), "--series", spec, "--out", str(out)]) == 0
+    model = doc.to_model()
+    views = {
+        "band": lambda: fuzzy_curve_band(model, doc.samples),
+        "reduced": lambda: reduced_curves(model, doc.samples),
+        "defuzzified": lambda: defuzzified_curve(model, doc.samples),
+        "crisp": lambda: sample_curve(model.crisp_model(), doc.samples),
+    }
+    scene = Scene(controls=model.crisp_model().controls, **{group: views[group]() for group in spec.split(",")})
+    assert out.read_text() == svg_document(scene)
+
+
+def test_pipeline_csv_across_row_blocks(tmp_path):
+    path, out = tmp_path / "doc.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(_gen_style_document(n=2 * (BLOCK_CELLS // 3) + 1), indent=2))
+    model = load_model(path)
+    solutions = [pipeline_point(p, model.alpha) for p in model.fuzzy_controls]
+    expected = "index,x,y\n" + "".join(f"{i},{x:.16e},{y:.16e}\n" for i, (x, y) in enumerate(solutions))
+    assert run(["pipeline", str(path), "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text() == expected

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from t2spline import (
     COMPONENT_LABELS,
     AlphaOutOfRange,
     FuzzyCurveModel,
+    KnotVector,
     NT2FuzzyPoint,
     NT2FuzzyScalar,
     Polyline,
@@ -21,6 +24,7 @@ from t2spline import (
     reduced_curves,
     sample_curve,
 )
+from t2spline.curves import evaluate
 
 CRISP_XY = [(0.0, 0.0), (2.0, 4.0), (5.0, 5.0), (7.0, 1.0)]
 
@@ -247,3 +251,38 @@ def test_fuzzy_model_order_must_match_the_knots(order):
     points = [NT2FuzzyPoint.crisp(x, y) for x, y in CRISP_XY]
     with pytest.raises(T2SplineError):
         FuzzyCurveModel(points, np.ones(4), order, clamped_uniform_knots(4, 3), 0.8)
+
+
+# --- curve-level properties -------------------------------------------------------
+
+_spreads = st.lists(st.floats(0, 50), min_size=3, max_size=3)
+_scalars = st.builds(
+    lambda c, left, right, h: NT2FuzzyScalar.from_spreads(c, (*sorted(left, reverse=True), *sorted(right)), h),
+    st.floats(-100, 100),
+    _spreads,
+    _spreads,
+    st.floats(0.01, 1.0),
+)
+
+
+@st.composite
+def fuzzy_models(draw):
+    """Random clamped knots of order 2 to 10, weights in [0.5, 3] and fuzzy
+    controls drawn like the pipeline tests' scalars."""
+    order = draw(st.integers(2, 10))
+    n = draw(st.integers(order, order + 12))
+    interior = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=n - order, max_size=n - order)))
+    knots = KnotVector(np.concatenate([np.zeros(order), interior, np.ones(order)]), order)
+    weights = draw(st.lists(st.floats(0.5, 3.0), min_size=n, max_size=n))
+    points = [NT2FuzzyPoint(draw(_scalars), draw(_scalars)) for _ in range(n)]
+    return FuzzyCurveModel(points, weights, order, knots, draw(st.floats(0.0, 0.999)))
+
+
+@settings(deadline=None)
+@given(model=fuzzy_models(), samples=st.integers(2, 60))
+def test_band_curves_keep_component_order_exactly(model, samples):
+    """Same non-negative coefficients, same summation order and monotone
+    rounding: ll <= l <= rl <= crisp <= lr <= r <= rr at every sample."""
+    _, points = evaluate(model, ["band"], samples)
+    band = np.stack([points[label] for label in COMPONENT_LABELS])
+    assert np.all(np.diff(band, axis=0) >= 0.0)

@@ -9,6 +9,7 @@ from t2spline import (
     Polyline,
     SampleMismatch,
     Scene,
+    T2SplineError,
     demo_document,
     deviation,
     defuzzified_curve,
@@ -19,6 +20,7 @@ from t2spline import (
     svg_document,
     write_csv,
 )
+from t2spline.output import BLOCK_CELLS
 
 
 @pytest.fixture
@@ -80,6 +82,17 @@ def test_csv_values_have_full_precision(model):
     data_cell = text.strip().split("\n")[2].split(",")[1]
     mantissa = data_cell.split("e")[0].replace("-", "").replace(".", "")
     assert len(mantissa) == 17
+
+
+def test_csv_rows_across_blocks_equal_cell_by_cell_formatting():
+    rows = 2 * (BLOCK_CELLS // 3) + 1
+    rng = np.random.default_rng(8)
+    points = rng.normal(size=(rows, 2)) * 10.0 ** rng.integers(-320, 300, size=(rows, 2))
+    points[:4] = [[-0.0, 0.0], [5e-324, -5e-324], [2.2250738585072014e-308, -1e-310], [1.7976931348623157e308, 1.0]]
+    line = Polyline(points, np.cumsum(rng.uniform(1e-3, 1.0, rows)) - 10.0)
+    cells = np.column_stack([line.params, line.points])
+    expected = "t,curve_x,curve_y\n" + "".join(",".join(map("{:.16e}".format, row)) + "\n" for row in cells)
+    assert csv_text(line) == expected
 
 
 # --- SVG --------------------------------------------------------------------
@@ -158,3 +171,14 @@ def test_scene_with_title_escapes_markup():
     doc = svg_document(Scene(title="a < b & c"))
     assert "a &lt; b &amp; c" in doc
     ET.fromstring(doc)
+
+
+@pytest.mark.parametrize("controls", [np.array([1.0, 2.0]), np.zeros((3, 3)), np.float64(5.0)])
+def test_svg_rejects_controls_that_are_not_point_pairs(controls):
+    with pytest.raises(T2SplineError, match=r"\(m, 2\)"):
+        svg_document(Scene(controls=controls))
+
+
+@pytest.mark.parametrize("controls", [[], np.empty((0, 2))])
+def test_svg_of_no_controls_marks_none(controls):
+    assert svg_document(Scene(controls=controls)) == svg_document(Scene())
