@@ -26,6 +26,15 @@ from .errors import (
 MAX_BASIS_CELLS = 2**25
 
 
+def float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; raises :class:`T2SplineError` naming
+    ``name`` when it is ragged or holds a value ``float()`` refuses."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise T2SplineError(f"{name} must be a rectangular array of numbers: {exc}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class KnotVector:
     """Non-decreasing knot sequence of length n + order, clamped at both ends."""
@@ -34,7 +43,7 @@ class KnotVector:
     order: int
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
+        knots = float_array(self.knots, "knots")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "order", int(self.order))
         k = self.order
@@ -146,8 +155,8 @@ class RationalCurveModel:
     knots: KnotVector
 
     def __post_init__(self):
-        controls = np.asarray(self.controls, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        controls = float_array(self.controls, "controls")
+        weights = float_array(self.weights, "weights")
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "order", int(self.order))
@@ -159,7 +168,7 @@ class RationalCurveModel:
 
     @classmethod
     def with_uniform_knots(cls, controls, weights=None, order: int = 3) -> "RationalCurveModel":
-        controls = np.asarray(controls, dtype=float)
+        controls = float_array(controls, "controls")
         n = controls.shape[0]
         if weights is None:
             weights = np.ones(n)
@@ -174,8 +183,8 @@ class Polyline:
     params: np.ndarray
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        params = np.asarray(self.params, dtype=float)
+        points = float_array(self.points, "points")
+        params = float_array(self.params, "params")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "params", params)
         if points.ndim != 2 or points.shape[1] != 2:

@@ -18,7 +18,6 @@ from .bspline import Polyline
 from .document import demo_document, document_to_json, load_document
 from .errors import ParseError, T2SplineError
 from .output import FLOAT_FORMAT, svg_figure, write_csv, write_table
-from .pipeline import solve
 
 SERIES_CHOICES = (*curves.GROUPS, "all")
 
@@ -156,7 +155,7 @@ _JSON_POINT = '    {\n      "x": %r,\n      "y": %r\n    }'
 
 def _cmd_pipeline(args) -> int:
     _, model = _load(args)
-    solution = solve(model.coords, model.alpha)[-1]
+    solution = model.solved[-1]
     n = len(solution)
     if args.format == "json":
         # json.dumps({"alpha": ..., "points": [{"x": ..., "y": ...}, ...]}, indent=2) + "\n"

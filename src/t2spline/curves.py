@@ -14,11 +14,12 @@ component polygon is a slice of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .bspline import KnotVector, Polyline, RationalCurveModel, check_curve_setup, clamped_uniform_knots
+from .bspline import KnotVector, Polyline, RationalCurveModel, check_curve_setup, clamped_uniform_knots, float_array
 from .bspline import sample_curve, sample_curves  # noqa: F401  (curves.sample_curve stays importable)
 from .errors import SampleMismatch, T2SplineError
 from .fuzzy import NT2FuzzyPoint, as_coords, points_of
@@ -48,6 +49,9 @@ class FuzzyCurveModel:
 
     ``coords`` is the read-only ``(n, 2, 8)`` coordinate array of the
     controls; it may be given as a sequence of :class:`NT2FuzzyPoint`.
+    :attr:`solved`, the fuzzy pipeline at ``alpha``, is computed on first
+    access and kept: the model is immutable, and a new cut level makes a new
+    model.
     """
 
     coords: np.ndarray
@@ -58,7 +62,7 @@ class FuzzyCurveModel:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", as_coords(self.coords))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        object.__setattr__(self, "weights", float_array(self.weights, "weights"))
         object.__setattr__(self, "order", int(self.order))
         check_curve_setup(len(self.coords), self.weights, self.order, self.knots)
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
@@ -70,6 +74,15 @@ class FuzzyCurveModel:
         if weights is None:
             weights = np.ones(len(points))
         return cls(points, weights, order, clamped_uniform_knots(len(points), order), alpha)
+
+    @cached_property
+    def solved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`~t2spline.pipeline.solve` of the controls at ``alpha``: the
+        read-only ``(n, 2)`` arrays ``(left, c, right, solution)``."""
+        arrays = solve(self.coords, self.alpha)
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
 
     @property
     def fuzzy_controls(self) -> tuple[NT2FuzzyPoint, ...]:
@@ -141,7 +154,7 @@ def evaluate(model: FuzzyCurveModel, groups, samples: int = DEFAULT_SAMPLES) -> 
     labels = dict.fromkeys(label for group in GROUPS if group in groups for label in SERIES[group])
     polygons = component_polygons(model)
     if groups & {"reduced", "defuzzified"}:
-        polygons["tr_left"], _, polygons["tr_right"], polygons["defuzzified"] = solve(model.coords, model.alpha)
+        polygons["tr_left"], _, polygons["tr_right"], polygons["defuzzified"] = model.solved
     ts, points = sample_curves(model.knots, model.weights, [polygons[label] for label in labels], samples)
     return ts, dict(zip(labels, points))
 

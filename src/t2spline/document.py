@@ -31,14 +31,19 @@ failures raise :class:`~t2spline.errors.ValidationError` naming the point,
 the first failure in document order.
 
 The points are stored as one ``(n, 2, 8)`` coordinate array (components,
-then ``h``; see :mod:`t2spline.fuzzy`).  The parser reads the JSON objects in
-one pass and validates the array at once; :attr:`ModelDocument.points` is
-the fuzzy-point view of it.
+then ``h``; see :mod:`t2spline.fuzzy`), validated at once;
+:attr:`ModelDocument.points` is the fuzzy-point view of it.  A document whose
+points all have exactly the keys ``x`` and ``y`` and whose coordinates all
+have exactly the explicit keys is gathered into that array by C-level maps,
+without a Python loop over the coordinates.  Any other document is read by a
+per-coordinate loop, the only reader of the spreads form and the only source
+of the structural error messages.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from operator import itemgetter
 from typing import Any
 
@@ -48,7 +53,6 @@ from .bspline import MAX_BASIS_CELLS
 from .curves import DEFAULT_SAMPLES, FuzzyCurveModel
 from .errors import ParseError, T2SplineError, ValidationError
 from .fuzzy import COORD_FIELDS, NT2FuzzyPoint, NT2FuzzyScalar, as_coords, coords_from_rows, points_of
-from .pipeline import solve
 
 DEFAULT_ORDER = 3
 DEFAULT_ALPHA = 0.8
@@ -56,6 +60,7 @@ DEFAULT_ALPHA = 0.8
 _EXPLICIT_KEYS = frozenset(COORD_FIELDS)
 _EXPLICIT_VALUES = itemgetter(*COORD_FIELDS)
 _POINT_KEYS = frozenset("xy")
+_POINT_VALUES = itemgetter("x", "y")
 _NUMBER_TYPES = {int, float}
 _SPREAD_KEYS = (
     "outer_left",
@@ -191,6 +196,23 @@ def _scan_points(points: list, flat: list) -> ValidationError | None:
     return None
 
 
+def _gather_explicit(points: list) -> list | None:
+    """The eight explicit-form values of each coordinate, in document order,
+    as :func:`_scan_points` appends them; None unless every point is an
+    object of exactly the keys 'x' and 'y' and every coordinate an object of
+    exactly the explicit keys.  An object of the right length holding every
+    key has no other key."""
+    if set(map(type, points)) != {dict} or set(map(len, points)) != {2}:
+        return None
+    try:
+        coords = list(chain.from_iterable(map(_POINT_VALUES, points)))
+        if set(map(type, coords)) != {dict} or set(map(len, coords)) != {len(COORD_FIELDS)}:
+            return None
+        return list(chain.from_iterable(map(_EXPLICIT_VALUES, coords)))
+    except KeyError:
+        return None
+
+
 def _read_points(points: list) -> np.ndarray:
     """The validated ``(n, 2, 8)`` coordinate array of the 'points' list.
 
@@ -198,8 +220,11 @@ def _read_points(points: list) -> np.ndarray:
     a wrong key, a value that is not a number, or a coordinate the scalar
     constructors reject.
     """
-    flat: list = []
-    error = _scan_points(points, flat)
+    error = None
+    flat = _gather_explicit(points)
+    if flat is None:
+        flat = []
+        error = _scan_points(points, flat)
     rows = _floats(flat)
     if rows is None:
         # Some explicit-form coordinate holds a non-number: re-read the first
@@ -221,7 +246,8 @@ def parse_document(text: str) -> ModelDocument:
 
     Validation builds the document's model and runs the fuzzy pipeline at
     its cut level, so a document whose type-reduced values overflow is
-    rejected.
+    rejected; the model keeps that solution as
+    :attr:`~t2spline.curves.FuzzyCurveModel.solved`.
     """
     try:
         raw = json.loads(text)
@@ -264,8 +290,7 @@ def parse_document(text: str) -> ModelDocument:
 
     doc = ModelDocument(coords, weights=weights.tolist(), order=order_raw, alpha=alpha, samples=samples_raw)
     try:
-        model = doc.to_model()  # surfaces order/alpha/weight invariants with one code path
-        solve(model.coords, model.alpha)
+        doc.to_model().solved  # surfaces order/alpha/weight invariants and overflow with one code path
     except ValidationError:
         raise
     except T2SplineError as exc:

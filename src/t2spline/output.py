@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import Polyline
+from .bspline import Polyline, float_array
 from .curves import SERIES, CurveBand, ReducedCurves
 from .errors import SampleMismatch, T2SplineError
 
@@ -141,7 +141,9 @@ def svg_figure(series, controls, title: str) -> str:
     """Render ``(label, (m, 2) points)`` series, styled by label, and the
     (m, 2) ``controls`` (None for none) like :func:`svg_document`."""
     series = list(series)
-    controls = np.empty((0, 2)) if controls is None or not np.size(controls) else np.asarray(controls, dtype=float)
+    controls = float_array([] if controls is None else controls, "controls")
+    if not controls.size:
+        controls = np.empty((0, 2))
     if controls.ndim != 2 or controls.shape[1] != 2:
         raise T2SplineError(f"controls must be an (m, 2) array, got shape {controls.shape}")
     xy = np.concatenate([points for _, points in series] + [controls])

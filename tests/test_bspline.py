@@ -228,6 +228,22 @@ def test_polyline_validation():
         Polyline(np.zeros((3, 2)), np.array([0.0, 0.5]))
 
 
+RAGGED_OR_NON_NUMERIC = {
+    "polyline-ragged-points": lambda: Polyline([[1.0, 2.0], [3.0]], [0.0, 1.0]),
+    "polyline-string-points": lambda: Polyline([["a", "b"]], [0.0]),
+    "polyline-object-params": lambda: Polyline([[1.0, 2.0]], [{}]),
+    "model-ragged-controls": lambda: RationalCurveModel.with_uniform_knots([[0, 0], [1], [2, 0]], order=2),
+    "model-string-weights": lambda: RationalCurveModel.with_uniform_knots(DEMO_CONTROLS, ["a", 1, 1, 1]),
+    "knots-ragged": lambda: KnotVector([0, 0, [0, 1], 1, 1], order=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAGGED_OR_NON_NUMERIC))
+def test_constructors_reject_ragged_or_non_numeric_arrays(name):
+    with pytest.raises(T2SplineError, match="must be a rectangular array of numbers"):
+        RAGGED_OR_NON_NUMERIC[name]()
+
+
 def test_knot_vector_rejects_nan_knot():
     with pytest.raises(T2SplineError):
         KnotVector(np.array([0, 0, 0, np.nan, 1, 1, 1]), order=3)

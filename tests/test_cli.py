@@ -25,7 +25,7 @@ from t2spline import (
     sample_curve,
     svg_document,
 )
-from t2spline import bspline, cli, curves
+from t2spline import bspline, cli, curves, pipeline
 from t2spline.cli import run
 from t2spline.output import BLOCK_CELLS
 
@@ -423,6 +423,37 @@ def test_pipeline_builds_the_model_once(demo_path, tmp_path, monkeypatch):
     monkeypatch.setattr(curves.FuzzyCurveModel, "__post_init__", counting)
     assert run(["pipeline", str(demo_path), "--out", str(tmp_path / "p.json")]) == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, solves",
+    [
+        (["pipeline"], 1),
+        (["curve", "--series", "all"], 1),
+        (["pipeline", "--alpha", "0.3"], 2),
+        (["curve", "--series", "all", "--alpha", "0.3"], 2),
+    ],
+    ids=["pipeline", "curve-all", "pipeline-alpha", "curve-all-alpha"],
+)
+def test_each_model_is_solved_once(demo_path, tmp_path, monkeypatch, argv, solves):
+    """Parsing solves the document's model; the command reuses that solution
+    unless --alpha makes a new model."""
+    calls = []
+    solve = pipeline.solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    bound = [
+        module for name, module in sys.modules.items() if name.startswith("t2spline") and vars(module).get("solve") is solve
+    ]
+    assert pipeline in bound and curves in bound
+    for module in bound:
+        monkeypatch.setattr(module, "solve", counted)
+    command, *options = argv
+    assert run([command, str(demo_path), *options, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == solves
 
 
 _BAND = ["ll", "l", "rl", "crisp", "lr", "r", "rr"]

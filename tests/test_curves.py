@@ -25,6 +25,7 @@ from t2spline import (
     sample_curve,
 )
 from t2spline.curves import evaluate
+from t2spline.pipeline import solve
 
 CRISP_XY = [(0.0, 0.0), (2.0, 4.0), (5.0, 5.0), (7.0, 1.0)]
 
@@ -286,3 +287,13 @@ def test_band_curves_keep_component_order_exactly(model, samples):
     _, points = evaluate(model, ["band"], samples)
     band = np.stack([points[label] for label in COMPONENT_LABELS])
     assert np.all(np.diff(band, axis=0) >= 0.0)
+
+
+def test_solved_is_kept_and_read_only(demo_model):
+    solved = demo_model.solved
+    assert demo_model.solved is solved
+    for array, expected in zip(solved, solve(demo_model.coords, demo_model.alpha)):
+        assert array.tobytes() == expected.tobytes()
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from t2spline import (
@@ -18,7 +18,9 @@ from t2spline import (
     parse_document,
     save_document,
 )
+from t2spline import document
 from t2spline.bspline import MAX_BASIS_CELLS
+from t2spline.fuzzy import coords_from_rows
 
 EXPLICIT_COORD = {"ll": 4, "l": 4.3, "rl": 4.6, "c": 5, "lr": 5.4, "r": 5.7, "rr": 6, "h": 0.6}
 SPREADS_COORD = {
@@ -440,6 +442,98 @@ def test_spreads_form_is_parsed_by_from_spreads(before, middle, after):
             return
         expected.append([*s.components(), s.h])
     assert parse_document(text).coords.tobytes() == np.array(expected).reshape(-1, 2, 8).tobytes()
+
+
+def _shuffled(draw, record):
+    items = list(record.items())
+    draw(st.randoms()).shuffle(items)
+    return dict(items)
+
+
+_NOT_NUMBERS = [True, False, "0.6", None, 10**400, [6]]
+
+
+def _inject_fault(draw, points) -> bool:
+    """Break one point of ``points`` in place: a value that is not a number,
+    a missing, extra or renamed key, or a point or coordinate that is not an
+    object.  Returns whether the keys and objects kept their layout."""
+    i = draw(st.integers(0, len(points) - 1))
+    axis = draw(st.sampled_from("xy"))
+    coord = points[i][axis]
+    kind = draw(st.sampled_from(["value", "missing", "extra", "point-extra", "renamed", "point", "coordinate"]))
+    if kind == "value":
+        target = coord["spreads"] if "spreads" in coord and draw(st.booleans()) else coord
+        target[draw(st.sampled_from(sorted(target)))] = draw(st.sampled_from(_NOT_NUMBERS))
+    elif kind == "missing":
+        del coord[draw(st.sampled_from(sorted(coord)))]
+    elif kind == "extra":
+        coord["z"] = 1
+    elif kind == "point-extra":
+        points[i]["z"] = 1
+    elif kind == "renamed":
+        coord["z"] = coord.pop(draw(st.sampled_from(sorted(coord))))
+    elif kind == "point":
+        points[i] = draw(st.sampled_from([[1, 2], 7, None, {"x": coord}]))
+    else:
+        points[i][axis] = draw(st.sampled_from([[4, 5], "5", None, 5]))
+    return kind == "value"
+
+
+@st.composite
+def _point_lists(draw):
+    """A 'points' list, in half the cases mixing explicit and spreads-form
+    coordinates, keys in any order, in half the cases with one fault; and
+    whether every point and coordinate has exactly the explicit layout."""
+    mixed = draw(st.booleans())
+    points, explicit = [], True
+    for _ in range(draw(st.integers(1, 4))):
+        point = {}
+        for axis in "xy":
+            if mixed and draw(st.booleans()):
+                coord, explicit = draw(_spreads_coordinates()), False
+                coord["spreads"] = _shuffled(draw, coord["spreads"])
+            else:
+                coord = draw(_explicit_coordinates())
+            point[axis] = _shuffled(draw, coord)
+        points.append(_shuffled(draw, point))
+    if draw(st.booleans()):
+        explicit &= _inject_fault(draw, points)
+    return points, explicit
+
+
+def _read_points_by_loop(points):
+    """The coordinate array of ``points`` as the per-coordinate loop reads
+    it: :func:`document._scan_points`, then the number check of
+    :func:`document._floats` and the value checks of ``coords_from_rows``."""
+    flat = []
+    error = document._scan_points(points, flat)
+    rows = document._floats(flat)
+    if rows is None:
+        bad = next(k for k in range(len(flat) // 8) if document._floats(flat[8 * k : 8 * k + 8]) is None)
+        try:
+            document._read_coordinate(points[bad // 2]["xy"[bad % 2]], document._where(bad))
+        except ValidationError as exc:
+            error = exc
+        rows = np.array(flat[: 8 * bad], dtype=float)
+    comps = coords_from_rows(rows.reshape(-1, 8))
+    if error is not None:
+        raise error
+    return comps.reshape(-1, 2, 8)
+
+
+def _outcome(read, points):
+    try:
+        return read(points).tobytes()
+    except T2SplineError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200)
+@given(_point_lists())
+def test_bulk_gather_reads_points_as_the_loop_does(case):
+    points, explicit = case
+    assert _outcome(document._read_points, points) == _outcome(_read_points_by_loop, points)
+    assert (document._gather_explicit(points) is not None) == explicit
 
 
 def test_integer_too_large_for_a_float_is_a_validation_error():

@@ -179,6 +179,12 @@ def test_svg_rejects_controls_that_are_not_point_pairs(controls):
         svg_document(Scene(controls=controls))
 
 
+@pytest.mark.parametrize("controls", [[[1.0, 2.0], [3.0]], [["a", "b"]], [[1.0, {}]]])
+def test_svg_rejects_ragged_or_non_numeric_controls(controls):
+    with pytest.raises(T2SplineError, match="^controls must be a rectangular array of numbers"):
+        svg_document(Scene(controls=controls))
+
+
 @pytest.mark.parametrize("controls", [[], np.empty((0, 2))])
 def test_svg_of_no_controls_marks_none(controls):
     assert svg_document(Scene(controls=controls)) == svg_document(Scene())
