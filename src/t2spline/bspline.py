@@ -26,12 +26,25 @@ from .errors import (
 MAX_BASIS_CELLS = 2**25
 
 
+#: Element types :func:`float_array` refuses, as the document parser does,
+#: although numpy converts them to floats (None to NaN).
+_NOT_NUMBERS = (str, bytes, bool, np.bool_, type(None))
+
+
 def float_array(value, name: str) -> np.ndarray:
     """``value`` as a float array; raises :class:`T2SplineError` naming
-    ``name`` when it is ragged or holds a value ``float()`` refuses."""
-    try:
+    ``name`` when it is ragged or holds anything but numbers: a string,
+    bytes, None, a bool or a value ``float()`` refuses.  A numeric array is
+    converted without looking at its elements (not copied when float)."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiuc":
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    try:
+        objects = np.array(value, dtype=object)
+        if any(issubclass(kind, _NOT_NUMBERS) for kind in set(map(type, objects.flat))):
+            bad = next(v for v in objects.flat if isinstance(v, _NOT_NUMBERS))
+            raise TypeError(f"{bad!r} is not a number")
+        return objects.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise T2SplineError(f"{name} must be a rectangular array of numbers: {exc}") from None
 
 

@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import stat
 import sys
@@ -22,6 +23,7 @@ from .output import FLOAT_FORMAT, svg_figure, write_csv, write_table
 SERIES_CHOICES = (*curves.GROUPS, "all")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="t2spline",
@@ -191,7 +193,12 @@ _HANDLERS = {
 
 
 def run(argv=None) -> int:
-    """Parse arguments and execute; returns the process exit code."""
+    """Parse arguments and execute; returns the process exit code.
+
+    The argument parser is built on the first call and reused by every later
+    call in the process: parsing keeps no state between calls, and help
+    width and error output are read when they are written.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

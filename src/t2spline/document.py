@@ -99,16 +99,21 @@ class ModelDocument:
 
     def to_model(self) -> FuzzyCurveModel:
         """The fuzzy curve model of the document.  It is built once and again
-        only after ``order``, ``alpha`` or ``weights`` changed."""
+        only after ``order``, ``alpha`` or ``weights`` changed; a rebuilt
+        model at the same ``alpha`` keeps the solution already computed,
+        which depends only on the coordinates and ``alpha``."""
         model = self._model
         if (
             model is None
             or (model.order, model.alpha) != (self.order, self.alpha)
             or not np.array_equal(model.weights, self.weights)
         ):
-            model = self._model = FuzzyCurveModel.with_uniform_knots(
+            rebuilt = FuzzyCurveModel.with_uniform_knots(
                 self._coords, weights=np.array(self.weights), order=self.order, alpha=self.alpha
             )
+            if model is not None and model.alpha == rebuilt.alpha and "solved" in vars(model):
+                vars(rebuilt)["solved"] = model.solved  # fills the cached_property
+            model = self._model = rebuilt
         return model
 
 

@@ -1,3 +1,6 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -242,6 +245,50 @@ RAGGED_OR_NON_NUMERIC = {
 def test_constructors_reject_ragged_or_non_numeric_arrays(name):
     with pytest.raises(T2SplineError, match="must be a rectangular array of numbers"):
         RAGGED_OR_NON_NUMERIC[name]()
+
+
+NOT_NUMBERS = {
+    "polyline-numeric-strings": lambda: Polyline([["1", "2"]], [0.0]),
+    "polyline-none": lambda: Polyline([[None, 2]], [0.0]),
+    "polyline-bytes": lambda: Polyline([[b"1", 2]], [0.0]),
+    "polyline-bool-params": lambda: Polyline([[1.0, 2.0]], [False]),
+    "model-numeric-string-controls": lambda: RationalCurveModel.with_uniform_knots(
+        [["0", "0"], ["1", "1"], ["2", "0"]], order=2
+    ),
+    "model-bool-weights": lambda: RationalCurveModel.with_uniform_knots(DEMO_CONTROLS, [True, 1, 1, 1]),
+    "model-bool-array-weights": lambda: RationalCurveModel.with_uniform_knots(DEMO_CONTROLS, np.ones(4, dtype=bool)),
+    "knots-string-array": lambda: KnotVector(np.array(["0", "0", "1", "1"]), order=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_NUMBERS))
+def test_constructors_reject_strings_none_and_bools(name):
+    """``float()`` converts these, but they are not numbers."""
+    with pytest.raises(T2SplineError, match="must be a rectangular array of numbers: .* is not a number"):
+        NOT_NUMBERS[name]()
+
+
+@pytest.mark.parametrize(
+    "controls",
+    [
+        [[0, 0], [1, 1], [2, 0]],
+        [(0.0, 0), (1, 1.0), (2, 0)],
+        [np.array([0, 0]), np.array([1.0, 1.0]), np.array([2, 0], dtype=np.int8)],
+        [[np.float32(0), np.int64(0)], [Fraction(1), Decimal("1")], [2, 0]],
+        np.array([[0, 0], [1, 1], [2, 0]], dtype=np.int32),
+        np.array([[0, 0], [1, 1], [2, 0]], dtype=object),
+    ],
+    ids=["ints", "tuples", "numpy-rows", "numeric-scalars", "int-array", "object-array"],
+)
+def test_constructors_accept_every_kind_of_number(controls):
+    model = RationalCurveModel.with_uniform_knots(controls, [1, 1.0, np.float16(1)], order=2)
+    assert model.controls.dtype == float
+    assert model.controls.tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]
+
+
+def test_a_float_array_is_taken_as_it_is():
+    controls = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+    assert Polyline(controls, np.array([0.0, 0.5, 1.0])).points is controls
 
 
 def test_knot_vector_rejects_nan_knot():

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -432,8 +433,9 @@ def test_pipeline_builds_the_model_once(demo_path, tmp_path, monkeypatch):
         (["curve", "--series", "all"], 1),
         (["pipeline", "--alpha", "0.3"], 2),
         (["curve", "--series", "all", "--alpha", "0.3"], 2),
+        (["curve", "--series", "all", "--order", "2"], 1),
     ],
-    ids=["pipeline", "curve-all", "pipeline-alpha", "curve-all-alpha"],
+    ids=["pipeline", "curve-all", "pipeline-alpha", "curve-all-alpha", "curve-all-order"],
 )
 def test_each_model_is_solved_once(demo_path, tmp_path, monkeypatch, argv, solves):
     """Parsing solves the document's model; the command reuses that solution
@@ -512,3 +514,62 @@ def test_pipeline_csv_across_row_blocks(tmp_path):
     expected = "index,x,y\n" + "".join(f"{i},{x:.16e},{y:.16e}\n" for i, (x, y) in enumerate(solutions))
     assert run(["pipeline", str(path), "--format", "csv", "--out", str(out)]) == 0
     assert out.read_text() == expected
+
+
+# --- one argument parser per process ---------------------------------------------
+
+
+def test_the_parser_is_built_once_per_process(demo_path, tmp_path, monkeypatch):
+    assert run(["validate", str(demo_path)]) == 0  # builds the parser if no test has
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(["curve", str(demo_path), "--series", "crisp", "--out", str(tmp_path / "c.csv")]) == 0
+    assert run(["pipeline", str(demo_path), "--out", str(tmp_path / "p.json")]) == 0
+    assert built == []
+
+
+def test_options_of_one_call_do_not_leak_into_the_next(demo_path, tmp_path):
+    first = tmp_path / "first.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "t2spline.cli", "curve", str(demo_path), "--out", str(first)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["curve", str(demo_path), "--alpha", "0.3", "--samples", "5", "--out", str(a)]) == 0
+    assert run(["curve", str(demo_path), "--out", str(b)]) == 0
+    assert a.read_bytes() != first.read_bytes()
+    assert b.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("failing, code", [(["curve"], 2), (["--help"], 0)], ids=["usage-error", "help"])
+def test_a_call_after_an_exiting_parse_runs_normally(demo_path, tmp_path, capsys, failing, code):
+    expected = tmp_path / "expected.csv"
+    assert run(["curve", str(demo_path), "--out", str(expected)]) == 0
+    capsys.readouterr()
+    assert run(failing) == code
+    captured = capsys.readouterr()
+    assert (captured.out if code == 0 else captured.err).startswith("usage: t2spline")
+    assert run(["curve", str(demo_path)]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected.read_text(), "")
+
+
+def test_help_is_wrapped_to_the_width_of_each_call(capsys, monkeypatch):
+    description = "Model normal type-2 fuzzy data points as rational B-spline curves."
+    helps = {}
+    for columns in (40, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        assert run(["--help"]) == 0
+        helps[columns] = capsys.readouterr().out.splitlines()
+    # argparse wraps prose, never the one-word list of subcommands
+    assert max(len(line) for line in helps[40] if "{" not in line) <= 40
+    assert description not in helps[40]
+    assert description in helps[200]
