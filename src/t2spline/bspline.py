@@ -36,7 +36,7 @@ def float_array(value, name: str) -> np.ndarray:
     ``name`` when it is ragged or holds anything but numbers: a string,
     bytes, None, a bool or a value ``float()`` refuses.  A numeric array is
     converted without looking at its elements (not copied when float)."""
-    if isinstance(value, np.ndarray) and value.dtype.kind in "fiuc":
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
         return np.asarray(value, dtype=float)
     try:
         objects = np.array(value, dtype=object)

@@ -8,17 +8,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
-import stat
 import sys
 
 import numpy as np
 
 from . import curves
 from .bspline import Polyline
-from .document import demo_document, document_to_json, load_document
+from .document import demo_document, load_document, save_document
 from .errors import ParseError, T2SplineError
-from .output import FLOAT_FORMAT, svg_figure, write_csv, write_table
+from .output import FLOAT_FORMAT, svg_figure, write_csv, write_output, write_table
 
 SERIES_CHOICES = (*curves.GROUPS, "all")
 
@@ -72,75 +70,19 @@ def _parse_series(spec: str) -> set[str]:
 
 
 def _load(args) -> tuple:
-    """The document and its model; the model parsing built is reused unless
+    """The document and its model, rebuilt by ``to_model`` only if
     ``--alpha`` or ``--order`` changes it."""
     doc = load_document(args.file)
-    if getattr(args, "alpha", None) is not None:
-        doc.alpha = args.alpha
-    if getattr(args, "order", None) is not None:
-        doc.order = args.order
-    if getattr(args, "samples", None) is not None:
-        doc.samples = args.samples
-    return doc, doc.to_model()
+    return doc, doc.to_model(order=getattr(args, "order", None), alpha=args.alpha)
 
 
-def _write(path: str, render) -> None:
-    """Call ``render(stream)`` on stdout ("-") or on the file ``path``.
-
-    A new file, or a regular file of this user with one link, is rendered
-    into a file beside it that replaces it only once ``render`` has
-    returned, so a failed render leaves an existing file untouched.  Any
-    other target (a symlink, a device, a FIFO, a hard-linked or foreign
-    file) is written in place, so the path stays what it was.
-    """
-    if path == "-":
-        render(sys.stdout)
-        return
-    staged = _stage_beside(path)
-    if staged is None:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            render(f)
-        return
-    fd, tmp = staged
-    try:
-        with open(fd, "w", encoding="utf-8", newline="") as f:
-            render(f)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _stage_beside(path: str) -> tuple[int, str] | None:
-    """Open a new empty file beside ``path`` with the mode of the file it
-    will replace; None when ``path`` is to be written in place."""
-    try:
-        old = os.lstat(path)
-    except FileNotFoundError:
-        old = None
-    if old is not None and not (
-        stat.S_ISREG(old.st_mode) and old.st_nlink == 1 and (old.st_uid, old.st_gid) == (os.geteuid(), os.getegid())
-    ):
-        return None
-    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
-    try:
-        # Mode 0o666 under the umask, as open(path, "w") would create it.
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError:  # e.g. a read-only directory holding a writable file
-        return None
-    if old is not None:
-        try:
-            os.fchmod(fd, stat.S_IMODE(old.st_mode))
-        except BaseException:
-            os.close(fd)
-            os.unlink(tmp)
-            raise
-    return fd, tmp
+def _target(args):
+    """Where ``--out`` sends the output: stdout for "-", else the path."""
+    return sys.stdout if args.out == "-" else args.out
 
 
 def _cmd_demo(args) -> int:
-    text = document_to_json(demo_document())
-    _write(args.out, lambda f: f.write(text))
+    save_document(demo_document(), _target(args))
     return 0
 
 
@@ -163,10 +105,11 @@ def _cmd_pipeline(args) -> int:
         # json.dumps({"alpha": ..., "points": [{"x": ..., "y": ...}, ...]}, indent=2) + "\n"
         points = ",\n".join([_JSON_POINT] * n) % tuple(solution.ravel().tolist())
         text = f'{{\n  "alpha": {model.alpha!r},\n  "points": [\n{points}\n  ]\n}}\n'
-        _write(args.out, lambda f: f.write(text))
+        write_output(_target(args), lambda f: f.write(text))
     else:
         columns = [np.arange(n)[:, None], solution]
-        _write(args.out, lambda f: write_table(f, ["index", "x", "y"], columns, ["%d", FLOAT_FORMAT, FLOAT_FORMAT]))
+        formats = ["%d", FLOAT_FORMAT, FLOAT_FORMAT]
+        write_output(_target(args), lambda f: write_table(f, ["index", "x", "y"], columns, formats))
     return 0
 
 
@@ -174,12 +117,13 @@ def _cmd_curves(args) -> int:
     """``curve`` and ``plot``: evaluate the requested series in one pass,
     then write them as CSV or draw them, with the crisp controls, as SVG."""
     doc, model = _load(args)
-    ts, series = curves.evaluate(model, _parse_series(args.series), doc.samples)
+    samples = doc.samples if args.samples is None else args.samples
+    ts, series = curves.evaluate(model, _parse_series(args.series), samples)
     if args.command == "curve":
         lines = [(label, Polyline(points, ts)) for label, points in series.items()]
-        _write(args.out, lambda f: write_csv(lines, f))
+        write_output(_target(args), lambda f: write_csv(lines, f))
     else:
-        _write(args.out, lambda f: f.write(svg_figure(series.items(), model.coords[:, :, 3], "")))
+        write_output(_target(args), lambda f: f.write(svg_figure(series.items(), model.coords[:, :, 3], "")))
     return 0
 
 

@@ -30,9 +30,12 @@ emits the canonical explicit form.  Parse failures raise
 failures raise :class:`~t2spline.errors.ValidationError` naming the point,
 the first failure in document order.
 
-The points are stored as one ``(n, 2, 8)`` coordinate array (components,
-then ``h``; see :mod:`t2spline.fuzzy`), validated at once;
-:attr:`ModelDocument.points` is the fuzzy-point view of it.  A document whose
+A document is its :class:`~t2spline.curves.FuzzyCurveModel` plus a sample
+count: :class:`ModelDocument` builds that model once and holds nothing else,
+so the points are the model's ``(n, 2, 8)`` coordinate array (components,
+then ``h``; see :mod:`t2spline.fuzzy`) and :attr:`ModelDocument.points` is
+the fuzzy-point view of it.  The parser validates the coordinates at once,
+and the model checks them again when it is built.  A document whose
 points all have exactly the keys ``x`` and ``y`` and whose coordinates all
 have exactly the explicit keys is gathered into that array by C-level maps,
 without a Python loop over the coordinates.  Any other document is read by a
@@ -52,7 +55,8 @@ import numpy as np
 from .bspline import MAX_BASIS_CELLS
 from .curves import DEFAULT_SAMPLES, FuzzyCurveModel
 from .errors import ParseError, T2SplineError, ValidationError
-from .fuzzy import COORD_FIELDS, NT2FuzzyPoint, NT2FuzzyScalar, as_coords, coords_from_rows, points_of
+from .fuzzy import COORD_FIELDS, NT2FuzzyPoint, NT2FuzzyScalar, coords_from_rows, points_of
+from .output import write_output
 
 DEFAULT_ORDER = 3
 DEFAULT_ALPHA = 0.8
@@ -73,48 +77,38 @@ _SPREAD_KEYS = (
 
 
 class ModelDocument:
-    """A model document: fuzzy control points, weights, order, cut level and
-    sample count.
+    """A model document: the fuzzy curve model it describes and the sample
+    count of its curves.
 
     ``points`` may be a sequence of :class:`NT2FuzzyPoint` or an ``(n, 2, 8)``
-    coordinate array; it is stored as the read-only array :attr:`coords`.
+    coordinate array; with ``weights``, ``order`` and ``alpha`` it builds
+    :attr:`model` once, on construction.
     """
 
     def __init__(self, points, weights: list[float], order: int, alpha: float, samples: int):
-        self._coords = as_coords(points)
-        self.weights = weights
-        self.order = order
-        self.alpha = alpha
+        self.model = FuzzyCurveModel.with_uniform_knots(points, weights=np.array(weights), order=order, alpha=alpha)
         self.samples = samples
-        self._model: FuzzyCurveModel | None = None
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self._coords
 
     @property
     def points(self) -> list[NT2FuzzyPoint]:
         """The control points as fuzzy points, built on each access."""
-        return points_of(self._coords)
+        return points_of(self.model.coords)
 
-    def to_model(self) -> FuzzyCurveModel:
-        """The fuzzy curve model of the document.  It is built once and again
-        only after ``order``, ``alpha`` or ``weights`` changed; a rebuilt
-        model at the same ``alpha`` keeps the solution already computed,
-        which depends only on the coordinates and ``alpha``."""
-        model = self._model
-        if (
-            model is None
-            or (model.order, model.alpha) != (self.order, self.alpha)
-            or not np.array_equal(model.weights, self.weights)
-        ):
-            rebuilt = FuzzyCurveModel.with_uniform_knots(
-                self._coords, weights=np.array(self.weights), order=self.order, alpha=self.alpha
-            )
-            if model is not None and model.alpha == rebuilt.alpha and "solved" in vars(model):
-                vars(rebuilt)["solved"] = model.solved  # fills the cached_property
-            model = self._model = rebuilt
-        return model
+    def to_model(self, order: int | None = None, alpha: float | None = None) -> FuzzyCurveModel:
+        """The document's model, or, when ``order`` or ``alpha`` differs from
+        it, a model over the same coordinates and weights with those
+        settings.  A model rebuilt at the same ``alpha`` keeps the solution
+        already computed, which depends only on the coordinates and
+        ``alpha``."""
+        model = self.model
+        order = model.order if order is None else order
+        alpha = model.alpha if alpha is None else alpha
+        if (order, alpha) == (model.order, model.alpha):
+            return model
+        rebuilt = FuzzyCurveModel.with_uniform_knots(model.coords, weights=model.weights, order=order, alpha=alpha)
+        if rebuilt.alpha == model.alpha and "solved" in vars(model):
+            vars(rebuilt)["solved"] = model.solved  # fills the cached_property
+        return rebuilt
 
 
 def _require_number(value: Any, where: str) -> float:
@@ -293,9 +287,9 @@ def parse_document(text: str) -> ModelDocument:
             f"'samples' must be an integer from 2 to {most} for {n} points, got {samples_raw!r}"
         )
 
-    doc = ModelDocument(coords, weights=weights.tolist(), order=order_raw, alpha=alpha, samples=samples_raw)
     try:
-        doc.to_model().solved  # surfaces order/alpha/weight invariants and overflow with one code path
+        doc = ModelDocument(coords, weights=weights, order=order_raw, alpha=alpha, samples=samples_raw)
+        doc.model.solved  # surfaces order/alpha/weight invariants and overflow with one code path
     except ValidationError:
         raise
     except T2SplineError as exc:
@@ -319,21 +313,24 @@ def load_model(path) -> FuzzyCurveModel:
 
 def document_to_json(doc: ModelDocument) -> str:
     """Serialize canonically (explicit coordinate form, fixed key order)."""
+    model = doc.model
     payload = {
-        "order": doc.order,
-        "alpha": doc.alpha,
+        "order": model.order,
+        "alpha": model.alpha,
         "samples": doc.samples,
-        "weights": list(doc.weights),
+        "weights": model.weights.tolist(),
         "points": [
-            {"x": dict(zip(COORD_FIELDS, x)), "y": dict(zip(COORD_FIELDS, y))} for x, y in doc.coords.tolist()
+            {"x": dict(zip(COORD_FIELDS, x)), "y": dict(zip(COORD_FIELDS, y))} for x, y in model.coords.tolist()
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
 def save_document(doc: ModelDocument, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(document_to_json(doc))
+    """Write the :func:`document_to_json` text of ``doc`` to a path or an
+    open text stream, through :func:`~t2spline.output.write_output`."""
+    text = document_to_json(doc)
+    write_output(path, lambda f: f.write(text))
 
 
 def demo_document() -> ModelDocument:

@@ -3,12 +3,15 @@
 Both writers are deterministic: identical inputs produce byte-identical
 files (fixed column order, fixed float formatting, no timestamps).  Both
 draw on ``(label, points)`` series sharing one parameter array, and every
-CSV is formatted by :func:`write_table`.
+CSV is formatted by :func:`write_table`.  Every output file of the package
+is written by :func:`write_output`.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,13 +54,59 @@ def _normalize_series(series) -> list[tuple[str, Polyline]]:
     return pairs
 
 
-def _emit(path_or_file, write) -> None:
-    """Call ``write(stream)`` on an open text stream, or on the file at a path."""
-    if hasattr(path_or_file, "write"):
-        write(path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as f:
-            write(f)
+def write_output(target, render) -> None:
+    """Call ``render(stream)`` on the open text stream ``target``, or on the
+    file at path ``target``.
+
+    A new file, or a regular file of this user with one link, is rendered
+    into a file beside it that replaces it only once ``render`` has
+    returned, so a failed render leaves an existing file untouched.  Any
+    other target (a symlink, a device, a FIFO, a hard-linked or foreign
+    file) is written in place, so the path stays what it was.
+    """
+    if hasattr(target, "write"):
+        render(target)
+        return
+    staged = _stage_beside(target)
+    if staged is None:
+        with open(target, "w", encoding="utf-8", newline="") as f:
+            render(f)
+        return
+    fd, tmp = staged
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as f:
+            render(f)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _stage_beside(path) -> tuple[int, str] | None:
+    """Open a new empty file beside ``path`` with the mode of the file it
+    will replace; None when ``path`` is to be written in place."""
+    try:
+        old = os.lstat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not (
+        stat.S_ISREG(old.st_mode) and old.st_nlink == 1 and (old.st_uid, old.st_gid) == (os.geteuid(), os.getegid())
+    ):
+        return None
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        # Mode 0o666 under the umask, as open(path, "w") would create it.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:  # e.g. a read-only directory holding a writable file
+        return None
+    if old is not None:
+        try:
+            os.fchmod(fd, stat.S_IMODE(old.st_mode))
+        except BaseException:
+            os.close(fd)
+            os.unlink(tmp)
+            raise
+    return fd, tmp
 
 
 def write_csv(series, path_or_file) -> None:
@@ -74,7 +123,7 @@ def write_csv(series, path_or_file) -> None:
             raise SampleMismatch(f"series {name!r} sampled at different parameters")
     header = ["t", *(f"{name}_{axis}" for name, _ in pairs for axis in "xy")]
     columns = [ts[:, None], *(line.points for _, line in pairs)]
-    _emit(path_or_file, lambda f: write_table(f, header, columns, [FLOAT_FORMAT] * len(header)))
+    write_output(path_or_file, lambda f: write_table(f, header, columns, [FLOAT_FORMAT] * len(header)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,4 +289,4 @@ def _escape(text: str) -> str:
 def render_svg(scene: Scene, path_or_file) -> None:
     """Write the scene as an SVG file."""
     doc = svg_document(scene)
-    _emit(path_or_file, lambda f: f.write(doc))
+    write_output(path_or_file, lambda f: f.write(doc))

@@ -235,6 +235,7 @@ RAGGED_OR_NON_NUMERIC = {
     "polyline-ragged-points": lambda: Polyline([[1.0, 2.0], [3.0]], [0.0, 1.0]),
     "polyline-string-points": lambda: Polyline([["a", "b"]], [0.0]),
     "polyline-object-params": lambda: Polyline([[1.0, 2.0]], [{}]),
+    "polyline-complex-points": lambda: Polyline(np.array([[1 + 2j, 2]]), [0.0]),
     "model-ragged-controls": lambda: RationalCurveModel.with_uniform_knots([[0, 0], [1], [2, 0]], order=2),
     "model-string-weights": lambda: RationalCurveModel.with_uniform_knots(DEMO_CONTROLS, ["a", 1, 1, 1]),
     "knots-ragged": lambda: KnotVector([0, 0, [0, 1], 1, 1], order=2),

@@ -48,8 +48,8 @@ def test_demo_document_round_trips(tmp_path):
     save_document(doc, path)
     loaded = load_document(path)
     assert loaded.points == doc.points
-    assert loaded.weights == doc.weights
-    assert (loaded.order, loaded.alpha, loaded.samples) == (doc.order, doc.alpha, doc.samples)
+    assert loaded.model.weights.tolist() == doc.model.weights.tolist()
+    assert (loaded.model.order, loaded.model.alpha, loaded.samples) == (doc.model.order, doc.model.alpha, doc.samples)
 
 
 def test_load_model_builds_fuzzy_model(tmp_path):
@@ -71,10 +71,10 @@ def test_explicit_and_spreads_forms_agree():
 
 def test_defaults_applied():
     doc = parse_document(minimal_doc_text(EXPLICIT_COORD))
-    assert doc.order == 3
-    assert doc.alpha == 0.8
+    assert doc.model.order == 3
+    assert doc.model.alpha == 0.8
     assert doc.samples == 101
-    assert doc.weights == [1.0, 1.0, 1.0]
+    assert doc.model.weights.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_parse_error_carries_position():
@@ -441,7 +441,7 @@ def test_spreads_form_is_parsed_by_from_spreads(before, middle, after):
             assert str(raised.value) == f"point {row // 2}, coordinate {'xy'[row % 2]}: {exc}"
             return
         expected.append([*s.components(), s.h])
-    assert parse_document(text).coords.tobytes() == np.array(expected).reshape(-1, 2, 8).tobytes()
+    assert parse_document(text).model.coords.tobytes() == np.array(expected).reshape(-1, 2, 8).tobytes()
 
 
 def _shuffled(draw, record):
@@ -564,6 +564,52 @@ def test_document_whose_type_reduction_overflows_is_rejected():
 def test_model_is_built_once_until_a_setting_changes():
     doc = parse_document(minimal_doc_text(EXPLICIT_COORD))
     model = doc.to_model()
-    assert doc.to_model() is model
-    doc.alpha = 0.3
-    assert doc.to_model() is not model and doc.to_model().alpha == 0.3
+    assert model is doc.model and doc.to_model() is model
+    assert doc.to_model(order=3, alpha=0.8) is model
+    reordered = doc.to_model(order=2)
+    assert reordered is not model and reordered.order == 2
+    assert reordered.solved is model.solved
+    recut = doc.to_model(alpha=0.3)
+    assert recut is not model and recut.alpha == 0.3
+    assert "solved" not in vars(recut)
+
+
+_unit_heights = st.floats(0.0, 1.0, exclude_min=True)
+
+
+@st.composite
+def _valid_documents(draw):
+    """A valid document payload: explicit-form, spreads-form or mixed
+    coordinates, integer weights, and any order, alpha and sample count."""
+    form = draw(st.sampled_from(("explicit", "spreads", "mixed")))
+    n = draw(st.integers(2, 5))
+    points = []
+    for _ in range(n):
+        point = {}
+        for axis in "xy":
+            if form == "spreads" or (form == "mixed" and draw(st.booleans())):
+                left, right = (sorted(draw(st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3))) for _ in "lr")
+                spreads = dict(zip(_SPREAD_NAMES, [*reversed(left), *right]))
+                point[axis] = {"c": draw(st.floats(-1e6, 1e6)), "h": draw(_unit_heights), "spreads": spreads}
+            else:
+                values = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=7, max_size=7)))
+                point[axis] = dict(zip(EXPLICIT_COORD, [*values, draw(_unit_heights)]))
+        points.append(point)
+    return {
+        "order": draw(st.integers(2, n)),
+        "alpha": draw(st.floats(0.0, 1.0, exclude_max=True)),
+        "samples": draw(st.integers(2, 500)),
+        "weights": draw(st.lists(st.integers(1, 10), min_size=n, max_size=n)),
+        "points": points,
+    }
+
+
+@given(_valid_documents())
+def test_documents_round_trip_through_json(payload):
+    doc = parse_document(json.dumps(payload))
+    again = parse_document(document_to_json(doc))
+    assert again.model.coords.tobytes() == doc.model.coords.tobytes()
+    assert again.model.weights.tolist() == doc.model.weights.tolist() == payload["weights"]
+    kept = (doc.model.order, doc.model.alpha, doc.samples)
+    assert (again.model.order, again.model.alpha, again.samples) == kept
+    assert kept == (payload["order"], payload["alpha"], payload["samples"])

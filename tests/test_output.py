@@ -20,6 +20,7 @@ from t2spline import (
     svg_document,
     write_csv,
 )
+from t2spline import output
 from t2spline.output import BLOCK_CELLS
 
 
@@ -68,6 +69,21 @@ def test_csv_deterministic_bytes(tmp_path, model):
     write_csv(band, p1)
     write_csv(band, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_failed_csv_write_leaves_an_existing_file_untouched(tmp_path, model, monkeypatch):
+    path = tmp_path / "band.csv"
+    path.write_bytes(b"previous,bytes\r\n")
+
+    def half_then_fail(f, *args):
+        f.write("t,crisp_x\n0.0,")
+        raise T2SplineError("write failed")
+
+    monkeypatch.setattr(output, "write_table", half_then_fail)
+    with pytest.raises(T2SplineError, match="write failed"):
+        write_csv(sample_curve(model.crisp_model(), 5), path)
+    assert path.read_bytes() == b"previous,bytes\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["band.csv"]
 
 
 def test_csv_rejects_mismatched_series(model):
