@@ -25,6 +25,9 @@ from .errors import (
 #: request is refused before anything is allocated.
 MAX_BASIS_CELLS = 2**25
 
+#: Order of a curve built without one: quadratic.
+DEFAULT_ORDER = 3
+
 
 #: Element types :func:`float_array` refuses, as the document parser does,
 #: although numpy converts them to floats (None to NaN).
@@ -48,6 +51,23 @@ def float_array(value, name: str) -> np.ndarray:
         raise T2SplineError(f"{name} must be a rectangular array of numbers: {exc}") from None
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_order(order, n: int) -> int:
+    """``order`` as an int; raises :class:`T2SplineError` unless it is an
+    integer from 2 to ``n``, the control count."""
+    if not is_integer(order):
+        raise T2SplineError(f"order must be an integer, got {order!r}")
+    if order < 2:
+        raise T2SplineError(f"order must be at least 2, got {order}")
+    if order > n:
+        raise OrderExceedsControlCount(f"order {order} exceeds control count {n}")
+    return int(order)
+
+
 @dataclass(frozen=True, eq=False)
 class KnotVector:
     """Non-decreasing knot sequence of length n + order, clamped at both ends."""
@@ -58,13 +78,9 @@ class KnotVector:
     def __post_init__(self):
         knots = float_array(self.knots, "knots")
         object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "order", int(self.order))
-        k = self.order
-        if k < 2:
-            raise T2SplineError(f"order must be at least 2, got {k}")
-        n = knots.size - k
-        if n < k:
-            raise OrderExceedsControlCount(f"order {k} curve needs at least {k} control points, got {n}")
+        n = knots.size - self.order if is_integer(self.order) else 0  # a non-integer is refused first
+        k = check_order(self.order, n)
+        object.__setattr__(self, "order", k)
         if not np.all(np.diff(knots) >= 0.0):  # also rejects NaN
             raise T2SplineError("knots must be non-decreasing")
         if knots[k - 1] != knots[0] or knots[n] != knots[-1]:
@@ -82,10 +98,7 @@ class KnotVector:
 
 def clamped_uniform_knots(n: int, k: int) -> KnotVector:
     """Clamped uniform knot vector on [0, 1] for n control points, order k."""
-    if k < 2:
-        raise T2SplineError(f"order must be at least 2, got {k}")
-    if k > n:
-        raise OrderExceedsControlCount(f"order {k} exceeds control count {n}")
+    k = check_order(k, n)
     interior = np.arange(1, n - k + 1, dtype=float) / (n - k + 1)
     return KnotVector(np.concatenate([np.zeros(k), interior, np.ones(k)]), order=k)
 
@@ -144,18 +157,20 @@ def basis_row(kv: KnotVector, t: float) -> np.ndarray:
     return basis_rows(kv.knots, kv.order, t)[0]
 
 
-def check_curve_setup(n: int, weights: np.ndarray, order: int, knots: KnotVector) -> None:
-    """Raise unless order, weights and knots fit a curve over n control points.
-    The knots check the order: a :class:`KnotVector` has 2 <= order <= n."""
+def check_curve_setup(n: int, weights: np.ndarray, order: int, knots: KnotVector) -> int:
+    """Raise unless order, weights and knots fit a curve over n control
+    points; return the order as an int."""
     if weights.shape != (n,):
         raise T2SplineError(f"expected {n} weights, got shape {weights.shape}")
     if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
         raise T2SplineError("weights must all be finite and > 0")
+    order = check_order(order, n)
     if knots.order != order or knots.n_controls != n:
         raise T2SplineError(
             f"knot vector (order {knots.order}, {knots.n_controls} controls) "
             f"does not match model (order {order}, {n} controls)"
         )
+    return order
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,15 +187,14 @@ class RationalCurveModel:
         weights = float_array(self.weights, "weights")
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "order", int(self.order))
         if controls.ndim != 2 or controls.shape[1] != 2:
             raise T2SplineError(f"controls must be an (n, 2) array, got shape {controls.shape}")
         if not np.isfinite(controls).all():
             raise T2SplineError("controls must be finite")
-        check_curve_setup(controls.shape[0], weights, self.order, self.knots)
+        object.__setattr__(self, "order", check_curve_setup(controls.shape[0], weights, self.order, self.knots))
 
     @classmethod
-    def with_uniform_knots(cls, controls, weights=None, order: int = 3) -> "RationalCurveModel":
+    def with_uniform_knots(cls, controls, weights=None, order: int = DEFAULT_ORDER) -> "RationalCurveModel":
         controls = float_array(controls, "controls")
         n = controls.shape[0]
         if weights is None:
@@ -233,6 +247,8 @@ def sample_curves(knots: KnotVector, weights: np.ndarray, polygons, samples: int
     """Evaluate one rational curve per (n, 2) control polygon of the stack at
     `samples` uniform parameters ``ts``; return ``ts`` and the ``(polygons,
     samples, 2)`` points.  The weighted basis rows are computed once."""
+    if not is_integer(samples):
+        raise T2SplineError(f"samples must be an integer, got {samples!r}")
     if samples < 2:
         raise TooFewSamples(f"need at least 2 samples, got {samples}")
     n = knots.n_controls

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bspline import KnotVector, Polyline, RationalCurveModel, check_curve_setup, clamped_uniform_knots, float_array
-from .bspline import sample_curve, sample_curves  # noqa: F401  (curves.sample_curve stays importable)
+from .bspline import DEFAULT_ORDER, KnotVector, Polyline, RationalCurveModel, check_curve_setup, clamped_uniform_knots
+from .bspline import float_array, sample_curve, sample_curves  # noqa: F401  (curves.sample_curve stays importable)
 from .errors import SampleMismatch, T2SplineError
 from .fuzzy import NT2FuzzyPoint, as_coords, points_of
 from .pipeline import check_alpha, solve
@@ -40,7 +40,9 @@ SERIES = {
 #: Curve groups :func:`evaluate` produces.
 GROUPS = tuple(SERIES)
 
+#: Sample count of a curve, and cut level of a model, given none.
 DEFAULT_SAMPLES = 101
+DEFAULT_ALPHA = 0.8
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,12 +65,11 @@ class FuzzyCurveModel:
     def __post_init__(self):
         object.__setattr__(self, "coords", as_coords(self.coords))
         object.__setattr__(self, "weights", float_array(self.weights, "weights"))
-        object.__setattr__(self, "order", int(self.order))
-        check_curve_setup(len(self.coords), self.weights, self.order, self.knots)
+        object.__setattr__(self, "order", check_curve_setup(len(self.coords), self.weights, self.order, self.knots))
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
 
     @classmethod
-    def with_uniform_knots(cls, points, weights=None, order: int = 3, alpha: float = 0.8) -> "FuzzyCurveModel":
+    def with_uniform_knots(cls, points, weights=None, order=DEFAULT_ORDER, alpha=DEFAULT_ALPHA) -> "FuzzyCurveModel":
         if not isinstance(points, np.ndarray):
             points = tuple(points)
         if weights is None:

@@ -36,11 +36,12 @@ so the points are the model's ``(n, 2, 8)`` coordinate array (components,
 then ``h``; see :mod:`t2spline.fuzzy`) and :attr:`ModelDocument.points` is
 the fuzzy-point view of it.  The parser validates the coordinates at once,
 and the model checks them again when it is built.  A document whose
-points all have exactly the keys ``x`` and ``y`` and whose coordinates all
-have exactly the explicit keys is gathered into that array by C-level maps,
-without a Python loop over the coordinates.  Any other document is read by a
-per-coordinate loop, the only reader of the spreads form and the only source
-of the structural error messages.
+points all have exactly the keys ``x`` and ``y``, whose coordinates all
+have exactly the explicit keys and whose values are all numbers is gathered
+into that array by C-level maps, without a Python loop over the coordinates.
+Any other document is read by a loop that reads each coordinate with
+:func:`_read_coordinate`, the only reader of the spreads form and the only
+source of the structural and number error messages.
 """
 
 from __future__ import annotations
@@ -52,28 +53,17 @@ from typing import Any
 
 import numpy as np
 
-from .bspline import MAX_BASIS_CELLS
-from .curves import DEFAULT_SAMPLES, FuzzyCurveModel
+from .bspline import DEFAULT_ORDER, MAX_BASIS_CELLS, is_integer
+from .curves import DEFAULT_ALPHA, DEFAULT_SAMPLES, FuzzyCurveModel
 from .errors import ParseError, T2SplineError, ValidationError
-from .fuzzy import COORD_FIELDS, NT2FuzzyPoint, NT2FuzzyScalar, coords_from_rows, points_of
+from .fuzzy import COORD_FIELDS, SPREAD_FIELDS, NT2FuzzyPoint, NT2FuzzyScalar, coords_from_rows, points_of
 from .output import write_output
-
-DEFAULT_ORDER = 3
-DEFAULT_ALPHA = 0.8
 
 _EXPLICIT_KEYS = frozenset(COORD_FIELDS)
 _EXPLICIT_VALUES = itemgetter(*COORD_FIELDS)
 _POINT_KEYS = frozenset("xy")
 _POINT_VALUES = itemgetter("x", "y")
 _NUMBER_TYPES = {int, float}
-_SPREAD_KEYS = (
-    "outer_left",
-    "principal_left",
-    "inner_left",
-    "inner_right",
-    "principal_right",
-    "outer_right",
-)
 
 
 class ModelDocument:
@@ -82,12 +72,18 @@ class ModelDocument:
 
     ``points`` may be a sequence of :class:`NT2FuzzyPoint` or an ``(n, 2, 8)``
     coordinate array; with ``weights``, ``order`` and ``alpha`` it builds
-    :attr:`model` once, on construction.
+    :attr:`model` once, on construction.  ``samples`` must be an integer
+    from 2 to ``MAX_BASIS_CELLS // n``, or :class:`ValidationError` is
+    raised before the model is built.
     """
 
     def __init__(self, points, weights: list[float], order: int, alpha: float, samples: int):
+        n = len(points)
+        most = MAX_BASIS_CELLS // max(n, 1)
+        if not is_integer(samples) or not 2 <= samples <= most:
+            raise ValidationError(f"'samples' must be an integer from 2 to {most} for {n} points, got {samples!r}")
         self.model = FuzzyCurveModel.with_uniform_knots(points, weights=np.array(weights), order=order, alpha=alpha)
-        self.samples = samples
+        self.samples = int(samples)
 
     @property
     def points(self) -> list[NT2FuzzyPoint]:
@@ -137,8 +133,9 @@ def _read_coordinate(record: Any, where: str) -> list[float]:
 
     Raises :class:`ValidationError` for a wrong key, a value that is not a
     number or a spreads-form coordinate that
-    :meth:`~t2spline.fuzzy.NT2FuzzyScalar.from_spreads` rejects; the values
-    of an explicit-form coordinate are checked later, all at once.
+    :meth:`~t2spline.fuzzy.NT2FuzzyScalar.from_spreads` rejects; the
+    ordering and ``h`` of an explicit-form coordinate are checked later, all
+    at once.
     """
     if not isinstance(record, dict):
         raise ValidationError(f"{where}: coordinate must be an object, got {type(record).__name__}")
@@ -153,10 +150,10 @@ def _read_coordinate(record: Any, where: str) -> list[float]:
         spreads = record["spreads"]
         if not isinstance(spreads, dict):
             raise ValidationError(f"{where}: spreads must be an object")
-        if set(spreads) != set(_SPREAD_KEYS):
-            raise ValidationError(f"{where}: spreads must have exactly the keys {list(_SPREAD_KEYS)}")
+        if set(spreads) != set(SPREAD_FIELDS):
+            raise ValidationError(f"{where}: spreads must have exactly the keys {list(SPREAD_FIELDS)}")
         c = _require_number(record["c"], where)
-        widths = [_require_number(spreads[k], f"{where}.spreads.{k}") for k in _SPREAD_KEYS]
+        widths = [_require_number(spreads[k], f"{where}.spreads.{k}") for k in SPREAD_FIELDS]
         h = _require_number(record["h"], where)
         try:
             s = NT2FuzzyScalar.from_spreads(c, widths, h)
@@ -178,16 +175,13 @@ def _where(row: int) -> str:
 
 def _scan_points(points: list, flat: list) -> ValidationError | None:
     """Append the eight explicit-form numbers of each coordinate, in
-    document order, to ``flat``.  Stops at the first wrong key or the first
-    spreads-form coordinate that :func:`_read_coordinate` rejects, and
-    returns that error."""
+    document order, to ``flat``, reading each with :func:`_read_coordinate`.
+    Stops at the first wrong key, value that is not a number or spreads-form
+    coordinate that :func:`_read_coordinate` rejects, and returns that error."""
     for idx, rec in enumerate(points):
         if type(rec) is not dict or rec.keys() != _POINT_KEYS:
             return ValidationError(f"point {idx}: must be an object with exactly 'x' and 'y'")
         for coord in (rec["x"], rec["y"]):
-            if type(coord) is dict and coord.keys() == _EXPLICIT_KEYS:
-                flat.extend(_EXPLICIT_VALUES(coord))
-                continue
             try:
                 flat.extend(_read_coordinate(coord, _where(len(flat) // 8)))
             except ValidationError as exc:
@@ -221,19 +215,11 @@ def _read_points(points: list) -> np.ndarray:
     """
     error = None
     flat = _gather_explicit(points)
-    if flat is None:
+    rows = None if flat is None else _floats(flat)
+    if rows is None:
         flat = []
         error = _scan_points(points, flat)
-    rows = _floats(flat)
-    if rows is None:
-        # Some explicit-form coordinate holds a non-number: re-read the first
-        # such one for its error and validate the coordinates before it.
-        bad = next(k for k in range(len(flat) // 8) if _floats(flat[8 * k : 8 * k + 8]) is None)
-        try:
-            _read_coordinate(points[bad // 2]["xy"[bad % 2]], _where(bad))
-        except ValidationError as exc:
-            error = exc
-        rows = np.array(flat[: 8 * bad], dtype=float)
+        rows = np.array(flat, dtype=float)
     comps = coords_from_rows(rows.reshape(-1, len(COORD_FIELDS)))
     if error is not None:
         raise error
@@ -266,9 +252,8 @@ def parse_document(text: str) -> ModelDocument:
         raise ValidationError("document must carry a non-empty 'points' list")
 
     coords = _read_points(raw.pop("points"))  # the point objects are freed here
-    n = len(coords)
 
-    weights_raw = raw.get("weights", [1.0] * n)
+    weights_raw = raw.get("weights", [1.0] * len(coords))
     if not isinstance(weights_raw, list):
         raise ValidationError("'weights' must be a list of numbers")
     weights = _floats(weights_raw)
@@ -276,19 +261,13 @@ def parse_document(text: str) -> ModelDocument:
         for i, w in enumerate(weights_raw):
             _require_number(w, f"weights[{i}]")
 
-    order_raw = raw.get("order", DEFAULT_ORDER)
-    if isinstance(order_raw, bool) or not isinstance(order_raw, int):
-        raise ValidationError(f"'order' must be an integer, got {order_raw!r}")
+    order = raw.get("order", DEFAULT_ORDER)
+    if not is_integer(order):
+        raise ValidationError(f"'order' must be an integer, got {order!r}")
     alpha = _require_number(raw.get("alpha", DEFAULT_ALPHA), "alpha")
-    samples_raw = raw.get("samples", DEFAULT_SAMPLES)
-    most = MAX_BASIS_CELLS // n
-    if isinstance(samples_raw, bool) or not isinstance(samples_raw, int) or not 2 <= samples_raw <= most:
-        raise ValidationError(
-            f"'samples' must be an integer from 2 to {most} for {n} points, got {samples_raw!r}"
-        )
 
     try:
-        doc = ModelDocument(coords, weights=weights, order=order_raw, alpha=alpha, samples=samples_raw)
+        doc = ModelDocument(coords, weights, order, alpha, samples=raw.get("samples", DEFAULT_SAMPLES))
         doc.model.solved  # surfaces order/alpha/weight invariants and overflow with one code path
     except ValidationError:
         raise

@@ -39,6 +39,9 @@ COMPONENT_FIELDS = ("ll", "l", "rl", "c", "lr", "r", "rr")
 #: The last axis of a coordinate array: the seven components, then ``h``.
 COORD_FIELDS = (*COMPONENT_FIELDS, "h")
 
+#: Spread names in the order :meth:`NT2FuzzyScalar.from_spreads` takes them.
+SPREAD_FIELDS = ("outer_left", "principal_left", "inner_left", "inner_right", "principal_right", "outer_right")
+
 
 @dataclass(frozen=True)
 class NT2FuzzyScalar:
@@ -96,10 +99,7 @@ class NT2FuzzyScalar:
         construction.
         """
         outer_l, prin_l, inner_l, inner_r, prin_r, outer_r = (float(s) for s in spreads)
-        for name, s in zip(
-            ("outer_left", "principal_left", "inner_left", "inner_right", "principal_right", "outer_right"),
-            (outer_l, prin_l, inner_l, inner_r, prin_r, outer_r),
-        ):
+        for name, s in zip(SPREAD_FIELDS, (outer_l, prin_l, inner_l, inner_r, prin_r, outer_r)):
             if not math.isfinite(s) or s < 0.0:
                 raise NegativeSpread(f"spread {name} must be >= 0, got {s!r}")
         if not inner_l <= prin_l <= outer_l:

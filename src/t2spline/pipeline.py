@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -97,7 +98,9 @@ def _toward(v: float, c: float, a: float) -> float:
 
 
 def check_alpha(alpha: float) -> float:
-    """``alpha`` as a float; raises :class:`AlphaOutOfRange` unless it lies in [0, 1)."""
+    """``alpha`` as a float; raises :class:`AlphaOutOfRange` unless it is a number in [0, 1)."""
+    if isinstance(alpha, bool) or not isinstance(alpha, Real):
+        raise AlphaOutOfRange(f"alpha must be a number, got {alpha!r}")
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must lie in [0, 1), got {alpha!r}")

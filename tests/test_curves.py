@@ -11,12 +11,14 @@ from t2spline import (
     NT2FuzzyPoint,
     NT2FuzzyScalar,
     Polyline,
+    RationalCurveModel,
     SampleMismatch,
     T2SplineError,
     basis_row,
     clamped_uniform_knots,
     component_polygons,
     defuzzified_curve,
+    demo_document,
     deviation,
     fuzzy_curve_band,
     pipeline_point,
@@ -254,6 +256,60 @@ def test_fuzzy_model_order_must_match_the_knots(order):
         FuzzyCurveModel(points, np.ones(4), order, clamped_uniform_knots(4, 3), 0.8)
 
 
+_CRISP_COORDS = FuzzyCurveModel.with_uniform_knots([NT2FuzzyPoint.crisp(x, y) for x, y in CRISP_XY]).coords
+_CRISP_CURVE = RationalCurveModel.with_uniform_knots(CRISP_XY)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: clamped_uniform_knots(4, 3.0),
+        lambda: clamped_uniform_knots(4, True),
+        lambda: demo_document().to_model(order=2.5),
+        lambda: RationalCurveModel.with_uniform_knots(CRISP_XY, order="3"),
+        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, order="3"),
+        lambda: KnotVector([0, 0, 0, 0.5, 1, 1, 1], 3.7),
+        lambda: KnotVector([0, 0, 0, 0.5, 1, 1, 1], None),
+        lambda: RationalCurveModel(CRISP_XY, np.ones(4), 3.7, clamped_uniform_knots(4, 3)),
+        lambda: FuzzyCurveModel(_CRISP_COORDS, np.ones(4), 3.0, clamped_uniform_knots(4, 3), 0.8),
+        lambda: sample_curve(_CRISP_CURVE, 2.5),
+        lambda: sample_curve(_CRISP_CURVE, None),
+        lambda: sample_curve(_CRISP_CURVE, True),
+        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, alpha=None),
+        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, alpha="0.5"),
+        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, alpha=False),
+    ],
+    ids=[
+        "knots-float-order",
+        "knots-bool-order",
+        "to-model-float-order",
+        "rational-string-order",
+        "fuzzy-string-order",
+        "knot-vector-float-order",
+        "knot-vector-none-order",
+        "rational-float-order",
+        "fuzzy-integral-float-order",
+        "float-samples",
+        "none-samples",
+        "bool-samples",
+        "none-alpha",
+        "string-alpha",
+        "bool-alpha",
+    ],
+)
+def test_integer_and_alpha_inputs_of_constructors_raise_the_package_error(build):
+    with pytest.raises(T2SplineError):
+        build()
+
+
+def test_numpy_integer_order_and_samples_are_taken_as_ints():
+    knots = clamped_uniform_knots(np.int64(4), np.int64(3))
+    assert type(knots.order) is int
+    model = FuzzyCurveModel(_CRISP_COORDS, np.ones(4), np.int64(3), knots, np.float64(0.5))
+    assert type(model.order) is int
+    assert len(sample_curve(model.crisp_model(), np.int64(5))) == 5
+
+
 # --- curve-level properties -------------------------------------------------------
 
 _spreads = st.lists(st.floats(0, 50), min_size=3, max_size=3)
@@ -287,6 +343,27 @@ def test_band_curves_keep_component_order_exactly(model, samples):
     _, points = evaluate(model, ["band"], samples)
     band = np.stack([points[label] for label in COMPONENT_LABELS])
     assert np.all(np.diff(band, axis=0) >= 0.0)
+
+
+#: Largest distance, in ulps of the largest component magnitude of the
+#: controls, between the defuzzified curve and the mean of the type-reduced
+#: and crisp curves.  Measured: at most 3 ulps over 15,000 examples of this
+#: property; at most 5 over 103,000 random models (orders 2-10, up to 39
+#: controls, scales 1e-3 to 1e5, some far from the origin or with spreads
+#: of 0 or 1e-12), where 5 models of order 7-9 reached 5 and 264 reached 4.
+#: Ulps of each sample's own value are not bounded: the mean can cancel.
+AFFINE_ULP_BOUND = 5
+
+
+@settings(deadline=None)
+@given(model=fuzzy_models(), samples=st.integers(2, 60))
+def test_defuzzified_curve_is_the_mean_of_the_reduced_curves(model, samples):
+    """Affine invariance: the curve over the (left + c + right) / 3 controls
+    is the mean of the curves over left, c and right."""
+    _, points = evaluate(model, {"reduced", "defuzzified"}, samples)
+    mean = (points["tr_left"] + points["crisp"] + points["tr_right"]) / 3
+    ulp = np.spacing(np.abs(model.coords[..., :7]).max())
+    assert np.abs(points["defuzzified"] - mean).max() <= AFFINE_ULP_BOUND * ulp
 
 
 def test_solved_is_kept_and_read_only(demo_model):

@@ -179,6 +179,25 @@ def test_samples_bound_is_the_evaluator_bound(n):
             parse_document(json.dumps(payload))
 
 
+def test_model_document_refuses_a_sample_count_the_parser_refuses():
+    coords = demo_document().model.coords
+    with pytest.raises(ValidationError) as exc:
+        document.ModelDocument(coords, [1, 1, 3, 1], 3, 0.8, samples=1)
+    assert str(exc.value) == "'samples' must be an integer from 2 to 8388608 for 4 points, got 1"
+
+
+def test_model_document_without_points_raises_the_package_error():
+    with pytest.raises(T2SplineError, match="exceeds control count 0"):
+        document.ModelDocument([], [], 3, 0.8, samples=101)
+
+
+def test_numpy_integer_order_and_samples_are_accepted():
+    doc = document.ModelDocument(demo_document().model.coords, [1, 1, 3, 1], np.int64(2), 0.8, samples=np.int64(5))
+    assert (type(doc.model.order), type(doc.samples)) == (int, int)
+    again = parse_document(document_to_json(doc))
+    assert (again.model.order, again.samples) == (2, 5)
+
+
 def test_samples_above_a_million_accepted_for_few_points():
     payload = json.loads(minimal_doc_text(EXPLICIT_COORD, 4))
     payload["samples"] = 2_000_000
@@ -508,13 +527,6 @@ def _read_points_by_loop(points):
     flat = []
     error = document._scan_points(points, flat)
     rows = document._floats(flat)
-    if rows is None:
-        bad = next(k for k in range(len(flat) // 8) if document._floats(flat[8 * k : 8 * k + 8]) is None)
-        try:
-            document._read_coordinate(points[bad // 2]["xy"[bad % 2]], document._where(bad))
-        except ValidationError as exc:
-            error = exc
-        rows = np.array(flat[: 8 * bad], dtype=float)
     comps = coords_from_rows(rows.reshape(-1, 8))
     if error is not None:
         raise error
