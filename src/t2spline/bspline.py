@@ -29,9 +29,22 @@ MAX_BASIS_CELLS = 2**25
 DEFAULT_ORDER = 3
 
 
-#: Element types :func:`float_array` refuses, as the document parser does,
-#: although numpy converts them to floats (None to NaN).
+#: Types that are not numbers, although ``float()`` or numpy converts them
+#: (None to NaN): refused by :func:`as_float` and :func:`float_array`, as
+#: the document parser refuses them.
 _NOT_NUMBERS = (str, bytes, bool, np.bool_, type(None))
+
+
+def as_float(value, name: str) -> float:
+    """``value`` as a float; raises :class:`T2SplineError` naming ``name``
+    unless it is a number: a string, bytes, None or a bool is not, nor is a
+    value ``float()`` refuses or overflows."""
+    if not isinstance(value, _NOT_NUMBERS):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise T2SplineError(f"{name} must be a number, got {value!r}")
 
 
 def float_array(value, name: str) -> np.ndarray:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .bspline import as_float
 from .errors import (
     HeightOutOfRange,
     NegativeSpread,
@@ -61,7 +62,8 @@ class NT2FuzzyScalar:
 
     plus ``h``, the LMF apex height in (0, 1].  Construction validates the
     ordering exactly (inputs are user data, not computed values) and rejects
-    non-finite components.
+    non-finite components and fields that are not numbers
+    (:func:`~t2spline.bspline.as_float`).
     """
 
     ll: float
@@ -75,7 +77,9 @@ class NT2FuzzyScalar:
 
     def __post_init__(self):
         for f in fields(self):
-            object.__setattr__(self, f.name, float(getattr(self, f.name)))
+            value = getattr(self, f.name)
+            if type(value) is not float:  # floats, as points_of passes them, need no check
+                object.__setattr__(self, f.name, as_float(value, f.name))
         values = [getattr(self, name) for name in COMPONENT_FIELDS]
         if not all(math.isfinite(v) for v in values):
             raise T2SplineError(f"components must be finite, got {values}")
@@ -98,8 +102,9 @@ class NT2FuzzyScalar:
         inner <= principal <= outer.  The component ordering then holds by
         construction.
         """
-        outer_l, prin_l, inner_l, inner_r, prin_r, outer_r = (float(s) for s in spreads)
-        for name, s in zip(SPREAD_FIELDS, (outer_l, prin_l, inner_l, inner_r, prin_r, outer_r)):
+        spreads = [as_float(s, f"spread {name}") for name, s in zip(SPREAD_FIELDS, spreads, strict=True)]
+        outer_l, prin_l, inner_l, inner_r, prin_r, outer_r = spreads
+        for name, s in zip(SPREAD_FIELDS, spreads):
             if not math.isfinite(s) or s < 0.0:
                 raise NegativeSpread(f"spread {name} must be >= 0, got {s!r}")
         if not inner_l <= prin_l <= outer_l:
@@ -110,7 +115,7 @@ class NT2FuzzyScalar:
             raise SpreadOrderViolation(
                 f"right spreads must satisfy inner <= principal <= outer, got {(inner_r, prin_r, outer_r)}"
             )
-        c = float(c)
+        c = as_float(c, "c")
         return cls(c - outer_l, c - prin_l, c - inner_l, c, c + inner_r, c + prin_r, c + outer_r, h)
 
     @property

@@ -13,20 +13,21 @@ Type-reduction then collapses each side to the mean of its surviving cut
 values (three terms below, two above), and defuzzification averages
 (left, c, right) into one crisp number.
 
-The chain exists twice.  The scalar functions (:func:`alpha_cut_scalar`,
-:func:`type_reduce`, :func:`defuzzify`, :func:`pipeline_point`) work on one
-:class:`~t2spline.fuzzy.NT2FuzzyScalar`; vanished LMF entries are ``None``
-there, never numeric zero, since a literal 0.0 would poison averages for
-data away from the origin.  The array functions (:func:`alpha_cut_array`,
-:func:`type_reduce_array`, :func:`defuzzify_array`, and :func:`solve`, which
-chains them) work on the ``(..., 8)`` coordinate arrays the models store;
-there the vanished entries are the complement of an ``alpha <= h`` mask.
-Both use the same operations in the same order, so their results are equal
-bit for bit.
+The chain is stated once, as array code over the ``(..., 8)`` coordinate
+arrays the models store: :func:`alpha_cut_array`, :func:`type_reduce_array`
+and :func:`defuzzify_array`, chained by :func:`solve`; vanished LMF entries
+are the complement of an ``alpha <= h`` mask.  The scalar functions
+(:func:`alpha_cut_scalar`, :func:`alpha_cut_point`, :func:`type_reduce`,
+:func:`defuzzify`, :func:`pipeline_point`) are one-coordinate views of it,
+as :func:`~t2spline.bspline.basis_row` is of :func:`~t2spline.bspline.basis_rows`.
+There vanished LMF entries are ``None``, never numeric zero, since a literal
+0.0 would poison averages for data away from the origin.  The tests compare
+both with an independent scalar chain, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
@@ -34,7 +35,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import AlphaOutOfRange, T2SplineError, ValidationError
-from .fuzzy import NT2FuzzyPoint, NT2FuzzyScalar
+from .fuzzy import NT2FuzzyPoint, NT2FuzzyScalar, as_coords
 
 
 class Regime(Enum):
@@ -91,10 +92,9 @@ class TRInterval:
     alpha: float
 
 
-def _toward(v: float, c: float, a: float) -> float:
-    # Slide v toward c by fraction a.  This arrangement is weakly monotone
-    # in a under floating point, which keeps alpha-nesting checks exact.
-    return v + a * (c - v)
+#: The chain's arithmetic may overflow: :func:`solve` reports it, and the
+#: scalar views return the inf or nan it gives.
+_quietly = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 
 def check_alpha(alpha: float) -> float:
@@ -114,26 +114,12 @@ def alpha_cut_scalar(s: NT2FuzzyScalar, alpha: float) -> AlphaCutScalar:
     LMF cut reaches ``c`` exactly, so the three-term and collapsed readings
     coincide and the closed boundary avoids a spurious case.
     """
-    alpha = check_alpha(alpha)
-    below = alpha <= s.h
+    with _quietly():
+        cuts, below = alpha_cut_array(np.array([*s.components(), s.h]), alpha)
+    lo, lp, li, c, ri, rp, ro = cuts.tolist()
     if below:
-        lmf_level = alpha / s.h
-        left_inner = _toward(s.rl, s.c, lmf_level)
-        right_inner = _toward(s.lr, s.c, lmf_level)
-    else:
-        left_inner = None
-        right_inner = None
-    return AlphaCutScalar(
-        alpha=alpha,
-        left_outer=_toward(s.ll, s.c, alpha),
-        left_principal=_toward(s.l, s.c, alpha),
-        left_inner=left_inner,
-        c=s.c,
-        right_inner=right_inner,
-        right_principal=_toward(s.r, s.c, alpha),
-        right_outer=_toward(s.rr, s.c, alpha),
-        regime=Regime.BELOW if below else Regime.BETWEEN,
-    )
+        return AlphaCutScalar(float(alpha), lo, lp, li, c, ri, rp, ro, Regime.BELOW)
+    return AlphaCutScalar(float(alpha), lo, lp, None, c, None, rp, ro, Regime.BETWEEN)
 
 
 def alpha_cut_point(p: NT2FuzzyPoint, alpha: float) -> tuple[AlphaCutScalar, AlphaCutScalar]:
@@ -149,27 +135,21 @@ def alpha_cut_point(p: NT2FuzzyPoint, alpha: float) -> tuple[AlphaCutScalar, Alp
 def type_reduce(a: AlphaCutScalar) -> TRInterval:
     """Centroid-min type-reduction: per side, the mean of the surviving
     alpha-level values (three terms below h, two terms above)."""
-    if a.regime is Regime.BELOW:
-        left = (a.left_outer + a.left_principal + a.left_inner) / 3.0
-        right = (a.right_inner + a.right_principal + a.right_outer) / 3.0
-    else:
-        left = (a.left_outer + a.left_principal) / 2.0
-        right = (a.right_principal + a.right_outer) / 2.0
-    return TRInterval(left=left, c=a.c, right=right, alpha=a.alpha)
+    cuts = np.array([a.c if v is None else v for v in (*a.left, a.c, *a.right)], dtype=float)
+    with _quietly():
+        left, c, right = type_reduce_array(cuts, a.regime is Regime.BELOW)
+    return TRInterval(left=float(left), c=float(c), right=float(right), alpha=a.alpha)
 
 
 def defuzzify(t: TRInterval) -> float:
     """Collapse a type-reduced interval to the mean of (left, c, right)."""
-    return (t.left + t.c + t.right) / 3.0
+    return float(defuzzify_array(t.left, t.c, t.right))
 
 
 def pipeline_point(p: NT2FuzzyPoint, alpha: float) -> tuple[float, float]:
-    """Full chain per coordinate: cut, type-reduce, defuzzify.
-
-    Returns the crisp solution point for one fuzzy data point.
-    """
-    cut_x, cut_y = alpha_cut_point(p, alpha)
-    return (defuzzify(type_reduce(cut_x)), defuzzify(type_reduce(cut_y)))
+    """The crisp solution point of one fuzzy data point: its :func:`solve`
+    solution.  Raises :class:`ValidationError` where :func:`solve` does."""
+    return tuple(solve(as_coords([p]), alpha)[-1][0].tolist())
 
 
 def alpha_cut_array(coords: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +191,7 @@ def solve(coords: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, np.
     :class:`ValidationError` naming the first point and coordinate whose
     interval or solution overflows the float range.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+    with _quietly():  # overflow is reported below
         left, c, right = type_reduce_array(*alpha_cut_array(coords, alpha))
         solution = defuzzify_array(left, c, right)
     bad = ~(np.isfinite(left) & np.isfinite(right) & np.isfinite(solution))

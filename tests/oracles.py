@@ -1,8 +1,10 @@
 """Independent brute-force oracles used by the tests.
 
 The quadratic basis polynomials below were expanded by hand from the
-order-3 recursion on the clamped knot vector (0, 0, 0, 0.5, 1, 1, 1), and
-``cox_de_boor`` is the textbook recursive definition of any basis function;
+order-3 recursion on the clamped knot vector (0, 0, 0, 0.5, 1, 1, 1),
+``cox_de_boor`` is the textbook recursive definition of any basis function,
+and ``alpha_cut``, ``type_reduce``, ``defuzzify`` and ``pipeline_point`` are
+the fuzzy chain written one coordinate at a time in plain float arithmetic;
 they deliberately do NOT call the library.
 """
 
@@ -59,3 +61,58 @@ def brute_force_rational(controls, weights, t):
         by += wn * py
         den += wn
     return (bx / den, by / den)
+
+
+# --- the fuzzy chain, one coordinate at a time ------------------------------
+
+
+def _toward(v, c, a):
+    # Slide v toward c by fraction a.  This arrangement is weakly monotone
+    # in a under floating point, which keeps alpha-nesting checks exact.
+    return v + a * (c - v)
+
+
+def alpha_cut(row, alpha):
+    """Cut the coordinate ``row = (ll, l, rl, c, lr, r, rr, h)`` of Python
+    floats at ``alpha``: the seven cut values, with None for the LMF entries
+    that vanish when ``alpha > h``, and whether ``alpha <= h``."""
+    ll, l, rl, c, lr, r, rr, h = row
+    below = alpha <= h
+    if below:
+        lmf_level = alpha / h
+        left_inner = _toward(rl, c, lmf_level)
+        right_inner = _toward(lr, c, lmf_level)
+    else:
+        left_inner = None
+        right_inner = None
+    cut = (
+        _toward(ll, c, alpha),
+        _toward(l, c, alpha),
+        left_inner,
+        c,
+        right_inner,
+        _toward(r, c, alpha),
+        _toward(rr, c, alpha),
+    )
+    return cut, below
+
+
+def type_reduce(cut, below):
+    """Centroid-min type-reduction of an :func:`alpha_cut`: ``(left, c, right)``."""
+    lo, lp, li, c, ri, rp, ro = cut
+    if below:
+        left = (lo + lp + li) / 3.0
+        right = (ri + rp + ro) / 3.0
+    else:
+        left = (lo + lp) / 2.0
+        right = (rp + ro) / 2.0
+    return left, c, right
+
+
+def defuzzify(left, c, right):
+    return (left + c + right) / 3.0
+
+
+def pipeline_point(rows, alpha):
+    """The solution of each coordinate row: cut, type-reduce, defuzzify."""
+    return tuple(defuzzify(*type_reduce(*alpha_cut(row, alpha))) for row in rows)

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from t2spline import (
     ModelDocument,
     NT2FuzzyPoint,
@@ -21,7 +22,6 @@ from t2spline import (
     document_to_json,
     fuzzy_curve_band,
     load_model,
-    pipeline_point,
     reduced_curves,
     sample_curve,
     svg_document,
@@ -107,7 +107,7 @@ def test_pipeline_json_matches_library(demo_path, tmp_path):
     assert run(["pipeline", str(demo_path), "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     model = demo_document().to_model()
-    expected = [pipeline_point(p, model.alpha) for p in model.fuzzy_controls]
+    expected = [oracles.pipeline_point(rows, model.alpha) for rows in model.coords.tolist()]
     assert payload["alpha"] == 0.8
     got = [(rec["x"], rec["y"]) for rec in payload["points"]]
     assert np.allclose(got, expected, atol=0)
@@ -403,7 +403,7 @@ def test_pipeline_output_equals_the_scalar_chain_serialised(tmp_path, source, al
     model = load_model(path)
     if alpha is not None:
         model = curves.FuzzyCurveModel(model.coords, model.weights, model.order, model.knots, float(alpha))
-    solutions = [pipeline_point(p, model.alpha) for p in model.fuzzy_controls]
+    solutions = [oracles.pipeline_point(rows, model.alpha) for rows in model.coords.tolist()]
     expected_json = json.dumps({"alpha": model.alpha, "points": [{"x": x, "y": y} for x, y in solutions]}, indent=2)
     expected_csv = "index,x,y\n" + "".join(f"{i},{x:.16e},{y:.16e}\n" for i, (x, y) in enumerate(solutions))
     override = [] if alpha is None else ["--alpha", alpha]
@@ -510,7 +510,7 @@ def test_pipeline_csv_across_row_blocks(tmp_path):
     path, out = tmp_path / "doc.json", tmp_path / "out.csv"
     path.write_text(json.dumps(_gen_style_document(n=2 * (BLOCK_CELLS // 3) + 1), indent=2))
     model = load_model(path)
-    solutions = [pipeline_point(p, model.alpha) for p in model.fuzzy_controls]
+    solutions = [oracles.pipeline_point(rows, model.alpha) for rows in model.coords.tolist()]
     expected = "index,x,y\n" + "".join(f"{i},{x:.16e},{y:.16e}\n" for i, (x, y) in enumerate(solutions))
     assert run(["pipeline", str(path), "--format", "csv", "--out", str(out)]) == 0
     assert out.read_text() == expected

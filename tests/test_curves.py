@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from t2spline import (
     COMPONENT_LABELS,
     AlphaOutOfRange,
@@ -21,7 +22,6 @@ from t2spline import (
     demo_document,
     deviation,
     fuzzy_curve_band,
-    pipeline_point,
     rational_point,
     reduced_curves,
     sample_curve,
@@ -190,7 +190,7 @@ def test_defuzzify_then_evaluate_is_exact():
     # the defuzzified curve point is the basis-weighted combination of the
     # defuzzified control points; no extra approximation step exists
     model = asymmetric_model()
-    solution_polygon = np.array([pipeline_point(p, model.alpha) for p in model.fuzzy_controls])
+    solution_polygon = np.array([oracles.pipeline_point(rows, model.alpha) for rows in model.coords.tolist()])
     dfz = defuzzified_curve(model, 11)
     for t, pt in zip(dfz.params, dfz.points):
         coeff = model.weights * basis_row(model.knots, t)
@@ -364,6 +364,28 @@ def test_defuzzified_curve_is_the_mean_of_the_reduced_curves(model, samples):
     mean = (points["tr_left"] + points["crisp"] + points["tr_right"]) / 3
     ulp = np.spacing(np.abs(model.coords[..., :7]).max())
     assert np.abs(points["defuzzified"] - mean).max() <= AFFINE_ULP_BOUND * ulp
+
+
+@settings(deadline=None)
+@given(model=fuzzy_models(), samples=st.integers(2, 60), data=st.data())
+def test_reduced_curves_nest_in_alpha_within_a_regime(model, samples, data):
+    """Alpha-nesting at curve level, exactly: for a1 < a2 with no coordinate
+    changing regime, the type-reduced curves at a2 lie within those at a1.
+    Each cut is monotone in alpha under rounding, each side mean is monotone
+    in its terms, and the basis coefficients are non-negative."""
+    a1 = model.alpha
+    heights = model.coords[..., 7]
+    # a2 in (a1, hi] keeps every coordinate in its regime: alpha <= h is
+    # unchanged unless a1 <= h < a2.
+    hi = min(heights[heights >= a1].min(initial=1.0), np.nextafter(1.0, 0.0))
+    assume(a1 < hi)
+    a2 = data.draw(st.floats(a1, hi, exclude_min=True))
+    wider = evaluate(model, {"reduced"}, samples)[1]
+    model2 = FuzzyCurveModel(model.coords, model.weights, model.order, model.knots, a2)
+    assert np.array_equal(a1 <= heights, a2 <= heights)
+    narrower = evaluate(model2, {"reduced"}, samples)[1]
+    assert np.all(narrower["tr_left"] >= wider["tr_left"])
+    assert np.all(narrower["tr_right"] <= wider["tr_right"])
 
 
 def test_solved_is_kept_and_read_only(demo_model):

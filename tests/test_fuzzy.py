@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,6 +73,44 @@ def test_height_of_exactly_one_is_allowed():
 def test_non_finite_component_rejected():
     with pytest.raises(T2SplineError):
         NT2FuzzyScalar(4, 4.3, math.inf, 5, 5.4, 5.7, 6, h=0.6)
+
+
+_VALID = (1, 2, 3, 4, 5, 6, 7, 0.5)
+_SPREADS = (1,) * 6
+
+#: Field values ``float()`` converts, or would, that are not numbers, and
+#: the field each builder names: (builder, field).
+NOT_NUMBERS = {
+    "numeric-string-component": (lambda: NT2FuzzyScalar("1", *_VALID[1:]), "ll"),
+    "bytes-component": (lambda: NT2FuzzyScalar(*_VALID[:3], b"4", *_VALID[4:]), "c"),
+    "none-component": (lambda: NT2FuzzyScalar(*_VALID[:6], None, 0.5), "rr"),
+    "bool-component": (lambda: NT2FuzzyScalar(True, *_VALID[1:]), "ll"),
+    "numpy-bool-component": (lambda: NT2FuzzyScalar(np.True_, *_VALID[1:]), "ll"),
+    "bool-height": (lambda: NT2FuzzyScalar(*_VALID[:7], True), "h"),
+    "refused-by-float": (lambda: NT2FuzzyScalar(*_VALID[:7], 0.5j), "h"),
+    "overflowing-int": (lambda: NT2FuzzyScalar(*_VALID[:6], 10**400, 0.5), "rr"),
+    "numeric-string-crisp": (lambda: NT2FuzzyScalar.from_spreads("5", _SPREADS, 0.5), "c"),
+    "none-crisp": (lambda: NT2FuzzyScalar.from_spreads(None, _SPREADS, 0.5), "c"),
+    "none-spread": (lambda: NT2FuzzyScalar.from_spreads(5, (1, 1, None, 1, 1, 1), 0.5), "spread inner_left"),
+    "string-spread": (lambda: NT2FuzzyScalar.from_spreads(5, (1, 1, 1, 1, 1, "1"), 0.5), "spread outer_right"),
+    "bool-spread": (lambda: NT2FuzzyScalar.from_spreads(5, (True, 1, 1, 1, 1, 1), 0.5), "spread outer_left"),
+    "string-height-of-spreads": (lambda: NT2FuzzyScalar.from_spreads(5, _SPREADS, "0.5"), "h"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_NUMBERS))
+def test_scalar_constructors_reject_what_is_not_a_number(name):
+    """The rule of ``bspline.float_array``, applied per field."""
+    build, field = NOT_NUMBERS[name]
+    with pytest.raises(T2SplineError, match=f"^{field} must be a number, got "):
+        build()
+
+
+def test_scalar_constructors_accept_every_kind_of_number():
+    s = NT2FuzzyScalar(np.int64(1), np.float32(2), Fraction(3), Decimal("4"), 5, 6.0, np.float64(7), Fraction(1, 2))
+    assert s.components() == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0) and s.h == 0.5
+    assert all(type(v) is float for v in (*s.components(), s.h))
+    assert NT2FuzzyScalar.from_spreads(np.int32(5), (Fraction(1),) * 6, np.float64(0.5)) == NT2FuzzyScalar(4, 4, 4, 5, 6, 6, 6, 0.5)
 
 
 # --- from_spreads ------------------------------------------------------------

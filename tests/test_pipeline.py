@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from t2spline import (
     AlphaCutScalar,
     AlphaOutOfRange,
@@ -325,25 +326,59 @@ def chain_cases(draw):
     return np.array(rows).reshape(n, 2, 8), alpha
 
 
-def _bits(values) -> bytes:
-    return np.array(values, dtype=float).tobytes()
+def _bits(values) -> tuple:
+    """Each value's bytes, None kept: equal exactly when bit for bit equal."""
+    return tuple(v if v is None else np.float64(v).tobytes() for v in values)
 
 
 @given(case=chain_cases())
 def test_array_chain_equals_scalar_chain_bit_for_bit(case):
+    """alpha_cut_array, solve and the scalar views against the independent
+    scalar chain of ``tests/oracles.py``."""
     coords, alpha = case
     cuts, below = alpha_cut_array(coords, alpha)
     left, c, right, solution = solve(coords, alpha)
-    for i, point in enumerate(points_of(coords)):
-        assert _bits(solution[i]) == _bits(pipeline_point(point, alpha))
-        for axis, s in enumerate((point.x, point.y)):
-            cut = alpha_cut_scalar(s, alpha)
-            assert below[i, axis] == (cut.regime is Regime.BELOW)
-            present = [0, 1, 3, 5, 6] + ([2, 4] if below[i, axis] else [])
-            scalar = (*cut.left, cut.c, *cut.right)
-            assert _bits(cuts[i, axis, present]) == _bits([scalar[k] for k in present])
+    for i, (point, rows) in enumerate(zip(points_of(coords), coords.tolist())):
+        assert _bits(solution[i]) == _bits(oracles.pipeline_point(rows, alpha))
+        assert _bits(pipeline_point(point, alpha)) == _bits(solution[i])
+        for axis, (cut, row) in enumerate(zip(alpha_cut_point(point, alpha), rows)):
+            expected_cut, expected_below = oracles.alpha_cut(row, alpha)
+            expected_tr = oracles.type_reduce(expected_cut, expected_below)
+            assert below[i, axis] == expected_below
+            assert cut.regime is (Regime.BELOW if expected_below else Regime.BETWEEN)
+            present = [k for k, v in enumerate(expected_cut) if v is not None]
+            assert _bits(cuts[i, axis, present]) == _bits([expected_cut[k] for k in present])
+            assert _bits((*cut.left, cut.c, *cut.right)) == _bits(expected_cut)
+            assert _bits([left[i, axis], c[i, axis], right[i, axis]]) == _bits(expected_tr)
             tr = type_reduce(cut)
-            assert _bits([left[i, axis], c[i, axis], right[i, axis]]) == _bits([tr.left, tr.c, tr.right])
+            assert _bits((tr.left, tr.c, tr.right)) == _bits(expected_tr)
+            assert _bits([defuzzify(tr)]) == _bits([oracles.defuzzify(*expected_tr)])
+
+
+#: Coordinates whose cut or type-reduced values overflow: a span of 2e308
+#: (the three-term mean overflows) and one whose ``c - v`` overflows.
+OVERFLOWING = [
+    (-1e308, -1e308, -1e308, 0.0, 1e308, 1e308, 1e308, 0.5),
+    (-1e308, -1e308, -1e308, 1e308, 1e308, 1e308, 1e308, 0.5),
+]
+
+
+@pytest.mark.parametrize("row", OVERFLOWING)
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.7])
+def test_scalar_views_overflow_as_the_oracle_does_without_a_warning(row, alpha):
+    """The views run under the errstate of :func:`solve`; a RuntimeWarning
+    fails this test."""
+    cut = alpha_cut_scalar(NT2FuzzyScalar(*row), alpha)
+    expected_cut, below = oracles.alpha_cut(row, alpha)
+    assert _bits((*cut.left, cut.c, *cut.right)) == _bits(expected_cut)
+    tr = type_reduce(cut)
+    assert _bits((tr.left, tr.c, tr.right)) == _bits(oracles.type_reduce(expected_cut, below))
+
+
+def test_pipeline_point_refuses_an_overflowing_point_as_solve_does():
+    point = NT2FuzzyPoint(NT2FuzzyScalar(*OVERFLOWING[0]), NT2FuzzyPoint.crisp(0, 0).y)
+    with pytest.raises(ValidationError, match=r"^point 0, coordinate x: .* at alpha 0\.3 must be finite"):
+        pipeline_point(point, 0.3)
 
 
 @pytest.mark.parametrize("alpha", [-0.1, 1.0, float("nan")])
