@@ -25,6 +25,12 @@ from .errors import (
 #: request is refused before anything is allocated.
 MAX_BASIS_CELLS = 2**25
 
+#: Largest samples × order² product :func:`sample_curves` accepts: the
+#: triangular basis table costs order² steps per sample.  Ten times the cell
+#: bound, so it binds only above order 10; at order 400 it admits 2097
+#: samples, about 1 s of basis work on a 2-vCPU Xeon.
+MAX_BASIS_WORK = 10 * MAX_BASIS_CELLS
+
 #: Order of a curve built without one: quadratic.
 DEFAULT_ORDER = 3
 
@@ -79,6 +85,14 @@ def check_order(order, n: int) -> int:
     if order > n:
         raise OrderExceedsControlCount(f"order {order} exceeds control count {n}")
     return int(order)
+
+
+def max_samples(n: int, order) -> int:
+    """The most samples a curve over ``n`` control points of ``order`` may
+    take: within both :data:`MAX_BASIS_CELLS` and :data:`MAX_BASIS_WORK`.
+    The order is checked first (:func:`check_order`)."""
+    k = check_order(order, n)
+    return min(MAX_BASIS_CELLS // n, MAX_BASIS_WORK // (k * k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,10 +279,9 @@ def sample_curves(knots: KnotVector, weights: np.ndarray, polygons, samples: int
     if samples < 2:
         raise TooFewSamples(f"need at least 2 samples, got {samples}")
     n = knots.n_controls
-    if samples * n > MAX_BASIS_CELLS:
-        raise T2SplineError(
-            f"at most {MAX_BASIS_CELLS // n} samples are supported for {n} control points, got {samples}"
-        )
+    most = max_samples(n, knots.order)
+    if samples > most:
+        raise T2SplineError(f"at most {most} samples are supported for {n} control points, got {samples}")
     lo, hi = knots.domain
     ts = np.linspace(lo, hi, samples)
     coeff = basis_rows(knots.knots, knots.order, ts)

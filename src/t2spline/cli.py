@@ -13,10 +13,9 @@ import sys
 import numpy as np
 
 from . import curves
-from .bspline import Polyline
 from .document import demo_document, load_document, save_document
 from .errors import ParseError, T2SplineError
-from .output import FLOAT_FORMAT, svg_figure, write_csv, write_output, write_table
+from .output import FLOAT_FORMAT, svg_figure, write_curve_table, write_output, write_table
 
 SERIES_CHOICES = (*curves.GROUPS, "all")
 
@@ -120,8 +119,7 @@ def _cmd_curves(args) -> int:
     samples = doc.samples if args.samples is None else args.samples
     ts, series = curves.evaluate(model, _parse_series(args.series), samples)
     if args.command == "curve":
-        lines = [(label, Polyline(points, ts)) for label, points in series.items()]
-        write_output(_target(args), lambda f: write_csv(lines, f))
+        write_output(_target(args), lambda f: write_curve_table(f, ts, series.items()))
     else:
         write_output(_target(args), lambda f: f.write(svg_figure(series.items(), model.coords[:, :, 3], "")))
     return 0

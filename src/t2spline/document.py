@@ -5,7 +5,7 @@ Document layout::
     {
       "order": 3,            // optional, default 3
       "alpha": 0.8,          // optional, default 0.8
-      "samples": 101,        // optional, default 101, at most 2**25 // points
+      "samples": 101,        // optional, default 101, at most bspline.max_samples(points, order)
       "weights": [1, 1, 3, 1],   // optional, default all ones
       "points": [
         {"x": <coordinate>, "y": <coordinate>},
@@ -53,7 +53,7 @@ from typing import Any
 
 import numpy as np
 
-from .bspline import DEFAULT_ORDER, MAX_BASIS_CELLS, is_integer
+from .bspline import DEFAULT_ORDER, is_integer, max_samples
 from .curves import DEFAULT_ALPHA, DEFAULT_SAMPLES, FuzzyCurveModel
 from .errors import ParseError, T2SplineError, ValidationError
 from .fuzzy import COORD_FIELDS, SPREAD_FIELDS, NT2FuzzyPoint, NT2FuzzyScalar, coords_from_rows, points_of
@@ -73,13 +73,13 @@ class ModelDocument:
     ``points`` may be a sequence of :class:`NT2FuzzyPoint` or an ``(n, 2, 8)``
     coordinate array; with ``weights``, ``order`` and ``alpha`` it builds
     :attr:`model` once, on construction.  ``samples`` must be an integer
-    from 2 to ``MAX_BASIS_CELLS // n``, or :class:`ValidationError` is
+    from 2 to ``max_samples(n, order)``, or :class:`ValidationError` is
     raised before the model is built.
     """
 
     def __init__(self, points, weights: list[float], order: int, alpha: float, samples: int):
         n = len(points)
-        most = MAX_BASIS_CELLS // max(n, 1)
+        most = max_samples(n, order)
         if not is_integer(samples) or not 2 <= samples <= most:
             raise ValidationError(f"'samples' must be an integer from 2 to {most} for {n} points, got {samples!r}")
         self.model = FuzzyCurveModel.with_uniform_knots(points, weights=np.array(weights), order=order, alpha=alpha)

@@ -102,7 +102,13 @@ class NT2FuzzyScalar:
         inner <= principal <= outer.  The component ordering then holds by
         construction.
         """
-        spreads = [as_float(s, f"spread {name}") for name, s in zip(SPREAD_FIELDS, spreads, strict=True)]
+        try:
+            spreads = tuple(spreads)
+        except TypeError:  # not iterable
+            pass
+        if not isinstance(spreads, tuple) or len(spreads) != len(SPREAD_FIELDS):
+            raise T2SplineError(f"spreads must be the six values {', '.join(SPREAD_FIELDS)}, got {spreads!r}")
+        spreads = [as_float(s, f"spread {name}") for name, s in zip(SPREAD_FIELDS, spreads)]
         outer_l, prin_l, inner_l, inner_r, prin_r, outer_r = spreads
         for name, s in zip(SPREAD_FIELDS, spreads):
             if not math.isfinite(s) or s < 0.0:

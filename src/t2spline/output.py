@@ -2,9 +2,10 @@
 
 Both writers are deterministic: identical inputs produce byte-identical
 files (fixed column order, fixed float formatting, no timestamps).  Both
-draw on ``(label, points)`` series sharing one parameter array, and every
-CSV is formatted by :func:`write_table`.  Every output file of the package
-is written by :func:`write_output`.
+draw on ``(label, points)`` series sharing one parameter array.  The curve
+table is laid out by :func:`write_curve_table` alone, CSV rows and SVG points
+are filled from arrays a block at a time by ``_fill`` alone, and every output
+file of the package is written by :func:`write_output`.
 """
 
 from __future__ import annotations
@@ -33,11 +34,26 @@ def write_table(f, header, columns, formats) -> None:
     one row per row of the ``(rows, k)`` arrays of ``columns`` placed side by
     side, each cell printed with its ``%`` format from ``formats``."""
     csv.writer(f, lineterminator="\n").writerow(header)  # quotes names as needed
-    row_format = ",".join(formats) + "\n"
-    step = max(1, BLOCK_CELLS // len(formats))
+    f.writelines(_fill(",".join(formats) + "\n", *columns))
+
+
+def write_curve_table(f, ts, series) -> None:
+    """Write curves sampled at the parameters ``ts`` to the text stream
+    ``f`` as CSV: column ``t``, then ``<label>_x`` and ``<label>_y`` for each
+    ``(label, (len(ts), 2) points)`` pair of ``series``, which is read twice."""
+    header = ["t", *(f"{label}_{axis}" for label, _ in series for axis in "xy")]
+    columns = [ts[:, None], *(points for _, points in series)]
+    write_table(f, header, columns, [FLOAT_FORMAT] * len(header))
+
+
+def _fill(row_format, *columns):
+    """Yield the text of the rows of the ``(rows, k)`` arrays ``columns``
+    placed side by side, each row filled into the ``%``-template
+    ``row_format``, a block of at most :data:`BLOCK_CELLS` cells at a time."""
+    step = max(1, BLOCK_CELLS // sum(c.shape[1] for c in columns))
     for start in range(0, len(columns[0]), step):
         block = np.hstack([c[start : start + step] for c in columns])
-        f.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+        yield (row_format * len(block)) % tuple(block.ravel().tolist())
 
 
 def _normalize_series(series) -> list[tuple[str, Polyline]]:
@@ -121,9 +137,8 @@ def write_csv(series, path_or_file) -> None:
     for name, line in pairs[1:]:
         if not np.array_equal(line.params, ts):
             raise SampleMismatch(f"series {name!r} sampled at different parameters")
-    header = ["t", *(f"{name}_{axis}" for name, _ in pairs for axis in "xy")]
-    columns = [ts[:, None], *(line.points for _, line in pairs)]
-    write_output(path_or_file, lambda f: write_table(f, header, columns, [FLOAT_FORMAT] * len(header)))
+    lines = [(name, line.points) for name, line in pairs]
+    write_output(path_or_file, lambda f: write_curve_table(f, ts, lines))
 
 
 # ---------------------------------------------------------------------------
@@ -195,28 +210,17 @@ def svg_figure(series, controls, title: str) -> str:
         controls = np.empty((0, 2))
     if controls.ndim != 2 or controls.shape[1] != 2:
         raise T2SplineError(f"controls must be an (m, 2) array, got shape {controls.shape}")
-    xy = np.concatenate([points for _, points in series] + [controls])
-    if len(xy):
-        (xmin, ymin), (xmax, ymax) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
-    else:
-        xmin, xmax, ymin, ymax = 0.0, 1.0, 0.0, 1.0
-    xspan = (xmax - xmin) or 1.0
-    yspan = (ymax - ymin) or 1.0
-    xmin -= xspan * PAD_FRACTION
-    xmax += xspan * PAD_FRACTION
-    ymin -= yspan * PAD_FRACTION
-    ymax += yspan * PAD_FRACTION
-
     plot_x0, plot_x1 = MARGIN_LEFT, CANVAS_W - MARGIN_RIGHT
     plot_y0, plot_y1 = MARGIN_TOP, CANVAS_H - MARGIN_BOTTOM
-    sx = (plot_x1 - plot_x0) / (xmax - xmin)
-    sy = (plot_y1 - plot_y0) / (ymax - ymin)
-
-    def to_px(p):
-        return (plot_x0 + (p[0] - xmin) * sx, plot_y1 - (p[1] - ymin) * sy)
-
-    def fmt(v):
-        return f"{v:.3f}"
+    xy = np.concatenate([points for _, points in series] + [controls])
+    lo, hi = (xy.min(axis=0), xy.max(axis=0)) if len(xy) else (np.zeros(2), np.ones(2))
+    with np.errstate(over="ignore"):  # the bounds may overflow to inf, silently as floats do
+        span = np.where(hi - lo == 0, 1.0, hi - lo)
+        lo, hi = lo - span * PAD_FRACTION, hi + span * PAD_FRACTION
+        # pixel = origin + (point - lo) * scale; the y scale is negated, exactly
+        scale = np.array([plot_x1 - plot_x0, -(plot_y1 - plot_y0)]) / (hi - lo)
+    origin = np.array([plot_x0, plot_y1], dtype=float)
+    (xmin, ymin), (xmax, ymax) = lo.tolist(), hi.tolist()
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -246,26 +250,18 @@ def svg_figure(series, controls, title: str) -> str:
     legend_entries = []
     for name, points in series:
         colour, width, markers = SERIES_STYLE[name]
-        pts = " ".join(f"{fmt(px)},{fmt(py)}" for px, py in (to_px(p) for p in points))
+        px = origin + (points - lo) * scale
         out.append(
             f'<polyline class="series-{name}" fill="none" stroke="{colour}" '
-            f'stroke-width="{width}" points="{pts}"/>'
+            f'stroke-width="{width}" points="{"".join(_fill("%.3f,%.3f ", px))[:-1]}"/>'
         )
         if markers:
-            circles = "".join(
-                f'<circle cx="{fmt(px)}" cy="{fmt(py)}" r="2.5"/>'
-                for px, py in (to_px(p) for p in points)
-            )
-            out.append(f'<g class="markers-{name}" fill="{colour}">{circles}</g>')
+            out.append(_markers(name, colour, px, 2.5))
         legend_entries.append((name, colour))
 
     if len(controls):
         colour = SERIES_STYLE["controls"][0]
-        circles = "".join(
-            f'<circle cx="{fmt(px)}" cy="{fmt(py)}" r="4"/>'
-            for px, py in (to_px(p) for p in controls)
-        )
-        out.append(f'<g class="markers-controls" fill="{colour}">{circles}</g>')
+        out.append(_markers("controls", colour, origin + (controls - lo) * scale, 4))
         legend_entries.append(("controls", colour))
 
     lx = plot_x1 + 14
@@ -280,6 +276,11 @@ def svg_figure(series, controls, title: str) -> str:
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def _markers(name: str, colour: str, px: np.ndarray, radius) -> str:
+    circle = f'<circle cx="%.3f" cy="%.3f" r="{radius}"/>'
+    return f'<g class="markers-{name}" fill="{colour}">{"".join(_fill(circle, px))}</g>'
 
 
 def _escape(text: str) -> str:

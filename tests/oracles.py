@@ -5,7 +5,9 @@ order-3 recursion on the clamped knot vector (0, 0, 0, 0.5, 1, 1, 1),
 ``cox_de_boor`` is the textbook recursive definition of any basis function,
 and ``alpha_cut``, ``type_reduce``, ``defuzzify`` and ``pipeline_point`` are
 the fuzzy chain written one coordinate at a time in plain float arithmetic;
-they deliberately do NOT call the library.
+``svg_figure`` maps and formats each SVG point on its own.  They
+deliberately do NOT call the library; ``svg_figure`` is handed the module
+that holds its layout constants.
 """
 
 
@@ -116,3 +118,108 @@ def defuzzify(left, c, right):
 def pipeline_point(rows, alpha):
     """The solution of each coordinate row: cut, type-reduce, defuzzify."""
     return tuple(defuzzify(*type_reduce(*alpha_cut(row, alpha))) for row in rows)
+
+
+# --- the SVG figure, one point at a time ------------------------------------
+
+
+def svg_figure(series, controls, title, layout):
+    """The SVG text of ``(label, points)`` series and the ``controls`` (a
+    list of point pairs, empty for none), laid out by the canvas, margin,
+    padding and style constants of the module ``layout``: the bounds are
+    padded one axis at a time in Python floats, and each point is mapped and
+    printed with ``f"{v:.3f}"`` on its own."""
+    CANVAS_W, CANVAS_H, PAD_FRACTION = layout.CANVAS_W, layout.CANVAS_H, layout.PAD_FRACTION
+    MARGIN_LEFT, MARGIN_RIGHT = layout.MARGIN_LEFT, layout.MARGIN_RIGHT
+    MARGIN_TOP, MARGIN_BOTTOM = layout.MARGIN_TOP, layout.MARGIN_BOTTOM
+    SERIES_STYLE = layout.SERIES_STYLE
+    xy = [tuple(p) for _, points in series for p in points] + [tuple(p) for p in controls]
+    if xy:
+        xmin, xmax = min(float(p[0]) for p in xy), max(float(p[0]) for p in xy)
+        ymin, ymax = min(float(p[1]) for p in xy), max(float(p[1]) for p in xy)
+    else:
+        xmin, xmax, ymin, ymax = 0.0, 1.0, 0.0, 1.0
+    xspan = (xmax - xmin) or 1.0
+    yspan = (ymax - ymin) or 1.0
+    xmin -= xspan * PAD_FRACTION
+    xmax += xspan * PAD_FRACTION
+    ymin -= yspan * PAD_FRACTION
+    ymax += yspan * PAD_FRACTION
+
+    plot_x0, plot_x1 = MARGIN_LEFT, CANVAS_W - MARGIN_RIGHT
+    plot_y0, plot_y1 = MARGIN_TOP, CANVAS_H - MARGIN_BOTTOM
+    sx = (plot_x1 - plot_x0) / (xmax - xmin)
+    sy = (plot_y1 - plot_y0) / (ymax - ymin)
+
+    def to_px(p):
+        return (plot_x0 + (float(p[0]) - xmin) * sx, plot_y1 - (float(p[1]) - ymin) * sy)
+
+    def fmt(v):
+        return f"{v:.3f}"
+
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{CANVAS_W}" height="{CANVAS_H}" viewBox="0 0 {CANVAS_W} {CANVAS_H}">',
+        f'<rect x="0" y="0" width="{CANVAS_W}" height="{CANVAS_H}" fill="#ffffff"/>',
+    ]
+    if title:
+        out.append(
+            f'<text x="{(plot_x0 + plot_x1) / 2:.1f}" y="24" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
+        )
+
+    # axes with min/max tick labels
+    axis = 'stroke="#333333" stroke-width="1"'
+    out.append(f'<line x1="{plot_x0}" y1="{plot_y1}" x2="{plot_x1}" y2="{plot_y1}" {axis}/>')
+    out.append(f'<line x1="{plot_x0}" y1="{plot_y0}" x2="{plot_x0}" y2="{plot_y1}" {axis}/>')
+    label = 'font-family="sans-serif" font-size="11" fill="#333333"'
+    for x, y, anchor, value in (
+        (plot_x0, plot_y1 + 16, "middle", xmin),
+        (plot_x1, plot_y1 + 16, "middle", xmax),
+        (plot_x0 - 6, plot_y1 + 4, "end", ymin),
+        (plot_x0 - 6, plot_y0 + 4, "end", ymax),
+    ):
+        out.append(f'<text x="{x}" y="{y}" text-anchor="{anchor}" {label}>{value:.4g}</text>')
+
+    legend_entries = []
+    for name, points in series:
+        colour, width, markers = SERIES_STYLE[name]
+        pts = " ".join(f"{fmt(px)},{fmt(py)}" for px, py in (to_px(p) for p in points))
+        out.append(
+            f'<polyline class="series-{name}" fill="none" stroke="{colour}" '
+            f'stroke-width="{width}" points="{pts}"/>'
+        )
+        if markers:
+            circles = "".join(
+                f'<circle cx="{fmt(px)}" cy="{fmt(py)}" r="2.5"/>'
+                for px, py in (to_px(p) for p in points)
+            )
+            out.append(f'<g class="markers-{name}" fill="{colour}">{circles}</g>')
+        legend_entries.append((name, colour))
+
+    if len(controls):
+        colour = SERIES_STYLE["controls"][0]
+        circles = "".join(
+            f'<circle cx="{fmt(px)}" cy="{fmt(py)}" r="4"/>'
+            for px, py in (to_px(p) for p in controls)
+        )
+        out.append(f'<g class="markers-controls" fill="{colour}">{circles}</g>')
+        legend_entries.append(("controls", colour))
+
+    lx = plot_x1 + 14
+    for row, (name, colour) in enumerate(legend_entries):
+        ly = plot_y0 + 10 + row * 18
+        out.append(
+            f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" stroke="{colour}" stroke-width="2"/>'
+        )
+        out.append(
+            f'<text x="{lx + 28}" y="{ly + 4}" {label}>{_escape(name)}</text>'
+        )
+
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def _escape(text):
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import QUAD_BASIS, brute_force_rational, cox_de_boor
+from test_curves import fuzzy_models
 from t2spline import (
     KnotVector,
     OrderExceedsControlCount,
@@ -21,7 +22,13 @@ from t2spline import (
     rational_point,
     sample_curve,
 )
-from t2spline.bspline import MAX_BASIS_CELLS, basis_rows, sample_curves
+from t2spline.bspline import MAX_BASIS_CELLS, MAX_BASIS_WORK, basis_rows, max_samples, sample_curves
+from t2spline.curves import GROUPS, component_polygons, evaluate
+
+try:
+    from scipy.spatial import ConvexHull, QhullError
+except ImportError:
+    ConvexHull = None
 
 DEMO_CONTROLS = np.array([[0.0, 0.0], [2.0, 4.0], [5.0, 5.0], [7.0, 1.0]])
 DEMO_WEIGHTS = np.array([1.0, 1.0, 3.0, 1.0])
@@ -166,6 +173,34 @@ def test_convex_hull_property():
         assert np.all(p >= lo) and np.all(p <= hi)
 
 
+#: Largest distance, in ulps of the largest coordinate magnitude of a
+#: control polygon, by which a sample of its curve may lie outside a facet
+#: of the polygon's convex hull, or outside the bounding box of a degenerate
+#: (collinear or coincident) polygon.  Measured: at most 4 ulps (2 for a
+#: bounding box) over 58,000 examples of the property below.
+HULL_ULP_BOUND = 8
+
+
+@pytest.mark.skipif(ConvexHull is None, reason="needs scipy")
+@settings(deadline=None)
+@given(model=fuzzy_models(), samples=st.integers(2, 60))
+def test_every_curve_of_a_fuzzy_model_lies_in_the_hull_of_its_controls(model, samples):
+    """Positive weights make each sample a convex combination of the
+    controls, for each curve :func:`evaluate` gives."""
+    _, points = evaluate(model, GROUPS, samples)
+    polygons = component_polygons(model)
+    polygons["tr_left"], _, polygons["tr_right"], polygons["defuzzified"] = model.solved
+    for label, curve in points.items():
+        polygon = polygons[label]
+        tol = HULL_ULP_BOUND * np.spacing(np.abs(polygon).max())
+        try:
+            facets = ConvexHull(polygon).equations  # inside: normal @ p + offset <= 0
+        except QhullError:
+            assert np.all(curve >= polygon.min(axis=0) - tol) and np.all(curve <= polygon.max(axis=0) + tol), label
+        else:
+            assert np.all(curve @ facets[:, :2].T + facets[:, 2] <= tol), label
+
+
 def test_model_validation():
     kv = clamped_uniform_knots(4, 3)
     with pytest.raises(T2SplineError):
@@ -229,6 +264,14 @@ def test_polyline_validation():
         Polyline(np.zeros((3, 2)), np.array([0.0, 0.5, 0.5]))
     with pytest.raises(T2SplineError):
         Polyline(np.zeros((3, 2)), np.array([0.0, 0.5]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 3), (3, 2, 1)])
+def test_polyline_and_model_reject_arrays_that_are_not_point_pairs(shape):
+    with pytest.raises(T2SplineError, match=r"^points must be an \(m, 2\) array, got shape "):
+        Polyline(np.zeros(shape), np.arange(3.0))
+    with pytest.raises(T2SplineError, match=r"^controls must be an \(n, 2\) array, got shape "):
+        RationalCurveModel(np.zeros(shape), np.ones(3), 2, clamped_uniform_knots(3, 2))
 
 
 RAGGED_OR_NON_NUMERIC = {
@@ -341,6 +384,29 @@ def test_sample_bound_is_on_basis_cells(n):
     polygon = np.zeros((1, n, 2))
     with pytest.raises(T2SplineError, match=f"at most {MAX_BASIS_CELLS // n} samples"):
         sample_curves(kv, np.ones(n), polygon, MAX_BASIS_CELLS // n + 1)
+
+
+def test_sample_bound_up_to_order_10_is_the_cell_bound():
+    """So every document accepted under the cell bound alone at order 10 or
+    below is still accepted."""
+    for order in range(2, 11):
+        for n in range(order, 5001):
+            assert max_samples(n, order) == MAX_BASIS_CELLS // n
+
+
+def test_sample_bound_above_order_10_limits_basis_work():
+    """The triangular table costs order² steps per sample."""
+    assert max_samples(400, 400) == MAX_BASIS_WORK // 400**2 == 2097
+    assert max_samples(11, 11) == MAX_BASIS_WORK // 121 < MAX_BASIS_CELLS // 11
+    kv = clamped_uniform_knots(400, 400)
+    with pytest.raises(T2SplineError, match="^at most 2097 samples are supported for 400 control points, got 2098$"):
+        sample_curves(kv, np.ones(400), np.zeros((1, 400, 2)), 2098)
+
+
+@pytest.mark.parametrize("order", [3.7, True, "3", 1, 6])
+def test_sample_bound_checks_the_order_first(order):
+    with pytest.raises(T2SplineError, match="^order "):
+        max_samples(5, order)
 
 
 

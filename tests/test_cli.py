@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -234,11 +235,11 @@ def test_failed_render_leaves_existing_output_untouched(demo_path, tmp_path, mon
     out = tmp_path / "curve.csv"
     out.write_bytes(b"previous,bytes\r\n")
 
-    def half_then_fail(series, f):
+    def half_then_fail(f, ts, series):
         f.write("t,crisp_x\n0.0,")
         raise T2SplineError("render failed")
 
-    monkeypatch.setattr(cli, "write_csv", half_then_fail)
+    monkeypatch.setattr(cli, "write_curve_table", half_then_fail)
     assert run(["curve", str(demo_path), "--out", str(out)]) == 1
     assert out.read_bytes() == b"previous,bytes\r\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "model.json"]
@@ -265,6 +266,22 @@ def test_many_points_at_a_million_samples_exit_1_without_output(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: at most") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_high_order_document_at_the_cell_bound_is_refused_at_once(tmp_path, capsys):
+    """83,886 samples fit the cell bound for 400 points, but at order 400
+    their basis work would take about 40 s."""
+    payload = json.loads(document_to_json(_order4_document(400)))
+    payload.update(order=400, samples=83_886)
+    path = tmp_path / "high-order.json"
+    path.write_text(json.dumps(payload))
+    message = "error: 'samples' must be an integer from 2 to 2097 for 400 points, got 83886\n"
+    for argv in (["validate", str(path)], ["curve", str(path), "--out", str(tmp_path / "out.csv")]):
+        start = time.perf_counter()
+        assert run(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_out_of_memory_is_one_error_line(demo_path, tmp_path, capsys, monkeypatch):

@@ -7,6 +7,7 @@ import oracles
 from t2spline import (
     COMPONENT_LABELS,
     AlphaOutOfRange,
+    CurveBand,
     FuzzyCurveModel,
     KnotVector,
     NT2FuzzyPoint,
@@ -227,6 +228,18 @@ def test_deviation_rejects_mismatched_sampling():
     m = degenerate_model().crisp_model()
     with pytest.raises(SampleMismatch):
         deviation(sample_curve(m, 21), sample_curve(m, 22))
+
+
+def test_band_rejects_differently_sampled_components():
+    lines = list(fuzzy_curve_band(asymmetric_model(), 5).items())
+    lines[5] = ("r", Polyline(lines[5][1].points, lines[5][1].params / 2))
+    with pytest.raises(SampleMismatch, match="^band component r sampled at different parameters$"):
+        CurveBand(*(line for _, line in lines))
+
+
+def test_evaluate_rejects_unknown_groups():
+    with pytest.raises(T2SplineError, match=r"^unknown curve groups \['bogus', 'tr_left'\]$"):
+        evaluate(asymmetric_model(), ["band", "tr_left", "bogus"], 5)
 
 
 # --- model validation ---------------------------------------------------------------------

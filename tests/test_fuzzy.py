@@ -17,7 +17,7 @@ from t2spline import (
     T2SplineError,
     ValidationError,
 )
-from t2spline.fuzzy import as_coords, coords_from_rows, points_of
+from t2spline.fuzzy import SPREAD_FIELDS, as_coords, coords_from_rows, points_of
 
 REFERENCE = NT2FuzzyScalar(4, 4.3, 4.6, 5, 5.4, 5.7, 6, h=0.6)
 
@@ -104,6 +104,12 @@ def test_scalar_constructors_reject_what_is_not_a_number(name):
     build, field = NOT_NUMBERS[name]
     with pytest.raises(T2SplineError, match=f"^{field} must be a number, got "):
         build()
+
+
+@pytest.mark.parametrize("spreads", [(1,) * 5, (1,) * 7, 3, None], ids=["five", "seven", "int", "none"])
+def test_from_spreads_rejects_other_than_six_spreads(spreads):
+    with pytest.raises(T2SplineError, match=f"^spreads must be the six values {', '.join(SPREAD_FIELDS)}, got "):
+        NT2FuzzyScalar.from_spreads(5, spreads, 0.5)
 
 
 def test_scalar_constructors_accept_every_kind_of_number():

@@ -4,6 +4,10 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from t2spline import (
     Polyline,
@@ -93,6 +97,18 @@ def test_csv_rejects_mismatched_series(model):
         csv_text([("a", a), ("b", b)])
 
 
+def test_csv_rejects_no_series():
+    with pytest.raises(T2SplineError, match="^no series to write$"):
+        csv_text([])
+
+
+@pytest.mark.parametrize("pair", ["curve", ("curve",), ("curve", np.zeros((2, 2))), ["curve", None]])
+def test_csv_rejects_what_is_not_a_name_and_polyline(model, pair):
+    line = sample_curve(model.crisp_model(), 5)
+    with pytest.raises(T2SplineError, match=r"^series must be \(name, Polyline\) pairs"):
+        csv_text([("crisp", line), pair])
+
+
 def test_csv_values_have_full_precision(model):
     text = csv_text(sample_curve(model.crisp_model(), 3))
     data_cell = text.strip().split("\n")[2].split(",")[1]
@@ -109,6 +125,35 @@ def test_csv_rows_across_blocks_equal_cell_by_cell_formatting():
     cells = np.column_stack([line.params, line.points])
     expected = "t,curve_x,curve_y\n" + "".join(",".join(map("{:.16e}".format, row)) + "\n" for row in cells)
     assert csv_text(line) == expected
+
+
+def test_output_is_written_in_place_when_no_file_can_be_made_beside_it(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_text("old")
+    inode = path.stat().st_ino
+
+    def refused(*args):
+        raise PermissionError("read-only directory")
+
+    monkeypatch.setattr(output.os, "open", refused)
+    output.write_output(path, lambda f: f.write("new"))
+    assert path.read_text() == "new" and path.stat().st_ino == inode
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_staged_file_is_removed_when_its_mode_cannot_be_set(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_text("old")
+    rendered = []
+
+    def refused(*args):
+        raise PermissionError("fchmod refused")
+
+    monkeypatch.setattr(output.os, "fchmod", refused)
+    with pytest.raises(PermissionError, match="fchmod refused"):
+        output.write_output(path, rendered.append)
+    assert path.read_text() == "old" and rendered == []
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 # --- SVG --------------------------------------------------------------------
@@ -204,3 +249,31 @@ def test_svg_rejects_ragged_or_non_numeric_controls(controls):
 @pytest.mark.parametrize("controls", [[], np.empty((0, 2))])
 def test_svg_of_no_controls_marks_none(controls):
     assert svg_document(Scene(controls=controls)) == svg_document(Scene())
+
+
+@st.composite
+def _figures(draw):
+    """Series of 1 to 6 points and 0 to 6 controls around one centre at a
+    scale from 1e-3 to 1e5, with a constant x or y axis, or both, at times."""
+    scale = 10.0 ** draw(st.floats(-3, 5))
+    centre = np.array(draw(st.tuples(st.floats(-1e5, 1e5), st.floats(-1e5, 1e5))))
+    constant = list(draw(st.sampled_from([(), (0,), (1,), (0, 1)])))
+
+    def points(least):
+        m = draw(st.integers(least, 6))
+        unit = np.array(draw(st.lists(st.floats(-1, 1), min_size=2 * m, max_size=2 * m))).reshape(m, 2)
+        unit[:, constant] = 0.0
+        return centre + scale * unit
+
+    labels = draw(st.lists(st.sampled_from(sorted(output.SERIES_STYLE)), max_size=4))
+    return [(label, points(1)) for label in labels], points(0), draw(st.text(max_size=4))
+
+
+@settings(deadline=None)
+@example(([], np.empty((0, 2)), ""))  # the empty scene
+@example(([("crisp", np.array([[2.5, -1.0]]))], np.empty((0, 2)), ""))  # one point, no controls
+@example(([], np.array([[1e5, 3.0], [1e5, 3.0]]), "t"))  # constant axes
+@given(figure=_figures())
+def test_svg_equals_the_per_point_reference_byte_for_byte(figure):
+    series, controls, title = figure
+    assert output.svg_figure(series, controls, title) == oracles.svg_figure(series, controls.tolist(), title, output)
