@@ -121,7 +121,8 @@ def _cmd_curves(args) -> int:
     if args.command == "curve":
         write_output(_target(args), lambda f: write_curve_table(f, ts, series.items()))
     else:
-        write_output(_target(args), lambda f: f.write(svg_figure(series.items(), model.coords[:, :, 3], "")))
+        controls = curves.component_polygons(model)["crisp"]
+        write_output(_target(args), lambda f: f.write(svg_figure(series.items(), controls, "")))
     return 0
 
 

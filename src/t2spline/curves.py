@@ -22,11 +22,11 @@ import numpy as np
 from .bspline import DEFAULT_ORDER, KnotVector, Polyline, RationalCurveModel, check_curve_setup, clamped_uniform_knots
 from .bspline import float_array, sample_curve, sample_curves  # noqa: F401  (curves.sample_curve stays importable)
 from .errors import SampleMismatch, T2SplineError
-from .fuzzy import NT2FuzzyPoint, as_coords, points_of
+from .fuzzy import C, COMPONENT_FIELDS, NT2FuzzyPoint, as_coords, points_of
 from .pipeline import check_alpha, solve
 
 #: Band labels in control-polygon order; "crisp" extracts the c component.
-COMPONENT_LABELS = ("ll", "l", "rl", "crisp", "lr", "r", "rr")
+COMPONENT_LABELS = tuple("crisp" if name == "c" else name for name in COMPONENT_FIELDS)
 
 #: Labels of the curves each group (named like a :class:`Scene` field) gives,
 #: in CSV column order; a label two groups give is one column, at its first place.
@@ -92,7 +92,7 @@ class FuzzyCurveModel:
 
     def crisp_model(self) -> RationalCurveModel:
         """The rational curve through the crisp (c, c) control polygon."""
-        return RationalCurveModel(self.coords[:, :, 3], self.weights, self.order, self.knots)
+        return RationalCurveModel(self.coords[:, :, C], self.weights, self.order, self.knots)
 
 
 @dataclass(frozen=True, eq=False)

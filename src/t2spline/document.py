@@ -53,11 +53,12 @@ from typing import Any
 
 import numpy as np
 
-from .bspline import DEFAULT_ORDER, is_integer, max_samples
+from .bspline import DEFAULT_ORDER, check_order, is_integer, max_samples
 from .curves import DEFAULT_ALPHA, DEFAULT_SAMPLES, FuzzyCurveModel
 from .errors import ParseError, T2SplineError, ValidationError
 from .fuzzy import COORD_FIELDS, SPREAD_FIELDS, NT2FuzzyPoint, NT2FuzzyScalar, coords_from_rows, points_of
 from .output import write_output
+from .pipeline import check_alpha
 
 _EXPLICIT_KEYS = frozenset(COORD_FIELDS)
 _EXPLICIT_VALUES = itemgetter(*COORD_FIELDS)
@@ -71,10 +72,10 @@ class ModelDocument:
     count of its curves.
 
     ``points`` may be a sequence of :class:`NT2FuzzyPoint` or an ``(n, 2, 8)``
-    coordinate array; with ``weights``, ``order`` and ``alpha`` it builds
-    :attr:`model` once, on construction.  ``samples`` must be an integer
-    from 2 to ``max_samples(n, order)``, or :class:`ValidationError` is
-    raised before the model is built.
+    coordinate array; with ``weights``, ``order`` and ``alpha`` it builds and
+    solves :attr:`model` once, on construction.  ``samples`` must be an
+    integer from 2 to ``max_samples(n, order)``, or :class:`ValidationError`
+    is raised before the model is built.
     """
 
     def __init__(self, points, weights: list[float], order: int, alpha: float, samples: int):
@@ -83,6 +84,7 @@ class ModelDocument:
         if not is_integer(samples) or not 2 <= samples <= most:
             raise ValidationError(f"'samples' must be an integer from 2 to {most} for {n} points, got {samples!r}")
         self.model = FuzzyCurveModel.with_uniform_knots(points, weights=np.array(weights), order=order, alpha=alpha)
+        self.model.solved  # refuses overflow, as parse_document does
         self.samples = int(samples)
 
     @property
@@ -93,16 +95,16 @@ class ModelDocument:
     def to_model(self, order: int | None = None, alpha: float | None = None) -> FuzzyCurveModel:
         """The document's model, or, when ``order`` or ``alpha`` differs from
         it, a model over the same coordinates and weights with those
-        settings.  A model rebuilt at the same ``alpha`` keeps the solution
-        already computed, which depends only on the coordinates and
-        ``alpha``."""
+        settings, each checked before it is compared.  A model rebuilt at
+        the same ``alpha`` keeps the solution already computed, which
+        depends only on the coordinates and ``alpha``."""
         model = self.model
-        order = model.order if order is None else order
-        alpha = model.alpha if alpha is None else alpha
+        order = model.order if order is None else check_order(order, len(model.coords))
+        alpha = model.alpha if alpha is None else check_alpha(alpha)
         if (order, alpha) == (model.order, model.alpha):
             return model
         rebuilt = FuzzyCurveModel.with_uniform_knots(model.coords, weights=model.weights, order=order, alpha=alpha)
-        if rebuilt.alpha == model.alpha and "solved" in vars(model):
+        if rebuilt.alpha == model.alpha:
             vars(rebuilt)["solved"] = model.solved  # fills the cached_property
         return rebuilt
 
@@ -169,10 +171,6 @@ def _read_coordinate(record: Any, where: str) -> list[float]:
     return [_require_number(record[k], f"{where}.{k}") for k in COORD_FIELDS]
 
 
-def _where(row: int) -> str:
-    return f"point {row // 2}, coordinate {'xy'[row % 2]}"
-
-
 def _scan_points(points: list, flat: list) -> ValidationError | None:
     """Append the eight explicit-form numbers of each coordinate, in
     document order, to ``flat``, reading each with :func:`_read_coordinate`.
@@ -181,9 +179,9 @@ def _scan_points(points: list, flat: list) -> ValidationError | None:
     for idx, rec in enumerate(points):
         if type(rec) is not dict or rec.keys() != _POINT_KEYS:
             return ValidationError(f"point {idx}: must be an object with exactly 'x' and 'y'")
-        for coord in (rec["x"], rec["y"]):
+        for axis in "xy":
             try:
-                flat.extend(_read_coordinate(coord, _where(len(flat) // 8)))
+                flat.extend(_read_coordinate(rec[axis], f"point {idx}, coordinate {axis}"))
             except ValidationError as exc:
                 return exc
     return None
@@ -229,8 +227,8 @@ def _read_points(points: list) -> np.ndarray:
 def parse_document(text: str) -> ModelDocument:
     """Parse JSON text into a validated :class:`ModelDocument`.
 
-    Validation builds the document's model and runs the fuzzy pipeline at
-    its cut level, so a document whose type-reduced values overflow is
+    Validation builds the document, which runs the fuzzy pipeline at its
+    cut level, so a document whose type-reduced values overflow is
     rejected; the model keeps that solution as
     :attr:`~t2spline.curves.FuzzyCurveModel.solved`.
     """
@@ -268,7 +266,6 @@ def parse_document(text: str) -> ModelDocument:
 
     try:
         doc = ModelDocument(coords, weights, order, alpha, samples=raw.get("samples", DEFAULT_SAMPLES))
-        doc.model.solved  # surfaces order/alpha/weight invariants and overflow with one code path
     except ValidationError:
         raise
     except T2SplineError as exc:

@@ -10,10 +10,12 @@ two triangles is the footprint of uncertainty.  A scalar is *normal* when
 
 Many coordinates are held as one float array whose last axis is
 :data:`COORD_FIELDS` (the seven components, then ``h``); a model's controls
-are an ``(n, 2, 8)`` array.  :func:`coords_from_rows` validates such an array
-with the scalar constructors' rules and messages, and :func:`points_of`
-builds the scalar view of it.  The array holds the explicit form only; a
-coordinate given as ``c``, six spreads and ``h`` is converted by
+are an ``(n, 2, 8)`` array.  Other modules index that axis only by the
+positions :data:`COMPONENTS` (the seven), :data:`C`, :data:`RL`, :data:`LR`
+and :data:`H`.  :func:`coords_from_rows` validates such an array with the
+scalar constructors' rules and messages, and :func:`points_of` builds the
+scalar view of it.  The array holds the explicit form only; a coordinate
+given as ``c``, six spreads and ``h`` is converted by
 :meth:`NT2FuzzyScalar.from_spreads` alone.
 """
 
@@ -39,6 +41,10 @@ COMPONENT_FIELDS = ("ll", "l", "rl", "c", "lr", "r", "rr")
 
 #: The last axis of a coordinate array: the seven components, then ``h``.
 COORD_FIELDS = (*COMPONENT_FIELDS, "h")
+
+#: Positions on that axis: the seven components, then c, rl, lr and h.
+COMPONENTS = slice(0, len(COMPONENT_FIELDS))
+C, RL, LR, H = map(COORD_FIELDS.index, ("c", "rl", "lr", "h"))
 
 #: Spread names in the order :meth:`NT2FuzzyScalar.from_spreads` takes them.
 SPREAD_FIELDS = ("outer_left", "principal_left", "inner_left", "inner_right", "principal_right", "outer_right")
@@ -127,14 +133,8 @@ class NT2FuzzyScalar:
     @property
     def spreads(self) -> tuple[float, float, float, float, float, float]:
         """Six spreads in the order accepted by :meth:`from_spreads`."""
-        return (
-            self.c - self.ll,
-            self.c - self.l,
-            self.c - self.rl,
-            self.lr - self.c,
-            self.r - self.c,
-            self.rr - self.c,
-        )
+        c = self.c
+        return (c - self.ll, c - self.l, c - self.rl, self.lr - c, self.r - c, self.rr - c)
 
     @property
     def is_degenerate(self) -> bool:
@@ -202,7 +202,7 @@ def coords_from_rows(rows: np.ndarray) -> np.ndarray:
     :meth:`NT2FuzzyScalar.from_spreads` before they reach this array.
     """
     comps = np.array(rows, dtype=float)
-    values, h = comps[:, :7], comps[:, 7]
+    values, h = comps[:, COMPONENTS], comps[:, H]
     bad = ~np.isfinite(values).all(axis=1) | ~((h > 0.0) & (h <= 1.0)) | (values[:, :-1] > values[:, 1:]).any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
@@ -215,18 +215,17 @@ def coords_from_rows(rows: np.ndarray) -> np.ndarray:
 
 def as_coords(points) -> np.ndarray:
     """The read-only ``(n, 2, 8)`` coordinate array of a sequence of
-    :class:`NT2FuzzyPoint`, or of an array of that shape, which is validated
-    by :func:`coords_from_rows`."""
-    if isinstance(points, np.ndarray):
-        if points.ndim != 3 or points.shape[1:] != (2, len(COORD_FIELDS)):
-            raise T2SplineError(f"coordinates must be an (n, 2, 8) array, got shape {points.shape}")
-        coords = coords_from_rows(points.reshape(-1, len(COORD_FIELDS))).reshape(points.shape)
-    else:
+    :class:`NT2FuzzyPoint`, or of an array of that shape; either is
+    validated by :func:`coords_from_rows`."""
+    if not isinstance(points, np.ndarray):
         points = tuple(points)
         if not all(isinstance(p, NT2FuzzyPoint) for p in points):
             raise T2SplineError("fuzzy_controls must be NT2FuzzyPoint instances")
         rows = [(*p.x.components(), p.x.h, *p.y.components(), p.y.h) for p in points]
-        coords = np.array(rows, dtype=float).reshape(len(points), 2, len(COORD_FIELDS))
+        points = np.array(rows, dtype=float).reshape(len(points), 2, len(COORD_FIELDS))
+    if points.ndim != 3 or points.shape[1:] != (2, len(COORD_FIELDS)):
+        raise T2SplineError(f"coordinates must be an (n, 2, 8) array, got shape {points.shape}")
+    coords = coords_from_rows(points.reshape(-1, len(COORD_FIELDS))).reshape(points.shape)
     coords.flags.writeable = False
     return coords
 

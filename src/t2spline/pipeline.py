@@ -35,7 +35,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import AlphaOutOfRange, T2SplineError, ValidationError
-from .fuzzy import NT2FuzzyPoint, NT2FuzzyScalar, as_coords
+from .fuzzy import C, COMPONENTS, H, LR, RL, NT2FuzzyPoint, NT2FuzzyScalar, as_coords
 
 
 class Regime(Enum):
@@ -156,16 +156,16 @@ def alpha_cut_array(coords: np.ndarray, alpha: float) -> tuple[np.ndarray, np.nd
     """Cut every coordinate of a ``(..., 8)`` coordinate array at ``alpha``.
 
     Returns the ``(..., 7)`` cut values in component order and the
-    ``alpha <= h`` mask.  Where the mask is False the LMF entries (positions
-    2 and 4) have vanished and their slots hold the uncut components.
+    ``alpha <= h`` mask.  Where the mask is False the LMF entries (``rl`` and
+    ``lr``) have vanished and their slots hold the uncut components.
     """
     alpha = check_alpha(alpha)
-    values, c, h = coords[..., :7], coords[..., 3:4], coords[..., 7]
+    values, c, h = coords[..., COMPONENTS], coords[..., C:C + 1], coords[..., H]
     below = alpha <= h
     level = np.full(values.shape, alpha)
-    level[..., [2, 4]] = np.divide(alpha, h, out=np.zeros(h.shape), where=below)[..., None]
+    level[..., [RL, LR]] = np.divide(alpha, h, out=np.zeros(h.shape), where=below)[..., None]
     cuts = values + level * (c - values)
-    cuts[..., 3] = coords[..., 3]
+    cuts[..., C] = coords[..., C]
     return cuts, below
 
 

@@ -10,6 +10,7 @@ from t2spline import (
     CurveBand,
     FuzzyCurveModel,
     KnotVector,
+    ModelDocument,
     NT2FuzzyPoint,
     NT2FuzzyScalar,
     Polyline,
@@ -279,6 +280,8 @@ _CRISP_CURVE = RationalCurveModel.with_uniform_knots(CRISP_XY)
         lambda: clamped_uniform_knots(4, 3.0),
         lambda: clamped_uniform_knots(4, True),
         lambda: demo_document().to_model(order=2.5),
+        lambda: demo_document().to_model(order=3.0),
+        lambda: ModelDocument(_CRISP_COORDS, np.ones(4), 3, 0.0, 101).to_model(alpha=False),
         lambda: RationalCurveModel.with_uniform_knots(CRISP_XY, order="3"),
         lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, order="3"),
         lambda: KnotVector([0, 0, 0, 0.5, 1, 1, 1], 3.7),
@@ -296,6 +299,8 @@ _CRISP_CURVE = RationalCurveModel.with_uniform_knots(CRISP_XY)
         "knots-float-order",
         "knots-bool-order",
         "to-model-float-order",
+        "to-model-float-order-equal-to-the-document-order",
+        "to-model-bool-alpha-at-document-alpha-0",
         "rational-string-order",
         "fuzzy-string-order",
         "knot-vector-float-order",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from t2spline import (
     FuzzyCurveModel,
+    NT2FuzzyPoint,
     NT2FuzzyScalar,
     ParseError,
     T2SplineError,
@@ -311,6 +312,8 @@ INVALID_DOCUMENTS = {
     "samples-one": _text(samples=1),
     "samples-float": _text(samples=10.0),
     "samples-over-bound": _text(n=400, samples=2**25),
+    "point-keys-x-z": _text(lambda p: p[2].__setitem__("z", p[2].pop("y"))),
+    "coordinate-rr-renamed-zz": _text(_both(_drop(2, "x", "rr"), _set(2, "x", zz=6))),
 }
 
 
@@ -374,6 +377,8 @@ PARENT_ERRORS = {
     'samples-one': (ValidationError, "'samples' must be an integer from 2 to 6710886 for 5 points, got 1"),
     'samples-float': (ValidationError, "'samples' must be an integer from 2 to 6710886 for 5 points, got 10.0"),
     'samples-over-bound': (ValidationError, "'samples' must be an integer from 2 to 83886 for 400 points, got 33554432"),
+    'point-keys-x-z': (ValidationError, "point 2: must be an object with exactly 'x' and 'y'"),
+    'coordinate-rr-renamed-zz': (ValidationError, "point 2, coordinate x: unexpected keys ['zz']"),
 }
 
 
@@ -571,6 +576,17 @@ def test_document_whose_type_reduction_overflows_is_rejected():
     payload["points"][1]["y"] = wide
     with pytest.raises(ValidationError, match=r"^point 1, coordinate y: the type-reduced interval"):
         parse_document(json.dumps(payload))
+
+
+def test_model_document_refuses_an_overflow_the_parser_refuses():
+    points = parse_document(minimal_doc_text(EXPLICIT_COORD)).points
+    points[1] = NT2FuzzyPoint(points[1].x, NT2FuzzyScalar(-1e308, -1e308, 0, 1e308, 1e308, 1e308, 1e308, 0.6))
+    with pytest.raises(ValidationError) as exc:
+        document.ModelDocument(points, [1, 1, 1], 2, 0.5, samples=101)
+    assert str(exc.value) == (
+        "point 1, coordinate y: the type-reduced interval (inf, 1e+308, inf) and its "
+        "defuzzified value inf at alpha 0.5 must be finite"
+    )
 
 
 def test_model_is_built_once_until_a_setting_changes():

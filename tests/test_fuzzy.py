@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from t2spline import (
+    FuzzyCurveModel,
     HeightOutOfRange,
     NT2FuzzyPoint,
     NT2FuzzyScalar,
@@ -17,6 +18,7 @@ from t2spline import (
     T2SplineError,
     ValidationError,
 )
+from t2spline import fuzzy
 from t2spline.fuzzy import SPREAD_FIELDS, as_coords, coords_from_rows, points_of
 
 REFERENCE = NT2FuzzyScalar(4, 4.3, 4.6, 5, 5.4, 5.7, 6, h=0.6)
@@ -298,6 +300,16 @@ def test_points_and_coordinate_array_round_trip():
     assert coords.shape == (2, 2, 8) and not coords.flags.writeable
     assert points_of(coords) == points
     assert np.array_equal(as_coords(coords), coords)
+
+
+def test_fuzzy_points_take_the_validation_path_of_an_array(monkeypatch):
+    """A model built from fuzzy points holds an array that passed
+    :func:`coords_from_rows`, as a model built from an array does."""
+    checked = []
+    monkeypatch.setattr(fuzzy, "coords_from_rows", lambda rows: checked.append(rows) or coords_from_rows(rows))
+    model = FuzzyCurveModel.with_uniform_knots([NT2FuzzyPoint(REFERENCE, REFERENCE), NT2FuzzyPoint.crisp(2, 3)], order=2)
+    assert len(checked) == 1
+    assert np.array_equal(checked[0], model.coords.reshape(-1, 8))
 
 
 def test_coordinate_array_shape_and_values_checked():

@@ -31,3 +31,36 @@ def test_the_oracles_do_not_import_the_package(path):
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert [name for name in imported if name.split(".")[0] in ("t2spline", "")] == []
+
+
+def _literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _literal_positions(index) -> bool:
+    """Whether the last index of a subscript is an integer literal, a slice
+    with a literal bound or a list holding a literal."""
+    if isinstance(index, ast.Slice):
+        return any(_literal(bound) for bound in (index.lower, index.upper, index.step) if bound is not None)
+    if isinstance(index, ast.List):
+        return any(_literal(element) for element in index.elts)
+    return _literal(index)
+
+
+@pytest.mark.parametrize("module", ["pipeline", "curves", "cli", "document"])
+def test_the_coordinate_layout_is_indexed_only_through_fuzzy(module):
+    """The positions on the last axis of a coordinate array are stated once,
+    in ``t2spline.fuzzy``; a subscript of two or more indices whose last
+    index is a literal states them again."""
+    path = ROOT / "src" / "t2spline" / f"{module}.py"
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Tuple)
+        and len(node.slice.elts) >= 2
+        and _literal_positions(node.slice.elts[-1])
+    ]
+    assert found == []
