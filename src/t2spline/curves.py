@@ -22,7 +22,7 @@ import numpy as np
 from .bspline import DEFAULT_ORDER, KnotVector, Polyline, RationalCurveModel, check_curve_setup, clamped_uniform_knots
 from .bspline import float_array, sample_curve, sample_curves  # noqa: F401  (curves.sample_curve stays importable)
 from .errors import SampleMismatch, T2SplineError
-from .fuzzy import C, COMPONENT_FIELDS, NT2FuzzyPoint, as_coords, points_of
+from .fuzzy import C, COMPONENT_FIELDS, NT2FuzzyPoint, as_coords, point_items, points_of
 from .pipeline import check_alpha, solve
 
 #: Band labels in control-polygon order; "crisp" extracts the c component.
@@ -70,8 +70,7 @@ class FuzzyCurveModel:
 
     @classmethod
     def with_uniform_knots(cls, points, weights=None, order=DEFAULT_ORDER, alpha=DEFAULT_ALPHA) -> "FuzzyCurveModel":
-        if not isinstance(points, np.ndarray):
-            points = tuple(points)
+        points = point_items(points)
         if weights is None:
             weights = np.ones(len(points))
         return cls(points, weights, order, clamped_uniform_knots(len(points), order), alpha)

@@ -56,7 +56,7 @@ import numpy as np
 from .bspline import DEFAULT_ORDER, check_order, is_integer, max_samples
 from .curves import DEFAULT_ALPHA, DEFAULT_SAMPLES, FuzzyCurveModel
 from .errors import ParseError, T2SplineError, ValidationError
-from .fuzzy import COORD_FIELDS, SPREAD_FIELDS, NT2FuzzyPoint, NT2FuzzyScalar, coords_from_rows, points_of
+from .fuzzy import COORD_FIELDS, SPREAD_FIELDS, NT2FuzzyPoint, NT2FuzzyScalar, coords_from_rows, point_items, points_of
 from .output import write_output
 from .pipeline import check_alpha
 
@@ -71,7 +71,7 @@ class ModelDocument:
     """A model document: the fuzzy curve model it describes and the sample
     count of its curves.
 
-    ``points`` may be a sequence of :class:`NT2FuzzyPoint` or an ``(n, 2, 8)``
+    ``points`` may be an iterable of :class:`NT2FuzzyPoint` or an ``(n, 2, 8)``
     coordinate array; with ``weights``, ``order`` and ``alpha`` it builds and
     solves :attr:`model` once, on construction.  ``samples`` must be an
     integer from 2 to ``max_samples(n, order)``, or :class:`ValidationError`
@@ -79,6 +79,7 @@ class ModelDocument:
     """
 
     def __init__(self, points, weights: list[float], order: int, alpha: float, samples: int):
+        points = point_items(points)
         n = len(points)
         most = max_samples(n, order)
         if not is_integer(samples) or not 2 <= samples <= most:

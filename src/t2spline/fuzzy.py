@@ -213,12 +213,25 @@ def coords_from_rows(rows: np.ndarray) -> np.ndarray:
     return comps
 
 
+def point_items(points) -> tuple | np.ndarray:
+    """``points`` itself if it is an array, else the tuple of its items;
+    :class:`T2SplineError` if it is neither."""
+    if isinstance(points, np.ndarray):
+        return points
+    try:
+        items = iter(points)
+    except TypeError:
+        kind = type(points).__name__
+        raise T2SplineError(f"fuzzy_controls must be NT2FuzzyPoint instances or an (n, 2, 8) array, got {kind}") from None
+    return tuple(items)
+
+
 def as_coords(points) -> np.ndarray:
-    """The read-only ``(n, 2, 8)`` coordinate array of a sequence of
+    """The read-only ``(n, 2, 8)`` coordinate array of an iterable of
     :class:`NT2FuzzyPoint`, or of an array of that shape; either is
     validated by :func:`coords_from_rows`."""
+    points = point_items(points)
     if not isinstance(points, np.ndarray):
-        points = tuple(points)
         if not all(isinstance(p, NT2FuzzyPoint) for p in points):
             raise T2SplineError("fuzzy_controls must be NT2FuzzyPoint instances")
         rows = [(*p.x.components(), p.x.h, *p.y.components(), p.y.h) for p in points]

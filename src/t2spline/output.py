@@ -3,14 +3,17 @@
 Both writers are deterministic: identical inputs produce byte-identical
 files (fixed column order, fixed float formatting, no timestamps).  Both
 draw on ``(label, points)`` series sharing one parameter array.  The curve
-table is laid out by :func:`write_curve_table` alone, CSV rows and SVG points
-are filled from arrays a block at a time by ``_fill`` alone, and every output
-file of the package is written by :func:`write_output`.
+table is laid out by :func:`write_curve_table` alone, and CSV rows and SVG
+points are cut from arrays a block at a time by ``_fill`` alone.  A block of
+a table printed all in :data:`FLOAT_FORMAT` is laid out byte by byte by
+``_format_e16``, any other block by its ``%`` template, to the same text.
+Every output file of the package is written by :func:`write_output`.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 import stat
 from dataclasses import dataclass
@@ -22,11 +25,37 @@ from .curves import SERIES, CurveBand, ReducedCurves
 from .errors import SampleMismatch, T2SplineError
 
 #: Cells :func:`write_table` formats at once: a bounded block of rows keeps
-#: the text of a long table from being held whole.
+#: the text of a long table from being held whole, and bounds the arrays
+#: ``_format_e16`` works in, about 100 bytes a cell.
 BLOCK_CELLS = 4096
 
 #: 17 significant digits: locale-independent, round-trips doubles exactly.
 FLOAT_FORMAT = "%.16e"
+
+
+def _split(a):
+    """Veltkamp's split of the doubles ``a`` into ``hi + lo``, each of at
+    most 26 significant bits, so that a product of two halves is exact."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _least_double_from(k):
+    """The least double not below ``10**k``."""
+    b = float(f"1e{k}")  # the nearest double
+    num, den = b.as_integer_ratio()
+    return math.nextafter(b, math.inf) if num * 10 ** max(-k, 0) < den * 10 ** max(k, 0) else b
+
+
+#: The decimal exponents ``_format_e16`` prints: ``10**(16 - E)`` is an
+#: exact double for each, and ``10**22`` is the largest power of ten that is.
+_E16_EXPONENTS = range(-6, 17)
+#: The least double not below each power of ten from ``10**-6`` to
+#: ``10**17``: ``|x| >= _E16_DECADES[i]`` exactly when ``|x| >= 10**(i - 6)``.
+_E16_DECADES = np.array([_least_double_from(k) for k in range(_E16_EXPONENTS.start, _E16_EXPONENTS.stop + 1)])
+_E16_SCALE = np.array([float(10 ** (16 - e)) for e in _E16_EXPONENTS])
+_E16_SCALE_HI, _E16_SCALE_LO = _split(_E16_SCALE)
 
 
 def write_table(f, header, columns, formats) -> None:
@@ -49,11 +78,77 @@ def write_curve_table(f, ts, series) -> None:
 def _fill(row_format, *columns):
     """Yield the text of the rows of the ``(rows, k)`` arrays ``columns``
     placed side by side, each row filled into the ``%``-template
-    ``row_format``, a block of at most :data:`BLOCK_CELLS` cells at a time."""
-    step = max(1, BLOCK_CELLS // sum(c.shape[1] for c in columns))
+    ``row_format``, a block of at most :data:`BLOCK_CELLS` cells at a time.
+    A row of :data:`FLOAT_FORMAT` cells alone is printed by ``_format_e16``
+    wherever a block lies in its domain."""
+    width = sum(c.shape[1] for c in columns)
+    exact = row_format == ",".join([FLOAT_FORMAT] * width) + "\n"
+    step = max(1, BLOCK_CELLS // width)
     for start in range(0, len(columns[0]), step):
         block = np.hstack([c[start : start + step] for c in columns])
-        yield (row_format * len(block)) % tuple(block.ravel().tolist())
+        text = _format_e16(block) if exact else None
+        yield (row_format * len(block)) % tuple(block.ravel().tolist()) if text is None else text
+
+
+def _format_e16(block):
+    """The rows of the 2-d array ``block`` as CSV text, each cell ``x`` as
+    ``"%.16e" % x`` prints it; None unless ``block`` holds doubles and every
+    ``x`` is ±0 or has ``1e-6 < |x| < 1e17``.
+
+    ``%.16e`` prints ``D * 10**(E - 16)``: ``E`` is the decimal exponent,
+    ``10**E <= |x| < 10**(E + 1)``, and ``D`` is ``|x| * 10**(16 - E)``
+    rounded to the nearest integer, ties to even.  In the domain
+    ``-6 <= E <= 16``, so ``10**(16 - E)`` is an exact double, and Dekker's
+    product of ``|x|`` and that power is exact: ``hi + lo``, with ``hi`` the
+    rounded product.  ``hi`` is at least ``10**16 > 2**53``, so it is an
+    even integer, and ``D`` is ``hi`` plus ``lo`` rounded half to even.  The
+    largest double below each ``10**(E + 1)`` gives a product more than 8
+    below ``10**17``, so ``D`` never rounds up to ``10**17``.  The double
+    ``1e-6`` lies below ``10**-6`` and prints with ``E == -7``.
+    A block holding it, a smaller nonzero, a larger, infinite or NaN cell is
+    left to the ``%`` template.
+    """
+    x = block.ravel()
+    digits_exponents = _digits17(np.abs(x)) if x.dtype == np.float64 else None
+    if digits_exponents is None:
+        return None
+    d, e = digits_exponents
+    # One column of bytes per cell: sign (NUL for none), d, ".", 16 digits,
+    # "e", exponent sign, 2 exponent digits, separator.
+    text = np.empty((24, len(x)), np.uint8)
+    text[0] = np.where(np.signbit(x), ord("-"), 0)
+    digits = np.empty((2, len(x)), np.int64)  # the first 9 and last 8 digits of D
+    digits[0], digits[1] = np.divmod(d, 10**8)
+    for i in range(8):
+        rest = digits // 10
+        text[10 - i : 19 - i : 8] = digits - rest * 10 + ord("0")
+        digits = rest
+    text[1] = digits[0] + ord("0")
+    text[2] = ord(".")
+    text[19] = ord("e")
+    text[20] = np.where(e < 0, ord("-"), ord("+"))
+    text[21], text[22] = np.divmod(np.abs(e), 10)
+    text[21:23] += ord("0")
+    separators = text[23].reshape(block.shape)
+    separators[:] = ord(",")
+    separators[:, -1] = ord("\n")
+    return text.T.tobytes().replace(b"\0", b"").decode("ascii")
+
+
+def _digits17(a):
+    """``D`` and ``E`` of :func:`_format_e16` for the absolute values ``a``,
+    or None if one lies outside its domain."""
+    zero = a == 0
+    if not np.all(zero | ((a >= _E16_DECADES[0]) & (a < _E16_DECADES[-1]))):
+        return None
+    # E - E_min; a zero takes -1, the last scale, and its product is 0 at any.
+    j = np.searchsorted(_E16_DECADES, a, side="right") - 1
+    p, p_hi, p_lo = _E16_SCALE[j], _E16_SCALE_HI[j], _E16_SCALE_LO[j]
+    a_hi, a_lo = _split(a)
+    hi = a * p
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    return d, np.where(zero, 0, j + _E16_EXPONENTS.start)
 
 
 def _normalize_series(series) -> list[tuple[str, Polyline]]:

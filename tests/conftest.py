@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from t2spline import demo_document
+
+# A heavy run of the properties that set no example count of their own:
+# pytest --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=20_000)
 
 
 @pytest.fixture

@@ -5,10 +5,14 @@ order-3 recursion on the clamped knot vector (0, 0, 0, 0.5, 1, 1, 1),
 ``cox_de_boor`` is the textbook recursive definition of any basis function,
 and ``alpha_cut``, ``type_reduce``, ``defuzzify`` and ``pipeline_point`` are
 the fuzzy chain written one coordinate at a time in plain float arithmetic;
-``svg_figure`` maps and formats each SVG point on its own.  They
+``svg_figure`` maps and formats each SVG point on its own, and
+``csv_table`` fills a whole table into one ``%`` template.  They
 deliberately do NOT call the library; ``svg_figure`` is handed the module
 that holds its layout constants.
 """
+
+import csv
+import io
 
 
 def cox_de_boor(knots, i, order, t):
@@ -223,3 +227,13 @@ def svg_figure(series, controls, title, layout):
 
 def _escape(text):
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def csv_table(header, cells, formats):
+    """The CSV text of the ``header`` row, then the rows of the 2-d array
+    ``cells``, each cell printed by Python's ``%`` operator with its format
+    from ``formats``: every row in one template, in one operation."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(header)
+    row = ",".join(formats) + "\n"
+    return buf.getvalue() + (row * len(cells)) % tuple(cells.ravel().tolist())

@@ -29,6 +29,7 @@ from t2spline import (
     sample_curve,
 )
 from t2spline.curves import evaluate
+from t2spline.fuzzy import as_coords
 from t2spline.pipeline import solve
 
 CRISP_XY = [(0.0, 0.0), (2.0, 4.0), (5.0, 5.0), (7.0, 1.0)]
@@ -294,6 +295,10 @@ _CRISP_CURVE = RationalCurveModel.with_uniform_knots(CRISP_XY)
         lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, alpha=None),
         lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, alpha="0.5"),
         lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, alpha=False),
+        lambda: ModelDocument(5, np.ones(4), 3, 0.8, 101),
+        lambda: FuzzyCurveModel(5, np.ones(4), 3, clamped_uniform_knots(4, 3), 0.8),
+        lambda: FuzzyCurveModel.with_uniform_knots(5),
+        lambda: as_coords(5),
     ],
     ids=[
         "knots-float-order",
@@ -313,6 +318,10 @@ _CRISP_CURVE = RationalCurveModel.with_uniform_knots(CRISP_XY)
         "none-alpha",
         "string-alpha",
         "bool-alpha",
+        "document-int-points",
+        "fuzzy-int-coords",
+        "uniform-knots-int-points",
+        "as-coords-int",
     ],
 )
 def test_integer_and_alpha_inputs_of_constructors_raise_the_package_error(build):

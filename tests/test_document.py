@@ -187,6 +187,12 @@ def test_model_document_refuses_a_sample_count_the_parser_refuses():
     assert str(exc.value) == "'samples' must be an integer from 2 to 8388608 for 4 points, got 1"
 
 
+def test_model_document_takes_any_iterable_of_points():
+    demo = demo_document()
+    doc = document.ModelDocument((p for p in demo.points), [1, 1, 3, 1], 3, 0.8, 101)
+    assert np.array_equal(doc.model.coords, demo.model.coords)
+
+
 def test_model_document_without_points_raises_the_package_error():
     with pytest.raises(T2SplineError, match="exceeds control count 0"):
         document.ModelDocument([], [], 3, 0.8, samples=101)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 
@@ -125,6 +126,47 @@ def test_csv_rows_across_blocks_equal_cell_by_cell_formatting():
     cells = np.column_stack([line.params, line.points])
     expected = "t,curve_x,curve_y\n" + "".join(",".join(map("{:.16e}".format, row)) + "\n" for row in cells)
     assert csv_text(line) == expected
+
+
+@st.composite
+def _float_tables(draw):
+    """A table of 1 to 24 columns and 1 to 3 blocks' worth of rows, of any
+    doubles (subnormal, huge, ±0, inf, NaN) and doubles below 1e17 in
+    magnitude, most cells one drawn fill value."""
+    cell = st.floats() | st.floats(-1e17, 1e17)
+    k = draw(st.integers(1, 24))
+    rows = draw(st.integers(1, 3 * BLOCK_CELLS // k))
+    return draw(hnp.arrays(np.float64, (rows, k), elements=cell, fill=cell))
+
+
+@settings(deadline=None)
+# 1234567890123456.25 and .75 are ties at 17 digits, printed as 1.2345678901234562e+15
+# and 1.2345678901234568e+15: each rounds to the even last digit.
+@example(np.array([[9.999999999999998e16, 1234567890123456.75, 1234567890123456.25, -0.0]]))
+@example(np.array([[9.999999999999998e16, 1234567890123456.75, -0.0, 5e-324]]))
+@given(cells=_float_tables())
+def test_float_tables_print_exactly_as_the_percent_template(cells):
+    k = cells.shape[1]
+    header = [f"c{i}" for i in range(k)]
+    formats = [output.FLOAT_FORMAT] * k
+    buf = io.StringIO()
+    output.write_table(buf, header, [cells[:, :1], cells[:, 1:]], formats)
+    assert buf.getvalue() == oracles.csv_table(header, cells, formats)
+    # One block is printed without the template exactly when every cell is
+    # ±0 or has 1e-6 < |cell| < 1e17.
+    inside = (cells == 0) | ((np.abs(cells) > 1e-6) & (np.abs(cells) < 1e17))
+    assert (output._format_e16(cells) is not None) == inside.all()
+
+
+# Each decade from 1e-06 to 1e17 and its neighbours, each alone in a table:
+# 1e-06 prints 9.9999999999999995e-07 and 1e17 prints 1.0000000000000000e+17,
+# outside the domain, and the double below a decade is the one that would
+# round up to the next exponent if any did.
+for _decade in (float(f"1e{e}") for e in range(-6, 18)):
+    for _cell in (np.nextafter(_decade, 0.0), _decade, np.nextafter(_decade, np.inf)):
+        test_float_tables_print_exactly_as_the_percent_template = example(np.array([[_cell, -_cell]]))(
+            test_float_tables_print_exactly_as_the_percent_template
+        )
 
 
 def test_output_is_written_in_place_when_no_file_can_be_made_beside_it(tmp_path, monkeypatch):
