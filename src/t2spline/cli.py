@@ -15,7 +15,7 @@ import numpy as np
 from . import curves
 from .document import demo_document, load_document, save_document
 from .errors import ParseError, T2SplineError
-from .output import FLOAT_FORMAT, svg_figure, write_curve_table, write_output, write_table
+from .output import FLOAT_FORMAT, svg_figure, write_curve_table, write_output, write_pipeline_json, write_table
 
 SERIES_CHOICES = (*curves.GROUPS, "all")
 
@@ -91,22 +91,13 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-# One solution point in the layout of json.dumps(..., indent=2); %r of a
-# float is the repr json.dumps writes for a finite float.
-_JSON_POINT = '    {\n      "x": %r,\n      "y": %r\n    }'
-
-
 def _cmd_pipeline(args) -> int:
     _, model = _load(args)
     solution = model.solved[-1]
-    n = len(solution)
     if args.format == "json":
-        # json.dumps({"alpha": ..., "points": [{"x": ..., "y": ...}, ...]}, indent=2) + "\n"
-        points = ",\n".join([_JSON_POINT] * n) % tuple(solution.ravel().tolist())
-        text = f'{{\n  "alpha": {model.alpha!r},\n  "points": [\n{points}\n  ]\n}}\n'
-        write_output(_target(args), lambda f: f.write(text))
+        write_output(_target(args), lambda f: write_pipeline_json(f, model.alpha, solution))
     else:
-        columns = [np.arange(n)[:, None], solution]
+        columns = [np.arange(len(solution))[:, None], solution]
         formats = ["%d", FLOAT_FORMAT, FLOAT_FORMAT]
         write_output(_target(args), lambda f: write_table(f, ["index", "x", "y"], columns, formats))
     return 0

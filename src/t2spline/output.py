@@ -1,13 +1,18 @@
-"""Sampled-curve output: CSV tables and static SVG figures.
+"""Sampled-curve output: CSV tables, the pipeline's JSON and static SVG figures.
 
-Both writers are deterministic: identical inputs produce byte-identical
-files (fixed column order, fixed float formatting, no timestamps).  Both
-draw on ``(label, points)`` series sharing one parameter array.  The curve
-table is laid out by :func:`write_curve_table` alone, and CSV rows and SVG
-points are cut from arrays a block at a time by ``_fill`` alone.  A block of
-a table printed all in :data:`FLOAT_FORMAT` is laid out byte by byte by
-``_format_e16``, any other block by its ``%`` template, to the same text.
-Every output file of the package is written by :func:`write_output`.
+Every writer is deterministic: identical inputs produce byte-identical
+files (fixed column order, fixed float formatting, no timestamps).  The
+curve table is laid out by :func:`write_curve_table` alone and the
+pipeline's solution points by :func:`write_pipeline_json` alone.  CSV rows,
+JSON points and SVG points are cut from arrays a block at a time by
+``_fill`` alone, each row filled into a ``%`` template.  Two kernels print
+whole blocks with numpy array arithmetic instead, to the template's text:
+``_format_e16`` the cells of :data:`FLOAT_FORMAT` (``%.16e``) and
+``_format_repr`` the cells of ``%r``.  A block holding a cell outside a
+kernel's domain is filled into the template: ``_format_e16`` takes ±0 and
+``1e-6 < |x| < 1e17``, ``_format_repr`` ±0 and ``1e-4 <= |x| < 1e16``
+without the powers of two.  Every output file of the package is written by
+:func:`write_output`.
 """
 
 from __future__ import annotations
@@ -24,13 +29,17 @@ from .bspline import Polyline, float_array
 from .curves import SERIES, CurveBand, ReducedCurves
 from .errors import SampleMismatch, T2SplineError
 
-#: Cells :func:`write_table` formats at once: a bounded block of rows keeps
-#: the text of a long table from being held whole, and bounds the arrays
-#: ``_format_e16`` works in, about 100 bytes a cell.
+#: Cells ``_fill`` formats at once: a bounded block of rows keeps the text
+#: of a long table from being held whole, and bounds the arrays the kernels
+#: work in, about 100 bytes a cell.
 BLOCK_CELLS = 4096
 
 #: 17 significant digits: locale-independent, round-trips doubles exactly.
 FLOAT_FORMAT = "%.16e"
+
+#: One solution point of :func:`write_pipeline_json`, led by the separator
+#: from the point before it.
+_JSON_POINT = ',\n    {\n      "x": %r,\n      "y": %r\n    }'
 
 
 def _split(a):
@@ -48,14 +57,54 @@ def _least_double_from(k):
     return math.nextafter(b, math.inf) if num * 10 ** max(-k, 0) < den * 10 ** max(k, 0) else b
 
 
-#: The decimal exponents ``_format_e16`` prints: ``10**(16 - E)`` is an
-#: exact double for each, and ``10**22`` is the largest power of ten that is.
-_E16_EXPONENTS = range(-6, 17)
+#: The decimal exponents the kernels print: ``10**(16 - E)`` is an exact
+#: double for each, and ``10**22`` is the largest power of ten that is.
+_EXPONENTS = range(-6, 17)
 #: The least double not below each power of ten from ``10**-6`` to
-#: ``10**17``: ``|x| >= _E16_DECADES[i]`` exactly when ``|x| >= 10**(i - 6)``.
-_E16_DECADES = np.array([_least_double_from(k) for k in range(_E16_EXPONENTS.start, _E16_EXPONENTS.stop + 1)])
-_E16_SCALE = np.array([float(10 ** (16 - e)) for e in _E16_EXPONENTS])
-_E16_SCALE_HI, _E16_SCALE_LO = _split(_E16_SCALE)
+#: ``10**17``: ``|x| >= _DECADES[i]`` exactly when ``|x| >= 10**(i - 6)``.
+_DECADES = np.array([_least_double_from(k) for k in range(_EXPONENTS.start, _EXPONENTS.stop + 1)])
+_SCALE = np.array([float(10 ** (16 - e)) for e in _EXPONENTS])
+_SCALE_HI, _SCALE_LO = _split(_SCALE)
+
+
+def _within(a, least, limit):
+    """Whether every absolute value of ``a`` is 0 or lies in ``[10**least,
+    10**limit)``, for ``-6 <= least < limit <= 17``."""
+    start = _EXPONENTS.start
+    return np.all((a == 0) | ((a >= _DECADES[least - start]) & (a < _DECADES[limit - start])))
+
+
+def _scaled(a):
+    """``hi``, ``lo`` and ``E`` of the absolute values ``a``, each 0 or with
+    ``10**-6 <= a < 10**17``: ``10**E <= a < 10**(E + 1)`` (``E`` is 0 for
+    0), and ``S = a * 10**(16 - E)`` is ``hi + lo`` exactly.
+
+    ``10**(16 - E)`` is an exact double, so Dekker's product of ``a`` and it
+    is exact: ``hi`` is the rounded product and ``lo`` its error, with
+    ``|lo| <= ulp(hi) / 2 <= 8``.  ``hi`` is at least ``10**16 > 2**53``,
+    so it is an even integer, and ``floor(S)`` is ``hi + floor(lo)``.
+    """
+    # E - E_min; a zero takes -1, the last scale, and its product is 0 at any.
+    j = np.searchsorted(_DECADES, a, side="right") - 1
+    p, p_hi, p_lo = _SCALE[j], _SCALE_HI[j], _SCALE_LO[j]
+    a_hi, a_lo = _split(a)
+    hi = a * p
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    return hi, lo, np.where(a == 0, 0, j + _EXPONENTS.start)
+
+
+def _ascii_digits(d):
+    """The 17 decimal digits of each integer ``0 <= d < 10**17`` of the
+    int64 array ``d``, in ASCII, one row of a ``(17, len(d))`` array a place."""
+    text = np.empty((17, len(d)), np.uint8)
+    digits = np.empty((2, len(d)), np.int32)  # the first 9 and the last 8
+    digits[0], digits[1] = np.divmod(d, 10**8)
+    for i in range(8):
+        rest = digits // 10
+        text[8 - i : 17 - i : 8] = digits - rest * 10 + ord("0")
+        digits = rest
+    text[0] = digits[0] + ord("0")
+    return text
 
 
 def write_table(f, header, columns, formats) -> None:
@@ -75,80 +124,184 @@ def write_curve_table(f, ts, series) -> None:
     write_table(f, header, columns, [FLOAT_FORMAT] * len(header))
 
 
+def write_pipeline_json(f, alpha, points) -> None:
+    """Write the solution ``points``, an ``(n, 2)`` array, found at the cut
+    level ``alpha`` to the text stream ``f`` as ``json.dumps({"alpha": alpha,
+    "points": [{"x": x, "y": y}, ...]}, indent=2) + "\\n"`` writes them."""
+    blocks = _fill(_JSON_POINT, points)
+    f.write(f'{{\n  "alpha": {alpha!r},\n  "points": [')
+    f.write(next(blocks, ",")[1:])  # no separator before the first point
+    f.writelines(blocks)
+    f.write("\n  ]\n}\n" if len(points) else "]\n}\n")
+
+
 def _fill(row_format, *columns):
     """Yield the text of the rows of the ``(rows, k)`` arrays ``columns``
     placed side by side, each row filled into the ``%``-template
     ``row_format``, a block of at most :data:`BLOCK_CELLS` cells at a time.
-    A row of :data:`FLOAT_FORMAT` cells alone is printed by ``_format_e16``
-    wherever a block lies in its domain."""
+    A template whose cells are all :data:`FLOAT_FORMAT` or all ``%r`` is
+    printed by its kernel wherever a block lies in the kernel's domain."""
     width = sum(c.shape[1] for c in columns)
-    exact = row_format == ",".join([FLOAT_FORMAT] * width) + "\n"
     step = max(1, BLOCK_CELLS // width)
+    kernel, pieces = _kernel(row_format, width)
     for start in range(0, len(columns[0]), step):
         block = np.hstack([c[start : start + step] for c in columns])
-        text = _format_e16(block) if exact else None
-        yield (row_format * len(block)) % tuple(block.ravel().tolist()) if text is None else text
+        cells = kernel(block) if kernel else None
+        yield (row_format * len(block)) % tuple(block.ravel().tolist()) if cells is None else _lay_out(pieces, cells)
+
+
+def _kernel(row_format, width):
+    """The kernel that prints each of the ``width`` cells of the ASCII
+    ``%``-template ``row_format``, and the literal pieces of the template
+    around them: the bytes before the first cell and a ``(width, size)``
+    uint8 array of those after each, NUL-padded; Nones if no kernel does."""
+    for spec, kernel in _KERNELS:
+        if row_format.isascii() and row_format.count(spec) == row_format.count("%") == width:
+            first, *after = (piece.encode("ascii") for piece in row_format.split(spec))
+            size = max(map(len, after))
+            after = np.frombuffer(b"".join(piece.ljust(size, b"\0") for piece in after), np.uint8)
+            return kernel, (np.frombuffer(first, np.uint8), after.reshape(width, size))
+    return None, None
+
+
+def _lay_out(pieces, cells):
+    """The text of the rows of a template whose cells have the NUL-padded
+    texts ``cells``, the columns of a ``(bytes, rows * width)`` uint8 array,
+    and whose literal pieces are ``pieces``, as ``_kernel`` gives them."""
+    first, after = pieces
+    width, size = after.shape
+    text = np.empty((cells.shape[1] // width, len(first) + width * (len(cells) + size)), np.uint8)
+    text[:, : len(first)] = first
+    rest = text[:, len(first) :].reshape(len(text), width, -1)  # each cell and the piece after it
+    rest[:, :, : len(cells)] = cells.T.reshape(len(text), width, len(cells))
+    rest[:, :, len(cells) :] = after
+    data = text.tobytes()
+    # A NUL costs bytes.replace about what 16 bytes cost bytes.translate.
+    few = 16 * (text.size - np.count_nonzero(text)) < text.size
+    return (data.replace(b"\0", b"") if few else data.translate(None, b"\0")).decode("ascii")
 
 
 def _format_e16(block):
-    """The rows of the 2-d array ``block`` as CSV text, each cell ``x`` as
-    ``"%.16e" % x`` prints it; None unless ``block`` holds doubles and every
-    ``x`` is ±0 or has ``1e-6 < |x| < 1e17``.
+    """The text ``"%.16e" % x`` of each cell ``x`` of ``block``, in order, as
+    the NUL-padded columns of a ``(23, block.size)`` uint8 array; None
+    unless ``block`` holds doubles and every ``x`` is ±0 or has
+    ``1e-6 < |x| < 1e17``.
 
     ``%.16e`` prints ``D * 10**(E - 16)``: ``E`` is the decimal exponent,
-    ``10**E <= |x| < 10**(E + 1)``, and ``D`` is ``|x| * 10**(16 - E)``
-    rounded to the nearest integer, ties to even.  In the domain
-    ``-6 <= E <= 16``, so ``10**(16 - E)`` is an exact double, and Dekker's
-    product of ``|x|`` and that power is exact: ``hi + lo``, with ``hi`` the
-    rounded product.  ``hi`` is at least ``10**16 > 2**53``, so it is an
-    even integer, and ``D`` is ``hi`` plus ``lo`` rounded half to even.  The
-    largest double below each ``10**(E + 1)`` gives a product more than 8
-    below ``10**17``, so ``D`` never rounds up to ``10**17``.  The double
-    ``1e-6`` lies below ``10**-6`` and prints with ``E == -7``.
-    A block holding it, a smaller nonzero, a larger, infinite or NaN cell is
-    left to the ``%`` template.
+    ``10**E <= |x| < 10**(E + 1)``, and ``D`` is ``S = |x| * 10**(16 - E)``
+    rounded to the nearest integer, ties to even.  ``S`` is ``hi + lo``
+    exactly (``_scaled``) with ``hi`` an even integer, so ``D`` is ``hi``
+    plus ``lo`` rounded half to even.  The largest double below each
+    ``10**(E + 1)`` gives an ``S`` more than 8 below ``10**17``, so ``D``
+    never rounds up to ``10**17``.  The double ``1e-6`` lies below
+    ``10**-6`` and prints with ``E == -7``.
     """
-    x = block.ravel()
-    digits_exponents = _digits17(np.abs(x)) if x.dtype == np.float64 else None
-    if digits_exponents is None:
+    x = np.ravel(block)
+    a = np.abs(x)
+    if x.dtype != np.float64 or not _within(a, -6, 17):
         return None
-    d, e = digits_exponents
-    # One column of bytes per cell: sign (NUL for none), d, ".", 16 digits,
-    # "e", exponent sign, 2 exponent digits, separator.
-    text = np.empty((24, len(x)), np.uint8)
-    text[0] = np.where(np.signbit(x), ord("-"), 0)
-    digits = np.empty((2, len(x)), np.int64)  # the first 9 and last 8 digits of D
-    digits[0], digits[1] = np.divmod(d, 10**8)
-    for i in range(8):
-        rest = digits // 10
-        text[10 - i : 19 - i : 8] = digits - rest * 10 + ord("0")
-        digits = rest
-    text[1] = digits[0] + ord("0")
+    hi, lo, e = _scaled(a)
+    digits = _ascii_digits(hi.astype(np.int64) + np.rint(lo).astype(np.int64))
+    # One column of bytes per cell: sign (NUL for none), a digit, ".", 16
+    # digits, "e", exponent sign, 2 exponent digits.
+    text = np.empty((23, len(x)), np.uint8)
+    text[0] = np.signbit(x) * np.uint8(ord("-"))
+    text[1] = digits[0]
     text[2] = ord(".")
+    text[3:19] = digits[1:]
     text[19] = ord("e")
     text[20] = np.where(e < 0, ord("-"), ord("+"))
     text[21], text[22] = np.divmod(np.abs(e), 10)
-    text[21:23] += ord("0")
-    separators = text[23].reshape(block.shape)
-    separators[:] = ord(",")
-    separators[:, -1] = ord("\n")
-    return text.T.tobytes().replace(b"\0", b"").decode("ascii")
+    text[21:] += ord("0")
+    return text
 
 
-def _digits17(a):
-    """``D`` and ``E`` of :func:`_format_e16` for the absolute values ``a``,
-    or None if one lies outside its domain."""
-    zero = a == 0
-    if not np.all(zero | ((a >= _E16_DECADES[0]) & (a < _E16_DECADES[-1]))):
+#: The fraction bits of a double: all 0 in a power of two.
+_FRACTION = (1 << 52) - 1
+
+
+def _format_repr(block):
+    """The text ``"%r" % x`` of each cell ``x`` of ``block``, in order, as
+    the NUL-padded columns of a ``(23, block.size)`` uint8 array; None
+    unless ``block`` holds doubles and every ``x`` is ±0 or has
+    ``1e-4 <= |x| < 1e16`` and is not a power of two.
+
+    In that range ``repr`` prints ``x`` without an exponent, in the fewest
+    significant digits that read back as ``x``, the nearest such decimal to
+    ``x``, ties to even (Steele and White 1990).  Count in units of
+    ``10**(E - 16)``, as ``_scaled``: there ``|x|`` is ``S = hi + lo``
+    exactly, a decimal of ``k <= 17`` significant digits and exponent ``E``
+    is an integer multiple ``q`` of ``10**(17 - k)``, and ``q`` reads back
+    as ``x`` when ``|q - S| < H``, half an ulp of ``x``.  Outside the powers
+    of two both neighbours of ``x`` lie an ulp away, and ``0.55 < H < 11.1``.
+
+    - ``S`` rounded to an integer, ties to even, is within 1/2 of ``S``:
+      17 digits always read back.
+    - ``S`` rounded to a multiple of 10, ties to even, is the nearest
+      16-digit decimal.  ``floor(S)`` and the tie come from ``hi`` and
+      ``lo`` together; ``hi`` alone can pick the other neighbour.
+    - At most one multiple of 100 lies within ``H < 50`` of ``S``, the
+      nearest.  If it reads back, it is the shortest decimal, printed
+      without its trailing zeros.
+
+    The first of these three that reads back is printed.  The test is exact:
+    ``d = q - hi`` is an integer and the test is ``d - H < lo < d + H``.
+    ``H`` is ``5**(16 - E)`` times a power of two, and ``5**20 < 2**47``,
+    so ``d ± H`` are exact doubles for ``|d| < 20``, and for a larger ``|d|``
+    the test fails however they round, as ``|lo| <= 8``.  ``|q - S| == H``
+    would put ``x ± ulp / 2`` on a decimal of 16 digits or fewer, which
+    needs ``x >= 2**53``: then ``x`` is an even integer, its own 16 digits
+    lie at 0, and ``x ± 1`` is odd, no multiple of 10.  So no rule for ties
+    on read-back is needed.
+
+    No carry: ``10**(E + 1)`` is a double or rounds up to one for every
+    ``E`` from -4 to 15, so it does not read back as ``x``, and ``S`` lies
+    at least ``H`` below ``10**17``.  A ``q`` that reads back, and so the
+    printed one, is below ``10**17``, and it is at least ``10**16``, as
+    ``S`` is: every printed ``q`` has 17 digits, and ``x`` exponent ``E``.
+    """
+    x = np.ravel(block)
+    a = np.abs(x)
+    if x.dtype != np.float64 or not _within(a, -4, 16):
         return None
-    # E - E_min; a zero takes -1, the last scale, and its product is 0 at any.
-    j = np.searchsorted(_E16_DECADES, a, side="right") - 1
-    p, p_hi, p_lo = _E16_SCALE[j], _E16_SCALE_HI[j], _E16_SCALE_LO[j]
-    a_hi, a_lo = _split(a)
-    hi = a * p
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    return d, np.where(zero, 0, j + _E16_EXPONENTS.start)
+    if not np.all((x.view(np.int64) & _FRACTION != 0) | (a == 0)):
+        return None
+    hi, lo, e = _scaled(a)
+    hi = hi.astype(np.int64)
+    half = np.spacing(a) * _SCALE[e - _EXPONENTS.start] / 2
+
+    def reads_back(d):  # whether hi + d reads back as x
+        return (d - half < lo) & (lo < d + half)
+
+    # Each candidate as d = q - hi.  S lies r + lo above the multiple of 100
+    # at or below hi, and floor(S) lies r + floor(lo) above it.
+    r = hi % 100
+    floor_lo = np.floor(lo)
+    tens, units = np.divmod(r + floor_lo.astype(np.int64), 10)
+    up = (units > 5) | ((units == 5) & ((lo != floor_lo) | (tens & 1 == 1)))
+    d100, d10 = np.where(lo >= 50 - r, 100, 0) - r, 10 * (tens + up) - r
+    d = np.where(reads_back(d100), d100, np.where(reads_back(d10), d10, np.rint(lo)))
+    # The digits of the places 10**(E + 4) down to 10**(E - 16), four zeros
+    # and then q, between two rows of NULs: row p + 1 holds 10**(E + 4 - p).
+    places = np.zeros((23, len(x)), np.uint8)
+    places[1:5] = ord("0")
+    places[5:22] = _ascii_digits(hi + d.astype(np.int64))
+    # p of the last significant digit, or of the first: 0 prints one digit.
+    last = np.maximum(((places[5:22] != ord("0")) * np.arange(4, 21, dtype=np.int8)[:, None]).max(axis=0), 4)
+    # Byte c after the sign: place p from 10**min(E, 0) to 10**0 at c = p,
+    # the point at c = E + 5, and each place p after it at c = p + 1, to the
+    # last significant one and at least one.
+    c, point = np.arange(22, dtype=np.int8)[:, None], (e + 5).astype(np.int8)
+    text = np.empty((23, len(x)), np.uint8)
+    text[0] = np.signbit(x) * np.uint8(ord("-"))
+    text[1:] = places[1:] * ((c >= np.minimum(point, 5) - 1) & (c < point))
+    text[1:] += np.uint8(ord(".")) * (c == point)
+    text[1:] += places[:-1] * ((c > point) & (c <= np.maximum(last, point) + 1))
+    return text
+
+
+#: The cell format each kernel prints, as its ``%`` template would.
+_KERNELS = ((FLOAT_FORMAT, _format_e16), ("%r", _format_repr))
 
 
 def _normalize_series(series) -> list[tuple[str, Polyline]]:

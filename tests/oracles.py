@@ -5,14 +5,16 @@ order-3 recursion on the clamped knot vector (0, 0, 0, 0.5, 1, 1, 1),
 ``cox_de_boor`` is the textbook recursive definition of any basis function,
 and ``alpha_cut``, ``type_reduce``, ``defuzzify`` and ``pipeline_point`` are
 the fuzzy chain written one coordinate at a time in plain float arithmetic;
-``svg_figure`` maps and formats each SVG point on its own, and
-``csv_table`` fills a whole table into one ``%`` template.  They
+``svg_figure`` maps and formats each SVG point on its own,
+``csv_table`` fills a whole table into one ``%`` template, and
+``pipeline_json`` is ``json.dumps`` of the solution points.  They
 deliberately do NOT call the library; ``svg_figure`` is handed the module
 that holds its layout constants.
 """
 
 import csv
 import io
+import json
 
 
 def cox_de_boor(knots, i, order, t):
@@ -237,3 +239,11 @@ def csv_table(header, cells, formats):
     csv.writer(buf, lineterminator="\n").writerow(header)
     row = ",".join(formats) + "\n"
     return buf.getvalue() + (row * len(cells)) % tuple(cells.ravel().tolist())
+
+
+def pipeline_json(alpha, solution):
+    """The text ``t2spline pipeline --format json`` writes for the ``(n, 2)``
+    array ``solution`` found at the cut level ``alpha``: ``json.dumps`` of
+    one ``{"x", "y"}`` object a point, indented by 2, and a newline."""
+    points = [{"x": x, "y": y} for x, y in solution.tolist()]
+    return json.dumps({"alpha": alpha, "points": points}, indent=2) + "\n"

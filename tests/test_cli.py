@@ -533,6 +533,33 @@ def test_pipeline_csv_across_row_blocks(tmp_path):
     assert out.read_text() == expected
 
 
+def _demo_scaled(scale, points=None):
+    """The demo document, the seven components of each coordinate of
+    ``points`` (all by default) multiplied by ``scale``."""
+    raw = json.loads(document_to_json(demo_document()))
+    for i, point in enumerate(raw["points"]):
+        if points is None or i in points:
+            for coord in point.values():
+                coord.update({key: value * scale for key, value in coord.items() if key != "h"})
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [_demo_scaled(1e-9), _demo_scaled(1e20), _demo_scaled(1e-3, points={0}), _gen_style_document(n=BLOCK_CELLS // 2 + 1)],
+    ids=["demo-1e-9", "demo-1e20", "demo-one-point-1e-3", "generated-two-blocks"],
+)
+def test_pipeline_json_equals_json_dumps_of_the_scalar_chain(tmp_path, raw):
+    """Solutions beyond the positional range of repr, below 1e-4 beside
+    ordinary ones in one block, and in two blocks, byte for byte."""
+    path, out = tmp_path / "doc.json", tmp_path / "out.json"
+    path.write_text(json.dumps(raw, indent=2))
+    model = load_model(path)
+    solutions = np.array([oracles.pipeline_point(rows, model.alpha) for rows in model.coords.tolist()])
+    assert run(["pipeline", str(path), "--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == oracles.pipeline_json(model.alpha, solutions).encode("ascii")
+
+
 # --- one argument parser per process ---------------------------------------------
 
 

@@ -169,6 +169,81 @@ for _decade in (float(f"1e{e}") for e in range(-6, 18)):
         )
 
 
+def _in_repr_domain(cells):
+    """Whether each cell is ±0 or has 1e-4 <= |cell| < 1e16 and is not a power of two."""
+    magnitude = np.abs(cells)
+    return (cells == 0) | ((magnitude >= 1e-4) & (magnitude < 1e16) & (np.frexp(magnitude)[0] != 0.5))
+
+
+@st.composite
+def _solutions(draw):
+    """From 1 point to 1.5 blocks' worth of points, each cell a random
+    double of the ``%r`` kernel's domain, of either sign: a random
+    significand times a power of two, rounded to 1 to 17 significant digits
+    (730.7419270333334 where that leaves the domain).  Then up to 3 cells
+    are set to finite doubles of any magnitude (subnormal, huge, ±0), so
+    that blocks the kernel prints and blocks it leaves to the template meet
+    in one output."""
+    n = draw(st.integers(1, 3 * BLOCK_CELLS // 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = np.ldexp(rng.integers(2**52, 2**53, 2 * n), rng.integers(-66, 2, 2 * n))
+    cells = np.array([float(f"{x:.{digits}g}") for x, digits in zip(cells.tolist(), rng.integers(1, 18, 2 * n).tolist())])
+    cells[~_in_repr_domain(cells)] = 730.7419270333334
+    cells = np.where(rng.integers(0, 2, 2 * n) == 1, cells, -cells).reshape(n, 2)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    for i, x in draw(st.lists(st.tuples(st.integers(0, 2 * n - 1), finite), max_size=3)):
+        cells.flat[i] = x
+    return cells
+
+
+#: A block the kernel prints, then one holding a subnormal: the template's.
+_TWO_BLOCKS = np.full((BLOCK_CELLS // 2 + 1, 2), 730.7419270333334)
+_TWO_BLOCKS[-1, 0] = 5e-324
+
+
+@settings(deadline=None)
+# floor(S) taken from hi alone printed 730.7419270333333 and 7.3171207425709914.
+@example(alpha=0.8, solution=np.array([[730.7419270333334, 7.317120742570991]]))
+@example(alpha=0.0, solution=np.array([[0.1, 1 / 3], [-0.0, 0.0]]))
+@example(alpha=0.5, solution=np.array([[5e-324, 0.1]]))
+# 1e-4 prints 0.0001, alone through the kernel; the double below it
+# prints 9.999999999999999e-05, through the template.
+@example(alpha=0.5, solution=np.array([[1e-4, -0.1]]))
+@example(alpha=0.5, solution=np.array([[1e-4, -0.1], [np.nextafter(1e-4, 0.0), 0.1]]))
+# The double below 1e16 prints 9999999999999998.0; 1e16 prints 1e+16.
+@example(alpha=0.5, solution=np.array([[np.nextafter(1e16, 0.0), 0.1]]))
+@example(alpha=0.5, solution=np.array([[np.nextafter(1e16, 0.0), 1e16]]))
+# 16-digit candidates above 2**53, each the nearest 16-digit decimal.
+@example(alpha=0.5, solution=np.array([[0.9999999999999999, 9.999999999999998]]))
+# Ties: 1234567890123456.25 and .75 print .2 and .8 at 17 digits, and
+# 8 + 1/65536 and 8 + 3/65536 end in 5 at 17 digits and print 16, each
+# rounded to the even last digit.
+@example(alpha=0.5, solution=np.array([[1234567890123456.25, 1234567890123456.75], [8 + 1 / 65536, 8 + 3 / 65536]]))
+@example(alpha=0.5, solution=_TWO_BLOCKS)
+@given(alpha=st.floats(0.0, 1.0, exclude_max=True), solution=_solutions())
+def test_pipeline_json_is_json_dumps_of_the_points(alpha, solution):
+    buf = io.StringIO()
+    output.write_pipeline_json(buf, alpha, solution)
+    assert buf.getvalue() == oracles.pipeline_json(alpha, solution)
+    # One block is printed without the template exactly when every cell is
+    # in the domain of the kernel.
+    assert (output._format_repr(solution) is not None) == _in_repr_domain(solution).all()
+
+
+# Each power of two from 2**-13 to 2**53, left to the template, beside a cell
+# the kernel prints.
+for _power in range(-13, 54):
+    test_pipeline_json_is_json_dumps_of_the_points = example(alpha=0.5, solution=np.array([[2.0**_power, 0.1]]))(
+        test_pipeline_json_is_json_dumps_of_the_points
+    )
+
+
+def test_pipeline_json_of_no_points_is_an_empty_list():
+    buf = io.StringIO()
+    output.write_pipeline_json(buf, 0.8, np.empty((0, 2)))
+    assert buf.getvalue() == oracles.pipeline_json(0.8, np.empty((0, 2)))
+
+
 def test_output_is_written_in_place_when_no_file_can_be_made_beside_it(tmp_path, monkeypatch):
     path = tmp_path / "out.csv"
     path.write_text("old")
