@@ -4,6 +4,10 @@ The basis is de Boor's triangular table (Piegl & Tiller, *The NURBS Book*,
 algorithm A2.2 ``BasisFuns``): each parameter's knot span is found by binary
 search and only the ``order`` basis functions that are non-zero on that span
 are computed, for all parameters at once.
+
+The input rules of the package are stated here once: a number
+(:func:`as_float`, :func:`float_array`), an integer (:func:`is_integer`)
+and an array of planar points (:func:`point_array`).
 """
 
 from __future__ import annotations
@@ -70,6 +74,18 @@ def float_array(value, name: str) -> np.ndarray:
         raise T2SplineError(f"{name} must be a rectangular array of numbers: {exc}") from None
 
 
+def point_array(value, name: str) -> np.ndarray:
+    """``value`` as an ``(m, 2)`` array of finite points (:func:`float_array`),
+    ``(0, 2)`` if empty; raises :class:`T2SplineError` naming ``name`` otherwise."""
+    points = float_array(value, name)
+    points = points if points.size else points.reshape(0, 2)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise T2SplineError(f"{name} must be an (m, 2) array, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise T2SplineError(f"{name} must be finite")
+    return points
+
+
 def is_integer(value) -> bool:
     """True for a Python or numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -125,6 +141,8 @@ class KnotVector:
 
 def clamped_uniform_knots(n: int, k: int) -> KnotVector:
     """Clamped uniform knot vector on [0, 1] for n control points, order k."""
+    if not is_integer(n):
+        raise T2SplineError(f"the control count must be an integer, got {n!r}")
     k = check_order(k, n)
     interior = np.arange(1, n - k + 1, dtype=float) / (n - k + 1)
     return KnotVector(np.concatenate([np.zeros(k), interior, np.ones(k)]), order=k)
@@ -139,7 +157,7 @@ def basis_rows(knots: np.ndarray, order: int, ts) -> np.ndarray:
     is closed on the right, so the row at the domain's upper end is defined.
     """
     knots = np.asarray(knots, dtype=float)
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = np.atleast_1d(float_array(ts, "t"))
     n = knots.size - order
     lo, hi = knots[order - 1], knots[n]
     if not lo < hi:
@@ -210,23 +228,17 @@ class RationalCurveModel:
     knots: KnotVector
 
     def __post_init__(self):
-        controls = float_array(self.controls, "controls")
+        controls = point_array(self.controls, "controls")
         weights = float_array(self.weights, "weights")
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "weights", weights)
-        if controls.ndim != 2 or controls.shape[1] != 2:
-            raise T2SplineError(f"controls must be an (n, 2) array, got shape {controls.shape}")
-        if not np.isfinite(controls).all():
-            raise T2SplineError("controls must be finite")
         object.__setattr__(self, "order", check_curve_setup(controls.shape[0], weights, self.order, self.knots))
 
     @classmethod
     def with_uniform_knots(cls, controls, weights=None, order: int = DEFAULT_ORDER) -> "RationalCurveModel":
-        controls = float_array(controls, "controls")
-        n = controls.shape[0]
-        if weights is None:
-            weights = np.ones(n)
-        return cls(controls, weights, order, clamped_uniform_knots(n, order))
+        controls = point_array(controls, "controls")
+        weights = np.ones(len(controls)) if weights is None else weights
+        return cls(controls, weights, order, clamped_uniform_knots(len(controls), order))
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,12 +249,10 @@ class Polyline:
     params: np.ndarray
 
     def __post_init__(self):
-        points = float_array(self.points, "points")
+        points = point_array(self.points, "points")
         params = float_array(self.params, "params")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "params", params)
-        if points.ndim != 2 or points.shape[1] != 2:
-            raise T2SplineError(f"points must be an (m, 2) array, got shape {points.shape}")
         if not len(points):
             raise T2SplineError("a polyline needs at least one point")
         if params.shape != (points.shape[0],):

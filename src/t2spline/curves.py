@@ -71,8 +71,7 @@ class FuzzyCurveModel:
     @classmethod
     def with_uniform_knots(cls, points, weights=None, order=DEFAULT_ORDER, alpha=DEFAULT_ALPHA) -> "FuzzyCurveModel":
         points = point_items(points)
-        if weights is None:
-            weights = np.ones(len(points))
+        weights = np.ones(len(points)) if weights is None else weights
         return cls(points, weights, order, clamped_uniform_knots(len(points), order), alpha)
 
     @cached_property

@@ -172,25 +172,27 @@ def _read_coordinate(record: Any, where: str) -> list[float]:
     return [_require_number(record[k], f"{where}.{k}") for k in COORD_FIELDS]
 
 
-def _scan_points(points: list, flat: list) -> ValidationError | None:
-    """Append the eight explicit-form numbers of each coordinate, in
-    document order, to ``flat``, reading each with :func:`_read_coordinate`.
-    Stops at the first wrong key, value that is not a number or spreads-form
-    coordinate that :func:`_read_coordinate` rejects, and returns that error."""
-    for idx, rec in enumerate(points):
-        if type(rec) is not dict or rec.keys() != _POINT_KEYS:
-            return ValidationError(f"point {idx}: must be an object with exactly 'x' and 'y'")
-        for axis in "xy":
-            try:
+def _scan_points(points: list) -> np.ndarray:
+    """The ``(m, 8)`` explicit-form rows of the coordinates in document
+    order, each read with :func:`_read_coordinate`.  The first error in
+    document order is raised: at a wrong key, a value that is not a number or
+    a rejected spreads form, the rows before it are checked first."""
+    flat = []
+    try:
+        for idx, rec in enumerate(points):
+            if type(rec) is not dict or rec.keys() != _POINT_KEYS:
+                raise ValidationError(f"point {idx}: must be an object with exactly 'x' and 'y'")
+            for axis in "xy":
                 flat.extend(_read_coordinate(rec[axis], f"point {idx}, coordinate {axis}"))
-            except ValidationError as exc:
-                return exc
-    return None
+    except ValidationError:
+        coords_from_rows(np.array(flat, dtype=float).reshape(-1, len(COORD_FIELDS)))
+        raise
+    return np.array(flat, dtype=float).reshape(-1, len(COORD_FIELDS))
 
 
 def _gather_explicit(points: list) -> list | None:
     """The eight explicit-form values of each coordinate, in document order,
-    as :func:`_scan_points` appends them; None unless every point is an
+    as :func:`_scan_points` reads them; None unless every point is an
     object of exactly the keys 'x' and 'y' and every coordinate an object of
     exactly the explicit keys.  An object of the right length holding every
     key has no other key."""
@@ -208,21 +210,14 @@ def _gather_explicit(points: list) -> list | None:
 def _read_points(points: list) -> np.ndarray:
     """The validated ``(n, 2, 8)`` coordinate array of the 'points' list.
 
-    Of the errors in the document, the first in document order is raised:
-    a wrong key, a value that is not a number, or a coordinate the scalar
-    constructors reject.
+    Of the errors in the document, the first in document order is raised
+    (:func:`_scan_points`): a wrong key, a value that is not a number, or a
+    coordinate the scalar constructors reject.
     """
-    error = None
     flat = _gather_explicit(points)
     rows = None if flat is None else _floats(flat)
-    if rows is None:
-        flat = []
-        error = _scan_points(points, flat)
-        rows = np.array(flat, dtype=float)
-    comps = coords_from_rows(rows.reshape(-1, len(COORD_FIELDS)))
-    if error is not None:
-        raise error
-    return comps.reshape(-1, 2, len(COORD_FIELDS))
+    rows = _scan_points(points) if rows is None else rows.reshape(-1, len(COORD_FIELDS))
+    return coords_from_rows(rows).reshape(-1, 2, len(COORD_FIELDS))
 
 
 def parse_document(text: str) -> ModelDocument:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bspline import as_float
+from .bspline import as_float, float_array
 from .errors import (
     HeightOutOfRange,
     NegativeSpread,
@@ -119,14 +119,9 @@ class NT2FuzzyScalar:
         for name, s in zip(SPREAD_FIELDS, spreads):
             if not math.isfinite(s) or s < 0.0:
                 raise NegativeSpread(f"spread {name} must be >= 0, got {s!r}")
-        if not inner_l <= prin_l <= outer_l:
-            raise SpreadOrderViolation(
-                f"left spreads must satisfy inner <= principal <= outer, got {(inner_l, prin_l, outer_l)}"
-            )
-        if not inner_r <= prin_r <= outer_r:
-            raise SpreadOrderViolation(
-                f"right spreads must satisfy inner <= principal <= outer, got {(inner_r, prin_r, outer_r)}"
-            )
+        for side, widths in (("left", (inner_l, prin_l, outer_l)), ("right", (inner_r, prin_r, outer_r))):
+            if not widths[0] <= widths[1] <= widths[2]:
+                raise SpreadOrderViolation(f"{side} spreads must satisfy inner <= principal <= outer, got {widths}")
         c = as_float(c, "c")
         return cls(c - outer_l, c - prin_l, c - inner_l, c, c + inner_r, c + prin_r, c + outer_r, h)
 
@@ -157,6 +152,7 @@ class NT2FuzzyScalar:
 
 
 def _triangle(x: float, lo: float, apex: float, hi: float, peak: float) -> float:
+    x = as_float(x, "x")
     if x == apex:
         return peak
     if x <= lo or x >= hi:
@@ -199,9 +195,10 @@ def coords_from_rows(rows: np.ndarray) -> np.ndarray:
     rejected row raises that constructor's error as a
     :class:`ValidationError` prefixed with ``point i, coordinate x:``.
     Spreads-form coordinates are converted by
-    :meth:`NT2FuzzyScalar.from_spreads` before they reach this array.
+    :meth:`NT2FuzzyScalar.from_spreads` before they reach this array; the
+    rows are read by :func:`~t2spline.bspline.float_array` into a copy.
     """
-    comps = np.array(rows, dtype=float)
+    comps = np.array(float_array(rows, "coordinates"))
     values, h = comps[:, COMPONENTS], comps[:, H]
     bad = ~np.isfinite(values).all(axis=1) | ~((h > 0.0) & (h <= 1.0)) | (values[:, :-1] > values[:, 1:]).any(axis=1)
     if bad.any():

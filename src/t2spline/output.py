@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import Polyline, float_array
+from .bspline import Polyline, point_array
 from .curves import SERIES, CurveBand, ReducedCurves
 from .errors import SampleMismatch, T2SplineError
 
@@ -453,11 +453,7 @@ def svg_figure(series, controls, title: str) -> str:
     """Render ``(label, (m, 2) points)`` series, styled by label, and the
     (m, 2) ``controls`` (None for none) like :func:`svg_document`."""
     series = list(series)
-    controls = float_array([] if controls is None else controls, "controls")
-    if not controls.size:
-        controls = np.empty((0, 2))
-    if controls.ndim != 2 or controls.shape[1] != 2:
-        raise T2SplineError(f"controls must be an (m, 2) array, got shape {controls.shape}")
+    controls = point_array([] if controls is None else controls, "controls")
     plot_x0, plot_x1 = MARGIN_LEFT, CANVAS_W - MARGIN_RIGHT
     plot_y0, plot_y1 = MARGIN_TOP, CANVAS_H - MARGIN_BOTTOM
     xy = np.concatenate([points for _, points in series] + [controls])

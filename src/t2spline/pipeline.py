@@ -30,10 +30,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Real
 
 import numpy as np
 
+from .bspline import as_float
 from .errors import AlphaOutOfRange, T2SplineError, ValidationError
 from .fuzzy import C, COMPONENTS, H, LR, RL, NT2FuzzyPoint, NT2FuzzyScalar, as_coords
 
@@ -99,9 +99,10 @@ _quietly = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 def check_alpha(alpha: float) -> float:
     """``alpha`` as a float; raises :class:`AlphaOutOfRange` unless it is a number in [0, 1)."""
-    if isinstance(alpha, bool) or not isinstance(alpha, Real):
-        raise AlphaOutOfRange(f"alpha must be a number, got {alpha!r}")
-    alpha = float(alpha)
+    try:
+        alpha = as_float(alpha, "alpha")
+    except T2SplineError as exc:
+        raise AlphaOutOfRange(str(exc)) from None
     if not 0.0 <= alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must lie in [0, 1), got {alpha!r}")
     return alpha
@@ -114,12 +115,13 @@ def alpha_cut_scalar(s: NT2FuzzyScalar, alpha: float) -> AlphaCutScalar:
     LMF cut reaches ``c`` exactly, so the three-term and collapsed readings
     coincide and the closed boundary avoids a spurious case.
     """
+    alpha = check_alpha(alpha)
     with _quietly():
         cuts, below = alpha_cut_array(np.array([*s.components(), s.h]), alpha)
     lo, lp, li, c, ri, rp, ro = cuts.tolist()
     if below:
-        return AlphaCutScalar(float(alpha), lo, lp, li, c, ri, rp, ro, Regime.BELOW)
-    return AlphaCutScalar(float(alpha), lo, lp, None, c, None, rp, ro, Regime.BETWEEN)
+        return AlphaCutScalar(alpha, lo, lp, li, c, ri, rp, ro, Regime.BELOW)
+    return AlphaCutScalar(alpha, lo, lp, None, c, None, rp, ro, Regime.BETWEEN)
 
 
 def alpha_cut_point(p: NT2FuzzyPoint, alpha: float) -> tuple[AlphaCutScalar, AlphaCutScalar]:

@@ -14,6 +14,7 @@ from t2spline import (
     ParameterOutOfDomain,
     Polyline,
     RationalCurveModel,
+    Scene,
     T2SplineError,
     TooFewSamples,
     basis,
@@ -21,6 +22,7 @@ from t2spline import (
     clamped_uniform_knots,
     rational_point,
     sample_curve,
+    svg_document,
 )
 from t2spline.bspline import MAX_BASIS_CELLS, MAX_BASIS_WORK, basis_rows, max_samples, sample_curves
 from t2spline.curves import GROUPS, component_polygons, evaluate
@@ -215,9 +217,14 @@ def test_model_validation():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_model_rejects_non_finite_controls(bad):
+    """The point-array rule, in each of its callers."""
     controls = np.array([[0.0, 0.0], [1.0, bad], [2.0, 0.0]])
     with pytest.raises(T2SplineError, match="^controls must be finite$"):
         RationalCurveModel.with_uniform_knots(controls, order=2)
+    with pytest.raises(T2SplineError, match="^points must be finite$"):
+        Polyline(controls, [0.0, 0.5, 1.0])
+    with pytest.raises(T2SplineError, match="^controls must be finite$"):
+        svg_document(Scene(controls=controls))
 
 
 @pytest.mark.parametrize("order", [1, 4])
@@ -270,7 +277,7 @@ def test_polyline_validation():
 def test_polyline_and_model_reject_arrays_that_are_not_point_pairs(shape):
     with pytest.raises(T2SplineError, match=r"^points must be an \(m, 2\) array, got shape "):
         Polyline(np.zeros(shape), np.arange(3.0))
-    with pytest.raises(T2SplineError, match=r"^controls must be an \(n, 2\) array, got shape "):
+    with pytest.raises(T2SplineError, match=r"^controls must be an \(m, 2\) array, got shape "):
         RationalCurveModel(np.zeros(shape), np.ones(3), 2, clamped_uniform_knots(3, 2))
 
 

@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +19,8 @@ from t2spline import (
     RationalCurveModel,
     SampleMismatch,
     T2SplineError,
+    alpha_cut_scalar,
+    basis,
     basis_row,
     clamped_uniform_knots,
     component_polygons,
@@ -24,6 +28,7 @@ from t2spline import (
     demo_document,
     deviation,
     fuzzy_curve_band,
+    pipeline_point,
     rational_point,
     reduced_curves,
     sample_curve,
@@ -273,6 +278,7 @@ def test_fuzzy_model_order_must_match_the_knots(order):
 
 _CRISP_COORDS = FuzzyCurveModel.with_uniform_knots([NT2FuzzyPoint.crisp(x, y) for x, y in CRISP_XY]).coords
 _CRISP_CURVE = RationalCurveModel.with_uniform_knots(CRISP_XY)
+_CRISP_POINT = NT2FuzzyPoint.crisp(*CRISP_XY[1])
 
 
 @pytest.mark.parametrize(
@@ -299,6 +305,21 @@ _CRISP_CURVE = RationalCurveModel.with_uniform_knots(CRISP_XY)
         lambda: FuzzyCurveModel(5, np.ones(4), 3, clamped_uniform_knots(4, 3), 0.8),
         lambda: FuzzyCurveModel.with_uniform_knots(5),
         lambda: as_coords(5),
+        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, alpha=10**400),
+        lambda: ModelDocument(_CRISP_COORDS, np.ones(4), 3, 10**400, 101),
+        lambda: demo_document().to_model(alpha=10**400),
+        lambda: alpha_cut_scalar(_CRISP_POINT.x, 10**400),
+        lambda: pipeline_point(_CRISP_POINT, 10**400),
+        lambda: basis_row(clamped_uniform_knots(4, 3), "0.5"),
+        lambda: basis(clamped_uniform_knots(4, 3), 0, 3, "0.25"),
+        lambda: rational_point(_CRISP_CURVE, True),
+        lambda: rational_point(_CRISP_CURVE, 10**400),
+        lambda: _CRISP_POINT.x.membership_upper("0.1"),
+        lambda: clamped_uniform_knots("4", 3),
+        lambda: RationalCurveModel.with_uniform_knots(5),
+        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS.astype(str)),
+        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS.astype(complex)),
+        lambda: as_coords(_CRISP_COORDS.astype(bool)),
     ],
     ids=[
         "knots-float-order",
@@ -322,6 +343,21 @@ _CRISP_CURVE = RationalCurveModel.with_uniform_knots(CRISP_XY)
         "fuzzy-int-coords",
         "uniform-knots-int-points",
         "as-coords-int",
+        "uniform-knots-overflowing-alpha",
+        "document-overflowing-alpha",
+        "to-model-overflowing-alpha",
+        "cut-overflowing-alpha",
+        "pipeline-point-overflowing-alpha",
+        "basis-row-string-t",
+        "basis-string-t",
+        "rational-point-bool-t",
+        "rational-point-overflowing-t",
+        "membership-string-x",
+        "uniform-knots-string-count",
+        "rational-int-controls",
+        "fuzzy-string-coords",
+        "fuzzy-complex-coords",
+        "as-coords-bool",
     ],
 )
 def test_integer_and_alpha_inputs_of_constructors_raise_the_package_error(build):
@@ -335,6 +371,8 @@ def test_numpy_integer_order_and_samples_are_taken_as_ints():
     model = FuzzyCurveModel(_CRISP_COORDS, np.ones(4), np.int64(3), knots, np.float64(0.5))
     assert type(model.order) is int
     assert len(sample_curve(model.crisp_model(), np.int64(5))) == 5
+    # Alpha is any number bspline.as_float takes, as the scalar fields are.
+    assert FuzzyCurveModel(_CRISP_COORDS, np.ones(4), 3, knots, Decimal("0.5")).alpha == 0.5
 
 
 # --- curve-level properties -------------------------------------------------------

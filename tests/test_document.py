@@ -533,15 +533,8 @@ def _point_lists(draw):
 
 def _read_points_by_loop(points):
     """The coordinate array of ``points`` as the per-coordinate loop reads
-    it: :func:`document._scan_points`, then the number check of
-    :func:`document._floats` and the value checks of ``coords_from_rows``."""
-    flat = []
-    error = document._scan_points(points, flat)
-    rows = document._floats(flat)
-    comps = coords_from_rows(rows.reshape(-1, 8))
-    if error is not None:
-        raise error
-    return comps.reshape(-1, 2, 8)
+    it: the rows of :func:`document._scan_points`, checked by ``coords_from_rows``."""
+    return coords_from_rows(document._scan_points(points)).reshape(-1, 2, 8)
 
 
 def _outcome(read, points):

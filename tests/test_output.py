@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -128,6 +129,19 @@ def test_csv_rows_across_blocks_equal_cell_by_cell_formatting():
     assert csv_text(line) == expected
 
 
+def _assert_same_text(got, want):
+    """Fail unless ``got == want``, naming the first differing offset with
+    some context.  A bare ``assert got == want`` of two documents of a few
+    hundred kilobytes has pytest diff them whole, which can take minutes."""
+    if got != want:
+        i = len(os.path.commonprefix([got, want]))
+        context = slice(max(i - 60, 0), i + 60)
+        raise AssertionError(
+            f"texts differ at offset {i} of {len(got)} and {len(want)} characters:\n"
+            f"  got  {got[context]!r}\n  want {want[context]!r}"
+        )
+
+
 @st.composite
 def _float_tables(draw):
     """A table of 1 to 24 columns and 1 to 3 blocks' worth of rows, of any
@@ -151,7 +165,7 @@ def test_float_tables_print_exactly_as_the_percent_template(cells):
     formats = [output.FLOAT_FORMAT] * k
     buf = io.StringIO()
     output.write_table(buf, header, [cells[:, :1], cells[:, 1:]], formats)
-    assert buf.getvalue() == oracles.csv_table(header, cells, formats)
+    _assert_same_text(buf.getvalue(), oracles.csv_table(header, cells, formats))
     # One block is printed without the template exactly when every cell is
     # ±0 or has 1e-6 < |cell| < 1e17.
     inside = (cells == 0) | ((np.abs(cells) > 1e-6) & (np.abs(cells) < 1e17))
@@ -224,7 +238,7 @@ _TWO_BLOCKS[-1, 0] = 5e-324
 def test_pipeline_json_is_json_dumps_of_the_points(alpha, solution):
     buf = io.StringIO()
     output.write_pipeline_json(buf, alpha, solution)
-    assert buf.getvalue() == oracles.pipeline_json(alpha, solution)
+    _assert_same_text(buf.getvalue(), oracles.pipeline_json(alpha, solution))
     # One block is printed without the template exactly when every cell is
     # in the domain of the kernel.
     assert (output._format_repr(solution) is not None) == _in_repr_domain(solution).all()
