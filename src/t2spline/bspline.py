@@ -191,7 +191,10 @@ def basis(kv: KnotVector, i: int, order: int, t: float) -> float:
     Non-negative, zero outside [knots[i], knots[i + order]], and the basis
     functions of one knot vector sum to 1 across the domain.
     """
-    n = kv.knots.size - order
+    if not is_integer(i):
+        raise T2SplineError(f"basis index must be an integer, got {i!r}")
+    n = kv.knots.size - order if is_integer(order) else 0  # a non-integer is refused first
+    order = check_order(order, n)
     if not 0 <= i < n:
         raise IndexError(f"basis index {i} out of range for {n} basis functions")
     return float(basis_rows(kv.knots, order, t)[0, i])

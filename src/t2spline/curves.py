@@ -5,10 +5,10 @@ All processing happens on CONTROL points: the seven component control
 polygons (and the type-reduced / defuzzified ones) share a single weight
 vector and knot vector, so the curves are one basis times one stack of
 polygons, sampled by :func:`evaluate` into one table of labelled points
-sharing one parameter array; :class:`CurveBand`, :class:`ReducedCurves` and
-:class:`Polyline` are views of it.  The controls are stored as one
-``(n, 2, 8)`` coordinate array (see :mod:`t2spline.fuzzy`), so each
-component polygon is a slice of it.
+sharing one parameter array (the rule of :func:`shared_params`); its views
+:class:`CurveBand`, :class:`ReducedCurves` and :class:`Polyline` are compared
+sample by sample.  The controls are one ``(n, 2, 8)`` coordinate array (see
+:mod:`t2spline.fuzzy`), so each component polygon is a slice of it.
 """
 
 from __future__ import annotations
@@ -106,13 +106,19 @@ class CurveBand:
     rr: Polyline
 
     def __post_init__(self):
-        ref = self.crisp.params
-        for label, line in self.items():
-            if line.params.shape != ref.shape or np.any(line.params != ref):
-                raise SampleMismatch(f"band component {label} sampled at different parameters")
+        shared_params([("crisp", self.crisp), *self.items()], "band component")  # each against the crisp curve
 
     def items(self) -> tuple[tuple[str, Polyline], ...]:
         return tuple((label, getattr(self, label)) for label in COMPONENT_LABELS)
+
+
+def shared_params(lines, what: str) -> np.ndarray:
+    """The params all ``(label, Polyline)`` pairs of ``lines`` share, else :class:`SampleMismatch` naming ``what``."""
+    (_, first), *rest = lines
+    for label, line in rest:
+        if not np.array_equal(line.params, first.params):
+            raise SampleMismatch(f"{what} {label} sampled at different parameters")
+    return first.params
 
 
 class ReducedCurves(NamedTuple):
@@ -188,8 +194,7 @@ def defuzzified_curve(model: FuzzyCurveModel, samples: int = DEFAULT_SAMPLES) ->
 def deviation(a: Polyline, b: Polyline) -> DeviationReport:
     """Per-sample Euclidean distance between two polylines sampled at the
     same parameters (matched-parameter distance, not closest-point)."""
-    if len(a) != len(b) or np.any(a.params != b.params):
-        raise SampleMismatch("polylines must be sampled at identical parameters")
+    shared_params([("a", a), ("b", b)], "polyline")
     d = np.linalg.norm(a.points - b.points, axis=1)
     return DeviationReport(
         max_distance=float(d.max()), mean_distance=float(d.mean()), per_sample=d

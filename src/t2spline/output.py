@@ -12,7 +12,8 @@ whole blocks with numpy array arithmetic instead, to the template's text:
 kernel's domain is filled into the template: ``_format_e16`` takes ±0 and
 ``1e-6 < |x| < 1e17``, ``_format_repr`` ±0 and ``1e-4 <= |x| < 1e16``
 without the powers of two.  Every output file of the package is written by
-:func:`write_output`.
+:func:`write_output`; the curves of one CSV table share their parameters,
+the rule :func:`~t2spline.curves.shared_params` states.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import Polyline, point_array
-from .curves import SERIES, CurveBand, ReducedCurves
-from .errors import SampleMismatch, T2SplineError
+from .curves import SERIES, CurveBand, ReducedCurves, shared_params
+from .errors import T2SplineError
 
 #: Cells ``_fill`` formats at once: a bounded block of rows keeps the text
 #: of a long table from being held whole, and bounds the arrays the kernels
@@ -377,14 +378,11 @@ def write_csv(series, path_or_file) -> None:
     """Write sampled curves as CSV: t column, then x/y per named series.
 
     ``series`` may be a :class:`CurveBand`, a single :class:`Polyline`, or a
-    sequence of ``(name, Polyline)`` pairs.  All series must be sampled at
-    identical parameters.
+    sequence of ``(name, Polyline)`` pairs, all sampled at one parameter
+    array, the t column (:func:`~t2spline.curves.shared_params`).
     """
     pairs = _normalize_series(series)
-    ts = pairs[0][1].params
-    for name, line in pairs[1:]:
-        if not np.array_equal(line.params, ts):
-            raise SampleMismatch(f"series {name!r} sampled at different parameters")
+    ts = shared_params(pairs, "series")
     lines = [(name, line.points) for name, line in pairs]
     write_output(path_or_file, lambda f: write_curve_table(f, ts, lines))
 
@@ -452,7 +450,10 @@ def svg_document(scene: Scene) -> str:
 def svg_figure(series, controls, title: str) -> str:
     """Render ``(label, (m, 2) points)`` series, styled by label, and the
     (m, 2) ``controls`` (None for none) like :func:`svg_document`."""
-    series = list(series)
+    series = [(label, point_array(points, label)) for label, points in series]
+    for label, _ in series:
+        if not (isinstance(label, str) and label in SERIES_STYLE):
+            raise T2SplineError(f"unknown series label {label!r}")
     controls = point_array([] if controls is None else controls, "controls")
     plot_x0, plot_x1 = MARGIN_LEFT, CANVAS_W - MARGIN_RIGHT
     plot_y0, plot_y1 = MARGIN_TOP, CANVAS_H - MARGIN_BOTTOM

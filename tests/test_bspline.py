@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from t2spline import (
 )
 from t2spline.bspline import MAX_BASIS_CELLS, MAX_BASIS_WORK, basis_rows, max_samples, sample_curves
 from t2spline.curves import GROUPS, component_polygons, evaluate
+from t2spline.output import svg_figure
 
 try:
     from scipy.spatial import ConvexHull, QhullError
@@ -128,6 +130,16 @@ def test_basis_domain_and_index_errors():
         basis(kv, 0, 3, 1.01)
     with pytest.raises(IndexError):
         basis(kv, 4, 3, 0.5)
+    for i, order, message in (
+        ("0", 3, "basis index must be an integer, got '0'"),
+        (True, 3, "basis index must be an integer, got True"),
+        (0.5, 3, "basis index must be an integer, got 0.5"),
+        (0, "3", "order must be an integer, got '3'"),
+        (0, True, "order must be an integer, got True"),
+        (0, 1, "order must be at least 2, got 1"),
+    ):
+        with pytest.raises(T2SplineError, match=f"^{re.escape(message)}$"):
+            basis(kv, i, order, 0.5)
 
 
 # --- rational evaluation -----------------------------------------------------------
@@ -225,6 +237,8 @@ def test_model_rejects_non_finite_controls(bad):
         Polyline(controls, [0.0, 0.5, 1.0])
     with pytest.raises(T2SplineError, match="^controls must be finite$"):
         svg_document(Scene(controls=controls))
+    with pytest.raises(T2SplineError, match="^crisp must be finite$"):
+        svg_figure([("crisp", controls)], None, "")
 
 
 @pytest.mark.parametrize("order", [1, 4])

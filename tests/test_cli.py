@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
+from texts import assert_same_text
 from t2spline import (
     ModelDocument,
     NT2FuzzyPoint,
@@ -427,7 +428,7 @@ def test_pipeline_output_equals_the_scalar_chain_serialised(tmp_path, source, al
     for fmt, expected in (("json", expected_json + "\n"), ("csv", expected_csv)):
         out = tmp_path / f"out.{fmt}"
         assert run(["pipeline", str(path), "--format", fmt, *override, "--out", str(out)]) == 0
-        assert out.read_text() == expected, fmt
+        assert_same_text(out.read_text(), expected)
 
 
 def test_pipeline_builds_the_model_once(demo_path, tmp_path, monkeypatch):
@@ -530,7 +531,7 @@ def test_pipeline_csv_across_row_blocks(tmp_path):
     solutions = [oracles.pipeline_point(rows, model.alpha) for rows in model.coords.tolist()]
     expected = "index,x,y\n" + "".join(f"{i},{x:.16e},{y:.16e}\n" for i, (x, y) in enumerate(solutions))
     assert run(["pipeline", str(path), "--format", "csv", "--out", str(out)]) == 0
-    assert out.read_text() == expected
+    assert_same_text(out.read_text(), expected)
 
 
 def _demo_scaled(scale, points=None):
@@ -557,7 +558,7 @@ def test_pipeline_json_equals_json_dumps_of_the_scalar_chain(tmp_path, raw):
     model = load_model(path)
     solutions = np.array([oracles.pipeline_point(rows, model.alpha) for rows in model.coords.tolist()])
     assert run(["pipeline", str(path), "--format", "json", "--out", str(out)]) == 0
-    assert out.read_bytes() == oracles.pipeline_json(model.alpha, solutions).encode("ascii")
+    assert_same_text(out.read_bytes(), oracles.pipeline_json(model.alpha, solutions).encode("ascii"))
 
 
 # --- one argument parser per process ---------------------------------------------

@@ -231,15 +231,23 @@ def test_deviation_max_at_least_mean():
     assert rep.max_distance >= rep.mean_distance >= 0.0
 
 
-def test_deviation_rejects_mismatched_sampling():
+# Beside curves of 21 samples: one of 22 samples, and one of 21 at halved parameters.
+MISMATCHED_SAMPLING = pytest.mark.parametrize("samples, scale", [(22, 1), (21, 0.5)], ids=["length", "same-length"])
+
+
+@MISMATCHED_SAMPLING
+def test_deviation_rejects_mismatched_sampling(samples, scale):
     m = degenerate_model().crisp_model()
-    with pytest.raises(SampleMismatch):
-        deviation(sample_curve(m, 21), sample_curve(m, 22))
+    b = sample_curve(m, samples)
+    with pytest.raises(SampleMismatch, match="^polyline b sampled at different parameters$"):
+        deviation(sample_curve(m, 21), Polyline(b.points, b.params * scale))
 
 
-def test_band_rejects_differently_sampled_components():
-    lines = list(fuzzy_curve_band(asymmetric_model(), 5).items())
-    lines[5] = ("r", Polyline(lines[5][1].points, lines[5][1].params / 2))
+@MISMATCHED_SAMPLING
+def test_band_rejects_differently_sampled_components(samples, scale):
+    lines = list(fuzzy_curve_band(asymmetric_model(), 21).items())
+    r = fuzzy_curve_band(asymmetric_model(), samples).r
+    lines[5] = ("r", Polyline(r.points, r.params * scale))
     with pytest.raises(SampleMismatch, match="^band component r sampled at different parameters$"):
         CurveBand(*(line for _, line in lines))
 

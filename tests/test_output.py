@@ -1,6 +1,5 @@
 import csv
 import io
-import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from texts import assert_same_text
 
 from t2spline import (
     Polyline,
@@ -28,6 +28,7 @@ from t2spline import (
 )
 from t2spline import output
 from t2spline.output import BLOCK_CELLS
+from test_curves import MISMATCHED_SAMPLING
 
 
 @pytest.fixture
@@ -92,11 +93,12 @@ def test_failed_csv_write_leaves_an_existing_file_untouched(tmp_path, model, mon
     assert [p.name for p in tmp_path.iterdir()] == ["band.csv"]
 
 
-def test_csv_rejects_mismatched_series(model):
-    a = sample_curve(model.crisp_model(), 5)
-    b = sample_curve(model.crisp_model(), 6)
-    with pytest.raises(SampleMismatch):
-        csv_text([("a", a), ("b", b)])
+@MISMATCHED_SAMPLING
+def test_csv_rejects_mismatched_series(model, samples, scale):
+    a = sample_curve(model.crisp_model(), 21)
+    b = sample_curve(model.crisp_model(), samples)
+    with pytest.raises(SampleMismatch, match="^series b sampled at different parameters$"):
+        csv_text([("a", a), ("b", Polyline(b.points, b.params * scale))])
 
 
 def test_csv_rejects_no_series():
@@ -129,19 +131,6 @@ def test_csv_rows_across_blocks_equal_cell_by_cell_formatting():
     assert csv_text(line) == expected
 
 
-def _assert_same_text(got, want):
-    """Fail unless ``got == want``, naming the first differing offset with
-    some context.  A bare ``assert got == want`` of two documents of a few
-    hundred kilobytes has pytest diff them whole, which can take minutes."""
-    if got != want:
-        i = len(os.path.commonprefix([got, want]))
-        context = slice(max(i - 60, 0), i + 60)
-        raise AssertionError(
-            f"texts differ at offset {i} of {len(got)} and {len(want)} characters:\n"
-            f"  got  {got[context]!r}\n  want {want[context]!r}"
-        )
-
-
 @st.composite
 def _float_tables(draw):
     """A table of 1 to 24 columns and 1 to 3 blocks' worth of rows, of any
@@ -165,7 +154,7 @@ def test_float_tables_print_exactly_as_the_percent_template(cells):
     formats = [output.FLOAT_FORMAT] * k
     buf = io.StringIO()
     output.write_table(buf, header, [cells[:, :1], cells[:, 1:]], formats)
-    _assert_same_text(buf.getvalue(), oracles.csv_table(header, cells, formats))
+    assert_same_text(buf.getvalue(), oracles.csv_table(header, cells, formats))
     # One block is printed without the template exactly when every cell is
     # ±0 or has 1e-6 < |cell| < 1e17.
     inside = (cells == 0) | ((np.abs(cells) > 1e-6) & (np.abs(cells) < 1e17))
@@ -238,7 +227,7 @@ _TWO_BLOCKS[-1, 0] = 5e-324
 def test_pipeline_json_is_json_dumps_of_the_points(alpha, solution):
     buf = io.StringIO()
     output.write_pipeline_json(buf, alpha, solution)
-    _assert_same_text(buf.getvalue(), oracles.pipeline_json(alpha, solution))
+    assert_same_text(buf.getvalue(), oracles.pipeline_json(alpha, solution))
     # One block is printed without the template exactly when every cell is
     # in the domain of the kernel.
     assert (output._format_repr(solution) is not None) == _in_repr_domain(solution).all()
@@ -365,16 +354,46 @@ def test_scene_with_title_escapes_markup():
     ET.fromstring(doc)
 
 
-@pytest.mark.parametrize("controls", [np.array([1.0, 2.0]), np.zeros((3, 3)), np.float64(5.0)])
-def test_svg_rejects_controls_that_are_not_point_pairs(controls):
-    with pytest.raises(T2SplineError, match=r"\(m, 2\)"):
-        svg_document(Scene(controls=controls))
+def _svg_of(label, points):
+    """The SVG figure of ``points`` as its controls, or as its one series ``label``."""
+    if label == "controls":
+        return svg_document(Scene(controls=points))
+    return output.svg_figure([(label, points)], None, "")
 
 
-@pytest.mark.parametrize("controls", [[[1.0, 2.0], [3.0]], [["a", "b"]], [[1.0, {}]]])
-def test_svg_rejects_ragged_or_non_numeric_controls(controls):
-    with pytest.raises(T2SplineError, match="^controls must be a rectangular array of numbers"):
-        svg_document(Scene(controls=controls))
+@pytest.mark.parametrize(
+    "label, points, match",
+    [
+        ("controls", np.array([1.0, 2.0]), r"\(m, 2\)"),
+        ("controls", np.zeros((3, 3)), r"\(m, 2\)"),
+        ("controls", np.float64(5.0), r"\(m, 2\)"),
+        ("crisp", np.array([1.0, 2.0]), r"^crisp must be an \(m, 2\) array, got shape \(2,\)$"),
+        ("tr_left", np.zeros((3, 3)), r"^tr_left must be an \(m, 2\) array, got shape \(3, 3\)$"),
+        ("bogus", np.zeros((2, 2)), "^unknown series label 'bogus'$"),
+        (["crisp"], np.zeros((2, 2)), r"^unknown series label \['crisp'\]$"),
+    ],
+    ids=["controls0", "controls1", "5.0", "series-1d", "series-3-columns", "unknown-label", "unhashable-label"],
+)
+def test_svg_rejects_controls_that_are_not_point_pairs(label, points, match):
+    with pytest.raises(T2SplineError, match=match):
+        _svg_of(label, points)
+
+
+@pytest.mark.parametrize(
+    "label, points",
+    [
+        ("controls", [[1.0, 2.0], [3.0]]),
+        ("controls", [["a", "b"]]),
+        ("controls", [[1.0, {}]]),
+        ("defuzzified", [[1.0, 2.0], [3.0]]),
+        ("ll", [["a", "b"]]),
+        ("rr", [[1.0, None]]),
+    ],
+    ids=["controls0", "controls1", "controls2", "series-ragged", "series-strings", "series-none"],
+)
+def test_svg_rejects_ragged_or_non_numeric_controls(label, points):
+    with pytest.raises(T2SplineError, match=f"^{label} must be a rectangular array of numbers"):
+        _svg_of(label, points)
 
 
 @pytest.mark.parametrize("controls", [[], np.empty((0, 2))])

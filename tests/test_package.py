@@ -21,7 +21,7 @@ def test_all_lists_exactly_the_public_names():
     assert len(t2spline.__all__) == len(set(t2spline.__all__))
 
 
-@pytest.mark.parametrize("path", ["tests/oracles.py", "perfbench/oracle.py"])
+@pytest.mark.parametrize("path", ["tests/oracles.py", "tests/texts.py", "perfbench/oracle.py"])
 def test_the_oracles_do_not_import_the_package(path):
     """An oracle that called the code it checks would check nothing."""
     imported = set()
