@@ -113,9 +113,12 @@ class CurveBand:
 
 
 def shared_params(lines, what: str) -> np.ndarray:
-    """The params all ``(label, Polyline)`` pairs of ``lines`` share, else :class:`SampleMismatch` naming ``what``."""
-    (_, first), *rest = lines
-    for label, line in rest:
+    """The params all ``(label, Polyline)`` pairs of ``lines`` share, else :class:`SampleMismatch` naming ``what``.
+    A line that is not a :class:`Polyline` is refused with :class:`T2SplineError`."""
+    first = lines[0][1]
+    for label, line in lines:
+        if not isinstance(line, Polyline):
+            raise T2SplineError(f"{what} {label} must be a Polyline, got {type(line).__name__}")
         if not np.array_equal(line.params, first.params):
             raise SampleMismatch(f"{what} {label} sampled at different parameters")
     return first.params

@@ -42,11 +42,17 @@ into that array by C-level maps, without a Python loop over the coordinates.
 Any other document is read by a loop that reads each coordinate with
 :func:`_read_coordinate`, the only reader of the spreads form and the only
 source of the structural and number error messages.
+
+The parse runs with the cyclic garbage collector paused (:func:`_gc_paused`):
+the JSON tree holds no reference cycles and reference counting frees it, so
+a collector pass over its tens of thousands of objects is wasted work.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from itertools import chain
 from operator import itemgetter
 from typing import Any
@@ -220,13 +226,32 @@ def _read_points(points: list) -> np.ndarray:
     return coords_from_rows(rows).reshape(-1, 2, len(COORD_FIELDS))
 
 
+@contextmanager
+def _gc_paused():
+    """Disable the cyclic garbage collector for the ``with`` body, then
+    enable it again, on every exit, if it was enabled on entry.
+
+    The switch is process-wide: cyclic garbage made by another thread waits
+    until the body ends.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def parse_document(text: str) -> ModelDocument:
     """Parse JSON text into a validated :class:`ModelDocument`.
 
     Validation builds the document, which runs the fuzzy pipeline at its
     cut level, so a document whose type-reduced values overflow is
     rejected; the model keeps that solution as
-    :attr:`~t2spline.curves.FuzzyCurveModel.solved`.
+    :attr:`~t2spline.curves.FuzzyCurveModel.solved`.  The whole parse runs
+    under :func:`_gc_paused`.
     """
     try:
         raw = json.loads(text)

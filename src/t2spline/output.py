@@ -305,17 +305,29 @@ def _format_repr(block):
 _KERNELS = ((FLOAT_FORMAT, _format_e16), ("%r", _format_repr))
 
 
+def _pairs(series, message: str) -> list[tuple]:
+    """The items of ``series``, each a 2-tuple, else :class:`T2SplineError` saying ``message``."""
+    try:
+        items = iter(series)
+    except TypeError:
+        raise T2SplineError(message) from None
+    pairs = list(items)
+    if not all(isinstance(pair, tuple) and len(pair) == 2 for pair in pairs):
+        raise T2SplineError(message)
+    return pairs
+
+
 def _normalize_series(series) -> list[tuple[str, Polyline]]:
     if isinstance(series, CurveBand):
         return list(series.items())
     if isinstance(series, Polyline):
         return [("curve", series)]
-    pairs = list(series)
+    message = "series must be (name, Polyline) pairs, a CurveBand, or a Polyline"
+    pairs = _pairs(series, message)
     if not pairs:
         raise T2SplineError("no series to write")
-    for pair in pairs:
-        if not (isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[1], Polyline)):
-            raise T2SplineError("series must be (name, Polyline) pairs, a CurveBand, or a Polyline")
+    if not all(isinstance(line, Polyline) for _, line in pairs):
+        raise T2SplineError(message)
     return pairs
 
 
@@ -450,7 +462,8 @@ def svg_document(scene: Scene) -> str:
 def svg_figure(series, controls, title: str) -> str:
     """Render ``(label, (m, 2) points)`` series, styled by label, and the
     (m, 2) ``controls`` (None for none) like :func:`svg_document`."""
-    series = [(label, point_array(points, label)) for label, points in series]
+    pairs = _pairs(series, "series must be (label, points) pairs")
+    series = [(label, point_array(points, label)) for label, points in pairs]
     for label, _ in series:
         if not (isinstance(label, str) and label in SERIES_STYLE):
             raise T2SplineError(f"unknown series label {label!r}")

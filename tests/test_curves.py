@@ -252,6 +252,18 @@ def test_band_rejects_differently_sampled_components(samples, scale):
         CurveBand(*(line for _, line in lines))
 
 
+@pytest.mark.parametrize("other", ["x", np.zeros((5, 2)), None], ids=["string", "array", "none"])
+def test_deviation_and_band_refuse_what_is_not_a_polyline(other):
+    line = sample_curve(degenerate_model().crisp_model(), 5)
+    kind = type(other).__name__
+    with pytest.raises(T2SplineError, match=f"^polyline b must be a Polyline, got {kind}$"):
+        deviation(line, other)
+    with pytest.raises(T2SplineError, match=f"^polyline a must be a Polyline, got {kind}$"):
+        deviation(other, line)
+    with pytest.raises(T2SplineError, match=f"^band component ll must be a Polyline, got {kind}$"):
+        CurveBand(other, *[line] * 6)
+
+
 def test_evaluate_rejects_unknown_groups():
     with pytest.raises(T2SplineError, match=r"^unknown curve groups \['bogus', 'tr_left'\]$"):
         evaluate(asymmetric_model(), ["band", "tr_left", "bogus"], 5)

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -640,3 +641,57 @@ def test_documents_round_trip_through_json(payload):
     kept = (doc.model.order, doc.model.alpha, doc.samples)
     assert (again.model.order, again.model.alpha, again.samples) == kept
     assert kept == (payload["order"], payload["alpha"], payload["samples"])
+
+
+# --- the collector pause -------------------------------------------------------------
+
+@pytest.fixture
+def collector():
+    """Puts the cyclic collector back as it was; the test switches it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (minimal_doc_text(EXPLICIT_COORD), None),
+        ('{"points": [,]}', ParseError),
+        (minimal_doc_text({**EXPLICIT_COORD, "h": 2}), ValidationError),
+    ],
+    ids=["valid", "parse-error", "validation-error"],
+)
+def test_parse_leaves_the_collector_as_it_found_it(collector, enabled, text, error):
+    (gc.enable if enabled else gc.disable)()
+    if error is None:
+        parse_document(text)
+    else:
+        with pytest.raises(error):
+            parse_document(text)
+    assert gc.isenabled() is enabled
+
+
+def _collections_during(call) -> list[int]:
+    """The generation of each collection the enabled collector starts while
+    ``call()`` runs."""
+    generations = []
+
+    def probe(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.enable()
+    gc.callbacks.append(probe)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(probe)
+    return generations
+
+
+def test_no_collection_runs_while_a_document_is_parsed(collector):
+    text = minimal_doc_text(EXPLICIT_COORD, n=2000)
+    assert _collections_during(lambda: json.loads(text)) != []  # the tree alone starts the collector
+    assert _collections_during(lambda: parse_document(text)) == []

@@ -113,6 +113,12 @@ def test_csv_rejects_what_is_not_a_name_and_polyline(model, pair):
         csv_text([("crisp", line), pair])
 
 
+@pytest.mark.parametrize("series", [5, None, np.array(1.0)], ids=["int", "none", "0-d-array"])
+def test_csv_rejects_series_that_is_not_iterable(series):
+    with pytest.raises(T2SplineError, match=r"^series must be \(name, Polyline\) pairs"):
+        csv_text(series)
+
+
 def test_csv_values_have_full_precision(model):
     text = csv_text(sample_curve(model.crisp_model(), 3))
     data_cell = text.strip().split("\n")[2].split(",")[1]
@@ -394,6 +400,16 @@ def test_svg_rejects_controls_that_are_not_point_pairs(label, points, match):
 def test_svg_rejects_ragged_or_non_numeric_controls(label, points):
     with pytest.raises(T2SplineError, match=f"^{label} must be a rectangular array of numbers"):
         _svg_of(label, points)
+
+
+@pytest.mark.parametrize(
+    "series",
+    [5, None, "crisp", [("crisp",)], [("crisp", np.zeros((2, 2)), "")], [["crisp", np.zeros((2, 2))]]],
+    ids=["int", "none", "string", "single", "triple", "list-pair"],
+)
+def test_svg_rejects_series_that_are_not_label_point_pairs(series):
+    with pytest.raises(T2SplineError, match=r"^series must be \(label, points\) pairs$"):
+        output.svg_figure(series, None, "")
 
 
 @pytest.mark.parametrize("controls", [[], np.empty((0, 2))])

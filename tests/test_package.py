@@ -64,3 +64,27 @@ def test_the_coordinate_layout_is_indexed_only_through_fuzzy(module):
         and _literal_positions(node.slice.elts[-1])
     ]
     assert found == []
+
+
+def test_the_collector_is_switched_only_by_the_document_pause():
+    """``gc.disable`` and ``gc.enable`` are named in one place, the pause
+    ``document._gc_paused``, which puts the collector back as it found it on
+    every exit; a second switch elsewhere could leave the collector off."""
+    found = []
+    for path in sorted((ROOT / "src" / "t2spline").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for func in ast.walk(tree):  # outer functions first, so the innermost one wins
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                found.append((path.name, owner.get(node, "<module>"), ast.unparse(node)))
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "gc"
+                and node.attr in ("disable", "enable")
+            ):
+                found.append((path.name, owner.get(node, "<module>"), node.attr))
+    assert sorted(found) == [("document.py", "_gc_paused", "disable"), ("document.py", "_gc_paused", "enable")]
