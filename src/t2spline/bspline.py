@@ -111,6 +111,17 @@ def max_samples(n: int, order) -> int:
     return min(MAX_BASIS_CELLS // n, MAX_BASIS_WORK // (k * k))
 
 
+def check_samples(samples, n: int, order) -> int:
+    """``samples`` as an int if it is an integer from 2 to
+    :func:`max_samples` ``(n, order)``; else :class:`TooFewSamples` below 2
+    and :class:`T2SplineError` otherwise, with one message."""
+    most = max_samples(n, order)
+    if is_integer(samples) and 2 <= samples <= most:
+        return int(samples)
+    error = TooFewSamples if is_integer(samples) and samples < 2 else T2SplineError
+    raise error(f"samples must be an integer from 2 to {most} for {n} control points, got {samples!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class KnotVector:
     """Non-decreasing knot sequence of length n + order, clamped at both ends."""
@@ -287,14 +298,7 @@ def sample_curves(knots: KnotVector, weights: np.ndarray, polygons, samples: int
     """Evaluate one rational curve per (n, 2) control polygon of the stack at
     `samples` uniform parameters ``ts``; return ``ts`` and the ``(polygons,
     samples, 2)`` points.  The weighted basis rows are computed once."""
-    if not is_integer(samples):
-        raise T2SplineError(f"samples must be an integer, got {samples!r}")
-    if samples < 2:
-        raise TooFewSamples(f"need at least 2 samples, got {samples}")
-    n = knots.n_controls
-    most = max_samples(n, knots.order)
-    if samples > most:
-        raise T2SplineError(f"at most {most} samples are supported for {n} control points, got {samples}")
+    samples = check_samples(samples, knots.n_controls, knots.order)
     lo, hi = knots.domain
     ts = np.linspace(lo, hi, samples)
     coeff = basis_rows(knots.knots, knots.order, ts)

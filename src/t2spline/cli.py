@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--series",
             default="all",
-            help="comma-separated subset of band,reduced,defuzzified,crisp (default: all)",
+            help=f"comma-separated subset of {','.join(curves.GROUPS)} (default: all)",
         )
         p.add_argument("--alpha", type=float, default=None, help="override the document cut level")
         p.add_argument("--order", type=int, default=None, help="override the curve order")

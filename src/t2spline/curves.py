@@ -9,13 +9,17 @@ sharing one parameter array (the rule of :func:`shared_params`); its views
 :class:`CurveBand`, :class:`ReducedCurves` and :class:`Polyline` are compared
 sample by sample.  The controls are one ``(n, 2, 8)`` coordinate array (see
 :mod:`t2spline.fuzzy`), so each component polygon is a slice of it.
+
+The curve-group rule is stated here once: :data:`SERIES` names the curves
+each group gives, :func:`series_labels` orders them into columns,
+:data:`GROUP_TYPES` gives the type each group's curves come in, and
+:func:`labelled` pairs the curves of such a view with their labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +32,8 @@ from .pipeline import check_alpha, solve
 #: Band labels in control-polygon order; "crisp" extracts the c component.
 COMPONENT_LABELS = tuple("crisp" if name == "c" else name for name in COMPONENT_FIELDS)
 
-#: Labels of the curves each group (named like a :class:`Scene` field) gives,
-#: in CSV column order; a label two groups give is one column, at its first place.
+#: Labels of the curves each group (named like the :class:`Scene` field that
+#: holds it) gives, in column order; a group of one curve is named by its label.
 SERIES = {
     "band": COMPONENT_LABELS,
     "reduced": ("tr_left", "crisp", "tr_right"),
@@ -93,10 +97,29 @@ class FuzzyCurveModel:
         return RationalCurveModel(self.coords[:, :, C], self.weights, self.order, self.knots)
 
 
+class _CurveGroup:
+    """The curves of the group ``GROUP``: the fields of a frozen dataclass,
+    in :data:`SERIES` order, each sampled at the parameters of its ``crisp``
+    curve (:func:`shared_params`, naming a curve ``WHAT``)."""
+
+    def __post_init__(self):
+        shared_params([("crisp", self.crisp), *self.items()], self.WHAT)
+
+    def __iter__(self):
+        return (getattr(self, field.name) for field in fields(self))
+
+    def __len__(self) -> int:
+        return len(fields(self))
+
+    def items(self) -> tuple[tuple[str, Polyline], ...]:
+        return tuple(zip(SERIES[self.GROUP], self))
+
+
 @dataclass(frozen=True, eq=False)
-class CurveBand:
+class CurveBand(_CurveGroup):
     """Seven component curves sampled at identical parameter values."""
 
+    GROUP, WHAT = "band", "band component"
     ll: Polyline
     l: Polyline
     rl: Polyline
@@ -104,12 +127,6 @@ class CurveBand:
     lr: Polyline
     r: Polyline
     rr: Polyline
-
-    def __post_init__(self):
-        shared_params([("crisp", self.crisp), *self.items()], "band component")  # each against the crisp curve
-
-    def items(self) -> tuple[tuple[str, Polyline], ...]:
-        return tuple((label, getattr(self, label)) for label in COMPONENT_LABELS)
 
 
 def shared_params(lines, what: str) -> np.ndarray:
@@ -124,12 +141,29 @@ def shared_params(lines, what: str) -> np.ndarray:
     return first.params
 
 
-class ReducedCurves(NamedTuple):
-    """Type-reduced curve triple: left interval curve, crisp, right."""
+@dataclass(frozen=True, eq=False)
+class ReducedCurves(_CurveGroup):
+    """Type-reduced curve triple sampled at identical parameter values: left
+    interval curve, crisp, right."""
 
+    GROUP, WHAT = "reduced", "reduced curve"
     left: Polyline
     crisp: Polyline
     right: Polyline
+
+
+#: The type each group's curves come in, which the
+#: :class:`~t2spline.output.Scene` field of its name holds.
+GROUP_TYPES = {"band": CurveBand, "reduced": ReducedCurves, "crisp": Polyline, "defuzzified": Polyline}
+
+
+def labelled(view, label: str = "curve"):
+    """The ``(label, Polyline)`` pairs of ``view``: the items of a
+    :class:`CurveBand` or :class:`ReducedCurves`, or a :class:`Polyline` as
+    the one pair ``(label, view)``; None for anything else."""
+    if isinstance(view, Polyline):
+        return ((label, view),)
+    return view.items() if isinstance(view, _CurveGroup) else None
 
 
 @dataclass(frozen=True)
@@ -147,19 +181,24 @@ def component_polygons(model: FuzzyCurveModel) -> dict[str, np.ndarray]:
     return {label: model.coords[:, :, i] for i, label in enumerate(COMPONENT_LABELS)}
 
 
+def series_labels(groups) -> list[str]:
+    """The labels of the curves of ``groups``, names from :data:`GROUPS`, in
+    :data:`SERIES` column order, each label once, at its first place."""
+    return list(dict.fromkeys(label for group in GROUPS if group in groups for label in SERIES[group]))
+
+
 def evaluate(model: FuzzyCurveModel, groups, samples: int = DEFAULT_SAMPLES) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Evaluate the requested curve groups (names from :data:`GROUPS`) as one
     stack of control polygons over one shared basis.
 
     The controls are cut and type-reduced once, and only if a requested
     curve needs it.  Returns the sample parameters ``ts`` and a dict of
-    ``(samples, 2)`` points keyed by label, in :data:`SERIES` column order,
-    each label once.
+    ``(samples, 2)`` points keyed by label, in :func:`series_labels` order.
     """
     groups = set(groups)
     if not groups <= set(GROUPS):
         raise T2SplineError(f"unknown curve groups {sorted(groups - set(GROUPS))}")
-    labels = dict.fromkeys(label for group in GROUPS if group in groups for label in SERIES[group])
+    labels = series_labels(groups)
     polygons = component_polygons(model)
     if groups & {"reduced", "defuzzified"}:
         polygons["tr_left"], _, polygons["tr_right"], polygons["defuzzified"] = model.solved

@@ -59,7 +59,7 @@ from typing import Any
 
 import numpy as np
 
-from .bspline import DEFAULT_ORDER, check_order, is_integer, max_samples
+from .bspline import DEFAULT_ORDER, check_order, check_samples, is_integer
 from .curves import DEFAULT_ALPHA, DEFAULT_SAMPLES, FuzzyCurveModel
 from .errors import ParseError, T2SplineError, ValidationError
 from .fuzzy import COORD_FIELDS, SPREAD_FIELDS, NT2FuzzyPoint, NT2FuzzyScalar, coords_from_rows, point_items, points_of
@@ -79,20 +79,19 @@ class ModelDocument:
 
     ``points`` may be an iterable of :class:`NT2FuzzyPoint` or an ``(n, 2, 8)``
     coordinate array; with ``weights``, ``order`` and ``alpha`` it builds and
-    solves :attr:`model` once, on construction.  ``samples`` must be an
-    integer from 2 to ``max_samples(n, order)``, or :class:`ValidationError`
-    is raised before the model is built.
+    solves :attr:`model` once, on construction.  An input it refuses raises
+    :class:`ValidationError`; ``samples`` is checked first, by
+    :func:`~t2spline.bspline.check_samples`.
     """
 
     def __init__(self, points, weights: list[float], order: int, alpha: float, samples: int):
-        points = point_items(points)
-        n = len(points)
-        most = max_samples(n, order)
-        if not is_integer(samples) or not 2 <= samples <= most:
-            raise ValidationError(f"'samples' must be an integer from 2 to {most} for {n} points, got {samples!r}")
-        self.model = FuzzyCurveModel.with_uniform_knots(points, weights=np.array(weights), order=order, alpha=alpha)
-        self.model.solved  # refuses overflow, as parse_document does
-        self.samples = int(samples)
+        try:
+            points = point_items(points)
+            self.samples = check_samples(samples, len(points), order)
+            self.model = FuzzyCurveModel.with_uniform_knots(points, weights=np.array(weights), order=order, alpha=alpha)
+            self.model.solved  # refuses overflow
+        except T2SplineError as exc:
+            raise ValidationError(str(exc)) from exc
 
     @property
     def points(self) -> list[NT2FuzzyPoint]:
@@ -285,13 +284,7 @@ def parse_document(text: str) -> ModelDocument:
         raise ValidationError(f"'order' must be an integer, got {order!r}")
     alpha = _require_number(raw.get("alpha", DEFAULT_ALPHA), "alpha")
 
-    try:
-        doc = ModelDocument(coords, weights, order, alpha, samples=raw.get("samples", DEFAULT_SAMPLES))
-    except ValidationError:
-        raise
-    except T2SplineError as exc:
-        raise ValidationError(str(exc)) from exc
-    return doc
+    return ModelDocument(coords, weights, order, alpha, samples=raw.get("samples", DEFAULT_SAMPLES))
 
 
 def load_document(path) -> ModelDocument:

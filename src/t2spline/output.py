@@ -13,7 +13,9 @@ kernel's domain is filled into the template: ``_format_e16`` takes ±0 and
 ``1e-6 < |x| < 1e17``, ``_format_repr`` ±0 and ``1e-4 <= |x| < 1e16``
 without the powers of two.  Every output file of the package is written by
 :func:`write_output`; the curves of one CSV table share their parameters,
-the rule :func:`~t2spline.curves.shared_params` states.
+the rule :func:`~t2spline.curves.shared_params` states.  Which labelled
+curves a :class:`Scene` draws and :func:`write_csv` writes is the group
+rule of :mod:`t2spline.curves`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import Polyline, point_array
-from .curves import SERIES, CurveBand, ReducedCurves, shared_params
+from .curves import GROUP_TYPES, CurveBand, ReducedCurves, labelled, series_labels, shared_params
 from .errors import T2SplineError
 
 #: Cells ``_fill`` formats at once: a bounded block of rows keeps the text
@@ -305,29 +307,27 @@ def _format_repr(block):
 _KERNELS = ((FLOAT_FORMAT, _format_e16), ("%r", _format_repr))
 
 
-def _pairs(series, message: str) -> list[tuple]:
-    """The items of ``series``, each a 2-tuple, else :class:`T2SplineError` saying ``message``."""
+def _pairs(series, message: str, kind=object) -> list[tuple]:
+    """The items of ``series``, each a 2-tuple whose second item is a
+    ``kind``, else :class:`T2SplineError` saying ``message``."""
     try:
         items = iter(series)
     except TypeError:
         raise T2SplineError(message) from None
     pairs = list(items)
-    if not all(isinstance(pair, tuple) and len(pair) == 2 for pair in pairs):
+    if not all(isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[1], kind) for pair in pairs):
         raise T2SplineError(message)
     return pairs
 
 
 def _normalize_series(series) -> list[tuple[str, Polyline]]:
-    if isinstance(series, CurveBand):
-        return list(series.items())
-    if isinstance(series, Polyline):
-        return [("curve", series)]
-    message = "series must be (name, Polyline) pairs, a CurveBand, or a Polyline"
-    pairs = _pairs(series, message)
+    items = labelled(series)
+    if items is not None:
+        return list(items)
+    message = "series must be (name, Polyline) pairs, a CurveBand, a ReducedCurves, or a Polyline"
+    pairs = _pairs(series, message, Polyline)
     if not pairs:
         raise T2SplineError("no series to write")
-    if not all(isinstance(line, Polyline) for _, line in pairs):
-        raise T2SplineError(message)
     return pairs
 
 
@@ -389,9 +389,11 @@ def _stage_beside(path) -> tuple[int, str] | None:
 def write_csv(series, path_or_file) -> None:
     """Write sampled curves as CSV: t column, then x/y per named series.
 
-    ``series`` may be a :class:`CurveBand`, a single :class:`Polyline`, or a
-    sequence of ``(name, Polyline)`` pairs, all sampled at one parameter
-    array, the t column (:func:`~t2spline.curves.shared_params`).
+    ``series`` may be a :class:`CurveBand` or :class:`ReducedCurves`, whose
+    columns are named by :data:`~t2spline.curves.SERIES`, a single
+    :class:`Polyline` (named ``curve``), or a sequence of ``(name, Polyline)``
+    pairs, all sampled at one parameter array, the t column
+    (:func:`~t2spline.curves.shared_params`).
     """
     pairs = _normalize_series(series)
     ts = shared_params(pairs, "series")
@@ -429,7 +431,14 @@ SERIES_STYLE = {
 @dataclass
 class Scene:
     """What to draw: any subset of band, type-reduced pair, solution curves
-    and the crisp control polygon."""
+    and the crisp control polygon.
+
+    A group field holds None or the type
+    :data:`~t2spline.curves.GROUP_TYPES` gives its group: ``band`` a
+    :class:`CurveBand`, ``reduced`` a :class:`ReducedCurves`, ``defuzzified``
+    and ``crisp`` a :class:`Polyline`.  A scene is mutable, so its fields are
+    checked when it is drawn.
+    """
 
     band: CurveBand | None = None
     reduced: ReducedCurves | None = None
@@ -440,18 +449,17 @@ class Scene:
 
 
 def _scene_series(scene: Scene) -> list[tuple[str, np.ndarray]]:
-    """The scene's curves as (label, points) in :data:`~t2spline.curves.SERIES`
-    column order, each label once."""
-    series = {}
-    for group, labels in SERIES.items():
-        view = getattr(scene, group)
-        if isinstance(view, Polyline):
-            view = (view,)
-        elif isinstance(view, CurveBand):
-            view = [line for _, line in view.items()]
-        for label, line in zip(labels, view or ()):
-            series.setdefault(label, line.points)
-    return list(series.items())
+    """The scene's curves as (label, points) in
+    :func:`~t2spline.curves.series_labels` order, a label two groups give
+    drawn from the first; :class:`T2SplineError` names a group field that is
+    not of its type."""
+    views = {group: getattr(scene, group) for group in GROUP_TYPES if getattr(scene, group) is not None}
+    for group, view in views.items():
+        if not isinstance(view, GROUP_TYPES[group]):
+            kind = GROUP_TYPES[group].__name__
+            raise T2SplineError(f"Scene.{group} must be a {kind} or None, got {type(view).__name__}")
+    lines = dict(pair for group, view in reversed(views.items()) for pair in labelled(view, group))
+    return [(label, lines[label].points) for label in series_labels(views)]
 
 
 def svg_document(scene: Scene) -> str:
@@ -468,6 +476,8 @@ def svg_figure(series, controls, title: str) -> str:
         if not (isinstance(label, str) and label in SERIES_STYLE):
             raise T2SplineError(f"unknown series label {label!r}")
     controls = point_array([] if controls is None else controls, "controls")
+    if not isinstance(title, str):
+        raise T2SplineError(f"title must be a str, got {type(title).__name__}")
     plot_x0, plot_x1 = MARGIN_LEFT, CANVAS_W - MARGIN_RIGHT
     plot_y0, plot_y1 = MARGIN_TOP, CANVAS_H - MARGIN_BOTTOM
     xy = np.concatenate([points for _, points in series] + [controls])

@@ -393,18 +393,20 @@ def test_sample_curves_shares_basis_and_matches_rational_point(n, order):
 
 
 def test_sample_count_above_bound_rejected_before_allocation():
-    with pytest.raises(T2SplineError, match="at most"):
-        sample_curve(demo_rational(), MAX_BASIS_CELLS // len(DEMO_CONTROLS) + 1)
-    with pytest.raises(T2SplineError, match="at most"):
-        sample_curve(demo_rational(), 10**12)
+    most = MAX_BASIS_CELLS // len(DEMO_CONTROLS)
+    for samples in (most + 1, 10**12):
+        message = f"^samples must be an integer from 2 to {most} for 4 control points, got {samples}$"
+        with pytest.raises(T2SplineError, match=message):
+            sample_curve(demo_rational(), samples)
 
 
 @pytest.mark.parametrize("n", [4, 400, 5000])
 def test_sample_bound_is_on_basis_cells(n):
     kv = clamped_uniform_knots(n, 3)
     polygon = np.zeros((1, n, 2))
-    with pytest.raises(T2SplineError, match=f"at most {MAX_BASIS_CELLS // n} samples"):
-        sample_curves(kv, np.ones(n), polygon, MAX_BASIS_CELLS // n + 1)
+    most = MAX_BASIS_CELLS // n
+    with pytest.raises(T2SplineError, match=f"^samples must be an integer from 2 to {most} for {n} control points, got {most + 1}$"):
+        sample_curves(kv, np.ones(n), polygon, most + 1)
 
 
 def test_sample_bound_up_to_order_10_is_the_cell_bound():
@@ -420,7 +422,7 @@ def test_sample_bound_above_order_10_limits_basis_work():
     assert max_samples(400, 400) == MAX_BASIS_WORK // 400**2 == 2097
     assert max_samples(11, 11) == MAX_BASIS_WORK // 121 < MAX_BASIS_CELLS // 11
     kv = clamped_uniform_knots(400, 400)
-    with pytest.raises(T2SplineError, match="^at most 2097 samples are supported for 400 control points, got 2098$"):
+    with pytest.raises(T2SplineError, match="^samples must be an integer from 2 to 2097 for 400 control points, got 2098$"):
         sample_curves(kv, np.ones(400), np.zeros((1, 400, 2)), 2098)
 
 

@@ -75,7 +75,7 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 def test_curve_crisp_two_samples_hits_endpoints(demo_path, tmp_path):
     out = tmp_path / "crisp.csv"
     assert run(["curve", str(demo_path), "--series", "crisp", "--samples", "2", "--out", str(out)]) == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["t", "crisp_x", "crisp_y"]
     assert [float(v) for v in rows[1]] == [0.0, 0.0, 0.0]
     assert [float(v) for v in rows[2]] == [1.0, 7.0, 1.0]
@@ -192,7 +192,7 @@ def test_curve_all_columns_match_library_views(tmp_path, doc):
     path.write_text(document_to_json(doc))
     out = tmp_path / "all.csv"
     assert run(["curve", str(path), "--series", "all", "--out", str(out)]) == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     columns = dict(zip(rows[0], np.array(rows[1:], dtype=float).T))
 
     model = doc.to_model()
@@ -265,7 +265,7 @@ def test_many_points_at_a_million_samples_exit_1_without_output(tmp_path, capsys
     out = tmp_path / "out.csv"
     assert run(["curve", str(path), "--samples", str(10**6), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: at most") and "Traceback" not in err
+    assert err == "error: samples must be an integer from 2 to 83886 for 400 control points, got 1000000\n"
     assert not out.exists()
 
 
@@ -276,13 +276,24 @@ def test_high_order_document_at_the_cell_bound_is_refused_at_once(tmp_path, caps
     payload.update(order=400, samples=83_886)
     path = tmp_path / "high-order.json"
     path.write_text(json.dumps(payload))
-    message = "error: 'samples' must be an integer from 2 to 2097 for 400 points, got 83886\n"
+    message = "error: samples must be an integer from 2 to 2097 for 400 control points, got 83886\n"
     for argv in (["validate", str(path)], ["curve", str(path), "--out", str(tmp_path / "out.csv")]):
         start = time.perf_counter()
         assert run(argv) == 1
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == message
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_a_sample_count_is_refused_with_one_message(demo_path, tmp_path, capsys):
+    payload = json.loads(demo_path.read_text())
+    payload["samples"] = 1
+    path = tmp_path / "one-sample.json"
+    path.write_text(json.dumps(payload))
+    message = "error: samples must be an integer from 2 to 8388608 for 4 control points, got 1\n"
+    for argv in (["validate", str(path)], ["curve", str(demo_path), "--samples", "1"]):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == message
 
 
 def test_out_of_memory_is_one_error_line(demo_path, tmp_path, capsys, monkeypatch):

@@ -17,6 +17,7 @@ from t2spline import (
     NT2FuzzyScalar,
     Polyline,
     RationalCurveModel,
+    ReducedCurves,
     SampleMismatch,
     T2SplineError,
     alpha_cut_scalar,
@@ -262,6 +263,25 @@ def test_deviation_and_band_refuse_what_is_not_a_polyline(other):
         deviation(other, line)
     with pytest.raises(T2SplineError, match=f"^band component ll must be a Polyline, got {kind}$"):
         CurveBand(other, *[line] * 6)
+    with pytest.raises(T2SplineError, match=f"^reduced curve tr_left must be a Polyline, got {kind}$"):
+        ReducedCurves(other, line, line)
+
+
+@MISMATCHED_SAMPLING
+def test_reduced_curves_reject_differently_sampled_curves(samples, scale):
+    red = reduced_curves(asymmetric_model(), 21)
+    right = reduced_curves(asymmetric_model(), samples).right
+    with pytest.raises(SampleMismatch, match="^reduced curve tr_right sampled at different parameters$"):
+        ReducedCurves(red.left, red.crisp, Polyline(right.points, right.params * scale))
+
+
+def test_each_group_pairs_its_curves_with_its_series_labels():
+    model = asymmetric_model()
+    band, red = fuzzy_curve_band(model, 5), reduced_curves(model, 5)
+    assert band.items() == tuple(zip(COMPONENT_LABELS, (band.ll, band.l, band.rl, band.crisp, band.lr, band.r, band.rr)))
+    assert red.items() == (("tr_left", red.left), ("crisp", red.crisp), ("tr_right", red.right))
+    left, crisp, right = red
+    assert (left, crisp, right, len(red)) == (red.left, red.crisp, red.right, 3)
 
 
 def test_evaluate_rejects_unknown_groups():

@@ -177,7 +177,7 @@ def test_samples_bound_is_the_evaluator_bound(n):
     assert parse_document(json.dumps(payload)).samples == most
     for samples in (most + 1, 10**9):
         payload["samples"] = samples
-        with pytest.raises(ValidationError, match=f"from 2 to {most} for {n} points"):
+        with pytest.raises(ValidationError, match=f"^samples must be an integer from 2 to {most} for {n} control points, got {samples}$"):
             parse_document(json.dumps(payload))
 
 
@@ -185,7 +185,7 @@ def test_model_document_refuses_a_sample_count_the_parser_refuses():
     coords = demo_document().model.coords
     with pytest.raises(ValidationError) as exc:
         document.ModelDocument(coords, [1, 1, 3, 1], 3, 0.8, samples=1)
-    assert str(exc.value) == "'samples' must be an integer from 2 to 8388608 for 4 points, got 1"
+    assert str(exc.value) == "samples must be an integer from 2 to 8388608 for 4 control points, got 1"
 
 
 def test_model_document_takes_any_iterable_of_points():
@@ -381,9 +381,9 @@ PARENT_ERRORS = {
     'order-one': (ValidationError, 'order must be at least 2, got 1'),
     'alpha-one': (ValidationError, 'alpha must lie in [0, 1), got 1.0'),
     'alpha-string': (ValidationError, "alpha: expected a number, got '0.8'"),
-    'samples-one': (ValidationError, "'samples' must be an integer from 2 to 6710886 for 5 points, got 1"),
-    'samples-float': (ValidationError, "'samples' must be an integer from 2 to 6710886 for 5 points, got 10.0"),
-    'samples-over-bound': (ValidationError, "'samples' must be an integer from 2 to 83886 for 400 points, got 33554432"),
+    'samples-one': (ValidationError, "samples must be an integer from 2 to 6710886 for 5 control points, got 1"),
+    'samples-float': (ValidationError, "samples must be an integer from 2 to 6710886 for 5 control points, got 10.0"),
+    'samples-over-bound': (ValidationError, "samples must be an integer from 2 to 83886 for 400 control points, got 33554432"),
     'point-keys-x-z': (ValidationError, "point 2: must be an object with exactly 'x' and 'y'"),
     'coordinate-rr-renamed-zz': (ValidationError, "point 2, coordinate x: unexpected keys ['zz']"),
 }

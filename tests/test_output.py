@@ -119,6 +119,13 @@ def test_csv_rejects_series_that_is_not_iterable(series):
         csv_text(series)
 
 
+def test_csv_of_reduced_curves_labels_their_columns(model):
+    red = reduced_curves(model, 5)
+    text = csv_text(red)
+    assert text.split("\n")[0] == "t,tr_left_x,tr_left_y,crisp_x,crisp_y,tr_right_x,tr_right_y"
+    assert text == csv_text([("tr_left", red.left), ("crisp", red.crisp), ("tr_right", red.right)])
+
+
 def test_csv_values_have_full_precision(model):
     text = csv_text(sample_curve(model.crisp_model(), 3))
     data_cell = text.strip().split("\n")[2].split(",")[1]
@@ -358,6 +365,41 @@ def test_scene_with_title_escapes_markup():
     doc = svg_document(Scene(title="a < b & c"))
     assert "a &lt; b &amp; c" in doc
     ET.fromstring(doc)
+
+
+@pytest.mark.parametrize(
+    "render", [lambda: svg_document(Scene(title=5)), lambda: output.svg_figure([], None, 5)], ids=["scene", "figure"]
+)
+def test_svg_refuses_a_title_that_is_not_a_string(render):
+    with pytest.raises(T2SplineError, match="^title must be a str, got int$"):
+        render()
+
+
+#: A group field of a scene given a value that is not of its type: the
+#: field, the type it takes, and the value made from a band and a reduced
+#: triple of 11 samples.
+MISTYPED_SCENES = {
+    "band-as-reduced": ("band", "CurveBand", lambda band, red: red),
+    "reduced-as-band": ("reduced", "ReducedCurves", lambda band, red: band),
+    "crisp-as-reduced": ("crisp", "Polyline", lambda band, red: red),
+    "defuzzified-as-band": ("defuzzified", "Polyline", lambda band, red: band),
+    "reduced-int": ("reduced", "ReducedCurves", lambda band, red: 5),
+    "reduced-tuple": ("reduced", "ReducedCurves", lambda band, red: (red.left, red.crisp, red.right)),
+    "crisp-array": ("crisp", "Polyline", lambda band, red: np.zeros((3, 2))),
+    "defuzzified-string": ("defuzzified", "Polyline", lambda band, red: "x"),
+}
+
+
+@pytest.mark.parametrize("field, kind, make", MISTYPED_SCENES.values(), ids=list(MISTYPED_SCENES))
+def test_scene_refuses_a_group_field_of_another_type(model, field, kind, make):
+    value = make(fuzzy_curve_band(model, 11), reduced_curves(model, 11))
+    message = f"^Scene\\.{field} must be a {kind} or None, got {type(value).__name__}$"
+    with pytest.raises(T2SplineError, match=message):
+        svg_document(Scene(**{field: value}))
+    scene = Scene()  # a scene is mutable: its fields are checked when it is drawn
+    setattr(scene, field, value)
+    with pytest.raises(T2SplineError, match=message):
+        render_svg(scene, io.StringIO())
 
 
 def _svg_of(label, points):
