@@ -7,11 +7,13 @@ are computed, for all parameters at once.
 
 The input rules of the package are stated here once: a number
 (:func:`as_float`, :func:`float_array`), an integer (:func:`is_integer`)
-and an array of planar points (:func:`point_array`).
+and an array of planar points (:func:`point_array`); a refused value is shown
+in its message by :func:`shown`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +42,21 @@ DEFAULT_ORDER = 3
 
 
 #: Types that are not numbers, although ``float()`` or numpy converts them
-#: (None to NaN): refused by :func:`as_float` and :func:`float_array`, as
-#: the document parser refuses them.
+#: (None to NaN): refused by :func:`as_float` and :func:`float_array`.
 _NOT_NUMBERS = (str, bytes, bool, np.bool_, type(None))
+
+
+def shown(value) -> str:
+    """``value`` as a refusal message shows it: its ``repr``, but an integer
+    too large for a float by its digit count (``repr`` may refuse it)."""
+    if is_integer(value):
+        try:
+            float(value)
+        except OverflowError:
+            size = abs(int(value))
+            digits = int(math.log10(size))  # the count, or one less
+            return f"a {digits + (10**digits <= size)}-digit integer"
+    return repr(value)
 
 
 def as_float(value, name: str) -> float:
@@ -54,17 +68,20 @@ def as_float(value, name: str) -> float:
             return float(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise T2SplineError(f"{name} must be a number, got {value!r}")
+    raise T2SplineError(f"{name} must be a number, got {shown(value)}")
 
 
 def float_array(value, name: str) -> np.ndarray:
     """``value`` as a float array; raises :class:`T2SplineError` naming
     ``name`` when it is ragged or holds anything but numbers: a string,
-    bytes, None, a bool or a value ``float()`` refuses.  A numeric array is
-    converted without looking at its elements (not copied when float)."""
+    bytes, None, a bool or a value ``float()`` refuses or overflows.  A
+    numeric array is converted without looking at its elements (not copied
+    when float), a flat list of plain ints and floats in one step."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
         return np.asarray(value, dtype=float)
     try:
+        if type(value) is list and set(map(type, value)) <= {int, float}:
+            return np.array(value, dtype=float)
         objects = np.array(value, dtype=object)
         if any(issubclass(kind, _NOT_NUMBERS) for kind in set(map(type, objects.flat))):
             bad = next(v for v in objects.flat if isinstance(v, _NOT_NUMBERS))
@@ -95,11 +112,11 @@ def check_order(order, n: int) -> int:
     """``order`` as an int; raises :class:`T2SplineError` unless it is an
     integer from 2 to ``n``, the control count."""
     if not is_integer(order):
-        raise T2SplineError(f"order must be an integer, got {order!r}")
+        raise T2SplineError(f"order must be an integer, got {shown(order)}")
     if order < 2:
-        raise T2SplineError(f"order must be at least 2, got {order}")
+        raise T2SplineError(f"order must be at least 2, got {shown(order)}")
     if order > n:
-        raise OrderExceedsControlCount(f"order {order} exceeds control count {n}")
+        raise OrderExceedsControlCount(f"order {shown(order)} exceeds control count {shown(n)}")
     return int(order)
 
 
@@ -119,7 +136,7 @@ def check_samples(samples, n: int, order) -> int:
     if is_integer(samples) and 2 <= samples <= most:
         return int(samples)
     error = TooFewSamples if is_integer(samples) and samples < 2 else T2SplineError
-    raise error(f"samples must be an integer from 2 to {most} for {n} control points, got {samples!r}")
+    raise error(f"samples must be an integer from 2 to {most} for {n} control points, got {shown(samples)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +170,7 @@ class KnotVector:
 def clamped_uniform_knots(n: int, k: int) -> KnotVector:
     """Clamped uniform knot vector on [0, 1] for n control points, order k."""
     if not is_integer(n):
-        raise T2SplineError(f"the control count must be an integer, got {n!r}")
+        raise T2SplineError(f"the control count must be an integer, got {shown(n)}")
     k = check_order(k, n)
     interior = np.arange(1, n - k + 1, dtype=float) / (n - k + 1)
     return KnotVector(np.concatenate([np.zeros(k), interior, np.ones(k)]), order=k)
@@ -196,6 +213,10 @@ def basis_rows(knots: np.ndarray, order: int, ts) -> np.ndarray:
     return rows
 
 
+class _IndexOutOfRange(T2SplineError, IndexError):
+    """A basis index out of range: also an ``IndexError``."""
+
+
 def basis(kv: KnotVector, i: int, order: int, t: float) -> float:
     """Basis function N_i of the given order at parameter t (i is 0-based).
 
@@ -203,11 +224,11 @@ def basis(kv: KnotVector, i: int, order: int, t: float) -> float:
     functions of one knot vector sum to 1 across the domain.
     """
     if not is_integer(i):
-        raise T2SplineError(f"basis index must be an integer, got {i!r}")
+        raise T2SplineError(f"basis index must be an integer, got {shown(i)}")
     n = kv.knots.size - order if is_integer(order) else 0  # a non-integer is refused first
     order = check_order(order, n)
     if not 0 <= i < n:
-        raise IndexError(f"basis index {i} out of range for {n} basis functions")
+        raise _IndexOutOfRange(f"basis index {shown(i)} out of range for {n} basis functions")
     return float(basis_rows(kv.knots, order, t)[0, i])
 
 
@@ -224,6 +245,8 @@ def check_curve_setup(n: int, weights: np.ndarray, order: int, knots: KnotVector
     if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
         raise T2SplineError("weights must all be finite and > 0")
     order = check_order(order, n)
+    if not isinstance(knots, KnotVector):
+        raise T2SplineError(f"knots must be a KnotVector, got {type(knots).__name__}")
     if knots.order != order or knots.n_controls != n:
         raise T2SplineError(
             f"knot vector (order {knots.order}, {knots.n_controls} controls) "

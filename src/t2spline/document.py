@@ -40,8 +40,9 @@ points all have exactly the keys ``x`` and ``y``, whose coordinates all
 have exactly the explicit keys and whose values are all numbers is gathered
 into that array by C-level maps, without a Python loop over the coordinates.
 Any other document is read by a loop that reads each coordinate with
-:func:`_read_coordinate`, the only reader of the spreads form and the only
-source of the structural and number error messages.
+:func:`_read_coordinate`, the only source of the structural error messages.
+The parser checks structure only: it reads numbers with the rules of
+:mod:`t2spline.bspline`, and hands the settings to :class:`ModelDocument`.
 
 The parse runs with the cyclic garbage collector paused (:func:`_gc_paused`):
 the JSON tree holds no reference cycles and reference counting frees it, so
@@ -59,7 +60,7 @@ from typing import Any
 
 import numpy as np
 
-from .bspline import DEFAULT_ORDER, check_order, check_samples, is_integer
+from .bspline import DEFAULT_ORDER, as_float, check_order, check_samples, clamped_uniform_knots, float_array
 from .curves import DEFAULT_ALPHA, DEFAULT_SAMPLES, FuzzyCurveModel
 from .errors import ParseError, T2SplineError, ValidationError
 from .fuzzy import COORD_FIELDS, SPREAD_FIELDS, NT2FuzzyPoint, NT2FuzzyScalar, coords_from_rows, point_items, points_of
@@ -70,7 +71,6 @@ _EXPLICIT_KEYS = frozenset(COORD_FIELDS)
 _EXPLICIT_VALUES = itemgetter(*COORD_FIELDS)
 _POINT_KEYS = frozenset("xy")
 _POINT_VALUES = itemgetter("x", "y")
-_NUMBER_TYPES = {int, float}
 
 
 class ModelDocument:
@@ -80,15 +80,16 @@ class ModelDocument:
     ``points`` may be an iterable of :class:`NT2FuzzyPoint` or an ``(n, 2, 8)``
     coordinate array; with ``weights``, ``order`` and ``alpha`` it builds and
     solves :attr:`model` once, on construction.  An input it refuses raises
-    :class:`ValidationError`; ``samples`` is checked first, by
-    :func:`~t2spline.bspline.check_samples`.
+    :class:`ValidationError`; ``order`` and ``samples`` are checked first, by
+    :func:`~t2spline.bspline.check_samples`, then the model's ``weights``
+    and ``alpha``.
     """
 
     def __init__(self, points, weights: list[float], order: int, alpha: float, samples: int):
         try:
             points = point_items(points)
             self.samples = check_samples(samples, len(points), order)
-            self.model = FuzzyCurveModel.with_uniform_knots(points, weights=np.array(weights), order=order, alpha=alpha)
+            self.model = FuzzyCurveModel(points, weights, order, clamped_uniform_knots(len(points), order), alpha)
             self.model.solved  # refuses overflow
         except T2SplineError as exc:
             raise ValidationError(str(exc)) from exc
@@ -115,35 +116,15 @@ class ModelDocument:
         return rebuilt
 
 
-def _require_number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}: expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{where}: a {len(str(abs(value)))}-digit integer is too large for a float") from None
-
-
-def _floats(values: list) -> np.ndarray | None:
-    """``values`` as a float array, or None unless every one is a JSON
-    number (not a bool) within the float range."""
-    if not set(map(type, values)) <= _NUMBER_TYPES:
-        return None
-    try:
-        return np.array(values, dtype=float)
-    except OverflowError:
-        return None
-
-
 def _read_coordinate(record: Any, where: str) -> list[float]:
     """The eight numbers of one coordinate object in the explicit layout of
     :data:`~t2spline.fuzzy.COORD_FIELDS`.
 
-    Raises :class:`ValidationError` for a wrong key, a value that is not a
-    number or a spreads-form coordinate that
-    :meth:`~t2spline.fuzzy.NT2FuzzyScalar.from_spreads` rejects; the
-    ordering and ``h`` of an explicit-form coordinate are checked later, all
-    at once.
+    Raises :class:`ValidationError` for a wrong key, an explicit value that
+    :func:`~t2spline.bspline.as_float` refuses or a spreads-form coordinate
+    that :meth:`~t2spline.fuzzy.NT2FuzzyScalar.from_spreads`, which reads
+    its own values, rejects; the ordering and ``h`` of an explicit-form
+    coordinate are checked later, all at once.
     """
     if not isinstance(record, dict):
         raise ValidationError(f"{where}: coordinate must be an object, got {type(record).__name__}")
@@ -160,11 +141,8 @@ def _read_coordinate(record: Any, where: str) -> list[float]:
             raise ValidationError(f"{where}: spreads must be an object")
         if set(spreads) != set(SPREAD_FIELDS):
             raise ValidationError(f"{where}: spreads must have exactly the keys {list(SPREAD_FIELDS)}")
-        c = _require_number(record["c"], where)
-        widths = [_require_number(spreads[k], f"{where}.spreads.{k}") for k in SPREAD_FIELDS]
-        h = _require_number(record["h"], where)
         try:
-            s = NT2FuzzyScalar.from_spreads(c, widths, h)
+            s = NT2FuzzyScalar.from_spreads(record["c"], [spreads[k] for k in SPREAD_FIELDS], record["h"])
         except T2SplineError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
         return [*s.components(), s.h]
@@ -174,7 +152,10 @@ def _read_coordinate(record: Any, where: str) -> list[float]:
     missing = _EXPLICIT_KEYS - keys
     if missing:
         raise ValidationError(f"{where}: missing keys {sorted(missing)}")
-    return [_require_number(record[k], f"{where}.{k}") for k in COORD_FIELDS]
+    try:
+        return [as_float(record[k], f"{where}.{k}") for k in COORD_FIELDS]
+    except T2SplineError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 def _scan_points(points: list) -> np.ndarray:
@@ -220,7 +201,10 @@ def _read_points(points: list) -> np.ndarray:
     coordinate the scalar constructors reject.
     """
     flat = _gather_explicit(points)
-    rows = None if flat is None else _floats(flat)
+    try:
+        rows = None if flat is None else float_array(flat, "coordinates")
+    except T2SplineError:  # a value that is not a number: the loop finds the first error
+        rows = None
     rows = _scan_points(points) if rows is None else rows.reshape(-1, len(COORD_FIELDS))
     return coords_from_rows(rows).reshape(-1, 2, len(COORD_FIELDS))
 
@@ -270,21 +254,8 @@ def parse_document(text: str) -> ModelDocument:
         raise ValidationError("document must carry a non-empty 'points' list")
 
     coords = _read_points(raw.pop("points"))  # the point objects are freed here
-
-    weights_raw = raw.get("weights", [1.0] * len(coords))
-    if not isinstance(weights_raw, list):
-        raise ValidationError("'weights' must be a list of numbers")
-    weights = _floats(weights_raw)
-    if weights is None:
-        for i, w in enumerate(weights_raw):
-            _require_number(w, f"weights[{i}]")
-
-    order = raw.get("order", DEFAULT_ORDER)
-    if not is_integer(order):
-        raise ValidationError(f"'order' must be an integer, got {order!r}")
-    alpha = _require_number(raw.get("alpha", DEFAULT_ALPHA), "alpha")
-
-    return ModelDocument(coords, weights, order, alpha, samples=raw.get("samples", DEFAULT_SAMPLES))
+    defaults = {"weights": [1.0] * len(coords), "order": DEFAULT_ORDER, "alpha": DEFAULT_ALPHA, "samples": DEFAULT_SAMPLES}
+    return ModelDocument(coords, **(defaults | raw))  # the model checks each setting
 
 
 def load_document(path) -> ModelDocument:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bspline import as_float, float_array
+from .bspline import as_float, float_array, shown
 from .errors import (
     HeightOutOfRange,
     NegativeSpread,
@@ -113,7 +113,7 @@ class NT2FuzzyScalar:
         except TypeError:  # not iterable
             pass
         if not isinstance(spreads, tuple) or len(spreads) != len(SPREAD_FIELDS):
-            raise T2SplineError(f"spreads must be the six values {', '.join(SPREAD_FIELDS)}, got {spreads!r}")
+            raise T2SplineError(f"spreads must be the six values {', '.join(SPREAD_FIELDS)}, got {shown(spreads)}")
         spreads = [as_float(s, f"spread {name}") for name, s in zip(SPREAD_FIELDS, spreads)]
         outer_l, prin_l, inner_l, inner_r, prin_r, outer_r = spreads
         for name, s in zip(SPREAD_FIELDS, spreads):

@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bspline import as_float
+from .bspline import as_float, shown
 from .errors import AlphaOutOfRange, T2SplineError, ValidationError
 from .fuzzy import C, COMPONENTS, H, LR, RL, NT2FuzzyPoint, NT2FuzzyScalar, as_coords
 
@@ -65,6 +65,8 @@ class AlphaCutScalar:
     regime: Regime
 
     def __post_init__(self):
+        if not isinstance(self.regime, Regime):
+            raise T2SplineError(f"regime must be a Regime, got {shown(self.regime)}")
         inner_present = (self.left_inner is not None, self.right_inner is not None)
         if self.regime is Regime.BELOW and inner_present != (True, True):
             raise T2SplineError("below-regime cut must carry both inner components")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import QUAD_BASIS, brute_force_rational, cox_de_boor
 from test_curves import fuzzy_models
 from t2spline import (
+    FuzzyCurveModel,
     KnotVector,
     OrderExceedsControlCount,
     ParameterOutOfDomain,
@@ -21,11 +22,12 @@ from t2spline import (
     basis,
     basis_row,
     clamped_uniform_knots,
+    demo_document,
     rational_point,
     sample_curve,
     svg_document,
 )
-from t2spline.bspline import MAX_BASIS_CELLS, MAX_BASIS_WORK, basis_rows, max_samples, sample_curves
+from t2spline.bspline import MAX_BASIS_CELLS, MAX_BASIS_WORK, basis_rows, max_samples, sample_curves, shown
 from t2spline.curves import GROUPS, component_polygons, evaluate
 from t2spline.output import svg_figure
 
@@ -40,6 +42,24 @@ DEMO_WEIGHTS = np.array([1.0, 1.0, 3.0, 1.0])
 
 def demo_rational():
     return RationalCurveModel.with_uniform_knots(DEMO_CONTROLS, DEMO_WEIGHTS, order=3)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (10**400 - 1, "a 400-digit integer"),
+        (10**400, "a 401-digit integer"),
+        (-(10**5000), "a 5001-digit integer"),
+        (2**1024 - 1, "a 309-digit integer"),
+        (10**308, repr(10**308)),
+        (np.int64(7), "np.int64(7)"),
+        (True, "True"),
+        (0.5, "0.5"),
+    ],
+    ids=["400-digits", "401-digits", "5001-digits", "2**1024-1", "10**308", "numpy-int", "bool", "float"],
+)
+def test_a_refused_value_is_shown_by_its_repr_or_its_digit_count(value, text):
+    assert shown(value) == text
 
 
 # --- knot vectors --------------------------------------------------------------
@@ -239,6 +259,20 @@ def test_model_rejects_non_finite_controls(bad):
         svg_document(Scene(controls=controls))
     with pytest.raises(T2SplineError, match="^crisp must be finite$"):
         svg_figure([("crisp", controls)], None, "")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RationalCurveModel(DEMO_CONTROLS, DEMO_WEIGHTS, 3, None),
+        lambda: RationalCurveModel(DEMO_CONTROLS, DEMO_WEIGHTS, 3, clamped_uniform_knots(4, 3).knots),
+        lambda: FuzzyCurveModel(demo_document().model.coords, DEMO_WEIGHTS, 3, None, 0.8),
+    ],
+    ids=["rational-none", "rational-knot-array", "fuzzy-none"],
+)
+def test_model_knots_must_be_a_knot_vector(build):
+    with pytest.raises(T2SplineError, match="^knots must be a KnotVector, got "):
+        build()
 
 
 @pytest.mark.parametrize("order", [1, 4])

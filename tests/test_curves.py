@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from t2spline import (
     COMPONENT_LABELS,
+    AlphaCutScalar,
     AlphaOutOfRange,
     CurveBand,
     FuzzyCurveModel,
@@ -34,6 +35,7 @@ from t2spline import (
     reduced_curves,
     sample_curve,
 )
+from t2spline.bspline import check_order, check_samples, max_samples
 from t2spline.curves import evaluate
 from t2spline.fuzzy import as_coords
 from t2spline.pipeline import solve
@@ -403,6 +405,62 @@ _CRISP_POINT = NT2FuzzyPoint.crisp(*CRISP_XY[1])
 def test_integer_and_alpha_inputs_of_constructors_raise_the_package_error(build):
     with pytest.raises(T2SplineError):
         build()
+
+
+_HUGE = 10**5000  # float() overflows on it, and repr() refuses it
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: check_order(_HUGE, 4),
+        lambda: check_samples(_HUGE, 4, 3),
+        lambda: max_samples(4, _HUGE),
+        lambda: basis(clamped_uniform_knots(4, 3), _HUGE, 3, 0.5),
+        lambda: NT2FuzzyScalar(1, 2, 3, 4, 5, 6, _HUGE, 0.5),
+        lambda: NT2FuzzyScalar.from_spreads(_HUGE, (1,) * 6, 0.5),
+        lambda: NT2FuzzyScalar.from_spreads(5, (1, 1, 1, 1, 1, -_HUGE), 0.5),
+        lambda: _CRISP_POINT.x.membership_upper(_HUGE),
+        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, order=_HUGE),
+        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, alpha=_HUGE),
+        lambda: ModelDocument(_CRISP_COORDS, np.ones(4), _HUGE, 0.8, 101),
+        lambda: ModelDocument(_CRISP_COORDS, np.ones(4), 3, 0.8, _HUGE),
+        lambda: demo_document().to_model(order=_HUGE),
+        lambda: demo_document().to_model(alpha=_HUGE),
+        lambda: fuzzy_curve_band(demo_document().model, _HUGE),
+        lambda: sample_curve(_CRISP_CURVE, _HUGE),
+        lambda: alpha_cut_scalar(_CRISP_POINT.x, _HUGE),
+        lambda: KnotVector([0, 0, 0, 1, 1, 1], _HUGE),
+        lambda: NT2FuzzyScalar.from_spreads(5, _HUGE, 0.5),
+        lambda: AlphaCutScalar(0.5, 1, 2, 3, 4, 5, 6, 7, _HUGE),
+    ],
+    ids=[
+        "check-order",
+        "check-samples",
+        "max-samples",
+        "basis-index",
+        "scalar-component",
+        "from-spreads-crisp",
+        "from-spreads-spread",
+        "membership-x",
+        "uniform-knots-order",
+        "uniform-knots-alpha",
+        "document-order",
+        "document-samples",
+        "to-model-order",
+        "to-model-alpha",
+        "band-samples",
+        "sample-curve-samples",
+        "cut-alpha",
+        "knot-vector-order",
+        "from-spreads-spreads",
+        "cut-regime",
+    ],
+)
+def test_an_integer_too_long_to_print_is_shown_by_its_digit_count(build):
+    with pytest.raises(T2SplineError) as exc:
+        build()
+    assert "a 5001-digit integer" in str(exc.value)
 
 
 def test_numpy_integer_order_and_samples_are_taken_as_ints():

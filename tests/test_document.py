@@ -188,6 +188,13 @@ def test_model_document_refuses_a_sample_count_the_parser_refuses():
     assert str(exc.value) == "samples must be an integer from 2 to 8388608 for 4 control points, got 1"
 
 
+@pytest.mark.parametrize("weights, bad", [([1, True, 1, 1], "True"), ([1, "2", 1, 1], "'2'")], ids=["bool", "string"])
+def test_model_document_refuses_weights_that_are_not_numbers(weights, bad):
+    with pytest.raises(ValidationError) as exc:
+        document.ModelDocument(demo_document().model.coords, weights, 3, 0.8, 101)
+    assert str(exc.value) == f"weights must be a rectangular array of numbers: {bad} is not a number"
+
+
 def test_model_document_takes_any_iterable_of_points():
     demo = demo_document()
     doc = document.ModelDocument((p for p in demo.points), [1, 1, 3, 1], 3, 0.8, 101)
@@ -216,7 +223,10 @@ def test_samples_above_a_million_accepted_for_few_points():
 #
 # Each invalid document below, and the exception type and message it raised
 # before the points were parsed into one array.  Several documents hold two
-# errors, to check that the first in document order is the one reported.
+# errors, to check that the first in document order is the one reported.  The
+# rows of a value that is not a number, and of the weights, order and alpha
+# settings, give the messages of the bspline number rule, which the parser
+# and the model share.
 
 def _text(edit=None, n=5, **top):
     payload = {"points": [{"x": dict(EXPLICIT_COORD), "y": dict(EXPLICIT_COORD)} for _ in range(n)], **top}
@@ -335,9 +345,9 @@ PARENT_ERRORS = {
     'coordinate-not-object': (ValidationError, 'point 2, coordinate y: coordinate must be an object, got list'),
     'coordinate-unknown-key': (ValidationError, "point 2, coordinate x: unexpected keys ['extra']"),
     'coordinate-missing-key': (ValidationError, "point 2, coordinate x: missing keys ['rr']"),
-    'value-bool': (ValidationError, 'point 2, coordinate x.c: expected a number, got True'),
-    'value-string': (ValidationError, "point 2, coordinate y.h: expected a number, got '0.6'"),
-    'value-null': (ValidationError, 'point 2, coordinate x.ll: expected a number, got None'),
+    'value-bool': (ValidationError, 'point 2, coordinate x.c must be a number, got True'),
+    'value-string': (ValidationError, "point 2, coordinate y.h must be a number, got '0.6'"),
+    'value-null': (ValidationError, 'point 2, coordinate x.ll must be a number, got None'),
     'll-gt-l': (ValidationError, 'point 0, coordinate x: ordering violated: ll > l (4.4 > 4.3)'),
     'l-gt-rl': (ValidationError, 'point 0, coordinate x: ordering violated: l > rl (4.7 > 4.6)'),
     'rl-gt-c': (ValidationError, 'point 0, coordinate x: ordering violated: rl > c (5.1 > 5.0)'),
@@ -354,8 +364,8 @@ PARENT_ERRORS = {
     'spreads-not-object': (ValidationError, 'point 1, coordinate x: spreads must be an object'),
     'spreads-extra-key': (ValidationError, "point 1, coordinate x: unexpected keys ['ll'] in spreads form"),
     'spreads-missing-h': (ValidationError, "point 1, coordinate x: missing keys ['h']"),
-    'spreads-c-bool': (ValidationError, 'point 1, coordinate x: expected a number, got False'),
-    'spreads-width-string': (ValidationError, "point 1, coordinate x.spreads.inner_right: expected a number, got '0.4'"),
+    'spreads-c-bool': (ValidationError, 'point 1, coordinate x: c must be a number, got False'),
+    'spreads-width-string': (ValidationError, "point 1, coordinate x: spread inner_right must be a number, got '0.4'"),
     'spreads-negative': (ValidationError, 'point 1, coordinate y: spread principal_right must be >= 0, got -0.1'),
     'spreads-left-order': (ValidationError, 'point 1, coordinate y: left spreads must satisfy inner <= principal <= outer, got (0.8, 0.7, 1.0)'),
     'spreads-right-order': (ValidationError, 'point 1, coordinate y: right spreads must satisfy inner <= principal <= outer, got (0.4, 0.7, 0.5)'),
@@ -364,23 +374,23 @@ PARENT_ERRORS = {
     'value-error-1-then-structural-3': (ValidationError, 'point 1, coordinate y: ordering violated: l > rl (4.7 > 4.6)'),
     'structural-1-then-value-error-3': (ValidationError, "point 1, coordinate y: missing keys ['c']"),
     'value-error-1-then-type-error-2': (ValidationError, 'point 1, coordinate x: h must lie in (0, 1], got 2.0'),
-    'type-error-1-then-structural-3': (ValidationError, 'point 1, coordinate y.rr: expected a number, got [6]'),
-    'type-error-x-then-value-error-y': (ValidationError, 'point 3, coordinate x.lr: expected a number, got None'),
+    'type-error-1-then-structural-3': (ValidationError, 'point 1, coordinate y.rr must be a number, got [6]'),
+    'type-error-x-then-value-error-y': (ValidationError, 'point 3, coordinate x.lr must be a number, got None'),
     'value-error-x-then-type-error-y': (ValidationError, 'point 3, coordinate x: h must lie in (0, 1], got -1.0'),
     'spreads-error-2-then-value-error-3': (ValidationError, 'point 2, coordinate y: spread outer_left must be >= 0, got -1.0'),
     'value-error-2-then-spreads-error-2-y': (ValidationError, 'point 2, coordinate x: h must lie in (0, 1], got 0.0'),
-    'weights-not-list': (ValidationError, "'weights' must be a list of numbers"),
+    'weights-not-list': (ValidationError, 'expected 5 weights, got shape ()'),
     'weights-count': (ValidationError, 'expected 5 weights, got shape (2,)'),
     'weights-zero': (ValidationError, 'weights must all be finite and > 0'),
-    'weights-bool': (ValidationError, 'weights[1]: expected a number, got True'),
-    'weights-string': (ValidationError, "weights[3]: expected a number, got '2'"),
+    'weights-bool': (ValidationError, 'weights must be a rectangular array of numbers: True is not a number'),
+    'weights-string': (ValidationError, "weights must be a rectangular array of numbers: '2' is not a number"),
     'weights-infinite': (ValidationError, 'weights must all be finite and > 0'),
     'order-too-high': (ValidationError, 'order 6 exceeds control count 5'),
-    'order-bool': (ValidationError, "'order' must be an integer, got True"),
-    'order-float': (ValidationError, "'order' must be an integer, got 3.0"),
+    'order-bool': (ValidationError, 'order must be an integer, got True'),
+    'order-float': (ValidationError, 'order must be an integer, got 3.0'),
     'order-one': (ValidationError, 'order must be at least 2, got 1'),
     'alpha-one': (ValidationError, 'alpha must lie in [0, 1), got 1.0'),
-    'alpha-string': (ValidationError, "alpha: expected a number, got '0.8'"),
+    'alpha-string': (ValidationError, "alpha must be a number, got '0.8'"),
     'samples-one': (ValidationError, "samples must be an integer from 2 to 6710886 for 5 control points, got 1"),
     'samples-float': (ValidationError, "samples must be an integer from 2 to 6710886 for 5 control points, got 10.0"),
     'samples-over-bound': (ValidationError, "samples must be an integer from 2 to 83886 for 400 control points, got 33554432"),
@@ -555,12 +565,81 @@ def test_bulk_gather_reads_points_as_the_loop_does(case):
 
 def test_integer_too_large_for_a_float_is_a_validation_error():
     text = minimal_doc_text(EXPLICIT_COORD).replace('"rr": 6', '"rr": 1' + "0" * 400, 1)
-    with pytest.raises(ValidationError, match=r"^point 0, coordinate x.rr: a 401-digit integer is too large"):
+    with pytest.raises(ValidationError, match=r"^point 0, coordinate x\.rr must be a number, got a 401-digit integer$"):
         parse_document(text)
     payload = json.loads(minimal_doc_text(EXPLICIT_COORD))
     payload["weights"] = [1, 10**400, 1]
-    with pytest.raises(ValidationError, match=r"^weights\[1\]: a 401-digit integer is too large"):
+    with pytest.raises(ValidationError, match=r"^weights must be a rectangular array of numbers: int too large to convert to float$"):
         parse_document(json.dumps(payload))
+
+
+_json_values = st.one_of(
+    st.integers(-(10**400), 10**400),
+    st.integers(-3, 6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(), st.text(max_size=2)), max_size=4),
+)
+
+
+def _refusal(build):
+    """The message of the :class:`T2SplineError` ``build()`` raises, None if it returns."""
+    try:
+        build()
+    except T2SplineError as exc:
+        return str(exc)
+    return None
+
+
+@given(setting=st.sampled_from(["alpha", "order", "weights"]), value=_json_values)
+def test_a_document_setting_is_read_as_the_model_reads_it(setting, value):
+    given = [1, value, 1, 1] if setting == "weights" else value
+    payload = json.loads(minimal_doc_text(EXPLICIT_COORD, 4))
+    text = json.dumps({**payload, setting: given})
+    coords = parse_document(minimal_doc_text(EXPLICIT_COORD, 4)).model.coords
+    read = json.loads(json.dumps(given))
+    assert _refusal(lambda: parse_document(text)) == _refusal(
+        lambda: FuzzyCurveModel.with_uniform_knots(coords, **{setting: read})
+    )
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"samples": 1, "order": True, "weights": [True], "alpha": None}, "order must be an integer, got True"),
+        ({"samples": 1, "weights": [True], "alpha": None}, "samples must be an integer from 2 to 11184810 for 3 control points, got 1"),
+        ({"weights": [True], "alpha": None}, "weights must be a rectangular array of numbers: True is not a number"),
+        ({"alpha": None}, "alpha must be a number, got None"),
+    ],
+    ids=["order", "samples", "weights", "alpha"],
+)
+def test_document_settings_are_checked_order_and_samples_then_weights_then_alpha(settings, message):
+    payload = {**json.loads(minimal_doc_text(EXPLICIT_COORD)), **settings}
+    with pytest.raises(ValidationError) as exc:
+        parse_document(json.dumps(payload))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("weights", "weights must be a rectangular array of numbers: None is not a number"),
+        ("order", "order must be an integer, got None"),
+        ("alpha", "alpha must be a number, got None"),
+        ("samples", "samples must be an integer from 2 to 11184810 for 3 control points, got None"),
+    ],
+)
+def test_a_null_setting_is_refused_not_defaulted(setting, message):
+    payload = {**json.loads(minimal_doc_text(EXPLICIT_COORD)), setting: None}
+    with pytest.raises(ValidationError) as exc:
+        parse_document(json.dumps(payload))
+    assert str(exc.value) == message
+    settings = {"weights": [1, 1, 3, 1], "order": 3, "alpha": 0.8, "samples": 101, setting: None}
+    with pytest.raises(ValidationError) as exc:
+        document.ModelDocument(demo_document().model.coords, **settings)
+    assert str(exc.value) == message.replace("11184810 for 3", "8388608 for 4")
 
 
 def test_integer_literal_past_the_digit_limit_is_a_parse_error():

@@ -10,6 +10,7 @@ from t2spline import (
     NT2FuzzyPoint,
     NT2FuzzyScalar,
     Regime,
+    T2SplineError,
     TRInterval,
     ValidationError,
     alpha_cut_point,
@@ -92,6 +93,12 @@ def test_cut_scalar_structural_consistency_enforced():
             c=5.0, right_inner=5.2, right_principal=5.5, right_outer=6.0,
             regime=Regime.BETWEEN,
         )
+
+
+@pytest.mark.parametrize("regime", ["below", None])
+def test_cut_scalar_regime_must_be_a_regime(regime):
+    with pytest.raises(T2SplineError, match=f"^regime must be a Regime, got {regime!r}$"):
+        AlphaCutScalar(0.5, 1, 2, 3, 4, 5, 6, 7, regime)
 
 
 # --- alpha_cut_point ----------------------------------------------------------
