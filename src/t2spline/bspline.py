@@ -48,15 +48,25 @@ _NOT_NUMBERS = (str, bytes, bool, np.bool_, type(None))
 
 def shown(value) -> str:
     """``value`` as a refusal message shows it: its ``repr``, but an integer
-    too large for a float by its digit count (``repr`` may refuse it)."""
-    if is_integer(value):
-        try:
-            float(value)
-        except OverflowError:
-            size = abs(int(value))
-            digits = int(math.log10(size))  # the count, or one less
-            return f"a {digits + (10**digits <= size)}-digit integer"
-    return repr(value)
+    too large for a float by its digit count, and a value whose ``repr``
+    refuses an integer it holds by its type."""
+    if is_integer(value) and _overflows(value):
+        size = abs(int(value))
+        digits = int(math.log10(size))  # the count, or one less
+        return f"a {digits + (10**digits <= size)}-digit integer"
+    try:
+        return repr(value)
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        return f"a {type(value).__name__} holding an integer too long to print"
+
+
+def _overflows(value) -> bool:
+    """Whether ``float(value)`` overflows."""
+    try:
+        float(value)
+        return False
+    except OverflowError:
+        return True
 
 
 def as_float(value, name: str) -> float:
@@ -74,9 +84,10 @@ def as_float(value, name: str) -> float:
 def float_array(value, name: str) -> np.ndarray:
     """``value`` as a float array; raises :class:`T2SplineError` naming
     ``name`` when it is ragged or holds anything but numbers: a string,
-    bytes, None, a bool or a value ``float()`` refuses or overflows.  A
-    numeric array is converted without looking at its elements (not copied
-    when float), a flat list of plain ints and floats in one step."""
+    bytes, None, a bool or a value ``float()`` refuses or overflows, the
+    first one overflowing named by :func:`shown`.  A numeric array is
+    converted without looking at its elements (not copied when float), a
+    flat list of plain ints and floats in one step."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
         return np.asarray(value, dtype=float)
     try:
@@ -87,8 +98,12 @@ def float_array(value, name: str) -> np.ndarray:
             bad = next(v for v in objects.flat if isinstance(v, _NOT_NUMBERS))
             raise TypeError(f"{bad!r} is not a number")
         return objects.astype(float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise T2SplineError(f"{name} must be a rectangular array of numbers: {exc}") from None
+    except OverflowError as exc:
+        big = next(filter(_overflows, np.array(value, dtype=object).flat), None)
+        reason = exc if big is None else f"{shown(big)} is too large for a float"
+    except (TypeError, ValueError) as exc:
+        reason = exc
+    raise T2SplineError(f"{name} must be a rectangular array of numbers: {reason}")
 
 
 def point_array(value, name: str) -> np.ndarray:

@@ -205,8 +205,9 @@ def _read_points(points: list) -> np.ndarray:
         rows = None if flat is None else float_array(flat, "coordinates")
     except T2SplineError:  # a value that is not a number: the loop finds the first error
         rows = None
-    rows = _scan_points(points) if rows is None else rows.reshape(-1, len(COORD_FIELDS))
-    return coords_from_rows(rows).reshape(-1, 2, len(COORD_FIELDS))
+    if rows is None or rows.ndim != 1:  # values that are all lists of one length: the loop refuses them
+        rows = _scan_points(points)
+    return coords_from_rows(rows.reshape(-1, len(COORD_FIELDS))).reshape(-1, 2, len(COORD_FIELDS))
 
 
 @contextmanager

@@ -109,12 +109,13 @@ class NT2FuzzyScalar:
         construction.
         """
         try:
-            spreads = tuple(spreads)
+            values = tuple(spreads)
         except TypeError:  # not iterable
-            pass
-        if not isinstance(spreads, tuple) or len(spreads) != len(SPREAD_FIELDS):
-            raise T2SplineError(f"spreads must be the six values {', '.join(SPREAD_FIELDS)}, got {shown(spreads)}")
-        spreads = [as_float(s, f"spread {name}") for name, s in zip(SPREAD_FIELDS, spreads)]
+            values = None
+        if values is None or len(values) != len(SPREAD_FIELDS):
+            got = shown(spreads) if values is None else f"a {type(spreads).__name__} of {len(values)} values"
+            raise T2SplineError(f"spreads must be the six values {', '.join(SPREAD_FIELDS)}, got {got}")
+        spreads = [as_float(s, f"spread {name}") for name, s in zip(SPREAD_FIELDS, values)]
         outer_l, prin_l, inner_l, inner_r, prin_r, outer_r = spreads
         for name, s in zip(SPREAD_FIELDS, spreads):
             if not math.isfinite(s) or s < 0.0:

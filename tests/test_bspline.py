@@ -27,7 +27,7 @@ from t2spline import (
     sample_curve,
     svg_document,
 )
-from t2spline.bspline import MAX_BASIS_CELLS, MAX_BASIS_WORK, basis_rows, max_samples, sample_curves, shown
+from t2spline.bspline import MAX_BASIS_CELLS, MAX_BASIS_WORK, basis_rows, float_array, max_samples, sample_curves, shown
 from t2spline.curves import GROUPS, component_polygons, evaluate
 from t2spline.output import svg_figure
 
@@ -55,11 +55,20 @@ def demo_rational():
         (np.int64(7), "np.int64(7)"),
         (True, "True"),
         (0.5, "0.5"),
+        ([10**400], "[" + "1" + "0" * 400 + "]"),
+        ([10**5000], "a list holding an integer too long to print"),
     ],
-    ids=["400-digits", "401-digits", "5001-digits", "2**1024-1", "10**308", "numpy-int", "bool", "float"],
+    ids=["400-digits", "401-digits", "5001-digits", "2**1024-1", "10**308", "numpy-int", "bool", "float", "list", "list-too-long-to-print"],
 )
 def test_a_refused_value_is_shown_by_its_repr_or_its_digit_count(value, text):
     assert shown(value) == text
+
+
+@pytest.mark.parametrize("value", [[1, 10**400, 1.5], [[1.0], [10**400]], np.array([2, 10**400], dtype=object)])
+def test_a_float_array_names_the_integer_that_overflows(value):
+    with pytest.raises(T2SplineError) as exc:
+        float_array(value, "w")
+    assert str(exc.value) == "w must be a rectangular array of numbers: a 401-digit integer is too large for a float"
 
 
 # --- knot vectors --------------------------------------------------------------

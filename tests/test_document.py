@@ -262,6 +262,14 @@ def _drop(point, axis, key):
     return edit
 
 
+def _wrap_all(wrap):
+    def edit(points):
+        for point in points:
+            for coord in point.values():
+                coord.update({k: wrap(v) for k, v in coord.items()})
+    return edit
+
+
 def _both(*edits):
     def edit(points):
         for e in edits:
@@ -331,6 +339,9 @@ INVALID_DOCUMENTS = {
     "samples-over-bound": _text(n=400, samples=2**25),
     "point-keys-x-z": _text(lambda p: p[2].__setitem__("z", p[2].pop("y"))),
     "coordinate-rr-renamed-zz": _text(_both(_drop(2, "x", "rr"), _set(2, "x", zz=6))),
+    "values-all-one-element-lists": _text(_wrap_all(lambda v: [v])),
+    "values-all-pairs": _text(_wrap_all(lambda v: [v, v])),
+    "values-all-empty-lists": _text(_wrap_all(lambda v: [])),
 }
 
 
@@ -396,6 +407,9 @@ PARENT_ERRORS = {
     'samples-over-bound': (ValidationError, "samples must be an integer from 2 to 83886 for 400 control points, got 33554432"),
     'point-keys-x-z': (ValidationError, "point 2: must be an object with exactly 'x' and 'y'"),
     'coordinate-rr-renamed-zz': (ValidationError, "point 2, coordinate x: unexpected keys ['zz']"),
+    'values-all-one-element-lists': (ValidationError, 'point 0, coordinate x.ll must be a number, got [4]'),
+    'values-all-pairs': (ValidationError, 'point 0, coordinate x.ll must be a number, got [4, 4]'),
+    'values-all-empty-lists': (ValidationError, 'point 0, coordinate x.ll must be a number, got []'),
 }
 
 
@@ -563,13 +577,26 @@ def test_bulk_gather_reads_points_as_the_loop_does(case):
     assert (document._gather_explicit(points) is not None) == explicit
 
 
+@settings(max_examples=100)
+@given(_point_lists(), st.sampled_from([lambda v: [v], lambda v: [v, v], lambda v: []]))
+def test_bulk_gather_reads_values_that_are_all_lists_as_the_loop_does(case, wrap):
+    """Every value of every explicit-form coordinate a list of one length:
+    a rectangular array that is still no coordinate row."""
+    points, _ = case
+    for point in filter(lambda p: type(p) is dict, points):
+        for coord in point.values():
+            if type(coord) is dict and "spreads" not in coord:
+                coord.update({k: wrap(v) for k, v in coord.items()})
+    assert _outcome(document._read_points, points) == _outcome(_read_points_by_loop, points)
+
+
 def test_integer_too_large_for_a_float_is_a_validation_error():
     text = minimal_doc_text(EXPLICIT_COORD).replace('"rr": 6', '"rr": 1' + "0" * 400, 1)
     with pytest.raises(ValidationError, match=r"^point 0, coordinate x\.rr must be a number, got a 401-digit integer$"):
         parse_document(text)
     payload = json.loads(minimal_doc_text(EXPLICIT_COORD))
     payload["weights"] = [1, 10**400, 1]
-    with pytest.raises(ValidationError, match=r"^weights must be a rectangular array of numbers: int too large to convert to float$"):
+    with pytest.raises(ValidationError, match=r"^weights must be a rectangular array of numbers: a 401-digit integer is too large for a float$"):
         parse_document(json.dumps(payload))
 
 

@@ -108,10 +108,21 @@ def test_scalar_constructors_reject_what_is_not_a_number(name):
         build()
 
 
-@pytest.mark.parametrize("spreads", [(1,) * 5, (1,) * 7, 3, None], ids=["five", "seven", "int", "none"])
-def test_from_spreads_rejects_other_than_six_spreads(spreads):
-    with pytest.raises(T2SplineError, match=f"^spreads must be the six values {', '.join(SPREAD_FIELDS)}, got "):
+@pytest.mark.parametrize(
+    "spreads, got",
+    [
+        ((1,) * 5, "a tuple of 5 values"),
+        ([1] * 7, "a list of 7 values"),
+        ((10**5000,) * 5, "a tuple of 5 values"),
+        (3, "3"),
+        (None, "None"),
+    ],
+    ids=["five", "seven", "five-too-long-to-print", "int", "none"],
+)
+def test_from_spreads_rejects_other_than_six_spreads(spreads, got):
+    with pytest.raises(T2SplineError) as exc:
         NT2FuzzyScalar.from_spreads(5, spreads, 0.5)
+    assert str(exc.value) == f"spreads must be the six values {', '.join(SPREAD_FIELDS)}, got {got}"
 
 
 def test_scalar_constructors_accept_every_kind_of_number():
