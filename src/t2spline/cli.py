@@ -1,13 +1,18 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation failure or out of memory, 2 I/O or parse
-failure.
+failure.  A failed write of standard output is an I/O failure, the final
+flush of :func:`main` included: a closed pipe or a full device exits 2 with
+one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
+import os
 import sys
 
 import numpy as np
@@ -77,7 +82,11 @@ def _load(args) -> tuple:
 
 def _target(args):
     """Where ``--out`` sends the output: stdout for "-", else the path."""
-    return sys.stdout if args.out == "-" else args.out
+    if args.out != "-":
+        return args.out
+    if sys.stdout is None:  # the process was started with no standard output
+        raise OSError(errno.EBADF, "standard output is closed")
+    return sys.stdout
 
 
 def _cmd_demo(args) -> int:
@@ -156,7 +165,29 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The process entry: :func:`run`, then flush standard output and
+    standard error and end the process with ``os._exit``, skipping the
+    interpreter's teardown of numpy and every module.  :func:`run` is the
+    in-process entry.
+
+    Every output file is closed before :func:`run` returns and the package
+    registers no ``atexit`` handler, so the flushes are all that teardown
+    would have done.  A failed flush of standard output exits 2 with one
+    ``error:`` line; when :func:`run` returned 2 it has reported its failure
+    already, and nothing more is printed.
+    """
+    code = run()
+    with contextlib.suppress(OSError):  # a failing standard error leaves nowhere to report
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError as exc:
+            if code != 2:
+                code = 2
+                print(f"error: {exc}", file=sys.stderr)
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

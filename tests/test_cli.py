@@ -154,6 +154,98 @@ def test_console_module_entrypoint(demo_path, tmp_path):
     assert out.exists()
 
 
+def _process(argv, doc, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m t2spline.cli`` with ``"DOC"`` in ``argv`` replaced by the
+    path ``doc``.  The child's standard output is block-buffered, as a
+    user's is: ``PYTHONUNBUFFERED`` would hide a missing final flush."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [str(doc) if arg == "DOC" else arg for arg in argv]
+    return subprocess.run([sys.executable, "-m", "t2spline.cli", *argv], env=env, **kwargs)
+
+
+STDOUT_COMMANDS = {
+    "demo": ["demo"],
+    "validate": ["validate", "DOC"],
+    "pipeline": ["pipeline", "DOC"],
+    "curve": ["curve", "DOC"],
+    "plot": ["plot", "DOC"],
+    "help": ["--help"],
+}
+
+
+@pytest.mark.parametrize("sink", ["closed-pipe", "dev-full"])
+@pytest.mark.parametrize("argv", STDOUT_COMMANDS.values(), ids=STDOUT_COMMANDS)
+def test_a_failed_write_of_standard_output_exits_2_with_one_error_line(demo_path, sink, argv):
+    if sink == "closed-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _process(argv, demo_path, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "wb") as full:
+            proc = _process(argv, demo_path, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert "Exception ignored" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert (proc.returncode, len(lines)) == (2, 1), proc.stderr
+    assert lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo"],
+        ["pipeline", "DOC"],
+        ["pipeline", "DOC", "--format", "csv"],
+        ["curve", "DOC", "--series", "all"],
+        ["plot", "DOC"],
+    ],
+    ids=["demo", "pipeline-json", "pipeline-csv", "curve", "plot"],
+)
+def test_the_process_flushes_standard_output_before_it_ends(demo_path, tmp_path, argv):
+    out = tmp_path / "out"
+    piped = _process(argv, demo_path, capture_output=True)
+    written = _process([*argv, "--out", str(out)], demo_path, capture_output=True)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert piped.stdout == out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["validate", "DOC"], 0),
+        (["curve", "BAD"], 1),
+        (["validate", "ABSENT"], 2),
+    ],
+    ids=["valid", "refused", "absent"],
+)
+def test_the_process_exits_with_the_code_of_run(demo_path, tmp_path, argv, code):
+    raw = json.loads(demo_path.read_text())
+    raw["points"][0]["x"]["l"] = raw["points"][0]["x"]["rl"] + 1.0
+    (tmp_path / "BAD").write_text(json.dumps(raw))
+    argv = [str(tmp_path / arg) if arg in ("BAD", "ABSENT") else arg for arg in argv]
+    proc = _process(argv, demo_path, capture_output=True, text=True)
+    assert proc.returncode == code
+    if code:
+        assert (proc.stdout, len(proc.stderr.splitlines())) == ("", 1)
+        assert proc.stderr.startswith("error: ")
+    else:
+        assert (proc.stdout, proc.stderr) == (f"{demo_path}: ok\n", "")
+
+
+@pytest.mark.parametrize("command", ["demo", "curve"])
+def test_output_with_no_standard_output_exits_2_with_one_error_line(demo_path, command):
+    """A process started with descriptor 1 closed has ``sys.stdout`` None."""
+    argv = STDOUT_COMMANDS[command]
+    proc = _process(argv, demo_path, stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 9] standard output is closed\n")
+
+
 @pytest.mark.parametrize("command", ["validate", "curve"])
 def test_non_utf8_input_exits_2(tmp_path, capsys, command):
     path = tmp_path / "latin1.json"

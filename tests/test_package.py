@@ -66,17 +66,24 @@ def test_the_coordinate_layout_is_indexed_only_through_fuzzy(module):
     assert found == []
 
 
-def test_the_collector_is_switched_only_by_the_document_pause():
-    """``gc.disable`` and ``gc.enable`` are named in one place, the pause
-    ``document._gc_paused``, which puts the collector back as it found it on
-    every exit; a second switch elsewhere could leave the collector off."""
-    found = []
+def _package_sources():
+    """Each module of the package: its path, its syntax tree, and a map of
+    every node to the name of the innermost function holding it."""
     for path in sorted((ROOT / "src" / "t2spline").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = {}
         for func in ast.walk(tree):  # outer functions first, so the innermost one wins
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update(dict.fromkeys(ast.walk(func), func.name))
+        yield path, tree, owner
+
+
+def test_the_collector_is_switched_only_by_the_document_pause():
+    """``gc.disable`` and ``gc.enable`` are named in one place, the pause
+    ``document._gc_paused``, which puts the collector back as it found it on
+    every exit; a second switch elsewhere could leave the collector off."""
+    found = []
+    for path, tree, owner in _package_sources():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "gc":
                 found.append((path.name, owner.get(node, "<module>"), ast.unparse(node)))
@@ -88,3 +95,17 @@ def test_the_collector_is_switched_only_by_the_document_pause():
             ):
                 found.append((path.name, owner.get(node, "<module>"), node.attr))
     assert sorted(found) == [("document.py", "_gc_paused", "disable"), ("document.py", "_gc_paused", "enable")]
+
+
+def test_only_the_process_entry_ends_the_process():
+    """``os._exit`` skips the interpreter's teardown, unflushed buffers
+    included, so only ``cli.main``, which flushes first, may call it; the
+    library and ``cli.run`` return to their caller."""
+    found = []
+    for path, tree, owner in _package_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os" and any(a.name == "_exit" for a in node.names):
+                found.append((path.name, owner.get(node, "<module>"), ast.unparse(node)))
+            elif isinstance(node, ast.Attribute) and node.attr == "_exit":
+                found.append((path.name, owner.get(node, "<module>"), ast.unparse(node)))
+    assert found == [("cli.py", "main", "os._exit")]
