@@ -128,11 +128,12 @@ def check_order(order, n: int) -> int:
     integer from 2 to ``n``, the control count."""
     if not is_integer(order):
         raise T2SplineError(f"order must be an integer, got {shown(order)}")
-    if order < 2:
+    k = int(order)  # compared as a Python int: a numpy integer can wrap
+    if k < 2:
         raise T2SplineError(f"order must be at least 2, got {shown(order)}")
-    if order > n:
+    if k > n:
         raise OrderExceedsControlCount(f"order {shown(order)} exceeds control count {shown(n)}")
-    return int(order)
+    return k
 
 
 def max_samples(n: int, order) -> int:
@@ -163,8 +164,10 @@ class KnotVector:
 
     def __post_init__(self):
         knots = float_array(self.knots, "knots")
+        if knots.ndim != 1:
+            raise T2SplineError(f"knots must be a 1-D array, got shape {knots.shape}")
         object.__setattr__(self, "knots", knots)
-        n = knots.size - self.order if is_integer(self.order) else 0  # a non-integer is refused first
+        n = knots.size - int(self.order) if is_integer(self.order) else 0  # a non-integer is refused first
         k = check_order(self.order, n)
         object.__setattr__(self, "order", k)
         if not np.all(np.diff(knots) >= 0.0):  # also rejects NaN
@@ -244,12 +247,21 @@ def basis(kv: KnotVector, i: int, order: int, t: float) -> float:
     order = check_order(order, n)
     if not 0 <= i < n:
         raise _IndexOutOfRange(f"basis index {shown(i)} out of range for {n} basis functions")
-    return float(basis_rows(kv.knots, order, t)[0, i])
+    return float(basis_rows(kv.knots, order, _parameter(t))[0, i])
 
 
 def basis_row(kv: KnotVector, t: float) -> np.ndarray:
     """All n basis values of the knot vector's own order at parameter t."""
-    return basis_rows(kv.knots, kv.order, t)[0]
+    return basis_rows(kv.knots, kv.order, _parameter(t))[0]
+
+
+def _parameter(t) -> float:
+    """``t`` as one float; raises :class:`T2SplineError` unless it is a
+    single number (:func:`as_float`), so no parameter is dropped.  A 0-d
+    array is one number; an array of any other shape is not."""
+    if isinstance(t, np.ndarray) and t.ndim:
+        raise T2SplineError(f"t must be a single number, got an array of shape {t.shape}")
+    return as_float(t, "t")
 
 
 def check_curve_setup(n: int, weights: np.ndarray, order: int, knots: KnotVector) -> int:

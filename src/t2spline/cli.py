@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 validation failure or out of memory, 2 I/O or parse
 failure.  A failed write of standard output is an I/O failure, the final
 flush of :func:`main` included: a closed pipe or a full device exits 2 with
-one ``error:`` line.
+one ``error:`` line.  The code does not depend on standard error: with it
+closed or failing, the ``error:`` line is dropped and the code stays.
 """
 
 from __future__ import annotations
@@ -150,18 +151,27 @@ def run(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except ParseError as exc:
-        print(f"error: cannot parse {getattr(args, 'file', '?')}: {exc}", file=sys.stderr)
+        _report(f"cannot parse {getattr(args, 'file', '?')}: {exc}")
         return 2
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(exc)
         return 2
     except T2SplineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(exc)
         return 1
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
-        print(f"error: out of memory{detail}", file=sys.stderr)
+        _report(f"out of memory{detail}")
         return 1
+
+
+def _report(message) -> None:
+    """Print one ``error:`` line to standard error.  A standard error that
+    is closed or cannot be written leaves nowhere to report, and the line is
+    dropped: the exit code still tells the failure."""
+    if sys.stderr is not None:  # print(file=None) would write to standard output
+        with contextlib.suppress(OSError):
+            print(f"error: {message}", file=sys.stderr)
 
 
 def main() -> None:
@@ -177,14 +187,14 @@ def main() -> None:
     already, and nothing more is printed.
     """
     code = run()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        if code != 2:
+            code = 2
+            _report(exc)
     with contextlib.suppress(OSError):  # a failing standard error leaves nowhere to report
-        try:
-            if sys.stdout is not None:
-                sys.stdout.flush()
-        except OSError as exc:
-            if code != 2:
-                code = 2
-                print(f"error: {exc}", file=sys.stderr)
         if sys.stderr is not None:
             sys.stderr.flush()
     os._exit(code)

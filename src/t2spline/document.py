@@ -47,6 +47,8 @@ The parser checks structure only: it reads numbers with the rules of
 The parse runs with the cyclic garbage collector paused (:func:`_gc_paused`):
 the JSON tree holds no reference cycles and reference counting frees it, so
 a collector pass over its tens of thousands of objects is wasted work.
+:func:`load_document` releases the text it reads as soon as it is decoded,
+so a file read holds at most the text and its JSON tree at once.
 """
 
 from __future__ import annotations
@@ -227,25 +229,31 @@ def _gc_paused():
             gc.enable()
 
 
-@_gc_paused()
-def parse_document(text: str) -> ModelDocument:
-    """Parse JSON text into a validated :class:`ModelDocument`.
+def _json_tree(text) -> Any:
+    """The JSON tree of the document text ``text`` (str, bytes or bytearray,
+    as :func:`json.loads` reads it); raises :class:`ParseError` otherwise.
 
-    Validation builds the document, which runs the fuzzy pipeline at its
-    cut level, so a document whose type-reduced values overflow is
-    rejected; the model keeps that solution as
-    :attr:`~t2spline.curves.FuzzyCurveModel.solved`.  The whole parse runs
-    under :func:`_gc_paused`.
+    A caller that owns the text passes it as a temporary, ``_json_tree(f())``,
+    so that nothing holds the text once this returns: on Python 3.10 the
+    caller's stack keeps an argument alive until the call returns, so the
+    text cannot be released inside this function.
     """
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ParseError(f"a document must be str, bytes or bytearray text, got {type(text).__name__}")
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     except RecursionError as exc:
         raise ParseError("document is nested too deeply") from exc
+    except UnicodeDecodeError as exc:  # bytes in none of the encodings json reads
+        raise ParseError(f"not {exc.encoding.upper()} text: {exc.reason}") from exc
     except ValueError as exc:  # int() refuses literals past sys.get_int_max_str_digits()
         raise ParseError("an integer literal has too many digits to convert") from exc
 
+
+def _document_of(raw: Any) -> ModelDocument:
+    """The validated :class:`ModelDocument` of a JSON tree."""
     if not isinstance(raw, dict):
         raise ValidationError(f"document root must be an object, got {type(raw).__name__}")
     extra = set(raw) - {"points", "weights", "order", "alpha", "samples"}
@@ -259,13 +267,38 @@ def parse_document(text: str) -> ModelDocument:
     return ModelDocument(coords, **(defaults | raw))  # the model checks each setting
 
 
-def load_document(path) -> ModelDocument:
+@_gc_paused()
+def parse_document(text: str) -> ModelDocument:
+    """Parse JSON text into a validated :class:`ModelDocument`.
+
+    Validation builds the document, which runs the fuzzy pipeline at its
+    cut level, so a document whose type-reduced values overflow is
+    rejected; the model keeps that solution as
+    :attr:`~t2spline.curves.FuzzyCurveModel.solved`.  Text that is not a
+    str, bytes or bytearray raises :class:`ParseError`.  The whole parse
+    runs under :func:`_gc_paused`.
+    """
+    return _document_of(_json_tree(text))
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            text = f.read()
+            return f.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text: {exc.reason}") from exc
-    return parse_document(text)
+
+
+@_gc_paused()
+def load_document(path) -> ModelDocument:
+    """Read a document file and parse it as :func:`parse_document` does.
+
+    The text is released as soon as it is decoded, so the read holds at
+    most the text and its JSON tree at once, not the text beside the
+    arrays built from the tree.
+    """
+    return _document_of(_json_tree(_read_text(path)))
 
 
 def load_model(path) -> FuzzyCurveModel:

@@ -404,6 +404,53 @@ def test_knot_vector_rejects_nan_knot():
         KnotVector(np.array([0, 0, 0, np.nan, 1, 1, 1]), order=3)
 
 
+def test_knot_vector_refuses_knots_that_are_not_one_dimensional():
+    with pytest.raises(T2SplineError) as exc:
+        KnotVector(np.zeros((3, 2)), 3)
+    assert str(exc.value) == "knots must be a 1-D array, got shape (3, 2)"
+
+
+def test_knot_vector_compares_a_numpy_order_as_a_python_int():
+    """``4 - np.uint64(2**64 - 1)`` wraps with a RuntimeWarning; the order is
+    compared as the Python int it holds."""
+    with pytest.raises(OrderExceedsControlCount) as exc:
+        KnotVector([0, 0, 1, 1], np.uint64(2**64 - 1))
+    assert str(exc.value) == f"order np.uint64({2**64 - 1}) exceeds control count {4 - (2**64 - 1)}"
+    kv = KnotVector([0, 0, 0, 1, 1, 1], np.uint64(3))
+    assert (type(kv.order), kv.order, kv.n_controls) == (int, 3, 3)
+
+
+_NOT_ONE_PARAMETER = {
+    "list": ([0.1, 0.2], "t must be a number, got [0.1, 0.2]"),
+    "one-element-list": ([0.5], "t must be a number, got [0.5]"),
+    "tuple": ((0.5,), "t must be a number, got (0.5,)"),
+    "array": (np.array([0.1, 0.2]), "t must be a single number, got an array of shape (2,)"),
+    "one-element-array": (np.array([0.5]), "t must be a single number, got an array of shape (1,)"),
+    "2-d-array": (np.zeros((3, 2)), "t must be a single number, got an array of shape (3, 2)"),
+}
+
+
+@pytest.mark.parametrize("t, message", _NOT_ONE_PARAMETER.values(), ids=_NOT_ONE_PARAMETER)
+@pytest.mark.parametrize("evaluate", ["basis_row", "basis", "rational_point"])
+def test_one_parameter_evaluators_refuse_a_t_that_is_not_one_number(evaluate, t, message):
+    """No parameter is dropped: before, the value at the first was returned."""
+    kv = clamped_uniform_knots(4, 3)
+    call = {
+        "basis_row": lambda: basis_row(kv, t),
+        "basis": lambda: basis(kv, 0, 3, t),
+        "rational_point": lambda: rational_point(RationalCurveModel(DEMO_CONTROLS, DEMO_WEIGHTS, 3, kv), t),
+    }[evaluate]
+    with pytest.raises(T2SplineError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("t", [0.25, np.float64(0.25), np.float32(0.25), np.array(0.25), Fraction(1, 4), Decimal("0.25"), 0])
+def test_one_parameter_evaluators_take_any_single_number(t):
+    kv = clamped_uniform_knots(4, 3)
+    assert np.array_equal(basis_row(kv, t), basis_rows(kv.knots, 3, np.array([float(t)]))[0])
+
+
 def test_basis_of_knot_vector_with_empty_domain_rejected():
     kv = KnotVector(np.zeros(6), order=3)
     with pytest.raises(T2SplineError, match="empty domain"):

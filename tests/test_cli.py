@@ -246,6 +246,30 @@ def test_output_with_no_standard_output_exits_2_with_one_error_line(demo_path, c
     assert (proc.returncode, proc.stderr) == (2, "error: [Errno 9] standard output is closed\n")
 
 
+@pytest.mark.parametrize("stderr", ["closed", "read-only"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["validate", "ABSENT"], 2), (["curve", "BROKEN"], 2), (["pipeline", "BAD"], 1)],
+    ids=["absent", "parse-error", "refused"],
+)
+def test_an_error_keeps_its_exit_code_when_standard_error_cannot_be_written(demo_path, tmp_path, stderr, argv, code):
+    """A process started with descriptor 2 closed has ``sys.stderr`` None;
+    with descriptor 2 open for reading only, a write to it fails.  Either
+    way the ``error:`` line is dropped, standard output stays empty and the
+    exit code is the documented one."""
+    raw = json.loads(demo_path.read_text())
+    raw["points"][0]["x"]["l"] = raw["points"][0]["x"]["rl"] + 1.0
+    (tmp_path / "BAD").write_text(json.dumps(raw))
+    (tmp_path / "BROKEN").write_text("{not json")
+    argv = [str(tmp_path / arg) if arg.isupper() else arg for arg in argv]
+    if stderr == "closed":
+        proc = _process(argv, demo_path, stdout=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(2))
+    else:
+        with open(demo_path, "rb") as read_only:
+            proc = _process(argv, demo_path, stdout=subprocess.PIPE, stderr=read_only, text=True)
+    assert (proc.returncode, proc.stdout) == (code, "")
+
+
 @pytest.mark.parametrize("command", ["validate", "curve"])
 def test_non_utf8_input_exits_2(tmp_path, capsys, command):
     path = tmp_path / "latin1.json"

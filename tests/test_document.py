@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -669,6 +670,29 @@ def test_a_null_setting_is_refused_not_defaulted(setting, message):
     assert str(exc.value) == message.replace("11184810 for 3", "8388608 for 4")
 
 
+@pytest.mark.parametrize("value", [1.0, None, [1], {"points": []}], ids=["float", "none", "list", "dict"])
+def test_a_document_that_is_not_text_is_a_parse_error(value):
+    with pytest.raises(ParseError) as exc:
+        parse_document(value)
+    assert str(exc.value) == f"a document must be str, bytes or bytearray text, got {type(value).__name__}"
+
+
+@pytest.mark.parametrize(
+    "encode",
+    [str.encode, lambda text: bytearray(text.encode()), lambda text: text.encode("utf-16")],
+    ids=["utf-8-bytes", "bytearray", "utf-16-bytes"],
+)
+def test_document_bytes_are_read_as_json_reads_them(encode):
+    text = minimal_doc_text(SPREADS_COORD)
+    assert parse_document(encode(text)).model.coords.tobytes() == parse_document(text).model.coords.tobytes()
+
+
+def test_document_bytes_that_are_not_text_are_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_document(b'{"points": "\x80"}')
+    assert str(exc.value) == "not UTF-8 text: invalid start byte"
+
+
 def test_integer_literal_past_the_digit_limit_is_a_parse_error():
     text = minimal_doc_text(EXPLICIT_COORD).replace('"rr": 6', '"rr": 1' + "0" * 5000, 1)
     with pytest.raises(ParseError, match="too many digits"):
@@ -797,7 +821,57 @@ def _collections_during(call) -> list[int]:
     return generations
 
 
-def test_no_collection_runs_while_a_document_is_parsed(collector):
+def test_no_collection_runs_while_a_document_is_parsed(collector, tmp_path):
     text = minimal_doc_text(EXPLICIT_COORD, n=2000)
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
     assert _collections_during(lambda: json.loads(text)) != []  # the tree alone starts the collector
     assert _collections_during(lambda: parse_document(text)) == []
+    assert _collections_during(lambda: load_document(path)) == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_a_failed_file_read_leaves_the_collector_as_it_found_it(collector, tmp_path, enabled):
+    """The pause of ``load_document`` covers opening the file too."""
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(FileNotFoundError):
+        load_document(tmp_path / "absent.json")
+    assert gc.isenabled() is enabled
+
+
+# --- the memory of a file read -------------------------------------------------------
+
+def _generated_text(n: int, seed: int = 7) -> str:
+    """A valid document of ``n`` points in the explicit form, written as
+    ``save_document`` writes it, with distinct values as a real document
+    holds (the JSON tree shares no float object)."""
+    rng = np.random.default_rng(seed)
+    values = np.sort(rng.uniform(-1e3, 1e3, (n, 2, 7)), axis=-1)
+    heights = rng.uniform(0.5, 1.0, (n, 2, 1))
+    rows = np.concatenate([values, heights], axis=-1).tolist()
+    points = [{"x": dict(zip(EXPLICIT_COORD, x)), "y": dict(zip(EXPLICIT_COORD, y))} for x, y in rows]
+    return json.dumps({"points": points}, indent=2) + "\n"
+
+
+def _traced_peak(call) -> int:
+    """The most memory ``call()`` allocated at one time, as traced by
+    :mod:`tracemalloc`; its result is dropped."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_file_read_holds_at_most_the_text_and_its_json_tree(tmp_path):
+    """``load_document`` releases the text it reads once ``json.loads``
+    returns, so its peak is the floor of the explicit form: the text plus
+    what ``json.loads`` allocates.  Holding the text while the tree is turned
+    into arrays peaks about 30 % above that at 1000 points."""
+    text = _generated_text(1000)
+    path = tmp_path / "large.json"
+    path.write_text(text, encoding="utf-8")
+    floor = len(text) + _traced_peak(lambda: json.loads(text))
+    peak = _traced_peak(lambda: load_document(path))
+    assert peak / floor <= 1.05, (peak, floor)
