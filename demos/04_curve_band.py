@@ -11,17 +11,15 @@ propagates through the curve.
 Writes t2spline_band.csv and t2spline_band.svg into the current directory.
 """
 
-import numpy as np
-
 from t2spline import (
     COMPONENT_LABELS,
     Scene,
     component_polygons,
     demo_document,
-    fuzzy_curve_band,
     render_svg,
     write_csv,
 )
+from t2spline.curves import evaluate
 
 model = demo_document().to_model()
 print("fuzzy control points (crisp locations):")
@@ -33,23 +31,21 @@ print("\nseven control polygons, first control point of each:")
 for label in COMPONENT_LABELS:
     print(f"  {label:>5}: {polygons[label][0]}")
 
-band = fuzzy_curve_band(model, samples=101)
+# The seven curves, sampled at one shared parameter array ts, as labelled
+# (101, 2) point arrays.
+ts, band = evaluate(model, ["band"], samples=101)
 
 # The band is ordered: at every parameter, the x-values of the seven
 # curves respect the component order wherever spreads are axis-aligned,
 # and the outer curves enclose the inner ones.
 mid = 50
-print("\nband x-values at t = 0.5:")
-for label, line in band.items():
-    print(f"  {label:>5}: {line.points[mid, 0]: .4f}")
+print(f"\nband x-values at t = {ts[mid]}:")
+for label, points in band.items():
+    print(f"  {label:>5}: {points[mid, 0]: .4f}")
 
-write_csv(band, "t2spline_band.csv")
+write_csv(ts, band, "t2spline_band.csv")
 render_svg(
-    Scene(
-        band=band,
-        controls=np.array([p.crisp_xy for p in model.fuzzy_controls]),
-        title="uncertainty band of the demonstration model",
-    ),
+    Scene(band, controls=polygons["crisp"], title="uncertainty band of the demonstration model"),
     "t2spline_band.svg",
 )
 print("\nwrote t2spline_band.csv and t2spline_band.svg")

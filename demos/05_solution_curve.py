@@ -11,13 +11,12 @@ quantifiable margin -- symmetric spreads would close that gap to zero.
 Writes t2spline_solution.svg into the current directory.
 """
 
-import numpy as np
-
 from t2spline import (
     NT2FuzzyPoint,
     NT2FuzzyScalar,
     FuzzyCurveModel,
     Scene,
+    component_polygons,
     defuzzified_curve,
     deviation,
     demo_document,
@@ -25,6 +24,7 @@ from t2spline import (
     render_svg,
     sample_curve,
 )
+from t2spline.curves import evaluate
 
 model = demo_document().to_model()
 samples = 101
@@ -54,13 +54,11 @@ sym_report = deviation(defuzzified_curve(sym_model, samples), sample_curve(sym_m
 print("\nsame comparison with symmetric spreads:")
 print("  max  =", sym_report.max_distance)
 
+# The figure draws the labelled arrays of the type-reduced and defuzzified
+# groups: tr_left, crisp, tr_right and defuzzified.
+_, series = evaluate(model, ["reduced", "defuzzified"], samples)
 render_svg(
-    Scene(
-        reduced=red,
-        defuzzified=solution,
-        controls=np.array([p.crisp_xy for p in model.fuzzy_controls]),
-        title="crisp solution curve vs crisp curve",
-    ),
+    Scene(series, controls=component_polygons(model)["crisp"], title="crisp solution curve vs crisp curve"),
     "t2spline_solution.svg",
 )
 print("\nwrote t2spline_solution.svg")

@@ -6,9 +6,10 @@ search and only the ``order`` basis functions that are non-zero on that span
 are computed, for all parameters at once.
 
 The input rules of the package are stated here once: a number
-(:func:`as_float`, :func:`float_array`), an integer (:func:`is_integer`)
-and an array of planar points (:func:`point_array`); a refused value is shown
-in its message by :func:`shown`.
+(:func:`as_float`, :func:`float_array`), an integer (:func:`is_integer`),
+an array of planar points (:func:`point_array`) and an array of curve
+parameters (:func:`param_array`); a refused value is shown in its message
+by :func:`shown`.
 """
 
 from __future__ import annotations
@@ -118,6 +119,18 @@ def point_array(value, name: str) -> np.ndarray:
     return points
 
 
+def param_array(value, name: str) -> np.ndarray:
+    """``value`` as a 1-D array of finite, strictly increasing parameters
+    (:func:`float_array`); raises :class:`T2SplineError` naming ``name`` otherwise."""
+    params = float_array(value, name)
+    if params.ndim != 1:
+        raise T2SplineError(f"{name} must be a 1-D array, got shape {params.shape}")
+    # NaN fails the comparison, and increasing parameters lie between the first and the last.
+    if not (np.all(np.diff(params) > 0.0) and np.isfinite(params[:1]).all() and np.isfinite(params[-1:]).all()):
+        raise T2SplineError(f"{name} must be finite and strictly increasing")
+    return params
+
+
 def is_integer(value) -> bool:
     """True for a Python or numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -167,12 +180,11 @@ class KnotVector:
         if knots.ndim != 1:
             raise T2SplineError(f"knots must be a 1-D array, got shape {knots.shape}")
         object.__setattr__(self, "knots", knots)
-        n = knots.size - int(self.order) if is_integer(self.order) else 0  # a non-integer is refused first
-        k = check_order(self.order, n)
+        k = _order_of_knots(self.order, knots.size)
         object.__setattr__(self, "order", k)
         if not np.all(np.diff(knots) >= 0.0):  # also rejects NaN
             raise T2SplineError("knots must be non-decreasing")
-        if knots[k - 1] != knots[0] or knots[n] != knots[-1]:
+        if knots[k - 1] != knots[0] or knots[-k] != knots[-1]:
             raise T2SplineError("knot vector must be clamped (end multiplicity = order)")
 
     @property
@@ -183,6 +195,15 @@ class KnotVector:
     def domain(self) -> tuple[float, float]:
         """Parameter interval on which the full basis is defined."""
         return (float(self.knots[self.order - 1]), float(self.knots[self.n_controls]))
+
+
+def _order_of_knots(order, size: int) -> int:
+    """``order`` as an int (:func:`check_order`) if ``size`` knots can hold
+    its two clamped ends; else :class:`OrderExceedsControlCount` naming both."""
+    k = check_order(order, math.inf)  # an integer of at least 2; the knots bound it
+    if size < 2 * k:
+        raise OrderExceedsControlCount(f"order {shown(order)} needs at least twice as many knots, got {size}")
+    return k
 
 
 def clamped_uniform_knots(n: int, k: int) -> KnotVector:
@@ -243,8 +264,8 @@ def basis(kv: KnotVector, i: int, order: int, t: float) -> float:
     """
     if not is_integer(i):
         raise T2SplineError(f"basis index must be an integer, got {shown(i)}")
-    n = kv.knots.size - order if is_integer(order) else 0  # a non-integer is refused first
-    order = check_order(order, n)
+    order = _order_of_knots(order, kv.knots.size)
+    n = kv.knots.size - order
     if not 0 <= i < n:
         raise _IndexOutOfRange(f"basis index {shown(i)} out of range for {n} basis functions")
     return float(basis_rows(kv.knots, order, _parameter(t))[0, i])
@@ -307,22 +328,20 @@ class RationalCurveModel:
 
 @dataclass(frozen=True, eq=False)
 class Polyline:
-    """A sampled curve: m >= 1 points[i] evaluated at strictly increasing params[i]."""
+    """A sampled curve: m >= 1 points[i] evaluated at finite, strictly increasing params[i]."""
 
     points: np.ndarray
     params: np.ndarray
 
     def __post_init__(self):
         points = point_array(self.points, "points")
-        params = float_array(self.params, "params")
+        params = param_array(self.params, "params")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "params", params)
         if not len(points):
             raise T2SplineError("a polyline needs at least one point")
         if params.shape != (points.shape[0],):
             raise T2SplineError("params must match points in length")
-        if not np.all(np.diff(params) > 0.0):  # also rejects NaN
-            raise T2SplineError("params must be strictly increasing")
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -21,7 +21,7 @@ import numpy as np
 from . import curves
 from .document import demo_document, load_document, save_document
 from .errors import ParseError, T2SplineError
-from .output import FLOAT_FORMAT, svg_figure, write_curve_table, write_output, write_pipeline_json, write_table
+from .output import FLOAT_FORMAT, Scene, render_svg, write_csv, write_output, write_pipeline_json, write_table
 
 SERIES_CHOICES = (*curves.GROUPS, "all")
 
@@ -120,10 +120,9 @@ def _cmd_curves(args) -> int:
     samples = doc.samples if args.samples is None else args.samples
     ts, series = curves.evaluate(model, _parse_series(args.series), samples)
     if args.command == "curve":
-        write_output(_target(args), lambda f: write_curve_table(f, ts, series.items()))
+        write_csv(ts, series, _target(args))
     else:
-        controls = curves.component_polygons(model)["crisp"]
-        write_output(_target(args), lambda f: f.write(svg_figure(series.items(), controls, "")))
+        render_svg(Scene(series, curves.component_polygons(model)["crisp"]), _target(args))
     return 0
 
 

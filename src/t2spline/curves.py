@@ -11,9 +11,9 @@ sample by sample.  The controls are one ``(n, 2, 8)`` coordinate array (see
 :mod:`t2spline.fuzzy`), so each component polygon is a slice of it.
 
 The curve-group rule is stated here once: :data:`SERIES` names the curves
-each group gives, :func:`series_labels` orders them into columns,
-:data:`GROUP_TYPES` gives the type each group's curves come in, and
-:func:`labelled` pairs the curves of such a view with their labels.
+each group gives, and :func:`evaluate` orders them into columns.
+:func:`evaluate`'s ``ts`` and ``{label: points}`` mapping are what the
+writers of :mod:`t2spline.output` take, the one path from curves to bytes.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .pipeline import check_alpha, solve
 #: Band labels in control-polygon order; "crisp" extracts the c component.
 COMPONENT_LABELS = tuple("crisp" if name == "c" else name for name in COMPONENT_FIELDS)
 
-#: Labels of the curves each group (named like the :class:`Scene` field that
-#: holds it) gives, in column order; a group of one curve is named by its label.
+#: Labels of the curves each group gives, in column order; a group of one
+#: curve is named by its label.
 SERIES = {
     "band": COMPONENT_LABELS,
     "reduced": ("tr_left", "crisp", "tr_right"),
@@ -152,20 +152,6 @@ class ReducedCurves(_CurveGroup):
     right: Polyline
 
 
-#: The type each group's curves come in, which the
-#: :class:`~t2spline.output.Scene` field of its name holds.
-GROUP_TYPES = {"band": CurveBand, "reduced": ReducedCurves, "crisp": Polyline, "defuzzified": Polyline}
-
-
-def labelled(view, label: str = "curve"):
-    """The ``(label, Polyline)`` pairs of ``view``: the items of a
-    :class:`CurveBand` or :class:`ReducedCurves`, or a :class:`Polyline` as
-    the one pair ``(label, view)``; None for anything else."""
-    if isinstance(view, Polyline):
-        return ((label, view),)
-    return view.items() if isinstance(view, _CurveGroup) else None
-
-
 @dataclass(frozen=True)
 class DeviationReport:
     """Sample-wise Euclidean distances between two matched polylines."""
@@ -181,24 +167,19 @@ def component_polygons(model: FuzzyCurveModel) -> dict[str, np.ndarray]:
     return {label: model.coords[:, :, i] for i, label in enumerate(COMPONENT_LABELS)}
 
 
-def series_labels(groups) -> list[str]:
-    """The labels of the curves of ``groups``, names from :data:`GROUPS`, in
-    :data:`SERIES` column order, each label once, at its first place."""
-    return list(dict.fromkeys(label for group in GROUPS if group in groups for label in SERIES[group]))
-
-
 def evaluate(model: FuzzyCurveModel, groups, samples: int = DEFAULT_SAMPLES) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Evaluate the requested curve groups (names from :data:`GROUPS`) as one
     stack of control polygons over one shared basis.
 
     The controls are cut and type-reduced once, and only if a requested
     curve needs it.  Returns the sample parameters ``ts`` and a dict of
-    ``(samples, 2)`` points keyed by label, in :func:`series_labels` order.
+    ``(samples, 2)`` points keyed by label: the labels of the groups, in
+    :data:`SERIES` column order, each label once, at its first place.
     """
     groups = set(groups)
     if not groups <= set(GROUPS):
         raise T2SplineError(f"unknown curve groups {sorted(groups - set(GROUPS))}")
-    labels = series_labels(groups)
+    labels = list(dict.fromkeys(label for group in GROUPS if group in groups for label in SERIES[group]))
     polygons = component_polygons(model)
     if groups & {"reduced", "defuzzified"}:
         polygons["tr_left"], _, polygons["tr_right"], polygons["defuzzified"] = model.solved

@@ -12,10 +12,10 @@ whole blocks with numpy array arithmetic instead, to the template's text:
 kernel's domain is filled into the template: ``_format_e16`` takes ±0 and
 ``1e-6 < |x| < 1e17``, ``_format_repr`` ±0 and ``1e-4 <= |x| < 1e16``
 without the powers of two.  Every output file of the package is written by
-:func:`write_output`; the curves of one CSV table share their parameters,
-the rule :func:`~t2spline.curves.shared_params` states.  Which labelled
-curves a :class:`Scene` draws and :func:`write_csv` writes is the group
-rule of :mod:`t2spline.curves`.
+:func:`write_output`.  Curves take one path to bytes: :func:`write_csv` and
+a :class:`Scene` take the labelled arrays :func:`~t2spline.curves.evaluate`
+returns, ``ts`` and a ``{label: (len(ts), 2) points}`` mapping, and the
+CLI's ``curve`` and ``plot`` write through them.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ import csv
 import math
 import os
 import stat
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import Polyline, point_array
-from .curves import GROUP_TYPES, CurveBand, ReducedCurves, labelled, series_labels, shared_params
-from .errors import T2SplineError
+from .bspline import param_array, point_array
+from .errors import SampleMismatch, T2SplineError
 
 #: Cells ``_fill`` formats at once: a bounded block of rows keeps the text
 #: of a long table from being held whole, and bounds the arrays the kernels
@@ -307,28 +307,17 @@ def _format_repr(block):
 _KERNELS = ((FLOAT_FORMAT, _format_e16), ("%r", _format_repr))
 
 
-def _pairs(series, message: str, kind=object) -> list[tuple]:
-    """The items of ``series``, each a 2-tuple whose second item is a
-    ``kind``, else :class:`T2SplineError` saying ``message``."""
-    try:
-        items = iter(series)
-    except TypeError:
-        raise T2SplineError(message) from None
-    pairs = list(items)
-    if not all(isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[1], kind) for pair in pairs):
-        raise T2SplineError(message)
-    return pairs
-
-
-def _normalize_series(series) -> list[tuple[str, Polyline]]:
-    items = labelled(series)
-    if items is not None:
-        return list(items)
-    message = "series must be (name, Polyline) pairs, a CurveBand, a ReducedCurves, or a Polyline"
-    pairs = _pairs(series, message, Polyline)
-    if not pairs:
-        raise T2SplineError("no series to write")
-    return pairs
+def _series_items(series) -> list[tuple[str, np.ndarray]]:
+    """The ``(label, (m, 2) points)`` items of the mapping ``series`` of str
+    labels, each read by :func:`point_array`; else :class:`T2SplineError`."""
+    if not isinstance(series, Mapping):
+        raise T2SplineError(f"series must be a mapping of labels to points, got {type(series).__name__}")
+    items = []
+    for label, points in series.items():
+        if not isinstance(label, str):
+            raise T2SplineError(f"a series label must be a str, got {type(label).__name__}")
+        items.append((label, point_array(points, label)))
+    return items
 
 
 def write_output(target, render) -> None:
@@ -386,19 +375,20 @@ def _stage_beside(path) -> tuple[int, str] | None:
     return fd, tmp
 
 
-def write_csv(series, path_or_file) -> None:
-    """Write sampled curves as CSV: t column, then x/y per named series.
-
-    ``series`` may be a :class:`CurveBand` or :class:`ReducedCurves`, whose
-    columns are named by :data:`~t2spline.curves.SERIES`, a single
-    :class:`Polyline` (named ``curve``), or a sequence of ``(name, Polyline)``
-    pairs, all sampled at one parameter array, the t column
-    (:func:`~t2spline.curves.shared_params`).
-    """
-    pairs = _normalize_series(series)
-    ts = shared_params(pairs, "series")
-    lines = [(name, line.points) for name, line in pairs]
-    write_output(path_or_file, lambda f: write_curve_table(f, ts, lines))
+def write_csv(ts, series, path_or_file) -> None:
+    """Write curves sampled at ``ts`` as CSV: the t column, then x/y for each
+    ``label: (len(ts), 2) points`` item of the mapping ``series``, as
+    :func:`~t2spline.curves.evaluate` returns them.  ``ts`` is read by the
+    params rule of a polyline (:func:`~t2spline.bspline.param_array`), and a
+    series of another length raises :class:`SampleMismatch`."""
+    ts = param_array(ts, "ts")
+    items = _series_items(series)
+    if not items:
+        raise T2SplineError("no series to write")
+    for label, points in items:
+        if len(points) != len(ts):
+            raise SampleMismatch(f"series {label} has {len(points)} points for {len(ts)} parameters")
+    write_output(path_or_file, lambda f: write_curve_table(f, ts, items))
 
 
 # ---------------------------------------------------------------------------
@@ -430,54 +420,25 @@ SERIES_STYLE = {
 
 @dataclass
 class Scene:
-    """What to draw: any subset of band, type-reduced pair, solution curves
-    and the crisp control polygon.
+    """What to draw: each ``label: (m, 2) points`` item of the mapping
+    ``series``, styled by its label, as :func:`~t2spline.curves.evaluate`
+    returns them; the crisp control polygon ``controls`` (None for none); and
+    a ``title``.  A scene is mutable, so it is checked when it is drawn."""
 
-    A group field holds None or the type
-    :data:`~t2spline.curves.GROUP_TYPES` gives its group: ``band`` a
-    :class:`CurveBand`, ``reduced`` a :class:`ReducedCurves`, ``defuzzified``
-    and ``crisp`` a :class:`Polyline`.  A scene is mutable, so its fields are
-    checked when it is drawn.
-    """
-
-    band: CurveBand | None = None
-    reduced: ReducedCurves | None = None
-    defuzzified: Polyline | None = None
-    crisp: Polyline | None = None
+    series: Mapping[str, np.ndarray]
     controls: np.ndarray | None = None
     title: str = ""
 
 
-def _scene_series(scene: Scene) -> list[tuple[str, np.ndarray]]:
-    """The scene's curves as (label, points) in
-    :func:`~t2spline.curves.series_labels` order, a label two groups give
-    drawn from the first; :class:`T2SplineError` names a group field that is
-    not of its type."""
-    views = {group: getattr(scene, group) for group in GROUP_TYPES if getattr(scene, group) is not None}
-    for group, view in views.items():
-        if not isinstance(view, GROUP_TYPES[group]):
-            kind = GROUP_TYPES[group].__name__
-            raise T2SplineError(f"Scene.{group} must be a {kind} or None, got {type(view).__name__}")
-    lines = dict(pair for group, view in reversed(views.items()) for pair in labelled(view, group))
-    return [(label, lines[label].points) for label in series_labels(views)]
-
-
 def svg_document(scene: Scene) -> str:
     """Render a scene to an SVG 1.1 string (fixed canvas, 5% data padding)."""
-    return svg_figure(_scene_series(scene), scene.controls, scene.title)
-
-
-def svg_figure(series, controls, title: str) -> str:
-    """Render ``(label, (m, 2) points)`` series, styled by label, and the
-    (m, 2) ``controls`` (None for none) like :func:`svg_document`."""
-    pairs = _pairs(series, "series must be (label, points) pairs")
-    series = [(label, point_array(points, label)) for label, points in pairs]
+    series = _series_items(scene.series)
     for label, _ in series:
-        if not (isinstance(label, str) and label in SERIES_STYLE):
+        if label not in SERIES_STYLE:
             raise T2SplineError(f"unknown series label {label!r}")
-    controls = point_array([] if controls is None else controls, "controls")
-    if not isinstance(title, str):
-        raise T2SplineError(f"title must be a str, got {type(title).__name__}")
+    controls = point_array([] if scene.controls is None else scene.controls, "controls")
+    if not isinstance(scene.title, str):
+        raise T2SplineError(f"title must be a str, got {type(scene.title).__name__}")
     plot_x0, plot_x1 = MARGIN_LEFT, CANVAS_W - MARGIN_RIGHT
     plot_y0, plot_y1 = MARGIN_TOP, CANVAS_H - MARGIN_BOTTOM
     xy = np.concatenate([points for _, points in series] + [controls])
@@ -496,10 +457,10 @@ def svg_figure(series, controls, title: str) -> str:
         f'width="{CANVAS_W}" height="{CANVAS_H}" viewBox="0 0 {CANVAS_W} {CANVAS_H}">',
         f'<rect x="0" y="0" width="{CANVAS_W}" height="{CANVAS_H}" fill="#ffffff"/>',
     ]
-    if title:
+    if scene.title:
         out.append(
             f'<text x="{(plot_x0 + plot_x1) / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
+            f'font-family="sans-serif" font-size="15">{_escape(scene.title)}</text>'
         )
 
     # axes with min/max tick labels

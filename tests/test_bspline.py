@@ -29,7 +29,6 @@ from t2spline import (
 )
 from t2spline.bspline import MAX_BASIS_CELLS, MAX_BASIS_WORK, basis_rows, float_array, max_samples, sample_curves, shown
 from t2spline.curves import GROUPS, component_polygons, evaluate
-from t2spline.output import svg_figure
 
 try:
     from scipy.spatial import ConvexHull, QhullError
@@ -265,9 +264,9 @@ def test_model_rejects_non_finite_controls(bad):
     with pytest.raises(T2SplineError, match="^points must be finite$"):
         Polyline(controls, [0.0, 0.5, 1.0])
     with pytest.raises(T2SplineError, match="^controls must be finite$"):
-        svg_document(Scene(controls=controls))
+        svg_document(Scene({}, controls))
     with pytest.raises(T2SplineError, match="^crisp must be finite$"):
-        svg_figure([("crisp", controls)], None, "")
+        svg_document(Scene({"crisp": controls}))
 
 
 @pytest.mark.parametrize(
@@ -412,12 +411,27 @@ def test_knot_vector_refuses_knots_that_are_not_one_dimensional():
 
 def test_knot_vector_compares_a_numpy_order_as_a_python_int():
     """``4 - np.uint64(2**64 - 1)`` wraps with a RuntimeWarning; the order is
-    compared as the Python int it holds."""
+    compared as the Python int it holds, and the message names no negative
+    control count."""
     with pytest.raises(OrderExceedsControlCount) as exc:
         KnotVector([0, 0, 1, 1], np.uint64(2**64 - 1))
-    assert str(exc.value) == f"order np.uint64({2**64 - 1}) exceeds control count {4 - (2**64 - 1)}"
+    assert str(exc.value) == f"order np.uint64({2**64 - 1}) needs at least twice as many knots, got 4"
     kv = KnotVector([0, 0, 0, 1, 1, 1], np.uint64(3))
     assert (type(kv.order), kv.order, kv.n_controls) == (int, 3, 3)
+
+
+def test_knot_vector_of_no_knots_names_the_knot_count_and_the_order():
+    """Fewer than ``2 * order`` knots cannot hold both clamped ends; the
+    message names the knots there are, not a negative control count."""
+    with pytest.raises(OrderExceedsControlCount) as exc:
+        KnotVector(np.zeros(0), 3)
+    assert str(exc.value) == "order 3 needs at least twice as many knots, got 0"
+
+
+def test_basis_of_an_order_beyond_the_knots_names_the_knot_count_and_the_order():
+    with pytest.raises(OrderExceedsControlCount) as exc:
+        basis(clamped_uniform_knots(4, 3), 0, 9, 0.5)
+    assert str(exc.value) == "order 9 needs at least twice as many knots, got 7"
 
 
 _NOT_ONE_PARAMETER = {

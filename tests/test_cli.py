@@ -25,10 +25,11 @@ from t2spline import (
     fuzzy_curve_band,
     load_model,
     reduced_curves,
+    render_svg,
     sample_curve,
-    svg_document,
+    write_csv,
 )
-from t2spline import bspline, cli, curves, pipeline
+from t2spline import bspline, cli, curves, output, pipeline
 from t2spline.cli import run
 from t2spline.output import BLOCK_CELLS
 
@@ -356,7 +357,7 @@ def test_failed_render_leaves_existing_output_untouched(demo_path, tmp_path, mon
         f.write("t,crisp_x\n0.0,")
         raise T2SplineError("render failed")
 
-    monkeypatch.setattr(cli, "write_curve_table", half_then_fail)
+    monkeypatch.setattr(output, "write_curve_table", half_then_fail)
     assert run(["curve", str(demo_path), "--out", str(out)]) == 1
     assert out.read_bytes() == b"previous,bytes\r\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "model.json"]
@@ -634,21 +635,47 @@ def test_series_subset_column_and_drawing_order(demo_path, tmp_path, spec, label
     assert re.findall(r'<polyline class="series-([^"]*)"', figure.read_text()) == labels
 
 
+def _library_files(tmp_path, doc, spec):
+    """The CSV and SVG files the library writes of ``evaluate``'s arrays of
+    the ``--series`` groups ``spec``, after checking that those arrays are
+    the points of the library's views."""
+    model = doc.to_model()
+    ts, series = curves.evaluate(model, spec.split(","), doc.samples)
+    reduced = reduced_curves(model, doc.samples)
+    views = {
+        **dict(fuzzy_curve_band(model, doc.samples).items()),
+        **dict(reduced.items()),
+        "defuzzified": defuzzified_curve(model, doc.samples),
+        "crisp": sample_curve(model.crisp_model(), doc.samples),
+    }
+    for label, points in series.items():
+        assert np.array_equal(points, views[label].points) and np.array_equal(ts, views[label].params), label
+    table, figure = tmp_path / "library.csv", tmp_path / "library.svg"
+    write_csv(ts, series, table)
+    render_svg(Scene(series, model.crisp_model().controls), figure)
+    return table, figure
+
+
 @pytest.mark.parametrize("spec", _SERIES_COLUMNS)
 def test_plot_equals_the_scene_of_library_views(tmp_path, spec):
+    """``plot`` writes the bytes ``render_svg`` writes of ``evaluate``'s
+    arrays, which are the points of the library's views."""
     doc = _order4_document()
     path, out = tmp_path / "model.json", tmp_path / "out.svg"
     path.write_text(document_to_json(doc))
     assert run(["plot", str(path), "--series", spec, "--out", str(out)]) == 0
-    model = doc.to_model()
-    views = {
-        "band": lambda: fuzzy_curve_band(model, doc.samples),
-        "reduced": lambda: reduced_curves(model, doc.samples),
-        "defuzzified": lambda: defuzzified_curve(model, doc.samples),
-        "crisp": lambda: sample_curve(model.crisp_model(), doc.samples),
-    }
-    scene = Scene(controls=model.crisp_model().controls, **{group: views[group]() for group in spec.split(",")})
-    assert out.read_text() == svg_document(scene)
+    assert out.read_bytes() == _library_files(tmp_path, doc, spec)[1].read_bytes()
+
+
+@pytest.mark.parametrize("spec", _SERIES_COLUMNS)
+def test_curve_equals_the_table_of_library_views(tmp_path, spec):
+    """``curve`` writes the bytes ``write_csv`` writes of ``evaluate``'s
+    arrays, which are the points of the library's views."""
+    doc = _order4_document()
+    path, out = tmp_path / "model.json", tmp_path / "out.csv"
+    path.write_text(document_to_json(doc))
+    assert run(["curve", str(path), "--series", spec, "--out", str(out)]) == 0
+    assert out.read_bytes() == _library_files(tmp_path, doc, spec)[0].read_bytes()
 
 
 def test_pipeline_csv_across_row_blocks(tmp_path):

@@ -17,9 +17,6 @@ from t2spline import (
     Scene,
     T2SplineError,
     demo_document,
-    deviation,
-    defuzzified_curve,
-    fuzzy_curve_band,
     reduced_curves,
     render_svg,
     sample_curve,
@@ -27,8 +24,8 @@ from t2spline import (
     write_csv,
 )
 from t2spline import output
+from t2spline.curves import evaluate
 from t2spline.output import BLOCK_CELLS
-from test_curves import MISMATCHED_SAMPLING
 
 
 @pytest.fixture
@@ -36,25 +33,23 @@ def model():
     return demo_document().to_model()
 
 
-def csv_text(series):
+def csv_text(ts, series):
     buf = io.StringIO()
-    write_csv(series, buf)
+    write_csv(ts, series, buf)
     return buf.getvalue()
 
 
 # --- CSV --------------------------------------------------------------------
 
 def test_crisp_only_two_samples_three_lines(model):
-    line = sample_curve(model.crisp_model(), 2)
-    text = csv_text([("crisp", line)])
+    text = csv_text(*evaluate(model, ["crisp"], 2))
     rows = text.strip().split("\n")
     assert len(rows) == 3
     assert rows[0] == "t,crisp_x,crisp_y"
 
 
 def test_band_csv_has_fifteen_columns(model):
-    band = fuzzy_curve_band(model, 4)
-    rows = list(csv.reader(io.StringIO(csv_text(band))))
+    rows = list(csv.reader(io.StringIO(csv_text(*evaluate(model, ["band"], 4)))))
     assert len(rows[0]) == 15
     assert rows[0][0] == "t"
     assert rows[0][1:3] == ["ll_x", "ll_y"]
@@ -63,7 +58,7 @@ def test_band_csv_has_fifteen_columns(model):
 
 def test_csv_round_trips_doubles(model):
     line = sample_curve(model.crisp_model(), 7)
-    rows = list(csv.reader(io.StringIO(csv_text(line))))
+    rows = list(csv.reader(io.StringIO(csv_text(line.params, {"crisp": line.points}))))
     for i, row in enumerate(rows[1:]):
         assert float(row[0]) == line.params[i]
         assert float(row[1]) == line.points[i, 0]
@@ -71,10 +66,10 @@ def test_csv_round_trips_doubles(model):
 
 
 def test_csv_deterministic_bytes(tmp_path, model):
-    band = fuzzy_curve_band(model, 11)
+    ts, band = evaluate(model, ["band"], 11)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(band, p1)
-    write_csv(band, p2)
+    write_csv(ts, band, p1)
+    write_csv(ts, band, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -88,46 +83,94 @@ def test_failed_csv_write_leaves_an_existing_file_untouched(tmp_path, model, mon
 
     monkeypatch.setattr(output, "write_table", half_then_fail)
     with pytest.raises(T2SplineError, match="write failed"):
-        write_csv(sample_curve(model.crisp_model(), 5), path)
+        write_csv(*evaluate(model, ["crisp"], 5), path)
     assert path.read_bytes() == b"previous,bytes\r\n"
     assert [p.name for p in tmp_path.iterdir()] == ["band.csv"]
 
 
-@MISMATCHED_SAMPLING
-def test_csv_rejects_mismatched_series(model, samples, scale):
-    a = sample_curve(model.crisp_model(), 21)
-    b = sample_curve(model.crisp_model(), samples)
-    with pytest.raises(SampleMismatch, match="^series b sampled at different parameters$"):
-        csv_text([("a", a), ("b", Polyline(b.points, b.params * scale))])
+@pytest.mark.parametrize("rows, label", [((21, 22), "b"), ((22, 22), "a")], ids=["length", "same-length"])
+def test_csv_rejects_mismatched_series(rows, label):
+    """Each series is held to the length of ``ts``, not of the first series:
+    series of the same length as each other are refused too."""
+    series = {"a": np.zeros((rows[0], 2)), "b": np.zeros((rows[1], 2))}
+    with pytest.raises(SampleMismatch, match=f"^series {label} has 22 points for 21 parameters$"):
+        csv_text(np.linspace(0.0, 1.0, 21), series)
 
 
 def test_csv_rejects_no_series():
     with pytest.raises(T2SplineError, match="^no series to write$"):
-        csv_text([])
-
-
-@pytest.mark.parametrize("pair", ["curve", ("curve",), ("curve", np.zeros((2, 2))), ["curve", None]])
-def test_csv_rejects_what_is_not_a_name_and_polyline(model, pair):
-    line = sample_curve(model.crisp_model(), 5)
-    with pytest.raises(T2SplineError, match=r"^series must be \(name, Polyline\) pairs"):
-        csv_text([("crisp", line), pair])
+        csv_text(np.linspace(0.0, 1.0, 5), {})
 
 
 @pytest.mark.parametrize("series", [5, None, np.array(1.0)], ids=["int", "none", "0-d-array"])
 def test_csv_rejects_series_that_is_not_iterable(series):
-    with pytest.raises(T2SplineError, match=r"^series must be \(name, Polyline\) pairs"):
-        csv_text(series)
+    with pytest.raises(T2SplineError, match="^series must be a mapping of labels to points, got "):
+        csv_text(np.linspace(0.0, 1.0, 5), series)
+
+
+#: Arrays a writer refuses, each with one message: the points of a series
+#: "tr_left" beside a good series "crisp" of five points, and the parameters
+#: ``ts`` of a CSV table.
+BAD_POINTS = {
+    "ragged": ([[0.0, 1.0]] * 4 + [[2.0]], r"^tr_left must be a rectangular array of numbers"),
+    "strings": ([["a", "b"]] * 5, r"^tr_left must be a rectangular array of numbers: 'a' is not a number$"),
+    "none": ([[1.0, None]] * 5, r"^tr_left must be a rectangular array of numbers: None is not a number$"),
+    "nan": (np.full((5, 2), np.nan), r"^tr_left must be finite$"),
+    "three-columns": (np.zeros((5, 3)), r"^tr_left must be an \(m, 2\) array, got shape \(5, 3\)$"),
+    "polyline": (Polyline(np.zeros((5, 2)), np.arange(5.0)), r"^tr_left must be a rectangular array of numbers"),
+}
+BAD_PARAMS = {
+    "2-d": (np.zeros((5, 2)), r"^ts must be a 1-D array, got shape \(5, 2\)$"),
+    "decreasing": (np.linspace(1.0, 0.0, 5), r"^ts must be finite and strictly increasing$"),
+    "nan": (np.array([0.0, 0.25, np.nan, 0.75, 1.0]), r"^ts must be finite and strictly increasing$"),
+    "inf": (np.array([0.0, 0.25, 0.5, 0.75, np.inf]), r"^ts must be finite and strictly increasing$"),
+    "strings": (["0", "1", "2", "3", "4"], r"^ts must be a rectangular array of numbers: '0' is not a number$"),
+}
+
+
+@pytest.mark.parametrize("points, match", BAD_POINTS.values(), ids=list(BAD_POINTS))
+def test_writers_reject_points_that_are_not_finite_point_pairs(points, match):
+    series = {"crisp": np.zeros((5, 2)), "tr_left": points}
+    with pytest.raises(T2SplineError, match=match):
+        csv_text(np.linspace(0.0, 1.0, 5), series)
+    with pytest.raises(T2SplineError, match=match):
+        svg_document(Scene(series))
+
+
+@pytest.mark.parametrize("ts, match", BAD_PARAMS.values(), ids=list(BAD_PARAMS))
+def test_csv_rejects_params_that_are_not_finite_and_strictly_increasing(ts, match):
+    with pytest.raises(T2SplineError, match=match):
+        csv_text(ts, {"a": np.zeros((5, 2))})
+
+
+#: Series that are not a mapping of str labels to points, and the message
+#: each is refused with by both writers.
+NOT_LABELLED = {
+    "pairs": ([("crisp", np.zeros((5, 2)))], "^series must be a mapping of labels to points, got list$"),
+    "string": ("crisp", "^series must be a mapping of labels to points, got str$"),
+    "int-label": ({1: np.zeros((5, 2))}, "^a series label must be a str, got int$"),
+    "tuple-label": ({("crisp",): np.zeros((5, 2))}, "^a series label must be a str, got tuple$"),
+}
+
+
+@pytest.mark.parametrize("series, match", NOT_LABELLED.values(), ids=list(NOT_LABELLED))
+def test_writers_reject_what_is_not_a_mapping_of_str_labels(series, match):
+    with pytest.raises(T2SplineError, match=match):
+        csv_text(np.linspace(0.0, 1.0, 5), series)
+    with pytest.raises(T2SplineError, match=match):
+        svg_document(Scene(series))
 
 
 def test_csv_of_reduced_curves_labels_their_columns(model):
+    """The columns of ``evaluate``'s arrays are those of the library's view."""
+    text = csv_text(*evaluate(model, ["reduced"], 5))
     red = reduced_curves(model, 5)
-    text = csv_text(red)
     assert text.split("\n")[0] == "t,tr_left_x,tr_left_y,crisp_x,crisp_y,tr_right_x,tr_right_y"
-    assert text == csv_text([("tr_left", red.left), ("crisp", red.crisp), ("tr_right", red.right)])
+    assert text == csv_text(red.crisp.params, {label: line.points for label, line in red.items()})
 
 
 def test_csv_values_have_full_precision(model):
-    text = csv_text(sample_curve(model.crisp_model(), 3))
+    text = csv_text(*evaluate(model, ["crisp"], 3))
     data_cell = text.strip().split("\n")[2].split(",")[1]
     mantissa = data_cell.split("e")[0].replace("-", "").replace(".", "")
     assert len(mantissa) == 17
@@ -141,7 +184,7 @@ def test_csv_rows_across_blocks_equal_cell_by_cell_formatting():
     line = Polyline(points, np.cumsum(rng.uniform(1e-3, 1.0, rows)) - 10.0)
     cells = np.column_stack([line.params, line.points])
     expected = "t,curve_x,curve_y\n" + "".join(",".join(map("{:.16e}".format, row)) + "\n" for row in cells)
-    assert csv_text(line) == expected
+    assert csv_text(line.params, {"curve": line.points}) == expected
 
 
 @st.composite
@@ -292,7 +335,7 @@ def test_staged_file_is_removed_when_its_mode_cannot_be_set(tmp_path, monkeypatc
 # --- SVG --------------------------------------------------------------------
 
 def test_empty_scene_is_valid_svg_with_axes():
-    doc = svg_document(Scene())
+    doc = svg_document(Scene({}))
     assert doc.startswith('<?xml version="1.0"')
     root = ET.fromstring(doc)
     assert root.tag.endswith("svg")
@@ -303,7 +346,7 @@ def test_empty_scene_is_valid_svg_with_axes():
 
 
 def test_band_scene_has_seven_polylines_in_order(model):
-    doc = svg_document(Scene(band=fuzzy_curve_band(model, 9)))
+    doc = svg_document(Scene(evaluate(model, ["band"], 9)[1]))
     root = ET.fromstring(doc)
     classes = [
         el.attrib["class"]
@@ -317,9 +360,7 @@ def test_band_scene_has_seven_polylines_in_order(model):
 
 
 def test_solution_scene_two_polylines_two_point_sets(model):
-    crisp = sample_curve(model.crisp_model(), 21)
-    dfz = defuzzified_curve(model, 21)
-    doc = svg_document(Scene(crisp=crisp, defuzzified=dfz))
+    doc = svg_document(Scene(evaluate(model, ["crisp", "defuzzified"], 21)[1]))
     root = ET.fromstring(doc)
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
     assert len(polylines) == 2
@@ -333,7 +374,7 @@ def test_solution_scene_two_polylines_two_point_sets(model):
 
 def test_controls_rendered_as_point_set(model):
     controls = np.array([p.crisp_xy for p in model.fuzzy_controls])
-    doc = svg_document(Scene(controls=controls))
+    doc = svg_document(Scene({}, controls))
     root = ET.fromstring(doc)
     groups = [el for el in root.iter() if el.attrib.get("class") == "markers-controls"]
     assert len(groups) == 1
@@ -343,9 +384,7 @@ def test_controls_rendered_as_point_set(model):
 
 def test_legend_names_each_series(model):
     scene = Scene(
-        band=fuzzy_curve_band(model, 5),
-        reduced=reduced_curves(model, 5),
-        defuzzified=defuzzified_curve(model, 5),
+        evaluate(model, ["band", "reduced", "defuzzified"], 5)[1],
         controls=np.array([p.crisp_xy for p in model.fuzzy_controls]),
     )
     doc = svg_document(scene)
@@ -354,7 +393,7 @@ def test_legend_names_each_series(model):
 
 
 def test_svg_deterministic_bytes(tmp_path, model):
-    scene = Scene(band=fuzzy_curve_band(model, 11), defuzzified=defuzzified_curve(model, 11))
+    scene = Scene(evaluate(model, ["band", "defuzzified"], 11)[1])
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
     render_svg(scene, p1)
     render_svg(scene, p2)
@@ -362,51 +401,26 @@ def test_svg_deterministic_bytes(tmp_path, model):
 
 
 def test_scene_with_title_escapes_markup():
-    doc = svg_document(Scene(title="a < b & c"))
+    doc = svg_document(Scene({}, title="a < b & c"))
     assert "a &lt; b &amp; c" in doc
     ET.fromstring(doc)
 
 
 @pytest.mark.parametrize(
-    "render", [lambda: svg_document(Scene(title=5)), lambda: output.svg_figure([], None, 5)], ids=["scene", "figure"]
+    "render",
+    [lambda: svg_document(Scene({}, title=5)), lambda: render_svg(Scene({}, title=5), io.StringIO())],
+    ids=["scene", "figure"],
 )
 def test_svg_refuses_a_title_that_is_not_a_string(render):
     with pytest.raises(T2SplineError, match="^title must be a str, got int$"):
         render()
 
 
-#: A group field of a scene given a value that is not of its type: the
-#: field, the type it takes, and the value made from a band and a reduced
-#: triple of 11 samples.
-MISTYPED_SCENES = {
-    "band-as-reduced": ("band", "CurveBand", lambda band, red: red),
-    "reduced-as-band": ("reduced", "ReducedCurves", lambda band, red: band),
-    "crisp-as-reduced": ("crisp", "Polyline", lambda band, red: red),
-    "defuzzified-as-band": ("defuzzified", "Polyline", lambda band, red: band),
-    "reduced-int": ("reduced", "ReducedCurves", lambda band, red: 5),
-    "reduced-tuple": ("reduced", "ReducedCurves", lambda band, red: (red.left, red.crisp, red.right)),
-    "crisp-array": ("crisp", "Polyline", lambda band, red: np.zeros((3, 2))),
-    "defuzzified-string": ("defuzzified", "Polyline", lambda band, red: "x"),
-}
-
-
-@pytest.mark.parametrize("field, kind, make", MISTYPED_SCENES.values(), ids=list(MISTYPED_SCENES))
-def test_scene_refuses_a_group_field_of_another_type(model, field, kind, make):
-    value = make(fuzzy_curve_band(model, 11), reduced_curves(model, 11))
-    message = f"^Scene\\.{field} must be a {kind} or None, got {type(value).__name__}$"
-    with pytest.raises(T2SplineError, match=message):
-        svg_document(Scene(**{field: value}))
-    scene = Scene()  # a scene is mutable: its fields are checked when it is drawn
-    setattr(scene, field, value)
-    with pytest.raises(T2SplineError, match=message):
-        render_svg(scene, io.StringIO())
-
-
 def _svg_of(label, points):
     """The SVG figure of ``points`` as its controls, or as its one series ``label``."""
     if label == "controls":
-        return svg_document(Scene(controls=points))
-    return output.svg_figure([(label, points)], None, "")
+        return svg_document(Scene({}, points))
+    return svg_document(Scene({label: points}))
 
 
 @pytest.mark.parametrize(
@@ -418,9 +432,9 @@ def _svg_of(label, points):
         ("crisp", np.array([1.0, 2.0]), r"^crisp must be an \(m, 2\) array, got shape \(2,\)$"),
         ("tr_left", np.zeros((3, 3)), r"^tr_left must be an \(m, 2\) array, got shape \(3, 3\)$"),
         ("bogus", np.zeros((2, 2)), "^unknown series label 'bogus'$"),
-        (["crisp"], np.zeros((2, 2)), r"^unknown series label \['crisp'\]$"),
+        (("crisp",), np.zeros((2, 2)), r"^a series label must be a str, got tuple$"),
     ],
-    ids=["controls0", "controls1", "5.0", "series-1d", "series-3-columns", "unknown-label", "unhashable-label"],
+    ids=["controls0", "controls1", "5.0", "series-1d", "series-3-columns", "unknown-label", "non-str-label"],
 )
 def test_svg_rejects_controls_that_are_not_point_pairs(label, points, match):
     with pytest.raises(T2SplineError, match=match):
@@ -450,13 +464,14 @@ def test_svg_rejects_ragged_or_non_numeric_controls(label, points):
     ids=["int", "none", "string", "single", "triple", "list-pair"],
 )
 def test_svg_rejects_series_that_are_not_label_point_pairs(series):
-    with pytest.raises(T2SplineError, match=r"^series must be \(label, points\) pairs$"):
-        output.svg_figure(series, None, "")
+    kind = type(series).__name__
+    with pytest.raises(T2SplineError, match=f"^series must be a mapping of labels to points, got {kind}$"):
+        svg_document(Scene(series))
 
 
 @pytest.mark.parametrize("controls", [[], np.empty((0, 2))])
 def test_svg_of_no_controls_marks_none(controls):
-    assert svg_document(Scene(controls=controls)) == svg_document(Scene())
+    assert svg_document(Scene({}, controls)) == svg_document(Scene({}))
 
 
 @st.composite
@@ -473,7 +488,7 @@ def _figures(draw):
         unit[:, constant] = 0.0
         return centre + scale * unit
 
-    labels = draw(st.lists(st.sampled_from(sorted(output.SERIES_STYLE)), max_size=4))
+    labels = draw(st.lists(st.sampled_from(sorted(output.SERIES_STYLE)), max_size=4, unique=True))
     return [(label, points(1)) for label in labels], points(0), draw(st.text(max_size=4))
 
 
@@ -484,4 +499,4 @@ def _figures(draw):
 @given(figure=_figures())
 def test_svg_equals_the_per_point_reference_byte_for_byte(figure):
     series, controls, title = figure
-    assert output.svg_figure(series, controls, title) == oracles.svg_figure(series, controls.tolist(), title, output)
+    assert svg_document(Scene(dict(series), controls, title)) == oracles.svg_figure(series, controls.tolist(), title, output)
