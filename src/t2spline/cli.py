@@ -16,18 +16,18 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from . import curves
 from .document import demo_document, load_document, save_document
 from .errors import ParseError, T2SplineError
-from .output import FLOAT_FORMAT, Scene, render_svg, write_csv, write_output, write_pipeline_json, write_table
+from .output import Scene, render_svg, write_csv, write_pipeline_csv, write_pipeline_json
 
 SERIES_CHOICES = (*curves.GROUPS, "all")
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command; each binds its handler as ``handler``,
+    which raises on failure and returns nothing."""
     parser = argparse.ArgumentParser(
         prog="t2spline",
         description="Model normal type-2 fuzzy data points as rational B-spline curves.",
@@ -36,15 +36,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="emit the built-in demonstration model document")
     p.add_argument("--out", default="-", help="output file (default: stdout)")
+    p.set_defaults(handler=_cmd_demo)
 
     p = sub.add_parser("validate", help="check a model document; exit 1 on violation")
     p.add_argument("file")
+    p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("pipeline", help="per-point crisp solutions (JSON or CSV)")
     p.add_argument("file")
     p.add_argument("--alpha", type=float, default=None, help="override the document cut level")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default="-", help="output file (default: stdout)")
+    p.set_defaults(handler=_cmd_pipeline)
 
     for name, blurb in (
         ("curve", "sample curves to CSV"),
@@ -61,6 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=int, default=None, help="override the curve order")
         p.add_argument("--samples", type=int, default=None, help="override the sample count")
         p.add_argument("--out", default="-", help="output file (default: stdout)")
+        p.set_defaults(handler=_cmd_curves)
     return parser
 
 
@@ -90,30 +94,24 @@ def _target(args):
     return sys.stdout
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args) -> None:
     save_document(demo_document(), _target(args))
-    return 0
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> None:
     load_document(args.file)
     print(f"{args.file}: ok")
-    return 0
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args) -> None:
     _, model = _load(args)
-    solution = model.solved[-1]
     if args.format == "json":
-        write_output(_target(args), lambda f: write_pipeline_json(f, model.alpha, solution))
+        write_pipeline_json(model.alpha, model.solved[-1], _target(args))
     else:
-        columns = [np.arange(len(solution))[:, None], solution]
-        formats = ["%d", FLOAT_FORMAT, FLOAT_FORMAT]
-        write_output(_target(args), lambda f: write_table(f, ["index", "x", "y"], columns, formats))
-    return 0
+        write_pipeline_csv(model.solved[-1], _target(args))
 
 
-def _cmd_curves(args) -> int:
+def _cmd_curves(args) -> None:
     """``curve`` and ``plot``: evaluate the requested series in one pass,
     then write them as CSV or draw them, with the crisp controls, as SVG."""
     doc, model = _load(args)
@@ -123,16 +121,6 @@ def _cmd_curves(args) -> int:
         write_csv(ts, series, _target(args))
     else:
         render_svg(Scene(series, curves.component_polygons(model)["crisp"]), _target(args))
-    return 0
-
-
-_HANDLERS = {
-    "demo": _cmd_demo,
-    "validate": _cmd_validate,
-    "pipeline": _cmd_pipeline,
-    "curve": _cmd_curves,
-    "plot": _cmd_curves,
-}
 
 
 def run(argv=None) -> int:
@@ -148,7 +136,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        args.handler(args)
     except ParseError as exc:
         _report(f"cannot parse {getattr(args, 'file', '?')}: {exc}")
         return 2
@@ -162,6 +150,7 @@ def run(argv=None) -> int:
         detail = f": {exc}" if str(exc) else ""
         _report(f"out of memory{detail}")
         return 1
+    return 0
 
 
 def _report(message) -> None:

@@ -2,8 +2,8 @@
 
 Every writer is deterministic: identical inputs produce byte-identical
 files (fixed column order, fixed float formatting, no timestamps).  The
-curve table is laid out by :func:`write_curve_table` alone and the
-pipeline's solution points by :func:`write_pipeline_json` alone.  CSV rows,
+curve table is laid out by :func:`write_csv` alone and the pipeline's
+solution points by the ``write_pipeline_*`` writers alone.  CSV rows,
 JSON points and SVG points are cut from arrays a block at a time by
 ``_fill`` alone, each row filled into a ``%`` template.  Two kernels print
 whole blocks with numpy array arithmetic instead, to the template's text:
@@ -14,8 +14,8 @@ kernel's domain is filled into the template: ``_format_e16`` takes ±0 and
 without the powers of two.  Every output file of the package is written by
 :func:`write_output`.  Curves take one path to bytes: :func:`write_csv` and
 a :class:`Scene` take the labelled arrays :func:`~t2spline.curves.evaluate`
-returns, ``ts`` and a ``{label: (len(ts), 2) points}`` mapping, and the
-CLI's ``curve`` and ``plot`` write through them.
+returns, ``ts`` and a ``{label: (len(ts), 2) points}`` mapping.  Each
+writer takes a path or a stream, and every CLI command writes through one.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import numpy as np
 
 from .bspline import param_array, point_array
 from .errors import SampleMismatch, T2SplineError
+from .pipeline import check_alpha
 
 #: Cells ``_fill`` formats at once: a bounded block of rows keeps the text
 #: of a long table from being held whole, and bounds the arrays the kernels
@@ -118,24 +119,30 @@ def write_table(f, header, columns, formats) -> None:
     f.writelines(_fill(",".join(formats) + "\n", *columns))
 
 
-def write_curve_table(f, ts, series) -> None:
-    """Write curves sampled at the parameters ``ts`` to the text stream
-    ``f`` as CSV: column ``t``, then ``<label>_x`` and ``<label>_y`` for each
-    ``(label, (len(ts), 2) points)`` pair of ``series``, which is read twice."""
-    header = ["t", *(f"{label}_{axis}" for label, _ in series for axis in "xy")]
-    columns = [ts[:, None], *(points for _, points in series)]
-    write_table(f, header, columns, [FLOAT_FORMAT] * len(header))
+def write_pipeline_json(alpha, points, path_or_file) -> None:
+    """Write the solution ``points``, ``(n, 2)`` (:func:`point_array`), found
+    at the cut level ``alpha`` (:func:`~t2spline.pipeline.check_alpha`) as
+    ``json.dumps({"alpha": alpha, "points": [{"x": x, "y": y}, ...]},
+    indent=2) + "\\n"`` writes them."""
+    alpha, points = check_alpha(alpha), point_array(points, "points")
+
+    def render(f):
+        blocks = _fill(_JSON_POINT, points)
+        f.write(f'{{\n  "alpha": {alpha!r},\n  "points": [')
+        f.write(next(blocks, ",")[1:])  # no separator before the first point
+        f.writelines(blocks)
+        f.write("\n  ]\n}\n" if len(points) else "]\n}\n")
+
+    write_output(path_or_file, render)
 
 
-def write_pipeline_json(f, alpha, points) -> None:
-    """Write the solution ``points``, an ``(n, 2)`` array, found at the cut
-    level ``alpha`` to the text stream ``f`` as ``json.dumps({"alpha": alpha,
-    "points": [{"x": x, "y": y}, ...]}, indent=2) + "\\n"`` writes them."""
-    blocks = _fill(_JSON_POINT, points)
-    f.write(f'{{\n  "alpha": {alpha!r},\n  "points": [')
-    f.write(next(blocks, ",")[1:])  # no separator before the first point
-    f.writelines(blocks)
-    f.write("\n  ]\n}\n" if len(points) else "]\n}\n")
+def write_pipeline_csv(points, path_or_file) -> None:
+    """Write the solution ``points``, ``(n, 2)`` (:func:`point_array`), as
+    CSV: the header ``index,x,y``, then each point's index and coordinates."""
+    points = point_array(points, "points")
+    columns = [np.arange(len(points))[:, None], points]
+    formats = ["%d", FLOAT_FORMAT, FLOAT_FORMAT]
+    write_output(path_or_file, lambda f: write_table(f, ["index", "x", "y"], columns, formats))
 
 
 def _fill(row_format, *columns):
@@ -388,7 +395,9 @@ def write_csv(ts, series, path_or_file) -> None:
     for label, points in items:
         if len(points) != len(ts):
             raise SampleMismatch(f"series {label} has {len(points)} points for {len(ts)} parameters")
-    write_output(path_or_file, lambda f: write_curve_table(f, ts, items))
+    header = ["t", *(f"{label}_{axis}" for label, _ in items for axis in "xy")]
+    columns = [ts[:, None], *(points for _, points in items)]
+    write_output(path_or_file, lambda f: write_table(f, header, columns, [FLOAT_FORMAT] * len(header)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +411,7 @@ MARGIN_TOP = 40
 MARGIN_BOTTOM = 48
 PAD_FRACTION = 0.05
 
-#: (stroke colour, stroke width, draw point markers) per series name.
+#: (stroke colour, stroke width, draw point markers) per curve label.
 SERIES_STYLE = {
     "ll": ("#c6dbef", 1.0, False),
     "l": ("#9ecae1", 1.0, False),
@@ -414,8 +423,10 @@ SERIES_STYLE = {
     "tr_left": ("#2ca02c", 1.2, False),
     "tr_right": ("#2ca02c", 1.2, False),
     "defuzzified": ("#1f77b4", 1.8, True),
-    "controls": ("#000000", 1.0, True),
 }
+
+#: Fill colour of the control-point markers, drawn as the ``controls`` entry.
+CONTROLS_COLOUR = "#000000"
 
 
 @dataclass
@@ -489,9 +500,8 @@ def svg_document(scene: Scene) -> str:
         legend_entries.append((name, colour))
 
     if len(controls):
-        colour = SERIES_STYLE["controls"][0]
-        out.append(_markers("controls", colour, origin + (controls - lo) * scale, 4))
-        legend_entries.append(("controls", colour))
+        out.append(_markers("controls", CONTROLS_COLOUR, origin + (controls - lo) * scale, 4))
+        legend_entries.append(("controls", CONTROLS_COLOUR))
 
     lx = plot_x1 + 14
     for row, (name, colour) in enumerate(legend_entries):

@@ -205,7 +205,7 @@ def svg_figure(series, controls, title, layout):
         legend_entries.append((name, colour))
 
     if len(controls):
-        colour = SERIES_STYLE["controls"][0]
+        colour = layout.CONTROLS_COLOUR
         circles = "".join(
             f'<circle cx="{fmt(px)}" cy="{fmt(py)}" r="4"/>'
             for px, py in (to_px(p) for p in controls)

@@ -353,11 +353,11 @@ def test_failed_render_leaves_existing_output_untouched(demo_path, tmp_path, mon
     out = tmp_path / "curve.csv"
     out.write_bytes(b"previous,bytes\r\n")
 
-    def half_then_fail(f, ts, series):
+    def half_then_fail(f, header, columns, formats):
         f.write("t,crisp_x\n0.0,")
         raise T2SplineError("render failed")
 
-    monkeypatch.setattr(output, "write_curve_table", half_then_fail)
+    monkeypatch.setattr(output, "write_table", half_then_fail)
     assert run(["curve", str(demo_path), "--out", str(out)]) == 1
     assert out.read_bytes() == b"previous,bytes\r\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "model.json"]

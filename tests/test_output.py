@@ -24,7 +24,7 @@ from t2spline import (
     write_csv,
 )
 from t2spline import output
-from t2spline.curves import evaluate
+from t2spline.curves import SERIES, evaluate
 from t2spline.output import BLOCK_CELLS
 
 
@@ -282,7 +282,7 @@ _TWO_BLOCKS[-1, 0] = 5e-324
 @given(alpha=st.floats(0.0, 1.0, exclude_max=True), solution=_solutions())
 def test_pipeline_json_is_json_dumps_of_the_points(alpha, solution):
     buf = io.StringIO()
-    output.write_pipeline_json(buf, alpha, solution)
+    output.write_pipeline_json(alpha, solution, buf)
     assert_same_text(buf.getvalue(), oracles.pipeline_json(alpha, solution))
     # One block is printed without the template exactly when every cell is
     # in the domain of the kernel.
@@ -299,8 +299,37 @@ for _power in range(-13, 54):
 
 def test_pipeline_json_of_no_points_is_an_empty_list():
     buf = io.StringIO()
-    output.write_pipeline_json(buf, 0.8, np.empty((0, 2)))
+    output.write_pipeline_json(0.8, np.empty((0, 2)), buf)
     assert buf.getvalue() == oracles.pipeline_json(0.8, np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("n", [0, 2 * (BLOCK_CELLS // 3)], ids=["no-points", "two-blocks"])
+def test_pipeline_csv_is_the_index_and_each_point(tmp_path, n):
+    """The header ``index,x,y``, then one ``%d,%.16e,%.16e`` row a point,
+    across two blocks of :data:`BLOCK_CELLS` cells, to a stream or a path."""
+    points = np.random.default_rng(n).normal(scale=1e3, size=(n, 2))
+    expected = "index,x,y\n" + "".join(f"{i},{x:.16e},{y:.16e}\n" for i, (x, y) in enumerate(points.tolist()))
+    buf, path = io.StringIO(), tmp_path / "pipeline.csv"
+    output.write_pipeline_csv(points, buf)
+    output.write_pipeline_csv(points, path)
+    assert_same_text(buf.getvalue(), expected)
+    assert path.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize(
+    "write, match",
+    [
+        (lambda f: output.write_pipeline_csv(np.zeros((2, 3)), f), r"^points must be an \(m, 2\) array, got shape \(2, 3\)$"),
+        (lambda f: output.write_pipeline_json(0.8, [[0.0, np.nan]], f), "^points must be finite$"),
+        (lambda f: output.write_pipeline_json(1.5, np.zeros((1, 2)), f), r"^alpha must lie in \[0, 1\), got 1.5$"),
+    ],
+    ids=["csv-shape", "json-nan", "json-alpha"],
+)
+def test_pipeline_writers_refuse_what_no_solution_holds(write, match):
+    buf = io.StringIO()
+    with pytest.raises(T2SplineError, match=match):
+        write(buf)
+    assert buf.getvalue() == ""
 
 
 def test_output_is_written_in_place_when_no_file_can_be_made_beside_it(tmp_path, monkeypatch):
@@ -380,6 +409,19 @@ def test_controls_rendered_as_point_set(model):
     assert len(groups) == 1
     circles = [el for el in groups[0] if el.tag.endswith("circle")]
     assert len(circles) == 4
+    assert doc.count(">controls</text>") == 1
+
+
+def test_series_styles_are_exactly_the_curve_labels():
+    assert set(output.SERIES_STYLE) == {label for labels in SERIES.values() for label in labels}
+
+
+def test_svg_refuses_a_series_labelled_controls():
+    """``controls`` names the control markers, not a curve: a series of that
+    label would draw a second ``markers-controls`` group and legend entry."""
+    points = np.array([[0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(T2SplineError, match="^unknown series label 'controls'$"):
+        svg_document(Scene({"controls": points}, points))
 
 
 def test_legend_names_each_series(model):

@@ -109,3 +109,31 @@ def test_only_the_process_entry_ends_the_process():
             elif isinstance(node, ast.Attribute) and node.attr == "_exit":
                 found.append((path.name, owner.get(node, "<module>"), ast.unparse(node)))
     assert found == [("cli.py", "main", "os._exit")]
+
+
+def test_the_cli_lays_out_no_output():
+    """Every table and document layout stays in ``t2spline.output``: ``cli``
+    imports no numpy, and from ``output`` only ``Scene`` and the writers its
+    command handlers call, not ``write_table``, ``write_output`` or a format."""
+    tree = ast.parse((ROOT / "src" / "t2spline" / "cli.py").read_text(encoding="utf-8"))
+    found = []  # each import of numpy or of output, and each name imported from output
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            found += [
+                f"{module}:{alias.name}"
+                for alias in node.names
+                if module.split(".")[0] == "numpy" or module == ".output" or (module, alias.name) == (".", "output")
+            ]
+    writers = ["render_svg", "write_csv", "write_pipeline_csv", "write_pipeline_json"]
+    assert sorted(found) == [f".output:{name}" for name in ["Scene", *writers]]
+    called = {
+        node.func.id
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef) and func.name.startswith("_cmd_")
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert set(writers) <= called
