@@ -21,9 +21,6 @@ from .document import demo_document, load_document, save_document
 from .errors import ParseError, T2SplineError
 from .output import Scene, render_svg, write_csv, write_pipeline_csv, write_pipeline_json
 
-SERIES_CHOICES = (*curves.GROUPS, "all")
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every command; each binds its handler as ``handler``,
@@ -68,14 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_series(spec: str) -> set[str]:
-    names = {s.strip() for s in spec.split(",") if s.strip()}
-    bad = names - set(SERIES_CHOICES)
-    if bad:
-        raise T2SplineError(f"unknown series {sorted(bad)}; choose from {', '.join(SERIES_CHOICES)}")
-    if not names or "all" in names:
-        return set(curves.GROUPS)
-    return names
+def _parse_series(spec: str) -> list[str]:
+    """The names of a ``--series`` spec; an empty one names ``all``."""
+    return [s.strip() for s in spec.split(",") if s.strip()] or ["all"]
 
 
 def _load(args) -> tuple:

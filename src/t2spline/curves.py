@@ -11,7 +11,12 @@ sample by sample.  The controls are one ``(n, 2, 8)`` coordinate array (see
 :mod:`t2spline.fuzzy`), so each component polygon is a slice of it.
 
 The curve-group rule is stated here once: :data:`SERIES` names the curves
-each group gives, and :func:`evaluate` orders them into columns.
+each group gives, and :func:`evaluate` orders them into columns.  So is
+the request rule: :func:`evaluate` takes a non-empty collection of names
+from :data:`GROUPS` and ``"all"`` (every group, also beside other names),
+and refuses an unknown name, an empty request, a non-collection and a bare
+``str`` with :class:`T2SplineError`; the CLI's ``--series`` only splits
+its comma-separated spec into such names.
 :func:`evaluate`'s ``ts`` and ``{label: points}`` mapping are what the
 writers of :mod:`t2spline.output` take, the one path from curves to bytes.
 """
@@ -152,7 +157,7 @@ class ReducedCurves(_CurveGroup):
     right: Polyline
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeviationReport:
     """Sample-wise Euclidean distances between two matched polylines."""
 
@@ -168,17 +173,32 @@ def component_polygons(model: FuzzyCurveModel) -> dict[str, np.ndarray]:
 
 
 def evaluate(model: FuzzyCurveModel, groups, samples: int = DEFAULT_SAMPLES) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Evaluate the requested curve groups (names from :data:`GROUPS`) as one
-    stack of control polygons over one shared basis.
+    """Evaluate the requested curve groups as one stack of control polygons
+    over one shared basis.
+
+    ``groups`` is a non-empty collection (any iterable but a ``str`` or
+    ``bytes``) of names from :data:`GROUPS` and ``"all"``, which requests
+    every group, also beside other names.  A request holding an unknown
+    name is refused naming every unknown name, and so is an empty request,
+    a ``str``, ``bytes`` or non-iterable and one holding an unhashable
+    name: each with one :class:`T2SplineError` naming the choices.
 
     The controls are cut and type-reduced once, and only if a requested
     curve needs it.  Returns the sample parameters ``ts`` and a dict of
     ``(samples, 2)`` points keyed by label: the labels of the groups, in
     :data:`SERIES` column order, each label once, at its first place.
     """
-    groups = set(groups)
-    if not groups <= set(GROUPS):
-        raise T2SplineError(f"unknown curve groups {sorted(groups - set(GROUPS))}")
+    choices = ", ".join((*GROUPS, "all"))
+    try:
+        names = set() if isinstance(groups, (str, bytes)) else set(groups)
+    except TypeError:  # not iterable, or a name that is not hashable
+        names = set()
+    if not names:
+        raise T2SplineError(f"series must be a non-empty collection of names from {choices}, got {type(groups).__name__}")
+    unknown = names - {*GROUPS, "all"}
+    if unknown:
+        raise T2SplineError(f"unknown series {sorted(unknown, key=str)}; choose from {choices}")
+    groups = set(GROUPS) if "all" in names else names
     labels = list(dict.fromkeys(label for group in GROUPS if group in groups for label in SERIES[group]))
     polygons = component_polygons(model)
     if groups & {"reduced", "defuzzified"}:

@@ -212,9 +212,11 @@ def coords_from_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def point_items(points) -> tuple | np.ndarray:
-    """``points`` itself if it is an array, else the tuple of its items;
-    :class:`T2SplineError` if it is neither."""
+    """``points`` itself if it is an ``(n, 2, 8)`` array, else the tuple of
+    its items; :class:`T2SplineError` if it is neither."""
     if isinstance(points, np.ndarray):
+        if points.ndim != 3 or points.shape[1:] != (2, len(COORD_FIELDS)):
+            raise T2SplineError(f"coordinates must be an (n, 2, 8) array, got shape {points.shape}")
         return points
     try:
         items = iter(points)
@@ -234,8 +236,6 @@ def as_coords(points) -> np.ndarray:
             raise T2SplineError("fuzzy_controls must be NT2FuzzyPoint instances")
         rows = [(*p.x.components(), p.x.h, *p.y.components(), p.y.h) for p in points]
         points = np.array(rows, dtype=float).reshape(len(points), 2, len(COORD_FIELDS))
-    if points.ndim != 3 or points.shape[1:] != (2, len(COORD_FIELDS)):
-        raise T2SplineError(f"coordinates must be an (n, 2, 8) array, got shape {points.shape}")
     coords = coords_from_rows(points.reshape(-1, len(COORD_FIELDS))).reshape(points.shape)
     coords.flags.writeable = False
     return coords

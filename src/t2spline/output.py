@@ -329,7 +329,8 @@ def _series_items(series) -> list[tuple[str, np.ndarray]]:
 
 def write_output(target, render) -> None:
     """Call ``render(stream)`` on the open text stream ``target``, or on the
-    file at path ``target``.
+    file at the ``str``, ``bytes`` or ``os.PathLike`` path ``target``; any
+    other target is refused with :class:`T2SplineError`.
 
     A new file, or a regular file of this user with one link, is rendered
     into a file beside it that replaces it only once ``render`` has
@@ -340,6 +341,8 @@ def write_output(target, render) -> None:
     if hasattr(target, "write"):
         render(target)
         return
+    if not isinstance(target, (str, bytes, os.PathLike)):
+        raise T2SplineError(f"output target must be a text stream or a path, got {type(target).__name__}")
     staged = _stage_beside(target)
     if staged is None:
         with open(target, "w", encoding="utf-8", newline="") as f:
@@ -366,7 +369,7 @@ def _stage_beside(path) -> tuple[int, str] | None:
         stat.S_ISREG(old.st_mode) and old.st_nlink == 1 and (old.st_uid, old.st_gid) == (os.geteuid(), os.getegid())
     ):
         return None
-    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    tmp = f"{os.fsdecode(path)}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
         # Mode 0o666 under the umask, as open(path, "w") would create it.
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -429,7 +432,7 @@ SERIES_STYLE = {
 CONTROLS_COLOUR = "#000000"
 
 
-@dataclass
+@dataclass(eq=False)
 class Scene:
     """What to draw: each ``label: (m, 2) points`` item of the mapping
     ``series``, styled by its label, as :func:`~t2spline.curves.evaluate`
@@ -453,14 +456,21 @@ def svg_document(scene: Scene) -> str:
     plot_x0, plot_x1 = MARGIN_LEFT, CANVAS_W - MARGIN_RIGHT
     plot_y0, plot_y1 = MARGIN_TOP, CANVAS_H - MARGIN_BOTTOM
     xy = np.concatenate([points for _, points in series] + [controls])
-    lo, hi = (xy.min(axis=0), xy.max(axis=0)) if len(xy) else (np.zeros(2), np.ones(2))
+    least, most = (xy.min(axis=0), xy.max(axis=0)) if len(xy) else (np.zeros(2), np.ones(2))
+    # pixel = origin + (point * 2**k - lo) * scale; the y scale is negated, exactly
+    origin, size = np.array([plot_x0, plot_y1], dtype=float), np.array([plot_x1 - plot_x0, -(plot_y1 - plot_y0)])
+    lo, hi, scale = _frame(least, most, size)
+    # An axis whose span is too small or too large for a finite, nonzero
+    # scale is framed in units of 2**-k, exactly, with its largest |value|
+    # in [0.5, 1); every other axis keeps k = 0, and its bytes.
+    k = np.where(np.isfinite(scale) & (scale != 0), 0, -np.frexp(np.maximum(abs(least), abs(most)))[1])
+    if k.any():
+        lo, hi, scale = _frame(np.ldexp(least, k), np.ldexp(most, k), size)
     with np.errstate(over="ignore"):  # the bounds may overflow to inf, silently as floats do
-        span = np.where(hi - lo == 0, 1.0, hi - lo)
-        lo, hi = lo - span * PAD_FRACTION, hi + span * PAD_FRACTION
-        # pixel = origin + (point - lo) * scale; the y scale is negated, exactly
-        scale = np.array([plot_x1 - plot_x0, -(plot_y1 - plot_y0)]) / (hi - lo)
-    origin = np.array([plot_x0, plot_y1], dtype=float)
-    (xmin, ymin), (xmax, ymax) = lo.tolist(), hi.tolist()
+        (xmin, ymin), (xmax, ymax) = np.ldexp(lo, -k).tolist(), np.ldexp(hi, -k).tolist()
+
+    def to_px(points):
+        return origin + (np.ldexp(points, k) - lo) * scale
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -490,7 +500,7 @@ def svg_document(scene: Scene) -> str:
     legend_entries = []
     for name, points in series:
         colour, width, markers = SERIES_STYLE[name]
-        px = origin + (points - lo) * scale
+        px = to_px(points)
         out.append(
             f'<polyline class="series-{name}" fill="none" stroke="{colour}" '
             f'stroke-width="{width}" points="{"".join(_fill("%.3f,%.3f ", px))[:-1]}"/>'
@@ -500,7 +510,7 @@ def svg_document(scene: Scene) -> str:
         legend_entries.append((name, colour))
 
     if len(controls):
-        out.append(_markers("controls", CONTROLS_COLOUR, origin + (controls - lo) * scale, 4))
+        out.append(_markers("controls", CONTROLS_COLOUR, to_px(controls), 4))
         legend_entries.append(("controls", CONTROLS_COLOUR))
 
     lx = plot_x1 + 14
@@ -515,6 +525,17 @@ def svg_document(scene: Scene) -> str:
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def _frame(least, most, size):
+    """The padded bounds ``lo``, ``hi`` of points from ``least`` to ``most``
+    and the ``scale`` mapping them onto ``size`` pixels, per axis: a span of
+    0 is padded as a span of 1.  The bounds may overflow to inf and the
+    scale to inf or 0, silently as floats do."""
+    with np.errstate(over="ignore", divide="ignore"):
+        span = np.where(most - least == 0, 1.0, most - least)
+        lo, hi = least - span * PAD_FRACTION, most + span * PAD_FRACTION
+        return lo, hi, size / (hi - lo)
 
 
 def _markers(name: str, colour: str, px: np.ndarray, radius) -> str:

@@ -15,6 +15,7 @@ that holds its layout constants.
 import csv
 import io
 import json
+import math
 
 
 def cox_de_boor(knots, i, order, t):
@@ -134,31 +135,49 @@ def svg_figure(series, controls, title, layout):
     list of point pairs, empty for none), laid out by the canvas, margin,
     padding and style constants of the module ``layout``: the bounds are
     padded one axis at a time in Python floats, and each point is mapped and
-    printed with ``f"{v:.3f}"`` on its own."""
+    printed with ``f"{v:.3f}"`` on its own.  An axis whose span is too small
+    or too large for a finite, nonzero scale is framed in units of 2**-k,
+    with its largest magnitude in [0.5, 1)."""
     CANVAS_W, CANVAS_H, PAD_FRACTION = layout.CANVAS_W, layout.CANVAS_H, layout.PAD_FRACTION
     MARGIN_LEFT, MARGIN_RIGHT = layout.MARGIN_LEFT, layout.MARGIN_RIGHT
     MARGIN_TOP, MARGIN_BOTTOM = layout.MARGIN_TOP, layout.MARGIN_BOTTOM
     SERIES_STYLE = layout.SERIES_STYLE
     xy = [tuple(p) for _, points in series for p in points] + [tuple(p) for p in controls]
-    if xy:
-        xmin, xmax = min(float(p[0]) for p in xy), max(float(p[0]) for p in xy)
-        ymin, ymax = min(float(p[1]) for p in xy), max(float(p[1]) for p in xy)
-    else:
-        xmin, xmax, ymin, ymax = 0.0, 1.0, 0.0, 1.0
-    xspan = (xmax - xmin) or 1.0
-    yspan = (ymax - ymin) or 1.0
-    xmin -= xspan * PAD_FRACTION
-    xmax += xspan * PAD_FRACTION
-    ymin -= yspan * PAD_FRACTION
-    ymax += yspan * PAD_FRACTION
-
     plot_x0, plot_x1 = MARGIN_LEFT, CANVAS_W - MARGIN_RIGHT
     plot_y0, plot_y1 = MARGIN_TOP, CANVAS_H - MARGIN_BOTTOM
-    sx = (plot_x1 - plot_x0) / (xmax - xmin)
-    sy = (plot_y1 - plot_y0) / (ymax - ymin)
+
+    def axis(values, size):
+        """The padded bounds of one axis in data units, its scale and the
+        exponent k of the units 2**-k it is framed in: 0 unless the span is
+        too small or too large for a finite, nonzero scale."""
+        least, most = (min(values), max(values)) if values else (0.0, 1.0)
+
+        def frame(least, most):
+            span = (most - least) or 1.0
+            lo, hi = least - span * PAD_FRACTION, most + span * PAD_FRACTION
+            return lo, hi, size / (hi - lo) if hi != lo else math.inf
+
+        lo, hi, scale = frame(least, most)
+        k = 0
+        if not (math.isfinite(scale) and scale != 0):
+            k = -math.frexp(max(abs(least), abs(most)))[1]
+            lo, hi, scale = frame(math.ldexp(least, k), math.ldexp(most, k))
+        return lo, hi, scale, k
+
+    def in_data_units(v, k):
+        try:
+            return math.ldexp(v, -k)
+        except OverflowError:
+            return math.copysign(math.inf, v)
+
+    xlo, xhi, sx, kx = axis([float(p[0]) for p in xy], plot_x1 - plot_x0)
+    ylo, yhi, sy, ky = axis([float(p[1]) for p in xy], plot_y1 - plot_y0)
+    xmin, xmax = in_data_units(xlo, kx), in_data_units(xhi, kx)
+    ymin, ymax = in_data_units(ylo, ky), in_data_units(yhi, ky)
 
     def to_px(p):
-        return (plot_x0 + (float(p[0]) - xmin) * sx, plot_y1 - (float(p[1]) - ymin) * sy)
+        x, y = math.ldexp(float(p[0]), kx), math.ldexp(float(p[1]), ky)
+        return (plot_x0 + (x - xlo) * sx, plot_y1 - (y - ylo) * sy)
 
     def fmt(v):
         return f"{v:.3f}"

@@ -96,6 +96,40 @@ def test_curve_rejects_unknown_series(demo_path, capsys):
     assert "unknown series" in capsys.readouterr().err
 
 
+_UNKNOWN_BOGUS = "error: unknown series ['bogus']; choose from band, reduced, crisp, defuzzified, all\n"
+
+
+@pytest.mark.parametrize(
+    "spec, code, err",
+    [("bogus", 1, _UNKNOWN_BOGUS), ("all,bogus", 1, _UNKNOWN_BOGUS), ("", 0, ""), (",", 0, ""), (" crisp , all ", 0, "")],
+    ids=["unknown", "all-and-unknown", "empty", "comma", "all-beside-a-group"],
+)
+@pytest.mark.parametrize("command", ["curve", "plot"])
+def test_series_spec_exit_code_and_error_line(demo_path, capsys, command, spec, code, err):
+    """An unknown name is refused with one line naming it; an empty spec,
+    and one naming ``all``, give what ``--series all`` gives."""
+    assert run([command, str(demo_path), "--series", "all"]) == 0
+    every = capsys.readouterr().out
+    assert run([command, str(demo_path), "--series", spec]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (every if code == 0 else "", err)
+
+
+def test_plot_of_a_subnormal_span_draws_finite_pixels(tmp_path):
+    """Points whose every component is 0, 5e-324 and 0: the span is too
+    small to divide the canvas by, and the figure is still drawn."""
+    coords = np.ones((3, 2, 8)) * np.array([0.0, 5e-324, 0.0])[:, None, None]
+    coords[:, :, -1] = 1.0
+    doc = tmp_path / "tiny.json"
+    doc.write_text(document_to_json(ModelDocument(coords, [1, 1, 1], 2, 0.8, 101)))
+    proc = _process(["plot", "DOC", "--series", "crisp"], doc, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "nan" not in proc.stdout and "inf" not in proc.stdout
+    polyline = re.search(r'<polyline class="series-crisp"[^>]* points="([^"]*)"', proc.stdout).group(1)
+    px = np.array([pair.split(",") for pair in polyline.split()], dtype=float)
+    assert len(px) == 101 and np.ptp(px[:, 0]) > 400 and np.ptp(px[:, 1]) > 400
+
+
 def test_plot_writes_svg(demo_path, tmp_path):
     out = tmp_path / "fig.svg"
     assert run(["plot", str(demo_path), "--series", "crisp,defuzzified", "--out", str(out)]) == 0

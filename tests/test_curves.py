@@ -36,7 +36,7 @@ from t2spline import (
     sample_curve,
 )
 from t2spline.bspline import check_order, check_samples, max_samples
-from t2spline.curves import evaluate
+from t2spline.curves import GROUPS, SERIES, evaluate
 from t2spline.fuzzy import as_coords
 from t2spline.pipeline import solve
 
@@ -228,6 +228,14 @@ def test_deviation_constant_offset():
     assert rep.mean_distance == 0.25
 
 
+def test_deviation_reports_compare_by_identity():
+    line = sample_curve(degenerate_model().crisp_model(), 5)
+    rep, again = deviation(line, line), deviation(line, line)
+    assert rep == rep and rep != again
+    assert rep in [again, rep] and again not in [rep]
+    assert len({rep, again, rep}) == 2
+
+
 def test_deviation_max_at_least_mean():
     model = asymmetric_model()
     rep = deviation(defuzzified_curve(model, 51), sample_curve(model.crisp_model(), 51))
@@ -286,9 +294,42 @@ def test_each_group_pairs_its_curves_with_its_series_labels():
     assert (left, crisp, right, len(red)) == (red.left, red.crisp, red.right, 3)
 
 
+_CHOICES = "band, reduced, crisp, defuzzified, all"
+
+
 def test_evaluate_rejects_unknown_groups():
-    with pytest.raises(T2SplineError, match=r"^unknown curve groups \['bogus', 'tr_left'\]$"):
+    with pytest.raises(T2SplineError, match=rf"^unknown series \['bogus', 'tr_left'\]; choose from {_CHOICES}$"):
         evaluate(asymmetric_model(), ["band", "tr_left", "bogus"], 5)
+
+
+@pytest.mark.parametrize(
+    "request_, unknown",
+    [(["bogus", "tr_left"], "'bogus', 'tr_left'"), (["all", "bogus"], "'bogus'"), ({"crisp", 7}, "7")],
+    ids=["two-unknown", "all-and-unknown", "not-a-str"],
+)
+def test_evaluate_names_every_unknown_series(request_, unknown):
+    with pytest.raises(T2SplineError, match=rf"^unknown series \[{unknown}\]; choose from {_CHOICES}$"):
+        evaluate(asymmetric_model(), request_, 5)
+
+
+@pytest.mark.parametrize(
+    "request_", [[], set(), 0, None, "crisp", b"crisp", [["crisp"]]],
+    ids=["empty-list", "empty-set", "int", "none", "str", "bytes", "unhashable-name"],
+)
+def test_evaluate_refuses_a_request_that_is_not_a_collection_of_names(request_):
+    kind = type(request_).__name__
+    with pytest.raises(T2SplineError, match=f"^series must be a non-empty collection of names from {_CHOICES}, got {kind}$"):
+        evaluate(asymmetric_model(), request_, 5)
+
+
+@pytest.mark.parametrize("request_", [["all"], ["all", "band"], ("defuzzified", "all", "crisp")])
+def test_all_requests_every_group_also_beside_other_names(request_):
+    model = asymmetric_model()
+    ts, series = evaluate(model, request_, 5)
+    every_ts, every = evaluate(model, GROUPS, 5)
+    assert list(series) == list(every) == list(dict.fromkeys(label for group in GROUPS for label in SERIES[group]))
+    assert np.array_equal(ts, every_ts)
+    assert all(np.array_equal(series[label], every[label]) for label in every)
 
 
 # --- model validation ---------------------------------------------------------------------
@@ -316,6 +357,19 @@ def test_fuzzy_model_order_must_match_the_knots(order):
     points = [NT2FuzzyPoint.crisp(x, y) for x, y in CRISP_XY]
     with pytest.raises(T2SplineError):
         FuzzyCurveModel(points, np.ones(4), order, clamped_uniform_knots(4, 3), 0.8)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ModelDocument(np.array(0.5), [1], 2, 0.5, 5),
+        lambda: FuzzyCurveModel.with_uniform_knots(np.array(0.5)),
+    ],
+    ids=["document", "with-uniform-knots"],
+)
+def test_a_zero_dimensional_coordinate_array_is_refused_by_its_shape(build):
+    with pytest.raises(T2SplineError, match=r"^coordinates must be an \(n, 2, 8\) array, got shape \(\)$"):
+        build()
 
 
 _CRISP_COORDS = FuzzyCurveModel.with_uniform_knots([NT2FuzzyPoint.crisp(x, y) for x, y in CRISP_XY]).coords

@@ -1,5 +1,7 @@
 import csv
 import io
+import os
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -20,6 +22,7 @@ from t2spline import (
     reduced_curves,
     render_svg,
     sample_curve,
+    save_document,
     svg_document,
     write_csv,
 )
@@ -361,7 +364,83 @@ def test_staged_file_is_removed_when_its_mode_cannot_be_set(tmp_path, monkeypatc
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
+_TARGET_WRITERS = {
+    "write_output": lambda target: output.write_output(target, lambda f: f.write("text")),
+    "save_document": lambda target: save_document(demo_document(), target),
+    "write_csv": lambda target: write_csv([0.0, 1.0], {"crisp": np.zeros((2, 2))}, target),
+    "render_svg": lambda target: render_svg(Scene({}), target),
+    "write_pipeline_json": lambda target: output.write_pipeline_json(0.8, np.zeros((1, 2)), target),
+    "write_pipeline_csv": lambda target: output.write_pipeline_csv(np.zeros((1, 2)), target),
+}
+
+
+@pytest.mark.parametrize("target", [None, 3, np.zeros(3)], ids=["none", "int", "ndarray"])
+@pytest.mark.parametrize("writer", _TARGET_WRITERS.values(), ids=list(_TARGET_WRITERS))
+def test_writers_refuse_a_target_that_is_no_stream_or_path(tmp_path, monkeypatch, writer, target):
+    monkeypatch.chdir(tmp_path)
+    kind = type(target).__name__
+    with pytest.raises(T2SplineError, match=f"^output target must be a text stream or a path, got {kind}$"):
+        writer(target)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_bytes_path_is_replaced_only_once_rendered(tmp_path):
+    """A ``bytes`` path in another directory is staged beside the file, as
+    a ``str`` path is, so a failed render leaves the file untouched."""
+    path = tmp_path / "sub" / "out.csv"
+    path.parent.mkdir()
+    path.write_text("old")
+
+    def failing(f):
+        f.write("new")
+        raise RuntimeError("render failed")
+
+    with pytest.raises(RuntimeError, match="render failed"):
+        output.write_output(os.fsencode(path), failing)
+    assert path.read_text() == "old"
+    assert [p.name for p in path.parent.iterdir()] == ["out.csv"]
+    output.write_output(os.fsencode(path), lambda f: f.write("new"))
+    assert path.read_text() == "new"
+
+
 # --- SVG --------------------------------------------------------------------
+
+def test_scenes_compare_by_identity():
+    scene, again = Scene({"crisp": np.zeros((2, 2))}), Scene({"crisp": np.zeros((2, 2))})
+    assert scene == scene and scene != again
+    assert scene in [again, scene] and again not in [scene]
+    assert len({scene, again, scene}) == 2
+
+
+_PLOT_X, _PLOT_Y = (output.MARGIN_LEFT, output.CANVAS_W - output.MARGIN_RIGHT), (output.MARGIN_TOP, output.CANVAS_H - output.MARGIN_BOTTOM)
+_MAX = np.finfo(float).max
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[0.0, 0.0], [5e-324, 5e-324], [0.0, 0.0]],
+        [[3.0, 1e-310], [3.0, -1e-310]],
+        [[-1e308, 0.0], [1e308, 1.0]],
+        [[-_MAX, _MAX], [_MAX, -_MAX]],
+        [[1e17, -1e300], [1e17, -1e300]],
+    ],
+    ids=["subnormal-span", "tiny-y-span", "overflowing-x-span", "largest-spans", "huge-constants"],
+)
+def test_svg_of_a_span_no_scale_divides_draws_finite_pixels_in_the_plot(points):
+    """A span too small or too large to divide the canvas by in doubles, or
+    a constant too large to pad by 0.05, is drawn in finite pixels inside
+    the plot area, as the per-point reference draws it."""
+    points = np.array(points)
+    series = [("crisp", points), ("tr_left", points[::-1])]
+    doc = svg_document(Scene(dict(series), points, "t"))
+    assert doc == oracles.svg_figure(series, points.tolist(), "t", output)
+    pairs = re.findall(r'points="([^"]*)"', doc)
+    circles = re.findall(r'cx="([^"]*)" cy="([^"]*)"', doc)
+    px = np.array([pair.split(",") for text in pairs for pair in text.split()] + circles, dtype=float)
+    assert len(px) == 4 * len(points)  # two polylines, crisp markers and controls
+    assert np.all((px[:, 0] >= _PLOT_X[0]) & (px[:, 0] <= _PLOT_X[1]))
+    assert np.all((px[:, 1] >= _PLOT_Y[0]) & (px[:, 1] <= _PLOT_Y[1]))
 
 def test_empty_scene_is_valid_svg_with_axes():
     doc = svg_document(Scene({}))

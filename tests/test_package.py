@@ -137,3 +137,14 @@ def test_the_cli_lays_out_no_output():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
     assert set(writers) <= called
+
+
+def test_the_cli_checks_no_series_name():
+    """Which names a curve request may hold is stated by ``curves.evaluate``
+    alone: ``cli`` reads the group list only for its help text, and
+    ``_parse_series`` only splits ``--series``, with no test of its own."""
+    tree = ast.parse((ROOT / "src" / "t2spline" / "cli.py").read_text(encoding="utf-8"))
+    groups_read = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in ("GROUPS", "SERIES")]
+    assert len(groups_read) == 1  # the --series help text
+    parse_series = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_parse_series")
+    assert not any(isinstance(node, (ast.Raise, ast.If)) for node in ast.walk(parse_series))
