@@ -3,7 +3,8 @@
 The basis is de Boor's triangular table (Piegl & Tiller, *The NURBS Book*,
 algorithm A2.2 ``BasisFuns``): each parameter's knot span is found by binary
 search and only the ``order`` basis functions that are non-zero on that span
-are computed, for all parameters at once.
+are computed, for all parameters at once.  Curves sum these terms (A4.1) in
+a fixed order, elementwise, so their bits do not depend on the BLAS build.
 
 The input rules of the package are stated here once: a number
 (:func:`as_float`, :func:`float_array`), an integer (:func:`is_integer`),
@@ -26,17 +27,14 @@ from .errors import (
     TooFewSamples,
 )
 
-#: Largest samples × control points product :func:`sample_curves` accepts:
-#: the cell count of its dense ``(samples, n)`` basis matrix, 256 MiB of
-#: float64.  Each curve's points are at most as many numbers, so a larger
-#: request is refused before anything is allocated.
-MAX_BASIS_CELLS = 2**25
+#: Most samples :func:`sample_curves` takes: 256 MiB of float64 points per
+#: curve.  A larger request is refused before anything is allocated.
+MAX_SAMPLES = 2**24
 
-#: Largest samples × order² product :func:`sample_curves` accepts: the
-#: triangular basis table costs order² steps per sample.  Ten times the cell
-#: bound, so it binds only above order 10; at order 400 it admits 2097
-#: samples, about 1 s of basis work on a 2-vCPU Xeon.
-MAX_BASIS_WORK = 10 * MAX_BASIS_CELLS
+#: Largest samples × order² product :func:`sample_curves` accepts: the basis
+#: table costs order² steps per sample.  It binds from order 5; at order 400
+#: it admits 2097 samples, about 1 s of basis work on a 2-vCPU Xeon.
+MAX_BASIS_WORK = 335_544_320
 
 #: Order of a curve built without one: quadratic.
 DEFAULT_ORDER = 3
@@ -151,10 +149,10 @@ def check_order(order, n: int) -> int:
 
 def max_samples(n: int, order) -> int:
     """The most samples a curve over ``n`` control points of ``order`` may
-    take: within both :data:`MAX_BASIS_CELLS` and :data:`MAX_BASIS_WORK`.
+    take: within both :data:`MAX_SAMPLES` and :data:`MAX_BASIS_WORK`.
     The order is checked first (:func:`check_order`)."""
     k = check_order(order, n)
-    return min(MAX_BASIS_CELLS // n, MAX_BASIS_WORK // (k * k))
+    return min(MAX_SAMPLES, MAX_BASIS_WORK // (k * k))
 
 
 def check_samples(samples, n: int, order) -> int:
@@ -165,7 +163,7 @@ def check_samples(samples, n: int, order) -> int:
     if is_integer(samples) and 2 <= samples <= most:
         return int(samples)
     error = TooFewSamples if is_integer(samples) and samples < 2 else T2SplineError
-    raise error(f"samples must be an integer from 2 to {most} for {n} control points, got {shown(samples)}")
+    raise error(f"samples must be an integer from 2 to {most} for order {int(order)}, got {shown(samples)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,9 +213,10 @@ def clamped_uniform_knots(n: int, k: int) -> KnotVector:
     return KnotVector(np.concatenate([np.zeros(k), interior, np.ones(k)]), order=k)
 
 
-def basis_rows(knots: np.ndarray, order: int, ts) -> np.ndarray:
-    """Dense ``(len(ts), n)`` matrix of the n basis functions of the given
-    order over ``knots``, one row per parameter in ``ts``.
+def basis_rows(knots: np.ndarray, order: int, ts) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(len(ts),)`` index of the first basis function of the given order
+    over ``knots`` that may be non-zero at each parameter in ``ts``, and the
+    ``(len(ts), order)`` values from it on; every other basis value is zero.
 
     Each row depends on its own parameter only, so a parameter evaluated
     alone or inside a batch gives identical bits.  The last non-empty span
@@ -247,9 +246,7 @@ def basis_rows(knots: np.ndarray, order: int, ts) -> np.ndarray:
         rising = left[:, j - 1 :: -1] / den * values[:, :j]
         values[:, :j] *= right[:, :j] / den
         values[:, 1 : j + 1] += rising
-    rows = np.zeros((ts.size, n))
-    np.put_along_axis(rows, span - (order - 1) + np.arange(order), values, axis=1)
-    return rows
+    return span[:, 0] - (order - 1), values
 
 
 class _IndexOutOfRange(T2SplineError, IndexError):
@@ -268,12 +265,14 @@ def basis(kv: KnotVector, i: int, order: int, t: float) -> float:
     n = kv.knots.size - order
     if not 0 <= i < n:
         raise _IndexOutOfRange(f"basis index {shown(i)} out of range for {n} basis functions")
-    return float(basis_rows(kv.knots, order, _parameter(t))[0, i])
+    first, values = basis_rows(kv.knots, order, _parameter(t))
+    return float(values[0, i - first[0]]) if 0 <= i - first[0] < order else 0.0
 
 
 def basis_row(kv: KnotVector, t: float) -> np.ndarray:
     """All n basis values of the knot vector's own order at parameter t."""
-    return basis_rows(kv.knots, kv.order, _parameter(t))[0]
+    first, values = basis_rows(kv.knots, kv.order, _parameter(t))
+    return np.pad(values[0], (first[0], kv.n_controls - kv.order - first[0]))
 
 
 def _parameter(t) -> float:
@@ -348,13 +347,8 @@ class Polyline:
 
 
 def rational_point(m: RationalCurveModel, t: float) -> np.ndarray:
-    """Evaluate sum(w_i N_i(t) P_i) / sum(w_r N_r(t)) at parameter t.
-
-    The denominator is positive everywhere on the domain (positive weights
-    and partition of unity), so no pole handling is needed.
-    """
-    coeff = m.weights * basis_row(m.knots, t)
-    return (coeff @ m.controls) / coeff.sum()
+    """Evaluate sum(w_i N_i(t) P_i) / sum(w_r N_r(t)) at parameter t."""
+    return _points(m.knots, m.weights, m.controls[None], [_parameter(t)])[0, 0]
 
 
 def sample_curve(m: RationalCurveModel, samples: int) -> Polyline:
@@ -366,22 +360,26 @@ def sample_curve(m: RationalCurveModel, samples: int) -> Polyline:
 def sample_curves(knots: KnotVector, weights: np.ndarray, polygons, samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate one rational curve per (n, 2) control polygon of the stack at
     `samples` uniform parameters ``ts``; return ``ts`` and the ``(polygons,
-    samples, 2)`` points.  The weighted basis rows are computed once."""
+    samples, 2)`` points.  The basis terms are computed once, for every polygon."""
     samples = check_samples(samples, knots.n_controls, knots.order)
-    lo, hi = knots.domain
-    ts = np.linspace(lo, hi, samples)
-    coeff = basis_rows(knots.knots, knots.order, ts)
-    coeff *= weights
-    # One (1, n) @ (n, 2) product per sample and polygon, exactly as
-    # rational_point computes it; a single (m, n) @ (n, 2) product would
-    # round differently, and so can a matmul over a strided polygon, so the
-    # stack is made contiguous.
-    stack = np.ascontiguousarray(polygons, dtype=float)
+    ts = np.linspace(*knots.domain, samples)
+    return ts, _points(knots, weights, polygons, ts)
+
+
+def _points(knots: KnotVector, weights: np.ndarray, polygons, ts) -> np.ndarray:
+    """The ``(polygons, len(ts), 2)`` points of one rational curve per control
+    polygon of the stack: numerator and denominator sum their ``order``
+    non-zero terms in index order.  The denominator is positive on the domain
+    (positive weights and partition of unity), so no pole handling is needed."""
+    first, values = basis_rows(knots.knots, knots.order, ts)
+    stack = np.asarray(polygons, dtype=float)
+    num = den = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        points = np.matmul(coeff[None, :, None, :], stack[:, None])[:, :, 0]
-        points /= coeff.sum(axis=1)[:, None]
+        for j in range(knots.order):
+            coeff = np.take(weights, first + j) * values[:, j]
+            num = num + coeff[:, None] * np.take(stack, first + j, axis=1)
+            den = den + coeff
+        points = num / den[:, None]
     if not np.isfinite(points).all():
-        raise T2SplineError(
-            "curve points are not finite: the weighted control coordinates must stay within the float range"
-        )
-    return ts, points
+        raise T2SplineError("curve points are not finite: the weighted control coordinates must stay within the float range")
+    return points

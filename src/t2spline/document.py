@@ -5,7 +5,7 @@ Document layout::
     {
       "order": 3,            // optional, default 3
       "alpha": 0.8,          // optional, default 0.8
-      "samples": 101,        // optional, default 101, at most bspline.max_samples(points, order)
+      "samples": 101,        // optional, default 101, at most 2**24, fewer from order 5 (bspline.max_samples)
       "weights": [1, 1, 3, 1],   // optional, default all ones
       "points": [
         {"x": <coordinate>, "y": <coordinate>},

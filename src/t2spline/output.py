@@ -330,7 +330,7 @@ def _series_items(series) -> list[tuple[str, np.ndarray]]:
 def write_output(target, render) -> None:
     """Call ``render(stream)`` on the open text stream ``target``, or on the
     file at the ``str``, ``bytes`` or ``os.PathLike`` path ``target``; any
-    other target is refused with :class:`T2SplineError`.
+    other target, and a path holding NUL, is refused with :class:`T2SplineError`.
 
     A new file, or a regular file of this user with one link, is rendered
     into a file beside it that replaces it only once ``render`` has
@@ -343,6 +343,8 @@ def write_output(target, render) -> None:
         return
     if not isinstance(target, (str, bytes, os.PathLike)):
         raise T2SplineError(f"output target must be a text stream or a path, got {type(target).__name__}")
+    if "\0" in os.fsdecode(target):
+        raise T2SplineError(f"output path must not hold a NUL character, got {target!r}")
     staged = _stage_beside(target)
     if staged is None:
         with open(target, "w", encoding="utf-8", newline="") as f:
@@ -466,8 +468,8 @@ def svg_document(scene: Scene) -> str:
     k = np.where(np.isfinite(scale) & (scale != 0), 0, -np.frexp(np.maximum(abs(least), abs(most)))[1])
     if k.any():
         lo, hi, scale = _frame(np.ldexp(least, k), np.ldexp(most, k), size)
-    with np.errstate(over="ignore"):  # the bounds may overflow to inf, silently as floats do
-        (xmin, ymin), (xmax, ymax) = np.ldexp(lo, -k).tolist(), np.ldexp(hi, -k).tolist()
+    with np.errstate(over="ignore"):  # a bound past the float range is labelled by the largest float
+        (xmin, ymin), (xmax, ymax) = np.nan_to_num(np.ldexp([lo, hi], -k)).tolist()
 
     def to_px(points):
         return origin + (np.ldexp(points, k) - lo) * scale

@@ -19,7 +19,7 @@ and :func:`defuzzify_array`, chained by :func:`solve`; vanished LMF entries
 are the complement of an ``alpha <= h`` mask.  The scalar functions
 (:func:`alpha_cut_scalar`, :func:`alpha_cut_point`, :func:`type_reduce`,
 :func:`defuzzify`, :func:`pipeline_point`) are one-coordinate views of it,
-as :func:`~t2spline.bspline.basis_row` is of :func:`~t2spline.bspline.basis_rows`.
+as :func:`~t2spline.bspline.rational_point` is of :func:`~t2spline.bspline.sample_curves`.
 There vanished LMF entries are ``None``, never numeric zero, since a literal
 0.0 would poison averages for data away from the origin.  The tests compare
 both with an independent scalar chain, bit for bit.

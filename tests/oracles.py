@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 
 def cox_de_boor(knots, i, order, t):
@@ -167,8 +168,8 @@ def svg_figure(series, controls, title, layout):
     def in_data_units(v, k):
         try:
             return math.ldexp(v, -k)
-        except OverflowError:
-            return math.copysign(math.inf, v)
+        except OverflowError:  # labelled by the largest float
+            return math.copysign(sys.float_info.max, v)
 
     xlo, xhi, sx, kx = axis([float(p[0]) for p in xy], plot_x1 - plot_x0)
     ylo, yhi, sy, ky = axis([float(p[1]) for p in xy], plot_y1 - plot_y0)

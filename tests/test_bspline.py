@@ -27,7 +27,7 @@ from t2spline import (
     sample_curve,
     svg_document,
 )
-from t2spline.bspline import MAX_BASIS_CELLS, MAX_BASIS_WORK, basis_rows, float_array, max_samples, sample_curves, shown
+from t2spline.bspline import MAX_BASIS_WORK, MAX_SAMPLES, basis_rows, float_array, max_samples, sample_curves, shown
 from t2spline.curves import GROUPS, component_polygons, evaluate
 
 try:
@@ -41,6 +41,15 @@ DEMO_WEIGHTS = np.array([1.0, 1.0, 3.0, 1.0])
 
 def demo_rational():
     return RationalCurveModel.with_uniform_knots(DEMO_CONTROLS, DEMO_WEIGHTS, order=3)
+
+
+def dense_rows(knots, order, ts):
+    """The :func:`basis_rows` terms scattered into a dense ``(len(ts), n)`` matrix."""
+    first, values = basis_rows(knots, order, ts)
+    rows = np.zeros((values.shape[0], len(knots) - order))
+    for row, i, terms in zip(rows, first, values):
+        row[i : i + order] = terms
+    return rows
 
 
 @pytest.mark.parametrize(
@@ -462,7 +471,7 @@ def test_one_parameter_evaluators_refuse_a_t_that_is_not_one_number(evaluate, t,
 @pytest.mark.parametrize("t", [0.25, np.float64(0.25), np.float32(0.25), np.array(0.25), Fraction(1, 4), Decimal("0.25"), 0])
 def test_one_parameter_evaluators_take_any_single_number(t):
     kv = clamped_uniform_knots(4, 3)
-    assert np.array_equal(basis_row(kv, t), basis_rows(kv.knots, 3, np.array([float(t)]))[0])
+    assert np.array_equal(basis_row(kv, t), dense_rows(kv.knots, 3, np.array([float(t)]))[0])
 
 
 def test_basis_of_knot_vector_with_empty_domain_rejected():
@@ -497,37 +506,48 @@ def test_sample_curves_shares_basis_and_matches_rational_point(n, order):
 
 
 def test_sample_count_above_bound_rejected_before_allocation():
-    most = MAX_BASIS_CELLS // len(DEMO_CONTROLS)
-    for samples in (most + 1, 10**12):
-        message = f"^samples must be an integer from 2 to {most} for 4 control points, got {samples}$"
+    most = MAX_SAMPLES
+    for samples in (most + 1, 10**9, 10**12):
+        message = f"^samples must be an integer from 2 to {most} for order 3, got {samples}$"
         with pytest.raises(T2SplineError, match=message):
             sample_curve(demo_rational(), samples)
 
 
 @pytest.mark.parametrize("n", [4, 400, 5000])
 def test_sample_bound_is_on_basis_cells(n):
+    """The bound counts the cells of the triangular basis table, order² per
+    sample, and the points of each curve; not the control points."""
     kv = clamped_uniform_knots(n, 3)
     polygon = np.zeros((1, n, 2))
-    most = MAX_BASIS_CELLS // n
-    with pytest.raises(T2SplineError, match=f"^samples must be an integer from 2 to {most} for {n} control points, got {most + 1}$"):
-        sample_curves(kv, np.ones(n), polygon, most + 1)
+    assert [max_samples(n, order) for order in (2, 3, 4)] == [MAX_SAMPLES] * 3
+    assert max_samples(n, n) == min(MAX_SAMPLES, MAX_BASIS_WORK // n**2)
+    with pytest.raises(T2SplineError, match=f"^samples must be an integer from 2 to {MAX_SAMPLES} for order 3, got {MAX_SAMPLES + 1}$"):
+        sample_curves(kv, np.ones(n), polygon, MAX_SAMPLES + 1)
 
 
-def test_sample_bound_up_to_order_10_is_the_cell_bound():
-    """So every document accepted under the cell bound alone at order 10 or
-    below is still accepted."""
-    for order in range(2, 11):
+def test_sample_bound_up_to_order_4_is_the_point_bound():
+    for order in range(2, 5):
         for n in range(order, 5001):
-            assert max_samples(n, order) == MAX_BASIS_CELLS // n
+            assert max_samples(n, order) == MAX_SAMPLES
+
+
+def test_sample_bound_admits_every_count_the_cell_bound_admitted():
+    """The former bound was ``min(2**25 // n, MAX_BASIS_WORK // order²)``,
+    with ``2**25`` cells of a dense ``(samples, n)`` basis; no document it
+    accepted is refused."""
+    grid = [(n, order) for order in range(2, 41) for n in [*range(order, 3001), 10**4, 10**5, 10**6]]
+    for n, order in grid + [(400, 400), (2000, 1000), (10**6, 10**4)]:
+        assert max_samples(n, order) >= min(2**25 // n, MAX_BASIS_WORK // order**2)
 
 
 def test_sample_bound_above_order_10_limits_basis_work():
     """The triangular table costs order² steps per sample."""
     assert max_samples(400, 400) == MAX_BASIS_WORK // 400**2 == 2097
-    assert max_samples(11, 11) == MAX_BASIS_WORK // 121 < MAX_BASIS_CELLS // 11
+    assert max_samples(11, 11) == MAX_BASIS_WORK // 121 < MAX_SAMPLES
     kv = clamped_uniform_knots(400, 400)
-    with pytest.raises(T2SplineError, match="^samples must be an integer from 2 to 2097 for 400 control points, got 2098$"):
-        sample_curves(kv, np.ones(400), np.zeros((1, 400, 2)), 2098)
+    for samples in (2098, 10**9, 10**12):
+        with pytest.raises(T2SplineError, match=f"^samples must be an integer from 2 to 2097 for order 400, got {samples}$"):
+            sample_curves(kv, np.ones(400), np.zeros((1, 400, 2)), samples)
 
 
 @pytest.mark.parametrize("order", [3.7, True, "3", 1, 6])
@@ -564,7 +584,7 @@ def knots_and_params(draw, interior_knots=_any_interior):
 def test_basis_rows_match_recursive_oracle(case):
     knots, order, ts = case
     n = knots.size - order
-    rows = basis_rows(knots, order, ts)
+    rows = dense_rows(knots, order, ts)
     assert rows.shape == (ts.size, n)
     for t, row in zip(ts, rows):
         for i in range(n):
@@ -578,11 +598,15 @@ def test_basis_rows_match_recursive_oracle(case):
 @example((np.array([0.0, 0.0, 5e-324, 1.0, 1.0]), 2, np.array([0.0, 1.0, 5e-324])))  # subnormal interval
 def test_basis_rows_partition_of_unity_nonnegative_and_per_sample(case):
     knots, order, ts = case
-    rows = basis_rows(knots, order, ts)
+    first, values = basis_rows(knots, order, ts)
+    assert first.shape == ts.shape and values.shape == (ts.size, order)
+    assert np.all((first >= 0) & (first <= knots.size - 2 * order))
+    rows = dense_rows(knots, order, ts)
     assert np.all(rows >= 0.0)
     assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
-    for t, row in zip(ts, rows):  # one parameter alone gives the same bits as in the batch
-        assert np.array_equal(basis_rows(knots, order, t)[0], row)
+    for t, i, terms in zip(ts, first, values):  # one parameter alone gives the same bits as in the batch
+        alone = basis_rows(knots, order, t)
+        assert alone[0][0] == i and np.array_equal(alone[1][0], terms)
 
 
 _outside_unit = st.one_of(

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import platform
 import re
 import stat
 import subprocess
@@ -197,6 +198,39 @@ def _process(argv, doc, **kwargs) -> subprocess.CompletedProcess:
     env.pop("PYTHONUNBUFFERED", None)
     argv = [str(doc) if arg == "DOC" else arg for arg in argv]
     return subprocess.run([sys.executable, "-m", "t2spline.cli", *argv], env=env, **kwargs)
+
+
+def _blas_kernels_unselectable() -> str | None:
+    """Why ``OPENBLAS_CORETYPE`` cannot choose numpy's BLAS kernel here, or
+    None: it needs an OpenBLAS built with ``DYNAMIC_ARCH`` on x86-64."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return f"OpenBLAS kernel names are x86-64 ones; this machine is {platform.machine()}"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "numpy does not report its BLAS build"
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return f"numpy's BLAS ({blas.get('name')}) is not an OpenBLAS built with DYNAMIC_ARCH"
+    return None
+
+
+def test_curve_bytes_do_not_depend_on_the_blas_kernel(demo_path, tmp_path):
+    """Curve points are summed by the package, not by BLAS, so ``curve``
+    writes the same bytes whichever kernel OpenBLAS picks for the CPU."""
+    reason = _blas_kernels_unselectable()
+    if reason:
+        pytest.skip(reason)
+    wide = tmp_path / "order4.json"
+    wide.write_text(document_to_json(_order4_document(12)))
+    for doc in (demo_path, wide):
+        outputs = set()
+        for kernel in ("Sandybridge", "Haswell"):
+            env = {**os.environ, "OPENBLAS_CORETYPE": kernel}
+            argv = [sys.executable, "-m", "t2spline.cli", "curve", str(doc), "--series", "all"]
+            proc = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, doc.name
 
 
 STDOUT_COMMANDS = {
@@ -411,23 +445,27 @@ def test_curve_all_computes_the_basis_once(demo_path, tmp_path, monkeypatch):
 
 
 def test_many_points_at_a_million_samples_exit_1_without_output(tmp_path, capsys):
+    """At order 20 the basis work admits 838,860 samples."""
+    payload = json.loads(document_to_json(_order4_document(400)))
+    payload.update(order=20)
     path = tmp_path / "wide.json"
-    path.write_text(document_to_json(_order4_document(400)))
+    path.write_text(json.dumps(payload))
     out = tmp_path / "out.csv"
-    assert run(["curve", str(path), "--samples", str(10**6), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: samples must be an integer from 2 to 83886 for 400 control points, got 1000000\n"
+    for samples in (10**6, 10**9, 10**12):
+        assert run(["curve", str(path), "--samples", str(samples), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: samples must be an integer from 2 to 838860 for order 20, got {samples}\n"
     assert not out.exists()
 
 
-def test_high_order_document_at_the_cell_bound_is_refused_at_once(tmp_path, capsys):
-    """83,886 samples fit the cell bound for 400 points, but at order 400
-    their basis work would take about 40 s."""
+def test_high_order_document_at_the_sample_bound_is_refused_at_once(tmp_path, capsys):
+    """16,777,216 samples are the most a curve takes, but at order 400 their
+    basis work would take hours."""
     payload = json.loads(document_to_json(_order4_document(400)))
-    payload.update(order=400, samples=83_886)
+    payload.update(order=400, samples=2**24)
     path = tmp_path / "high-order.json"
     path.write_text(json.dumps(payload))
-    message = "error: samples must be an integer from 2 to 2097 for 400 control points, got 83886\n"
+    message = "error: samples must be an integer from 2 to 2097 for order 400, got 16777216\n"
     for argv in (["validate", str(path)], ["curve", str(path), "--out", str(tmp_path / "out.csv")]):
         start = time.perf_counter()
         assert run(argv) == 1
@@ -441,7 +479,7 @@ def test_a_sample_count_is_refused_with_one_message(demo_path, tmp_path, capsys)
     payload["samples"] = 1
     path = tmp_path / "one-sample.json"
     path.write_text(json.dumps(payload))
-    message = "error: samples must be an integer from 2 to 8388608 for 4 control points, got 1\n"
+    message = "error: samples must be an integer from 2 to 16777216 for order 3, got 1\n"
     for argv in (["validate", str(path)], ["curve", str(demo_path), "--samples", "1"]):
         assert run(argv) == 1
         assert capsys.readouterr().err == message

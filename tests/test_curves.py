@@ -205,8 +205,10 @@ def test_defuzzify_then_evaluate_is_exact():
     dfz = defuzzified_curve(model, 11)
     for t, pt in zip(dfz.params, dfz.points):
         coeff = model.weights * basis_row(model.knots, t)
-        expected = (coeff @ solution_polygon) / coeff.sum()
-        assert np.array_equal(pt, expected)
+        num = den = 0.0
+        for i in np.flatnonzero(coeff):  # the non-zero terms, in index order
+            num, den = num + coeff[i] * solution_polygon[i], den + coeff[i]
+        assert np.array_equal(pt, num / den)
 
 
 # --- deviation --------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from t2spline import (
     save_document,
 )
 from t2spline import document
-from t2spline.bspline import MAX_BASIS_CELLS
+from t2spline.bspline import MAX_SAMPLES
 from t2spline.fuzzy import coords_from_rows
 
 EXPLICIT_COORD = {"ll": 4, "l": 4.3, "rl": 4.6, "c": 5, "lr": 5.4, "r": 5.7, "rr": 6, "h": 0.6}
@@ -173,12 +173,12 @@ def test_samples_below_two_rejected(samples):
 @pytest.mark.parametrize("n", [3, 4, 400])
 def test_samples_bound_is_the_evaluator_bound(n):
     payload = json.loads(minimal_doc_text(EXPLICIT_COORD, n))
-    most = MAX_BASIS_CELLS // n
+    most = MAX_SAMPLES
     payload["samples"] = most
     assert parse_document(json.dumps(payload)).samples == most
     for samples in (most + 1, 10**9):
         payload["samples"] = samples
-        with pytest.raises(ValidationError, match=f"^samples must be an integer from 2 to {most} for {n} control points, got {samples}$"):
+        with pytest.raises(ValidationError, match=f"^samples must be an integer from 2 to {most} for order 3, got {samples}$"):
             parse_document(json.dumps(payload))
 
 
@@ -186,7 +186,7 @@ def test_model_document_refuses_a_sample_count_the_parser_refuses():
     coords = demo_document().model.coords
     with pytest.raises(ValidationError) as exc:
         document.ModelDocument(coords, [1, 1, 3, 1], 3, 0.8, samples=1)
-    assert str(exc.value) == "samples must be an integer from 2 to 8388608 for 4 control points, got 1"
+    assert str(exc.value) == "samples must be an integer from 2 to 16777216 for order 3, got 1"
 
 
 @pytest.mark.parametrize("weights, bad", [([1, True, 1, 1], "True"), ([1, "2", 1, 1], "'2'")], ids=["bool", "string"])
@@ -403,9 +403,9 @@ PARENT_ERRORS = {
     'order-one': (ValidationError, 'order must be at least 2, got 1'),
     'alpha-one': (ValidationError, 'alpha must lie in [0, 1), got 1.0'),
     'alpha-string': (ValidationError, "alpha must be a number, got '0.8'"),
-    'samples-one': (ValidationError, "samples must be an integer from 2 to 6710886 for 5 control points, got 1"),
-    'samples-float': (ValidationError, "samples must be an integer from 2 to 6710886 for 5 control points, got 10.0"),
-    'samples-over-bound': (ValidationError, "samples must be an integer from 2 to 83886 for 400 control points, got 33554432"),
+    'samples-one': (ValidationError, "samples must be an integer from 2 to 16777216 for order 3, got 1"),
+    'samples-float': (ValidationError, "samples must be an integer from 2 to 16777216 for order 3, got 10.0"),
+    'samples-over-bound': (ValidationError, "samples must be an integer from 2 to 16777216 for order 3, got 33554432"),
     'point-keys-x-z': (ValidationError, "point 2: must be an object with exactly 'x' and 'y'"),
     'coordinate-rr-renamed-zz': (ValidationError, "point 2, coordinate x: unexpected keys ['zz']"),
     'values-all-one-element-lists': (ValidationError, 'point 0, coordinate x.ll must be a number, got [4]'),
@@ -637,7 +637,7 @@ def test_a_document_setting_is_read_as_the_model_reads_it(setting, value):
     "settings, message",
     [
         ({"samples": 1, "order": True, "weights": [True], "alpha": None}, "order must be an integer, got True"),
-        ({"samples": 1, "weights": [True], "alpha": None}, "samples must be an integer from 2 to 11184810 for 3 control points, got 1"),
+        ({"samples": 1, "weights": [True], "alpha": None}, "samples must be an integer from 2 to 16777216 for order 3, got 1"),
         ({"weights": [True], "alpha": None}, "weights must be a rectangular array of numbers: True is not a number"),
         ({"alpha": None}, "alpha must be a number, got None"),
     ],
@@ -656,7 +656,7 @@ def test_document_settings_are_checked_order_and_samples_then_weights_then_alpha
         ("weights", "weights must be a rectangular array of numbers: None is not a number"),
         ("order", "order must be an integer, got None"),
         ("alpha", "alpha must be a number, got None"),
-        ("samples", "samples must be an integer from 2 to 11184810 for 3 control points, got None"),
+        ("samples", "samples must be an integer from 2 to 16777216 for order 3, got None"),
     ],
 )
 def test_a_null_setting_is_refused_not_defaulted(setting, message):

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import pathlib
 import re
 import xml.etree.ElementTree as ET
 
@@ -384,6 +385,16 @@ def test_writers_refuse_a_target_that_is_no_stream_or_path(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("target", ["a\0b", b"a\0b", pathlib.Path("a\0b")], ids=["str", "bytes", "path"])
+@pytest.mark.parametrize("writer", _TARGET_WRITERS.values(), ids=list(_TARGET_WRITERS))
+def test_writers_refuse_a_path_holding_nul(tmp_path, monkeypatch, writer, target):
+    """Before, ``os.lstat`` raised a bare ``ValueError: embedded null byte``."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(T2SplineError, match=re.escape(f"output path must not hold a NUL character, got {target!r}")):
+        writer(target)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_bytes_path_is_replaced_only_once_rendered(tmp_path):
     """A ``bytes`` path in another directory is staged beside the file, as
     a ``str`` path is, so a failed render leaves the file untouched."""
@@ -441,6 +452,22 @@ def test_svg_of_a_span_no_scale_divides_draws_finite_pixels_in_the_plot(points):
     assert len(px) == 4 * len(points)  # two polylines, crisp markers and controls
     assert np.all((px[:, 0] >= _PLOT_X[0]) & (px[:, 0] <= _PLOT_X[1]))
     assert np.all((px[:, 1] >= _PLOT_Y[0]) & (px[:, 1] <= _PLOT_Y[1]))
+
+@pytest.mark.parametrize(
+    "points, ticks",
+    [
+        ([[-_MAX, _MAX], [_MAX, -_MAX]], ["-1.798e+308", "1.798e+308", "-1.798e+308", "1.798e+308"]),
+        ([[-1e308, 0.0], [1e308, 1.0]], ["-1.1e+308", "1.1e+308", "-0.05", "1.05"]),
+        ([[0.0, -_MAX], [1.0, -_MAX]], ["-0.05", "1.05", "-1.798e+308", "-1.708e+308"]),
+        ([[0.0, 0.0], [2.0, 4.0]], ["-0.1", "2.1", "-0.2", "4.2"]),
+    ],
+    ids=["largest-spans", "overflowing-x-span", "largest-constant", "plain"],
+)
+def test_svg_tick_labels_of_finite_data_are_finite(points, ticks):
+    """Before, a padded bound past the float range was labelled ``inf``."""
+    doc = svg_document(Scene({"crisp": np.array(points)}))
+    assert re.findall(r'text-anchor="\w+" font-family="sans-serif" font-size="11" fill="#333333">([^<]*)<', doc) == ticks
+
 
 def test_empty_scene_is_valid_svg_with_axes():
     doc = svg_document(Scene({}))
