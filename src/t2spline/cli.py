@@ -72,7 +72,7 @@ def _parse_series(spec: str) -> list[str]:
 
 def _load(args) -> tuple:
     """The document and its model, rebuilt by ``to_model`` only if
-    ``--alpha`` or ``--order`` changes it."""
+    ``--alpha`` or ``--order`` is given."""
     doc = load_document(args.file)
     return doc, doc.to_model(order=getattr(args, "order", None), alpha=args.alpha)
 

@@ -8,7 +8,9 @@ polygons, sampled by :func:`evaluate` into one table of labelled points
 sharing one parameter array (the rule of :func:`shared_params`); its views
 :class:`CurveBand`, :class:`ReducedCurves` and :class:`Polyline` are compared
 sample by sample.  The controls are one ``(n, 2, 8)`` coordinate array (see
-:mod:`t2spline.fuzzy`), so each component polygon is a slice of it.
+:mod:`t2spline.fuzzy`), so each component polygon is a slice of it.  A
+:class:`FuzzyCurveModel` is solved when it is built, and refuses there, with
+:class:`ValidationError`, controls whose type-reduced values overflow.
 
 The curve-group rule is stated here once: :data:`SERIES` names the curves
 each group gives, and :func:`evaluate` orders them into columns.  So is
@@ -24,7 +26,6 @@ writers of :mod:`t2spline.output` take, the one path from curves to bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -60,9 +61,12 @@ class FuzzyCurveModel:
 
     ``coords`` is the read-only ``(n, 2, 8)`` coordinate array of the
     controls; it may be given as a sequence of :class:`NT2FuzzyPoint`.
-    :attr:`solved`, the fuzzy pipeline at ``alpha``, is computed on first
-    access and kept: the model is immutable, and a new cut level makes a new
-    model.
+    It is solved on construction, after its other checks, and refuses an
+    overflow there with :class:`ValidationError`, as a document does.
+    ``solved`` keeps :func:`~t2spline.pipeline.solve` of the controls at
+    ``alpha``, the read-only ``(n, 2)`` arrays ``(left, c, right,
+    solution)``; it is not a field, so ``replace(model, alpha=a)`` solves at
+    ``a``.
     """
 
     coords: np.ndarray
@@ -76,21 +80,16 @@ class FuzzyCurveModel:
         object.__setattr__(self, "weights", float_array(self.weights, "weights"))
         object.__setattr__(self, "order", check_curve_setup(len(self.coords), self.weights, self.order, self.knots))
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
+        solved = solve(self.coords, self.alpha)
+        for array in solved:
+            array.flags.writeable = False
+        object.__setattr__(self, "solved", solved)
 
     @classmethod
     def with_uniform_knots(cls, points, weights=None, order=DEFAULT_ORDER, alpha=DEFAULT_ALPHA) -> "FuzzyCurveModel":
         points = point_items(points)
         weights = np.ones(len(points)) if weights is None else weights
         return cls(points, weights, order, clamped_uniform_knots(len(points), order), alpha)
-
-    @cached_property
-    def solved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`~t2spline.pipeline.solve` of the controls at ``alpha``: the
-        read-only ``(n, 2)`` arrays ``(left, c, right, solution)``."""
-        arrays = solve(self.coords, self.alpha)
-        for array in arrays:
-            array.flags.writeable = False
-        return arrays
 
     @property
     def fuzzy_controls(self) -> tuple[NT2FuzzyPoint, ...]:
@@ -183,10 +182,10 @@ def evaluate(model: FuzzyCurveModel, groups, samples: int = DEFAULT_SAMPLES) -> 
     a ``str``, ``bytes`` or non-iterable and one holding an unhashable
     name: each with one :class:`T2SplineError` naming the choices.
 
-    The controls are cut and type-reduced once, and only if a requested
-    curve needs it.  Returns the sample parameters ``ts`` and a dict of
-    ``(samples, 2)`` points keyed by label: the labels of the groups, in
-    :data:`SERIES` column order, each label once, at its first place.
+    The type-reduced and defuzzified polygons are the model's ``solved``
+    arrays.  Returns the sample parameters ``ts`` and a dict of ``(samples,
+    2)`` points keyed by label: the labels of the groups, in :data:`SERIES`
+    column order, each label once, at its first place.
     """
     choices = ", ".join((*GROUPS, "all"))
     try:
@@ -201,8 +200,7 @@ def evaluate(model: FuzzyCurveModel, groups, samples: int = DEFAULT_SAMPLES) -> 
     groups = set(GROUPS) if "all" in names else names
     labels = list(dict.fromkeys(label for group in GROUPS if group in groups for label in SERIES[group]))
     polygons = component_polygons(model)
-    if groups & {"reduced", "defuzzified"}:
-        polygons["tr_left"], _, polygons["tr_right"], polygons["defuzzified"] = model.solved
+    polygons["tr_left"], _, polygons["tr_right"], polygons["defuzzified"] = model.solved
     ts, points = sample_curves(model.knots, model.weights, [polygons[label] for label in labels], samples)
     return ts, dict(zip(labels, points))
 

@@ -35,7 +35,9 @@ count: :class:`ModelDocument` builds that model once and holds nothing else,
 so the points are the model's ``(n, 2, 8)`` coordinate array (components,
 then ``h``; see :mod:`t2spline.fuzzy`) and :attr:`ModelDocument.points` is
 the fuzzy-point view of it.  The parser validates the coordinates at once,
-and the model checks them again when it is built.  A document whose
+and the model checks them again when it is built, and solves them: a
+document whose type-reduced values overflow is refused there with
+:class:`~t2spline.errors.ValidationError`, as the model is.  A document whose
 points all have exactly the keys ``x`` and ``y``, whose coordinates all
 have exactly the explicit keys and whose values are all numbers is gathered
 into that array by C-level maps, without a Python loop over the coordinates.
@@ -62,12 +64,11 @@ from typing import Any
 
 import numpy as np
 
-from .bspline import DEFAULT_ORDER, as_float, check_order, check_samples, clamped_uniform_knots, float_array
+from .bspline import DEFAULT_ORDER, as_float, check_samples, clamped_uniform_knots, float_array
 from .curves import DEFAULT_ALPHA, DEFAULT_SAMPLES, FuzzyCurveModel
 from .errors import ParseError, T2SplineError, ValidationError
 from .fuzzy import COORD_FIELDS, SPREAD_FIELDS, NT2FuzzyPoint, NT2FuzzyScalar, coords_from_rows, point_items, points_of
 from .output import write_output
-from .pipeline import check_alpha
 
 _EXPLICIT_KEYS = frozenset(COORD_FIELDS)
 _EXPLICIT_VALUES = itemgetter(*COORD_FIELDS)
@@ -80,11 +81,12 @@ class ModelDocument:
     count of its curves.
 
     ``points`` may be an iterable of :class:`NT2FuzzyPoint` or an ``(n, 2, 8)``
-    coordinate array; with ``weights``, ``order`` and ``alpha`` it builds and
-    solves :attr:`model` once, on construction.  An input it refuses raises
-    :class:`ValidationError`; ``order`` and ``samples`` are checked first, by
+    coordinate array; with ``weights``, ``order`` and ``alpha`` it builds
+    :attr:`model` once, on construction, and the model solves itself.  An
+    input it refuses raises :class:`ValidationError`; ``order`` and
+    ``samples`` are checked first, by
     :func:`~t2spline.bspline.check_samples`, then the model's ``weights``
-    and ``alpha``.
+    and ``alpha``, then the overflow of its solution.
     """
 
     def __init__(self, points, weights: list[float], order: int, alpha: float, samples: int):
@@ -92,7 +94,6 @@ class ModelDocument:
             points = point_items(points)
             self.samples = check_samples(samples, len(points), order)
             self.model = FuzzyCurveModel(points, weights, order, clamped_uniform_knots(len(points), order), alpha)
-            self.model.solved  # refuses overflow
         except T2SplineError as exc:
             raise ValidationError(str(exc)) from exc
 
@@ -102,20 +103,17 @@ class ModelDocument:
         return points_of(self.model.coords)
 
     def to_model(self, order: int | None = None, alpha: float | None = None) -> FuzzyCurveModel:
-        """The document's model, or, when ``order`` or ``alpha`` differs from
-        it, a model over the same coordinates and weights with those
-        settings, each checked before it is compared.  A model rebuilt at
-        the same ``alpha`` keeps the solution already computed, which
-        depends only on the coordinates and ``alpha``."""
+        """The document's model when ``order`` and ``alpha`` are both None.
+        Otherwise a new model over the same coordinates and weights, with
+        uniform knots, the given settings and the model's in place of a
+        None; building it checks both settings and solves it at its
+        ``alpha``, refusing overflow with :class:`ValidationError`."""
         model = self.model
-        order = model.order if order is None else check_order(order, len(model.coords))
-        alpha = model.alpha if alpha is None else check_alpha(alpha)
-        if (order, alpha) == (model.order, model.alpha):
+        if order is None and alpha is None:
             return model
-        rebuilt = FuzzyCurveModel.with_uniform_knots(model.coords, weights=model.weights, order=order, alpha=alpha)
-        if rebuilt.alpha == model.alpha:
-            vars(rebuilt)["solved"] = model.solved  # fills the cached_property
-        return rebuilt
+        order = model.order if order is None else order
+        alpha = model.alpha if alpha is None else alpha
+        return FuzzyCurveModel.with_uniform_knots(model.coords, model.weights, order, alpha)
 
 
 def _read_coordinate(record: Any, where: str) -> list[float]:
@@ -271,12 +269,12 @@ def _document_of(raw: Any) -> ModelDocument:
 def parse_document(text: str) -> ModelDocument:
     """Parse JSON text into a validated :class:`ModelDocument`.
 
-    Validation builds the document, which runs the fuzzy pipeline at its
-    cut level, so a document whose type-reduced values overflow is
-    rejected; the model keeps that solution as
-    :attr:`~t2spline.curves.FuzzyCurveModel.solved`.  Text that is not a
-    str, bytes or bytearray raises :class:`ParseError`.  The whole parse
-    runs under :func:`_gc_paused`.
+    Validation builds the document's model, which is solved on
+    construction, so a document whose type-reduced values overflow is
+    refused with :class:`ValidationError`, as the model is; the model keeps
+    that solution as :attr:`~t2spline.curves.FuzzyCurveModel.solved`.  Text
+    that is not a str, bytes or bytearray raises :class:`ParseError`.  The
+    whole parse runs under :func:`_gc_paused`.
     """
     return _document_of(_json_tree(text))
 

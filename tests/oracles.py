@@ -6,10 +6,11 @@ order-3 recursion on the clamped knot vector (0, 0, 0, 0.5, 1, 1, 1),
 and ``alpha_cut``, ``type_reduce``, ``defuzzify`` and ``pipeline_point`` are
 the fuzzy chain written one coordinate at a time in plain float arithmetic;
 ``svg_figure`` maps and formats each SVG point on its own,
-``csv_table`` fills a whole table into one ``%`` template, and
-``pipeline_json`` is ``json.dumps`` of the solution points.  They
-deliberately do NOT call the library; ``svg_figure`` is handed the module
-that holds its layout constants.
+``csv_table`` fills a whole table into one ``%`` template,
+``pipeline_json`` is ``json.dumps`` of the solution points, and
+``points_outside_hull`` decides in integer arithmetic how far points lie
+from a planar convex hull.  They deliberately do NOT call the library;
+``svg_figure`` is handed the module that holds its layout constants.
 """
 
 import csv
@@ -267,3 +268,64 @@ def pipeline_json(alpha, solution):
     one ``{"x", "y"}`` object a point, indented by 2, and a newline."""
     points = [{"x": x, "y": y} for x, y in solution.tolist()]
     return json.dumps({"alpha": alpha, "points": points}, indent=2) + "\n"
+
+
+def _cross(o, a, b):
+    """Twice the signed area of the triangle o, a, b: positive when b lies left of o -> a."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def convex_hull(points):
+    """The vertices of the convex hull of exact (integer or fraction) (x, y)
+    pairs, counter-clockwise, by Andrew's monotone chain: one vertex for
+    coincident points, the two ends for collinear ones."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(reversed(pts))
+
+
+def _beyond(a, b, p, limit):
+    """Whether the squared distance from p to the segment a-b exceeds ``limit``."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    px, py = p[0] - a[0], p[1] - a[1]
+    dot, length2 = px * dx + py * dy, dx * dx + dy * dy
+    if dot <= 0:  # nearest to a; also a segment of length 0
+        return px * px + py * py > limit
+    if dot >= length2:  # nearest to b
+        qx, qy = p[0] - b[0], p[1] - b[1]
+        return qx * qx + qy * qy > limit
+    cross = dx * py - dy * px  # the distance to the line is |cross| / sqrt(length2)
+    return cross * cross > limit * length2
+
+
+def points_outside_hull(polygon, points, tol):
+    """Indices of the (x, y) floats ``points`` whose Euclidean distance from
+    the convex hull of the (x, y) floats ``polygon`` exceeds the float ``tol``.
+
+    Decided exactly: every value is a Python integer times one common power
+    of two, so the hull, the side tests and the squared distances are
+    integer arithmetic.  A point strictly inside every edge is inside; any
+    other is compared with each edge as a segment, so a collinear or
+    coincident polygon, whose hull is a segment or a point, goes the same way.
+    """
+    ratios = [float(v).as_integer_ratio() for v in (tol, *(v for p in (*polygon, *points) for v in p))]
+    scale = max(d for _, d in ratios)
+    tol, *values = (n * (scale // d) for n, d in ratios)
+    pairs = list(zip(values[::2], values[1::2]))
+    hull = convex_hull(pairs[: len(polygon)])
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    return [
+        i
+        for i, p in enumerate(pairs[len(polygon) :])
+        if not all(_cross(a, b, p) > 0 for a, b in edges) and all(_beyond(a, b, p, tol * tol) for a, b in edges)
+    ]

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import QUAD_BASIS, brute_force_rational, cox_de_boor
+from oracles import QUAD_BASIS, brute_force_rational, convex_hull, cox_de_boor, points_outside_hull
 from test_curves import fuzzy_models
 from t2spline import (
     FuzzyCurveModel,
     KnotVector,
+    NT2FuzzyPoint,
     OrderExceedsControlCount,
     ParameterOutOfDomain,
     Polyline,
@@ -29,11 +30,6 @@ from t2spline import (
 )
 from t2spline.bspline import MAX_BASIS_WORK, MAX_SAMPLES, basis_rows, float_array, max_samples, sample_curves, shown
 from t2spline.curves import GROUPS, component_polygons, evaluate
-
-try:
-    from scipy.spatial import ConvexHull, QhullError
-except ImportError:
-    ConvexHull = None
 
 DEMO_CONTROLS = np.array([[0.0, 0.0], [2.0, 4.0], [5.0, 5.0], [7.0, 1.0]])
 DEMO_WEIGHTS = np.array([1.0, 1.0, 3.0, 1.0])
@@ -224,17 +220,24 @@ def test_convex_hull_property():
         assert np.all(p >= lo) and np.all(p <= hi)
 
 
-#: Largest distance, in ulps of the largest coordinate magnitude of a
-#: control polygon, by which a sample of its curve may lie outside a facet
-#: of the polygon's convex hull, or outside the bounding box of a degenerate
-#: (collinear or coincident) polygon.  Measured: at most 4 ulps (2 for a
-#: bounding box) over 58,000 examples of the property below.
+#: Largest Euclidean distance, in ulps of the largest coordinate magnitude of
+#: a control polygon, by which a sample of its curve may lie outside the
+#: polygon's convex hull, found exactly (:func:`oracles.points_outside_hull`),
+#: so the bound covers only the curve's rounding.
 HULL_ULP_BOUND = 8
 
+#: A polygon whose last vertex qhull's facet equations put 2.67e-14 outside
+#: the hull, past 8 ulps of 9; an order-4 curve over it at 2 samples is its
+#: first and last vertex.
+NEAR_DEGENERATE_POLYGON = [(0.0, 1.0), (9.0, 2.0), (0.0, 0.0), (1.23203684e-13, 0.0)]
 
-@pytest.mark.skipif(ConvexHull is None, reason="needs scipy")
+
 @settings(deadline=None)
 @given(model=fuzzy_models(), samples=st.integers(2, 60))
+@example(
+    model=FuzzyCurveModel.with_uniform_knots([NT2FuzzyPoint.crisp(x, y) for x, y in NEAR_DEGENERATE_POLYGON], order=4),
+    samples=2,
+)
 def test_every_curve_of_a_fuzzy_model_lies_in_the_hull_of_its_controls(model, samples):
     """Positive weights make each sample a convex combination of the
     controls, for each curve :func:`evaluate` gives."""
@@ -244,12 +247,29 @@ def test_every_curve_of_a_fuzzy_model_lies_in_the_hull_of_its_controls(model, sa
     for label, curve in points.items():
         polygon = polygons[label]
         tol = HULL_ULP_BOUND * np.spacing(np.abs(polygon).max())
-        try:
-            facets = ConvexHull(polygon).equations  # inside: normal @ p + offset <= 0
-        except QhullError:
-            assert np.all(curve >= polygon.min(axis=0) - tol) and np.all(curve <= polygon.max(axis=0) + tol), label
-        else:
-            assert np.all(curve @ facets[:, :2].T + facets[:, 2] <= tol), label
+        assert points_outside_hull(polygon.tolist(), curve.tolist(), tol) == [], label
+
+
+@pytest.mark.parametrize(
+    "polygon, hull",
+    [
+        (NEAR_DEGENERATE_POLYGON, [(0.0, 0.0), (1.23203684e-13, 0.0), (9.0, 2.0), (0.0, 1.0)]),
+        ([(0.0, 0.0), (1.0, 1.0), (3.0, 3.0), (2.0, 2.0)], [(0.0, 0.0), (3.0, 3.0)]),
+        ([(1.5, -2.0)] * 3, [(1.5, -2.0)]),
+    ],
+    ids=["near-degenerate", "collinear", "coincident"],
+)
+def test_the_exact_hull_oracle(polygon, hull):
+    """The hull of each polygon, in exact arithmetic; each vertex lies in it
+    at no tolerance, and a point 2**-50 below and left of its lowest,
+    leftmost vertex, sqrt(2) * 2**-50 away, is refused at no tolerance and
+    admitted at 2**-49."""
+    assert convex_hull([(Fraction(x), Fraction(y)) for x, y in polygon]) == hull
+    assert points_outside_hull(polygon, polygon, 0.0) == []
+    x, y = hull[0]
+    off = (x - 2.0**-50, y - 2.0**-50)
+    assert points_outside_hull(polygon, [off], 0.0) == [0]
+    assert points_outside_hull(polygon, [off], 2.0**-49) == []
 
 
 def test_model_validation():

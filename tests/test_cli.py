@@ -651,13 +651,13 @@ def test_pipeline_builds_the_model_once(demo_path, tmp_path, monkeypatch):
         (["curve", "--series", "all"], 1),
         (["pipeline", "--alpha", "0.3"], 2),
         (["curve", "--series", "all", "--alpha", "0.3"], 2),
-        (["curve", "--series", "all", "--order", "2"], 1),
+        (["curve", "--series", "all", "--order", "2"], 2),
     ],
     ids=["pipeline", "curve-all", "pipeline-alpha", "curve-all-alpha", "curve-all-order"],
 )
 def test_each_model_is_solved_once(demo_path, tmp_path, monkeypatch, argv, solves):
     """Parsing solves the document's model; the command reuses that solution
-    unless --alpha makes a new model."""
+    unless --alpha or --order makes a new model, which is solved when it is built."""
     calls = []
     solve = pipeline.solve
 
@@ -674,6 +674,32 @@ def test_each_model_is_solved_once(demo_path, tmp_path, monkeypatch, argv, solve
     command, *options = argv
     assert run([command, str(demo_path), *options, "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == solves
+
+
+@pytest.mark.parametrize("cut", ["own", "height"])
+@pytest.mark.parametrize("source", ["demo", "generated"])
+def test_overrides_give_the_bytes_of_the_document_saved_with_them(tmp_path, source, cut):
+    """--order and --alpha give the bytes of the same document saved with
+    that order and alpha: the document's own alpha, or a coordinate's height
+    (the boundary of the two cut regimes)."""
+    raw = json.loads(document_to_json(demo_document())) if source == "demo" else _gen_style_document()
+    order, alpha = 2, raw["alpha"] if cut == "own" else raw["points"][1]["y"]["h"]
+    given, saved = tmp_path / "given.json", tmp_path / "saved.json"
+    given.write_text(json.dumps(raw))
+    saved.write_text(json.dumps({**raw, "order": order, "alpha": alpha}))
+    reorder = ["--order", str(order), "--alpha", repr(alpha)]
+    recut = ["--alpha", repr(alpha)]
+    runs = [
+        (["curve", "--series", "all"], reorder),
+        (["plot"], reorder),
+        (["pipeline"], recut),
+        (["pipeline", "--format", "csv"], recut),
+    ]
+    for (command, *options), overrides in runs:
+        got, want = tmp_path / "got", tmp_path / "want"
+        assert run([command, str(given), *options, *overrides, "--out", str(got)]) == 0
+        assert run([command, str(saved), *options, "--out", str(want)]) == 0
+        assert got.read_bytes() == want.read_bytes(), (command, *options)
 
 
 _BAND = ["ll", "l", "rl", "crisp", "lr", "r", "rr"]

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import tracemalloc
@@ -22,8 +23,9 @@ from t2spline import (
     save_document,
 )
 from t2spline import document
-from t2spline.bspline import MAX_SAMPLES
+from t2spline.bspline import MAX_SAMPLES, clamped_uniform_knots
 from t2spline.fuzzy import coords_from_rows
+from t2spline.pipeline import solve
 
 EXPLICIT_COORD = {"ll": 4, "l": 4.3, "rl": 4.6, "c": 5, "lr": 5.4, "r": 5.7, "rr": 6, "h": 0.6}
 SPREADS_COORD = {
@@ -708,28 +710,56 @@ def test_document_whose_type_reduction_overflows_is_rejected():
         parse_document(json.dumps(payload))
 
 
-def test_model_document_refuses_an_overflow_the_parser_refuses():
+def _overflowing_points():
+    """Three points whose second y coordinate's type-reduced interval overflows at order 2, alpha 0.5."""
     points = parse_document(minimal_doc_text(EXPLICIT_COORD)).points
     points[1] = NT2FuzzyPoint(points[1].x, NT2FuzzyScalar(-1e308, -1e308, 0, 1e308, 1e308, 1e308, 1e308, 0.6))
+    return points
+
+
+_OVERFLOW_MESSAGE = (
+    "point 1, coordinate y: the type-reduced interval (inf, 1e+308, inf) and its "
+    "defuzzified value inf at alpha 0.5 must be finite"
+)
+
+
+def test_model_document_refuses_an_overflow_the_parser_refuses():
     with pytest.raises(ValidationError) as exc:
-        document.ModelDocument(points, [1, 1, 1], 2, 0.5, samples=101)
-    assert str(exc.value) == (
-        "point 1, coordinate y: the type-reduced interval (inf, 1e+308, inf) and its "
-        "defuzzified value inf at alpha 0.5 must be finite"
-    )
+        document.ModelDocument(_overflowing_points(), [1, 1, 1], 2, 0.5, samples=101)
+    assert str(exc.value) == _OVERFLOW_MESSAGE
+
+
+def test_every_model_is_solved_when_it_is_built():
+    """Both model constructors refuse the overflow a document refuses, in its
+    words, and a replaced model is solved at its own alpha."""
+    for build in (
+        lambda points: FuzzyCurveModel(points, [1, 1, 1], 2, clamped_uniform_knots(3, 2), 0.5),
+        lambda points: FuzzyCurveModel.with_uniform_knots(points, order=2, alpha=0.5),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            build(_overflowing_points())
+        assert str(exc.value) == _OVERFLOW_MESSAGE
+    model = parse_document(minimal_doc_text(EXPLICIT_COORD)).model
+    recut = dataclasses.replace(model, alpha=0.3)
+    assert recut.alpha == 0.3
+    for got, expected in zip(recut.solved, solve(model.coords, 0.3)):
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_model_is_built_once_until_a_setting_changes():
     doc = parse_document(minimal_doc_text(EXPLICIT_COORD))
     model = doc.to_model()
     assert model is doc.model and doc.to_model() is model
-    assert doc.to_model(order=3, alpha=0.8) is model
-    reordered = doc.to_model(order=2)
-    assert reordered is not model and reordered.order == 2
-    assert reordered.solved is model.solved
-    recut = doc.to_model(alpha=0.3)
-    assert recut is not model and recut.alpha == 0.3
-    assert "solved" not in vars(recut)
+    for order, alpha in [(None, 0.8), (3, None), (3, 0.8), (2, None), (None, 0.3), (2, 0.3)]:
+        rebuilt = doc.to_model(order=order, alpha=alpha)
+        assert rebuilt is not model
+        assert (rebuilt.order, rebuilt.alpha) == (model.order if order is None else order, model.alpha if alpha is None else alpha)
+        for got, expected in zip(rebuilt.solved, solve(model.coords, rebuilt.alpha)):
+            assert got.tobytes() == expected.tobytes()
+    with pytest.raises(T2SplineError, match="order"):
+        doc.to_model(order=3.0)
+    with pytest.raises(T2SplineError, match="alpha"):
+        doc.to_model(alpha=False)
 
 
 _unit_heights = st.floats(0.0, 1.0, exclude_min=True)
