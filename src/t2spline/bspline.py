@@ -8,9 +8,9 @@ a fixed order, elementwise, so their bits do not depend on the BLAS build.
 
 The input rules of the package are stated here once: a number
 (:func:`as_float`, :func:`float_array`), an integer (:func:`is_integer`),
-an array of planar points (:func:`point_array`) and an array of curve
-parameters (:func:`param_array`); a refused value is shown in its message
-by :func:`shown`.
+an array of planar points (:func:`point_array`), curve parameters
+(:func:`param_array`) and the read-only copy of each array an object holds
+(:func:`read_only_copy`); a refused value is shown by :func:`shown`.
 """
 
 from __future__ import annotations
@@ -129,6 +129,13 @@ def param_array(value, name: str) -> np.ndarray:
     return params
 
 
+def read_only_copy(array: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``array``: no later write undoes the checks made on it."""
+    copy = np.array(array)
+    copy.flags.writeable = False
+    return copy
+
+
 def is_integer(value) -> bool:
     """True for a Python or numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -168,22 +175,28 @@ def check_samples(samples, n: int, order) -> int:
 
 @dataclass(frozen=True, eq=False)
 class KnotVector:
-    """Non-decreasing knot sequence of length n + order, clamped at both ends."""
+    """Finite, non-decreasing knot sequence of length n + order, clamped at
+    both ends, with a non-empty domain; ``knots`` is a read-only copy."""
 
     knots: np.ndarray
     order: int
 
     def __post_init__(self):
-        knots = float_array(self.knots, "knots")
+        knots = read_only_copy(float_array(self.knots, "knots"))
         if knots.ndim != 1:
             raise T2SplineError(f"knots must be a 1-D array, got shape {knots.shape}")
         object.__setattr__(self, "knots", knots)
         k = _order_of_knots(self.order, knots.size)
         object.__setattr__(self, "order", k)
-        if not np.all(np.diff(knots) >= 0.0):  # also rejects NaN
+        if not np.isfinite(knots).all():
+            raise T2SplineError("knots must be finite")
+        if not np.all(np.diff(knots) >= 0.0):
             raise T2SplineError("knots must be non-decreasing")
         if knots[k - 1] != knots[0] or knots[-k] != knots[-1]:
             raise T2SplineError("knot vector must be clamped (end multiplicity = order)")
+        lo, hi = self.domain
+        if not lo < hi:
+            raise T2SplineError(f"knot vector of order {k} has an empty domain [{lo}, {hi}]")
 
     @property
     def n_controls(self) -> int:
@@ -304,7 +317,8 @@ def check_curve_setup(n: int, weights: np.ndarray, order: int, knots: KnotVector
 
 @dataclass(frozen=True, eq=False)
 class RationalCurveModel:
-    """Crisp rational B-spline: n planar controls, n positive weights, order k."""
+    """Crisp rational B-spline: n planar controls, n positive weights, order k;
+    ``controls`` and ``weights`` are read-only copies."""
 
     controls: np.ndarray
     weights: np.ndarray
@@ -312,11 +326,9 @@ class RationalCurveModel:
     knots: KnotVector
 
     def __post_init__(self):
-        controls = point_array(self.controls, "controls")
-        weights = float_array(self.weights, "weights")
-        object.__setattr__(self, "controls", controls)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "order", check_curve_setup(controls.shape[0], weights, self.order, self.knots))
+        object.__setattr__(self, "controls", read_only_copy(point_array(self.controls, "controls")))
+        object.__setattr__(self, "weights", read_only_copy(float_array(self.weights, "weights")))
+        object.__setattr__(self, "order", check_curve_setup(len(self.controls), self.weights, self.order, self.knots))
 
     @classmethod
     def with_uniform_knots(cls, controls, weights=None, order: int = DEFAULT_ORDER) -> "RationalCurveModel":
@@ -327,19 +339,17 @@ class RationalCurveModel:
 
 @dataclass(frozen=True, eq=False)
 class Polyline:
-    """A sampled curve: m >= 1 points[i] evaluated at finite, strictly increasing params[i]."""
+    """A sampled curve: m >= 1 points[i] at finite, strictly increasing params[i], both read-only copies."""
 
     points: np.ndarray
     params: np.ndarray
 
     def __post_init__(self):
-        points = point_array(self.points, "points")
-        params = param_array(self.params, "params")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "params", params)
-        if not len(points):
+        object.__setattr__(self, "points", read_only_copy(point_array(self.points, "points")))
+        object.__setattr__(self, "params", read_only_copy(param_array(self.params, "params")))
+        if not len(self.points):
             raise T2SplineError("a polyline needs at least one point")
-        if params.shape != (points.shape[0],):
+        if self.params.shape != (len(self),):
             raise T2SplineError("params must match points in length")
 
     def __len__(self) -> int:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bspline import DEFAULT_ORDER, KnotVector, Polyline, RationalCurveModel, check_curve_setup, clamped_uniform_knots
-from .bspline import float_array, sample_curve, sample_curves  # noqa: F401  (curves.sample_curve stays importable)
+from .bspline import float_array, read_only_copy, sample_curve, sample_curves  # noqa: F401  (curves.sample_curve stays importable)
 from .errors import SampleMismatch, T2SplineError
 from .fuzzy import C, COMPONENT_FIELDS, NT2FuzzyPoint, as_coords, point_items, points_of
 from .pipeline import check_alpha, solve
@@ -59,14 +59,13 @@ DEFAULT_ALPHA = 0.8
 class FuzzyCurveModel:
     """Rational curve over fuzzy control points plus the pipeline cut level.
 
-    ``coords`` is the read-only ``(n, 2, 8)`` coordinate array of the
-    controls; it may be given as a sequence of :class:`NT2FuzzyPoint`.
-    It is solved on construction, after its other checks, and refuses an
-    overflow there with :class:`ValidationError`, as a document does.
-    ``solved`` keeps :func:`~t2spline.pipeline.solve` of the controls at
-    ``alpha``, the read-only ``(n, 2)`` arrays ``(left, c, right,
-    solution)``; it is not a field, so ``replace(model, alpha=a)`` solves at
-    ``a``.
+    ``coords`` (the ``(n, 2, 8)`` coordinate array of the controls, which
+    may be given as :class:`NT2FuzzyPoint` instances) and ``weights`` are
+    read-only copies.  The model is solved when built, after its other
+    checks, and refuses an overflow there with :class:`ValidationError`, as
+    a document does: ``solved`` holds read-only copies of the ``(n, 2)``
+    arrays ``(left, c, right, solution)`` of :func:`~t2spline.pipeline.solve`
+    at ``alpha``; not a field, so ``replace(model, alpha=a)`` solves at ``a``.
     """
 
     coords: np.ndarray
@@ -77,13 +76,10 @@ class FuzzyCurveModel:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", as_coords(self.coords))
-        object.__setattr__(self, "weights", float_array(self.weights, "weights"))
+        object.__setattr__(self, "weights", read_only_copy(float_array(self.weights, "weights")))
         object.__setattr__(self, "order", check_curve_setup(len(self.coords), self.weights, self.order, self.knots))
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
-        solved = solve(self.coords, self.alpha)
-        for array in solved:
-            array.flags.writeable = False
-        object.__setattr__(self, "solved", solved)
+        object.__setattr__(self, "solved", tuple(map(read_only_copy, solve(self.coords, self.alpha))))
 
     @classmethod
     def with_uniform_knots(cls, points, weights=None, order=DEFAULT_ORDER, alpha=DEFAULT_ALPHA) -> "FuzzyCurveModel":

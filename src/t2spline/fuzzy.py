@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bspline import as_float, float_array, shown
+from .bspline import as_float, float_array, read_only_copy, shown
 from .errors import (
     HeightOutOfRange,
     NegativeSpread,
@@ -197,9 +197,9 @@ def coords_from_rows(rows: np.ndarray) -> np.ndarray:
     :class:`ValidationError` prefixed with ``point i, coordinate x:``.
     Spreads-form coordinates are converted by
     :meth:`NT2FuzzyScalar.from_spreads` before they reach this array; the
-    rows are read by :func:`~t2spline.bspline.float_array` into a copy.
+    rows are read by :func:`~t2spline.bspline.float_array`, not copied.
     """
-    comps = np.array(float_array(rows, "coordinates"))
+    comps = float_array(rows, "coordinates")
     values, h = comps[:, COMPONENTS], comps[:, H]
     bad = ~np.isfinite(values).all(axis=1) | ~((h > 0.0) & (h <= 1.0)) | (values[:, :-1] > values[:, 1:]).any(axis=1)
     if bad.any():
@@ -227,18 +227,16 @@ def point_items(points) -> tuple | np.ndarray:
 
 
 def as_coords(points) -> np.ndarray:
-    """The read-only ``(n, 2, 8)`` coordinate array of an iterable of
-    :class:`NT2FuzzyPoint`, or of an array of that shape; either is
-    validated by :func:`coords_from_rows`."""
+    """The ``(n, 2, 8)`` coordinate array of an iterable of
+    :class:`NT2FuzzyPoint`, or of an array of that shape, validated by
+    :func:`coords_from_rows`, as a :func:`~t2spline.bspline.read_only_copy`."""
     points = point_items(points)
     if not isinstance(points, np.ndarray):
         if not all(isinstance(p, NT2FuzzyPoint) for p in points):
             raise T2SplineError("fuzzy_controls must be NT2FuzzyPoint instances")
         rows = [(*p.x.components(), p.x.h, *p.y.components(), p.y.h) for p in points]
         points = np.array(rows, dtype=float).reshape(len(points), 2, len(COORD_FIELDS))
-    coords = coords_from_rows(points.reshape(-1, len(COORD_FIELDS))).reshape(points.shape)
-    coords.flags.writeable = False
-    return coords
+    return read_only_copy(coords_from_rows(points.reshape(-1, len(COORD_FIELDS))).reshape(points.shape))
 
 
 def points_of(coords: np.ndarray) -> list[NT2FuzzyPoint]:

@@ -422,14 +422,76 @@ def test_constructors_accept_every_kind_of_number(controls):
     assert model.controls.tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]
 
 
-def test_a_float_array_is_taken_as_it_is():
-    controls = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    assert Polyline(controls, np.array([0.0, 0.5, 1.0])).points is controls
+def test_a_float_array_is_held_as_a_read_only_copy():
+    controls = np.array([[-0.0, 5e-324], [1.0, np.nextafter(1.0, 2.0)], [2.0, 0.0]])
+    points = Polyline(controls, np.array([0.0, 0.5, 1.0])).points
+    assert points.dtype == controls.dtype and points.tobytes() == controls.tobytes()
+    assert not np.shares_memory(points, controls) and not points.flags.writeable
+
+
+def _owner_args(cls) -> list:
+    """Arguments that build a valid ``cls``, each array a fresh writable one."""
+    model = demo_document().model
+    return {
+        KnotVector: [np.array(model.knots.knots), model.order],
+        RationalCurveModel: [np.array(DEMO_CONTROLS), np.array(DEMO_WEIGHTS), model.order, model.knots],
+        Polyline: [np.array(DEMO_CONTROLS), np.array([0.0, 0.25, 0.5, 1.0])],
+        FuzzyCurveModel: [np.array(model.coords), np.array(model.weights), model.order, model.knots, model.alpha],
+    }[cls]
+
+
+_HELD = [
+    (KnotVector, "knots"),
+    (RationalCurveModel, "controls"),
+    (RationalCurveModel, "weights"),
+    (Polyline, "points"),
+    (Polyline, "params"),
+    (FuzzyCurveModel, "coords"),
+    (FuzzyCurveModel, "weights"),
+    (FuzzyCurveModel, "solved"),
+]
+
+
+@pytest.mark.parametrize("cls, name", _HELD, ids=[f"{cls.__name__}.{name}" for cls, name in _HELD])
+def test_an_object_holds_read_only_copies_of_its_arrays(cls, name):
+    """An object's checks hold for its life: a write to the caller's arrays
+    does not reach the arrays it holds, and those cannot be written."""
+    args = _owner_args(cls)
+    held = getattr(cls(*args), name)
+    held = held if isinstance(held, tuple) else (held,)  # solved is four arrays
+    before = [np.array(array) for array in held]
+    callers = [arg for arg in args if isinstance(arg, np.ndarray)]
+    for arg in callers:
+        arg += 1.0
+    for array, was in zip(held, before):
+        assert array.tobytes() == was.tobytes()
+        assert not any(np.shares_memory(array, arg) for arg in callers)
+        with pytest.raises(ValueError):
+            array[...] = 0.0
 
 
 def test_knot_vector_rejects_nan_knot():
     with pytest.raises(T2SplineError):
         KnotVector(np.array([0, 0, 0, np.nan, 1, 1, 1]), order=3)
+
+
+@pytest.mark.parametrize(
+    "knots",
+    [[0, 0, 0, np.inf, np.inf, np.inf], [-np.inf] * 3 + [0] * 3, [0, 0, 0, np.nan, 1, 1, 1]],
+    ids=["inf", "minus-inf", "nan"],
+)
+def test_knot_vector_refuses_a_non_finite_knot(knots):
+    """A knot that is not finite is named as such; inf - inf is never taken."""
+    with pytest.raises(T2SplineError, match="^knots must be finite$"):
+        KnotVector(knots, 3)
+
+
+@pytest.mark.parametrize("knots, order", [(np.ones(6), 3), (np.zeros(4), 2), ([2.5] * 8, 4)])
+def test_knot_vector_refuses_an_empty_domain(knots, order):
+    value = float(knots[0])
+    with pytest.raises(T2SplineError) as exc:
+        KnotVector(knots, order)
+    assert str(exc.value) == f"knot vector of order {order} has an empty domain [{value}, {value}]"
 
 
 def test_knot_vector_refuses_knots_that_are_not_one_dimensional():
@@ -495,9 +557,15 @@ def test_one_parameter_evaluators_take_any_single_number(t):
 
 
 def test_basis_of_knot_vector_with_empty_domain_rejected():
-    kv = KnotVector(np.zeros(6), order=3)
     with pytest.raises(T2SplineError, match="empty domain"):
-        basis_row(kv, 0.0)
+        basis_row(KnotVector(np.zeros(6), order=3), 0.0)
+
+
+def test_basis_of_another_order_with_an_empty_domain_rejected():
+    """``basis`` evaluates orders other than the knot vector's, whose
+    domain the knot vector did not check."""
+    with pytest.raises(T2SplineError, match=r"empty domain \[1\.0, 1\.0\]$"):
+        basis(KnotVector([0, 0, 1, 1, 1, 1], 2), 0, 3, 1.0)
 
 
 def test_polyline_rejects_nan_param():
