@@ -154,23 +154,16 @@ def check_order(order, n: int) -> int:
     return k
 
 
-def max_samples(n: int, order) -> int:
-    """The most samples a curve over ``n`` control points of ``order`` may
-    take: within both :data:`MAX_SAMPLES` and :data:`MAX_BASIS_WORK`.
-    The order is checked first (:func:`check_order`)."""
-    k = check_order(order, n)
-    return min(MAX_SAMPLES, MAX_BASIS_WORK // (k * k))
-
-
-def check_samples(samples, n: int, order) -> int:
-    """``samples`` as an int if it is an integer from 2 to
-    :func:`max_samples` ``(n, order)``; else :class:`TooFewSamples` below 2
-    and :class:`T2SplineError` otherwise, with one message."""
-    most = max_samples(n, order)
+def check_samples(samples, order: int) -> int:
+    """``samples`` as an int if it is an integer from 2 to the most a curve
+    of ``order``, a checked order, may take: within both :data:`MAX_SAMPLES`
+    and :data:`MAX_BASIS_WORK`; else :class:`TooFewSamples` below 2 and
+    :class:`T2SplineError` otherwise, with one message."""
+    most = min(MAX_SAMPLES, MAX_BASIS_WORK // order**2)
     if is_integer(samples) and 2 <= samples <= most:
         return int(samples)
     error = TooFewSamples if is_integer(samples) and samples < 2 else T2SplineError
-    raise error(f"samples must be an integer from 2 to {most} for order {int(order)}, got {shown(samples)}")
+    raise error(f"samples must be an integer from 2 to {most} for order {order}, got {shown(samples)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,7 +364,7 @@ def sample_curves(knots: KnotVector, weights: np.ndarray, polygons, samples: int
     """Evaluate one rational curve per (n, 2) control polygon of the stack at
     `samples` uniform parameters ``ts``; return ``ts`` and the ``(polygons,
     samples, 2)`` points.  The basis terms are computed once, for every polygon."""
-    samples = check_samples(samples, knots.n_controls, knots.order)
+    samples = check_samples(samples, knots.order)
     ts = np.linspace(*knots.domain, samples)
     return ts, _points(knots, weights, polygons, ts)
 

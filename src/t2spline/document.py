@@ -5,7 +5,7 @@ Document layout::
     {
       "order": 3,            // optional, default 3
       "alpha": 0.8,          // optional, default 0.8
-      "samples": 101,        // optional, default 101, at most 2**24, fewer from order 5 (bspline.max_samples)
+      "samples": 101,        // optional, default 101, at most 2**24, fewer from order 5 (bspline.check_samples)
       "weights": [1, 1, 3, 1],   // optional, default all ones
       "points": [
         {"x": <coordinate>, "y": <coordinate>},
@@ -83,17 +83,18 @@ class ModelDocument:
     ``points`` may be an iterable of :class:`NT2FuzzyPoint` or an ``(n, 2, 8)``
     coordinate array; with ``weights``, ``order`` and ``alpha`` it builds
     :attr:`model` once, on construction, and the model solves itself.  An
-    input it refuses raises :class:`ValidationError`; ``order`` and
-    ``samples`` are checked first, by
-    :func:`~t2spline.bspline.check_samples`, then the model's ``weights``
-    and ``alpha``, then the overflow of its solution.
+    input it refuses raises :class:`ValidationError`: ``order`` first, by
+    the uniform knots, then ``samples`` over the knots' checked order
+    (:func:`~t2spline.bspline.check_samples`), then the model's coordinates,
+    ``weights`` and ``alpha``, then the overflow of its solution.
     """
 
     def __init__(self, points, weights: list[float], order: int, alpha: float, samples: int):
         try:
             points = point_items(points)
-            self.samples = check_samples(samples, len(points), order)
-            self.model = FuzzyCurveModel(points, weights, order, clamped_uniform_knots(len(points), order), alpha)
+            knots = clamped_uniform_knots(len(points), order)
+            self.samples = check_samples(samples, knots.order)
+            self.model = FuzzyCurveModel(points, weights, order, knots, alpha)
         except T2SplineError as exc:
             raise ValidationError(str(exc)) from exc
 

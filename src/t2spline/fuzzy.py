@@ -22,6 +22,7 @@ given as ``c``, six spreads and ``h`` is converted by
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -153,14 +154,25 @@ class NT2FuzzyScalar:
 
 
 def _triangle(x: float, lo: float, apex: float, hi: float, peak: float) -> float:
+    """The grade, in [0, peak], at ``x`` of the triangle on [lo, hi] with
+    apex (apex, peak); NaN is refused and ±inf has grade 0.  A side wider
+    than the float range is measured in halves, a grade whose product
+    ``peak * rise`` underflows divides first, and one rounded past ``peak``
+    is ``peak``."""
     x = as_float(x, "x")
+    if math.isnan(x):
+        raise T2SplineError("x must not be NaN")
     if x == apex:
         return peak
     if x <= lo or x >= hi:
         return 0.0
-    if x < apex:
-        return peak * (x - lo) / (apex - lo)
-    return peak * (hi - x) / (hi - apex)
+    end = lo if x < apex else hi
+    rise, width = abs(x - end), abs(apex - end)
+    if math.isinf(width):
+        rise, width = abs(x / 2 - end / 2), abs(apex / 2 - end / 2)
+    if peak * rise < sys.float_info.min:
+        return peak * (rise / width)
+    return min(peak, peak * rise / width)
 
 
 @dataclass(frozen=True)

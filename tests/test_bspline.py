@@ -1,3 +1,4 @@
+import functools
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -12,6 +13,7 @@ from test_curves import fuzzy_models
 from t2spline import (
     FuzzyCurveModel,
     KnotVector,
+    ModelDocument,
     NT2FuzzyPoint,
     OrderExceedsControlCount,
     ParameterOutOfDomain,
@@ -28,7 +30,7 @@ from t2spline import (
     sample_curve,
     svg_document,
 )
-from t2spline.bspline import MAX_BASIS_WORK, MAX_SAMPLES, basis_rows, float_array, max_samples, sample_curves, shown
+from t2spline.bspline import MAX_BASIS_WORK, MAX_SAMPLES, basis_rows, check_samples, float_array, sample_curves, shown
 from t2spline.curves import GROUPS, component_polygons, evaluate
 
 DEMO_CONTROLS = np.array([[0.0, 0.0], [2.0, 4.0], [5.0, 5.0], [7.0, 1.0]])
@@ -601,14 +603,27 @@ def test_sample_count_above_bound_rejected_before_allocation():
             sample_curve(demo_rational(), samples)
 
 
+@functools.cache
+def most_samples(order):
+    """The bound :func:`check_samples` states at ``order``: it admits that
+    count and refuses one more, naming the count in its message."""
+    with pytest.raises(T2SplineError) as refusal:
+        check_samples(10**30, order)
+    most = int(re.search(r"from 2 to (\d+) for order", str(refusal.value)).group(1))
+    assert check_samples(most, order) == most
+    with pytest.raises(T2SplineError, match=f"^samples must be an integer from 2 to {most} for order {order}, got {most + 1}$"):
+        check_samples(most + 1, order)
+    return most
+
+
 @pytest.mark.parametrize("n", [4, 400, 5000])
 def test_sample_bound_is_on_basis_cells(n):
     """The bound counts the cells of the triangular basis table, order² per
     sample, and the points of each curve; not the control points."""
     kv = clamped_uniform_knots(n, 3)
     polygon = np.zeros((1, n, 2))
-    assert [max_samples(n, order) for order in (2, 3, 4)] == [MAX_SAMPLES] * 3
-    assert max_samples(n, n) == min(MAX_SAMPLES, MAX_BASIS_WORK // n**2)
+    assert [most_samples(order) for order in (2, 3, 4)] == [MAX_SAMPLES] * 3
+    assert most_samples(n) == min(MAX_SAMPLES, MAX_BASIS_WORK // n**2)
     with pytest.raises(T2SplineError, match=f"^samples must be an integer from 2 to {MAX_SAMPLES} for order 3, got {MAX_SAMPLES + 1}$"):
         sample_curves(kv, np.ones(n), polygon, MAX_SAMPLES + 1)
 
@@ -616,7 +631,7 @@ def test_sample_bound_is_on_basis_cells(n):
 def test_sample_bound_up_to_order_4_is_the_point_bound():
     for order in range(2, 5):
         for n in range(order, 5001):
-            assert max_samples(n, order) == MAX_SAMPLES
+            assert most_samples(order) == MAX_SAMPLES
 
 
 def test_sample_bound_admits_every_count_the_cell_bound_admitted():
@@ -625,13 +640,13 @@ def test_sample_bound_admits_every_count_the_cell_bound_admitted():
     accepted is refused."""
     grid = [(n, order) for order in range(2, 41) for n in [*range(order, 3001), 10**4, 10**5, 10**6]]
     for n, order in grid + [(400, 400), (2000, 1000), (10**6, 10**4)]:
-        assert max_samples(n, order) >= min(2**25 // n, MAX_BASIS_WORK // order**2)
+        assert most_samples(order) >= min(2**25 // n, MAX_BASIS_WORK // order**2)
 
 
 def test_sample_bound_above_order_10_limits_basis_work():
     """The triangular table costs order² steps per sample."""
-    assert max_samples(400, 400) == MAX_BASIS_WORK // 400**2 == 2097
-    assert max_samples(11, 11) == MAX_BASIS_WORK // 121 < MAX_SAMPLES
+    assert most_samples(400) == MAX_BASIS_WORK // 400**2 == 2097
+    assert most_samples(11) == MAX_BASIS_WORK // 121 < MAX_SAMPLES
     kv = clamped_uniform_knots(400, 400)
     for samples in (2098, 10**9, 10**12):
         with pytest.raises(T2SplineError, match=f"^samples must be an integer from 2 to 2097 for order 400, got {samples}$"):
@@ -640,8 +655,10 @@ def test_sample_bound_above_order_10_limits_basis_work():
 
 @pytest.mark.parametrize("order", [3.7, True, "3", 1, 6])
 def test_sample_bound_checks_the_order_first(order):
+    """A document's uniform knots check its order before its sample count."""
+    points = [NT2FuzzyPoint.crisp(i, i) for i in range(5)]
     with pytest.raises(T2SplineError, match="^order "):
-        max_samples(5, order)
+        ModelDocument(points, [1.0] * 5, order, 0.8, 10**9)
 
 
 

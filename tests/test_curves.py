@@ -35,7 +35,7 @@ from t2spline import (
     reduced_curves,
     sample_curve,
 )
-from t2spline.bspline import check_order, check_samples, max_samples
+from t2spline.bspline import check_order, check_samples
 from t2spline.curves import GROUPS, SERIES, evaluate
 from t2spline.fuzzy import as_coords
 from t2spline.pipeline import solve
@@ -470,8 +470,7 @@ _HUGE = 10**5000  # float() overflows on it, and repr() refuses it
     "build",
     [
         lambda: check_order(_HUGE, 4),
-        lambda: check_samples(_HUGE, 4, 3),
-        lambda: max_samples(4, _HUGE),
+        lambda: check_samples(_HUGE, 3),
         lambda: basis(clamped_uniform_knots(4, 3), _HUGE, 3, 0.5),
         lambda: NT2FuzzyScalar(1, 2, 3, 4, 5, 6, _HUGE, 0.5),
         lambda: NT2FuzzyScalar.from_spreads(_HUGE, (1,) * 6, 0.5),
@@ -493,7 +492,6 @@ _HUGE = 10**5000  # float() overflows on it, and repr() refuses it
     ids=[
         "check-order",
         "check-samples",
-        "max-samples",
         "basis-index",
         "scalar-component",
         "from-spreads-crisp",
