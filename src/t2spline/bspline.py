@@ -5,6 +5,9 @@ algorithm A2.2 ``BasisFuns``): each parameter's knot span is found by binary
 search and only the ``order`` basis functions that are non-zero on that span
 are computed, for all parameters at once.  Curves sum these terms (A4.1) in
 a fixed order, elementwise, so their bits do not depend on the BLAS build.
+The kernels take checked objects only: :func:`basis_rows` a
+:class:`KnotVector` and :func:`sample_curves` a :class:`RationalCurveModel`,
+which states the rule that weights, order and knots fit its controls.
 
 The input rules of the package are stated here once: a number
 (:func:`as_float`, :func:`float_array`), an integer (:func:`is_integer`),
@@ -39,10 +42,13 @@ MAX_BASIS_WORK = 335_544_320
 #: Order of a curve built without one: quadratic.
 DEFAULT_ORDER = 3
 
+#: Most float64 knots numpy can size as one array: their bytes must fit an intp.
+_MOST_KNOTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
 
 #: Types that are not numbers, although ``float()`` or numpy converts them
 #: (None to NaN): refused by :func:`as_float` and :func:`float_array`.
-_NOT_NUMBERS = (str, bytes, bool, np.bool_, type(None))
+_NOT_NUMBERS = (str, bytes, bool, np.bool_, np.complexfloating, type(None))
 
 
 def shown(value) -> str:
@@ -168,8 +174,8 @@ def check_samples(samples, order: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class KnotVector:
-    """Finite, non-decreasing knot sequence of length n + order, clamped at
-    both ends, with a non-empty domain; ``knots`` is a read-only copy."""
+    """Finite, non-decreasing knots, n + order >= 2 * order of them, clamped
+    at both ends, with a non-empty domain; ``knots`` is a read-only copy."""
 
     knots: np.ndarray
     order: int
@@ -179,7 +185,9 @@ class KnotVector:
         if knots.ndim != 1:
             raise T2SplineError(f"knots must be a 1-D array, got shape {knots.shape}")
         object.__setattr__(self, "knots", knots)
-        k = _order_of_knots(self.order, knots.size)
+        k = check_order(self.order, math.inf)  # an integer of at least 2; the knots bound it
+        if knots.size < 2 * k:
+            raise OrderExceedsControlCount(f"order {shown(self.order)} needs at least twice as many knots, got {knots.size}")
         object.__setattr__(self, "order", k)
         if not np.isfinite(knots).all():
             raise T2SplineError("knots must be finite")
@@ -201,39 +209,30 @@ class KnotVector:
         return (float(self.knots[self.order - 1]), float(self.knots[self.n_controls]))
 
 
-def _order_of_knots(order, size: int) -> int:
-    """``order`` as an int (:func:`check_order`) if ``size`` knots can hold
-    its two clamped ends; else :class:`OrderExceedsControlCount` naming both."""
-    k = check_order(order, math.inf)  # an integer of at least 2; the knots bound it
-    if size < 2 * k:
-        raise OrderExceedsControlCount(f"order {shown(order)} needs at least twice as many knots, got {size}")
-    return k
-
-
 def clamped_uniform_knots(n: int, k: int) -> KnotVector:
-    """Clamped uniform knot vector on [0, 1] for n control points, order k."""
+    """Clamped uniform knot vector on [0, 1] for n control points, order k;
+    refused unless numpy can size an array of its n + k float knots."""
     if not is_integer(n):
         raise T2SplineError(f"the control count must be an integer, got {shown(n)}")
     k = check_order(k, n)
+    if int(n) > _MOST_KNOTS - k:  # compared as a Python int: numpy would size it wrongly or not at all
+        raise T2SplineError(f"the control count must be at most {_MOST_KNOTS - k} for order {k}, got {shown(n)}")
     interior = np.arange(1, n - k + 1, dtype=float) / (n - k + 1)
     return KnotVector(np.concatenate([np.zeros(k), interior, np.ones(k)]), order=k)
 
 
-def basis_rows(knots: np.ndarray, order: int, ts) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(len(ts),)`` index of the first basis function of the given order
-    over ``knots`` that may be non-zero at each parameter in ``ts``, and the
-    ``(len(ts), order)`` values from it on; every other basis value is zero.
+def basis_rows(kv: KnotVector, ts) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(len(ts),)`` index of the first basis function of ``kv`` that
+    may be non-zero at each parameter in ``ts`` (refused outside the domain
+    with :class:`ParameterOutOfDomain`), and the ``(len(ts), kv.order)``
+    values from it on; every other basis value is zero.
 
     Each row depends on its own parameter only, so a parameter evaluated
     alone or inside a batch gives identical bits.  The last non-empty span
     is closed on the right, so the row at the domain's upper end is defined.
     """
-    knots = np.asarray(knots, dtype=float)
+    knots, order, (lo, hi) = kv.knots, kv.order, kv.domain
     ts = np.atleast_1d(float_array(ts, "t"))
-    n = knots.size - order
-    lo, hi = knots[order - 1], knots[n]
-    if not lo < hi:
-        raise T2SplineError(f"order {order} basis over these knots has an empty domain [{lo}, {hi}]")
     inside = (ts >= lo) & (ts <= hi)  # also rejects NaN
     if not inside.all():
         raise ParameterOutOfDomain(f"t={float(ts[~inside][0])!r} outside domain [{lo}, {hi}]")
@@ -260,24 +259,25 @@ class _IndexOutOfRange(T2SplineError, IndexError):
 
 
 def basis(kv: KnotVector, i: int, order: int, t: float) -> float:
-    """Basis function N_i of the given order at parameter t (i is 0-based).
+    """Basis function N_i of the given order, from 2 to ``kv.order`` (the
+    orders its knots are clamped at), at parameter t (i is 0-based).
 
     Non-negative, zero outside [knots[i], knots[i + order]], and the basis
     functions of one knot vector sum to 1 across the domain.
     """
     if not is_integer(i):
         raise T2SplineError(f"basis index must be an integer, got {shown(i)}")
-    order = _order_of_knots(order, kv.knots.size)
-    n = kv.knots.size - order
-    if not 0 <= i < n:
-        raise _IndexOutOfRange(f"basis index {shown(i)} out of range for {n} basis functions")
-    first, values = basis_rows(kv.knots, order, _parameter(t))
-    return float(values[0, i - first[0]]) if 0 <= i - first[0] < order else 0.0
+    index = int(i)  # read as a Python int: a numpy unsigned index minus a signed one is a float
+    kv = KnotVector(kv.knots, order)
+    if not 0 <= index < kv.n_controls:
+        raise _IndexOutOfRange(f"basis index {shown(i)} out of range for {kv.n_controls} basis functions")
+    first, values = basis_rows(kv, _parameter(t))
+    return float(values[0, index - first[0]]) if 0 <= index - first[0] < kv.order else 0.0
 
 
 def basis_row(kv: KnotVector, t: float) -> np.ndarray:
     """All n basis values of the knot vector's own order at parameter t."""
-    first, values = basis_rows(kv.knots, kv.order, _parameter(t))
+    first, values = basis_rows(kv, _parameter(t))
     return np.pad(values[0], (first[0], kv.n_controls - kv.order - first[0]))
 
 
@@ -290,28 +290,12 @@ def _parameter(t) -> float:
     return as_float(t, "t")
 
 
-def check_curve_setup(n: int, weights: np.ndarray, order: int, knots: KnotVector) -> int:
-    """Raise unless order, weights and knots fit a curve over n control
-    points; return the order as an int."""
-    if weights.shape != (n,):
-        raise T2SplineError(f"expected {n} weights, got shape {weights.shape}")
-    if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
-        raise T2SplineError("weights must all be finite and > 0")
-    order = check_order(order, n)
-    if not isinstance(knots, KnotVector):
-        raise T2SplineError(f"knots must be a KnotVector, got {type(knots).__name__}")
-    if knots.order != order or knots.n_controls != n:
-        raise T2SplineError(
-            f"knot vector (order {knots.order}, {knots.n_controls} controls) "
-            f"does not match model (order {order}, {n} controls)"
-        )
-    return order
-
-
 @dataclass(frozen=True, eq=False)
 class RationalCurveModel:
-    """Crisp rational B-spline: n planar controls, n positive weights, order k;
-    ``controls`` and ``weights`` are read-only copies."""
+    """Crisp rational B-spline: n planar controls, n finite positive weights,
+    an order from 2 to n and a :class:`KnotVector` of that order over n
+    controls; ``controls`` and ``weights`` are read-only copies.  Refused in
+    that order: controls, weight count, weight values, order, knots."""
 
     controls: np.ndarray
     weights: np.ndarray
@@ -321,7 +305,19 @@ class RationalCurveModel:
     def __post_init__(self):
         object.__setattr__(self, "controls", read_only_copy(point_array(self.controls, "controls")))
         object.__setattr__(self, "weights", read_only_copy(float_array(self.weights, "weights")))
-        object.__setattr__(self, "order", check_curve_setup(len(self.controls), self.weights, self.order, self.knots))
+        n, weights, knots = len(self.controls), self.weights, self.knots
+        if weights.shape != (n,):
+            raise T2SplineError(f"expected {n} weights, got shape {weights.shape}")
+        if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
+            raise T2SplineError("weights must all be finite and > 0")
+        object.__setattr__(self, "order", check_order(self.order, n))
+        if not isinstance(knots, KnotVector):
+            raise T2SplineError(f"knots must be a KnotVector, got {type(knots).__name__}")
+        if knots.order != self.order or knots.n_controls != n:
+            raise T2SplineError(
+                f"knot vector (order {knots.order}, {knots.n_controls} controls) "
+                f"does not match model (order {self.order}, {n} controls)"
+            )
 
     @classmethod
     def with_uniform_knots(cls, controls, weights=None, order: int = DEFAULT_ORDER) -> "RationalCurveModel":
@@ -351,35 +347,36 @@ class Polyline:
 
 def rational_point(m: RationalCurveModel, t: float) -> np.ndarray:
     """Evaluate sum(w_i N_i(t) P_i) / sum(w_r N_r(t)) at parameter t."""
-    return _points(m.knots, m.weights, m.controls[None], [_parameter(t)])[0, 0]
+    return _points(m, m.controls[None], [_parameter(t)])[0, 0]
 
 
 def sample_curve(m: RationalCurveModel, samples: int) -> Polyline:
     """Evaluate the curve at `samples` uniform parameters across the domain."""
-    ts, points = sample_curves(m.knots, m.weights, m.controls[None], samples)
+    ts, points = sample_curves(m, m.controls[None], samples)
     return Polyline(points[0], ts)
 
 
-def sample_curves(knots: KnotVector, weights: np.ndarray, polygons, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate one rational curve per (n, 2) control polygon of the stack at
-    `samples` uniform parameters ``ts``; return ``ts`` and the ``(polygons,
-    samples, 2)`` points.  The basis terms are computed once, for every polygon."""
-    samples = check_samples(samples, knots.order)
-    ts = np.linspace(*knots.domain, samples)
-    return ts, _points(knots, weights, polygons, ts)
+def sample_curves(m: RationalCurveModel, polygons, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate one rational curve per (n, 2) control polygon of the stack,
+    with the weights and knots ``m`` checked, at `samples` uniform parameters
+    ``ts``; return ``ts`` and the ``(polygons, samples, 2)`` points.  The
+    basis terms are computed once, for every polygon."""
+    samples = check_samples(samples, m.order)
+    ts = np.linspace(*m.knots.domain, samples)
+    return ts, _points(m, polygons, ts)
 
 
-def _points(knots: KnotVector, weights: np.ndarray, polygons, ts) -> np.ndarray:
-    """The ``(polygons, len(ts), 2)`` points of one rational curve per control
+def _points(m: RationalCurveModel, polygons, ts) -> np.ndarray:
+    """The ``(polygons, len(ts), 2)`` points of one curve of ``m`` per control
     polygon of the stack: numerator and denominator sum their ``order``
     non-zero terms in index order.  The denominator is positive on the domain
     (positive weights and partition of unity), so no pole handling is needed."""
-    first, values = basis_rows(knots.knots, knots.order, ts)
+    first, values = basis_rows(m.knots, ts)
     stack = np.asarray(polygons, dtype=float)
     num = den = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        for j in range(knots.order):
-            coeff = np.take(weights, first + j) * values[:, j]
+        for j in range(m.order):
+            coeff = np.take(m.weights, first + j) * values[:, j]
             num = num + coeff[:, None] * np.take(stack, first + j, axis=1)
             den = den + coeff
         points = num / den[:, None]

@@ -29,8 +29,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bspline import DEFAULT_ORDER, KnotVector, Polyline, RationalCurveModel, check_curve_setup, clamped_uniform_knots
-from .bspline import float_array, read_only_copy, sample_curve, sample_curves  # noqa: F401  (curves.sample_curve stays importable)
+from .bspline import DEFAULT_ORDER, KnotVector, Polyline, RationalCurveModel, clamped_uniform_knots
+from .bspline import read_only_copy, sample_curve, sample_curves  # noqa: F401  (curves.sample_curve stays importable)
 from .errors import SampleMismatch, T2SplineError
 from .fuzzy import C, COMPONENT_FIELDS, NT2FuzzyPoint, as_coords, point_items, points_of
 from .pipeline import check_alpha, solve
@@ -60,12 +60,14 @@ class FuzzyCurveModel:
     """Rational curve over fuzzy control points plus the pipeline cut level.
 
     ``coords`` (the ``(n, 2, 8)`` coordinate array of the controls, which
-    may be given as :class:`NT2FuzzyPoint` instances) and ``weights`` are
-    read-only copies.  The model is solved when built, after its other
-    checks, and refuses an overflow there with :class:`ValidationError`, as
-    a document does: ``solved`` holds read-only copies of the ``(n, 2)``
-    arrays ``(left, c, right, solution)`` of :func:`~t2spline.pipeline.solve`
-    at ``alpha``; not a field, so ``replace(model, alpha=a)`` solves at ``a``.
+    may be given as :class:`NT2FuzzyPoint` instances) is a read-only copy;
+    ``weights`` and ``order`` are those of :meth:`crisp_model`, built once,
+    which checks them and the knots.  The model is solved when built, after
+    its other checks, and refuses an overflow there with
+    :class:`ValidationError`, as a document does: ``solved`` holds read-only
+    copies of the ``(n, 2)`` arrays ``(left, c, right, solution)`` of
+    :func:`~t2spline.pipeline.solve` at ``alpha``.  Neither is a field, so
+    ``replace(model, alpha=a)`` builds and solves a new model at ``a``.
     """
 
     coords: np.ndarray
@@ -76,8 +78,10 @@ class FuzzyCurveModel:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", as_coords(self.coords))
-        object.__setattr__(self, "weights", read_only_copy(float_array(self.weights, "weights")))
-        object.__setattr__(self, "order", check_curve_setup(len(self.coords), self.weights, self.order, self.knots))
+        crisp = RationalCurveModel(self.coords[:, :, C], self.weights, self.order, self.knots)
+        object.__setattr__(self, "_crisp", crisp)
+        object.__setattr__(self, "weights", crisp.weights)
+        object.__setattr__(self, "order", crisp.order)
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
         object.__setattr__(self, "solved", tuple(map(read_only_copy, solve(self.coords, self.alpha))))
 
@@ -93,8 +97,8 @@ class FuzzyCurveModel:
         return tuple(points_of(self.coords))
 
     def crisp_model(self) -> RationalCurveModel:
-        """The rational curve through the crisp (c, c) control polygon."""
-        return RationalCurveModel(self.coords[:, :, C], self.weights, self.order, self.knots)
+        """The rational curve through the crisp (c, c) control polygon, built with the model."""
+        return self._crisp
 
 
 class _CurveGroup:
@@ -197,7 +201,7 @@ def evaluate(model: FuzzyCurveModel, groups, samples: int = DEFAULT_SAMPLES) -> 
     labels = list(dict.fromkeys(label for group in GROUPS if group in groups for label in SERIES[group]))
     polygons = component_polygons(model)
     polygons["tr_left"], _, polygons["tr_right"], polygons["defuzzified"] = model.solved
-    ts, points = sample_curves(model.knots, model.weights, [polygons[label] for label in labels], samples)
+    ts, points = sample_curves(model.crisp_model(), [polygons[label] for label in labels], samples)
     return ts, dict(zip(labels, points))
 
 

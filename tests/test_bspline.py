@@ -15,6 +15,7 @@ from t2spline import (
     KnotVector,
     ModelDocument,
     NT2FuzzyPoint,
+    NT2FuzzyScalar,
     OrderExceedsControlCount,
     ParameterOutOfDomain,
     Polyline,
@@ -26,6 +27,7 @@ from t2spline import (
     basis_row,
     clamped_uniform_knots,
     demo_document,
+    pipeline_point,
     rational_point,
     sample_curve,
     svg_document,
@@ -43,7 +45,7 @@ def demo_rational():
 
 def dense_rows(knots, order, ts):
     """The :func:`basis_rows` terms scattered into a dense ``(len(ts), n)`` matrix."""
-    first, values = basis_rows(knots, order, ts)
+    first, values = basis_rows(KnotVector(knots, order), ts)
     rows = np.zeros((values.shape[0], len(knots) - order))
     for row, i, terms in zip(rows, first, values):
         row[i : i + order] = terms
@@ -564,10 +566,75 @@ def test_basis_of_knot_vector_with_empty_domain_rejected():
 
 
 def test_basis_of_another_order_with_an_empty_domain_rejected():
-    """``basis`` evaluates orders other than the knot vector's, whose
-    domain the knot vector did not check."""
-    with pytest.raises(T2SplineError, match=r"empty domain \[1\.0, 1\.0\]$"):
+    """``basis`` evaluates other orders over the same knots, which must be
+    clamped at that order too."""
+    with pytest.raises(T2SplineError, match=r"^knot vector must be clamped \(end multiplicity = order\)$"):
         basis(KnotVector([0, 0, 1, 1, 1, 1], 2), 0, 3, 1.0)
+
+
+def test_basis_of_the_orders_the_knots_are_clamped_at_matches_the_recursion():
+    """A knot vector of order 4 is clamped at orders 2, 3 and 4; at order 5
+    its ends are too short, and ``basis`` refuses it rather than evaluate
+    over a narrower inner domain."""
+    kv = KnotVector([0, 0, 0, 0, 0.25, 0.5, 0.5, 0.75, 1, 1, 1, 1], 4)
+    ts = np.concatenate([np.unique(kv.knots), np.linspace(0.0, 1.0, 23)])
+    for order in (2, 3, 4):
+        for i in range(kv.knots.size - order):
+            for t in ts:
+                assert abs(basis(kv, i, order, t) - cox_de_boor(kv.knots, i, order, t)) <= 1e-14
+    with pytest.raises(T2SplineError, match=r"^knot vector must be clamped \(end multiplicity = order\)$"):
+        basis(kv, 0, 5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [np.int8, np.int16, np.int32, np.int64, np.longlong, np.uint8, np.uint16, np.uint32, np.uint64, np.ulonglong],
+    ids=lambda kind: kind.__name__,
+)
+def test_basis_reads_a_numpy_index_as_an_integer(kind):
+    """``np.uint64(1) - np.int64(0)`` is a float; the index is read as the Python int it holds."""
+    assert basis(clamped_uniform_knots(4, 3), kind(1), 3, 0.25) == 0.625
+
+
+_COMPLEX_SCALARS = {
+    "fuzzy-scalar": (
+        lambda: NT2FuzzyScalar(np.complex128(1 + 2j), 1, 1, 1, 1, 1, 1, 0.5),
+        "ll must be a number, got np.complex128(1+2j)",
+    ),
+    "pipeline-alpha": (
+        lambda: pipeline_point(NT2FuzzyPoint.crisp(1, 1), np.complex64(0.5 + 0.25j)),
+        "alpha must be a number, got np.complex64(0.5+0.25j)",
+    ),
+    "rational-point-t": (
+        lambda: rational_point(demo_rational(), np.complex128(0.5 + 3j)),
+        "t must be a number, got np.complex128(0.5+3j)",
+    ),
+    "float-array": (
+        lambda: float_array([np.complex128(3 + 1j), 1.0], "w"),
+        "w must be a rectangular array of numbers: np.complex128(3+1j) is not a number",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", _COMPLEX_SCALARS.values(), ids=_COMPLEX_SCALARS)
+def test_a_numpy_complex_scalar_is_not_a_number(build, message):
+    """``float()`` drops its imaginary part with only a ``ComplexWarning``."""
+    with pytest.raises(T2SplineError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "n", [2**63 - 1, 2**63, np.uint64(2**63), 2**60 + 7, 2**62, 2**64 + 5, 10**400],
+    ids=["2**63-1", "2**63", "uint64-2**63", "2**60+7", "2**62", "2**64+5", "10**400"],
+)
+def test_a_control_count_the_knots_cannot_hold_is_refused(n):
+    """numpy sizes no float array of ``n + 2`` knots: it made some of these
+    two controls long and refused the others with a bare ``ValueError``."""
+    most = np.iinfo(np.intp).max // 8 - 2
+    with pytest.raises(T2SplineError) as exc:
+        clamped_uniform_knots(n, 2)
+    assert str(exc.value) == f"the control count must be at most {most} for order 2, got {shown(n)}"
 
 
 def test_polyline_rejects_nan_param():
@@ -586,7 +653,7 @@ def test_sample_curves_shares_basis_and_matches_rational_point(n, order):
     polygons = rng.normal(size=(5, n, 2))
     weights = rng.uniform(0.5, 3.0, n)
     kv = clamped_uniform_knots(n, order)
-    ts, points = sample_curves(kv, weights, polygons, 17)
+    ts, points = sample_curves(RationalCurveModel(polygons[0], weights, order, kv), polygons, 17)
     assert points.shape == (len(polygons), 17, 2)
     assert np.array_equal(ts, np.linspace(0.0, 1.0, 17))
     for polygon, curve in zip(polygons, points):
@@ -625,7 +692,7 @@ def test_sample_bound_is_on_basis_cells(n):
     assert [most_samples(order) for order in (2, 3, 4)] == [MAX_SAMPLES] * 3
     assert most_samples(n) == min(MAX_SAMPLES, MAX_BASIS_WORK // n**2)
     with pytest.raises(T2SplineError, match=f"^samples must be an integer from 2 to {MAX_SAMPLES} for order 3, got {MAX_SAMPLES + 1}$"):
-        sample_curves(kv, np.ones(n), polygon, MAX_SAMPLES + 1)
+        sample_curves(RationalCurveModel(polygon[0], np.ones(n), 3, kv), polygon, MAX_SAMPLES + 1)
 
 
 def test_sample_bound_up_to_order_4_is_the_point_bound():
@@ -650,7 +717,7 @@ def test_sample_bound_above_order_10_limits_basis_work():
     kv = clamped_uniform_knots(400, 400)
     for samples in (2098, 10**9, 10**12):
         with pytest.raises(T2SplineError, match=f"^samples must be an integer from 2 to 2097 for order 400, got {samples}$"):
-            sample_curves(kv, np.ones(400), np.zeros((1, 400, 2)), samples)
+            sample_curves(RationalCurveModel(np.zeros((400, 2)), np.ones(400), 400, kv), np.zeros((1, 400, 2)), samples)
 
 
 @pytest.mark.parametrize("order", [3.7, True, "3", 1, 6])
@@ -703,14 +770,15 @@ def test_basis_rows_match_recursive_oracle(case):
 @example((np.array([0.0, 0.0, 5e-324, 1.0, 1.0]), 2, np.array([0.0, 1.0, 5e-324])))  # subnormal interval
 def test_basis_rows_partition_of_unity_nonnegative_and_per_sample(case):
     knots, order, ts = case
-    first, values = basis_rows(knots, order, ts)
+    kv = KnotVector(knots, order)
+    first, values = basis_rows(kv, ts)
     assert first.shape == ts.shape and values.shape == (ts.size, order)
     assert np.all((first >= 0) & (first <= knots.size - 2 * order))
     rows = dense_rows(knots, order, ts)
     assert np.all(rows >= 0.0)
     assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
     for t, i, terms in zip(ts, first, values):  # one parameter alone gives the same bits as in the batch
-        alone = basis_rows(knots, order, t)
+        alone = basis_rows(kv, t)
         assert alone[0][0] == i and np.array_equal(alone[1][0], terms)
 
 
@@ -727,6 +795,6 @@ def test_basis_rows_reject_nan_and_out_of_domain(case, bad, where):
     knots, order, ts = case
     ts = np.insert(ts, min(where, ts.size), bad)
     with pytest.raises(ParameterOutOfDomain):
-        basis_rows(knots, order, ts)
+        basis_rows(KnotVector(knots, order), ts)
     with pytest.raises(ParameterOutOfDomain):
         basis_row(KnotVector(knots, order), bad)

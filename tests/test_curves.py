@@ -189,6 +189,14 @@ def test_defuzzified_asymmetric_differs_from_crisp():
     assert deviation(dfz, crisp).max_distance > 1e-6
 
 
+def test_crisp_model_is_built_once_over_the_weights_and_knots_of_the_model():
+    model = asymmetric_model()
+    crisp = model.crisp_model()
+    assert crisp is model.crisp_model()
+    assert crisp.weights is model.weights and crisp.knots is model.knots and crisp.order == model.order
+    assert np.array_equal(crisp.controls, component_polygons(model)["crisp"])
+
+
 def test_crisp_band_curve_independent_of_alpha_and_spreads():
     a = fuzzy_curve_band(symmetric_model(alpha=0.1), 21).crisp
     b = fuzzy_curve_band(asymmetric_model(alpha=0.9), 21).crisp

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -148,3 +150,27 @@ def test_the_cli_checks_no_series_name():
     assert len(groups_read) == 1  # the --series help text
     parse_series = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_parse_series")
     assert not any(isinstance(node, (ast.Raise, ast.If)) for node in ast.walk(parse_series))
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_below_five(x):
+    assert x < 5
+"""
+
+
+def test_a_failing_property_shows_its_example_under_the_warning_filter(tmp_path):
+    """Hypothesis writes its report with libcst, which warns on import; as an
+    error, that warning ended the run in an ``INTERNALERROR`` and hid the
+    falsifying example."""
+    (tmp_path / "test_property.py").write_text(_FAILING_PROPERTY, encoding="utf-8")
+    argv = [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path)]
+    run = subprocess.run(
+        [*argv, "-p", "no:cacheprovider", "test_property.py"], cwd=tmp_path, capture_output=True, text=True, timeout=300
+    )
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "Falsifying example: test_below_five(" in out and "INTERNALERROR" not in out, out
