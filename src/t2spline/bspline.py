@@ -47,8 +47,9 @@ _MOST_KNOTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 #: Types that are not numbers, although ``float()`` or numpy converts them
-#: (None to NaN): refused by :func:`as_float` and :func:`float_array`.
-_NOT_NUMBERS = (str, bytes, bool, np.bool_, np.complexfloating, type(None))
+#: (None to NaN, a timedelta or datetime without a unit to its count):
+#: refused by :func:`as_float` and :func:`float_array`.
+_NOT_NUMBERS = (str, bytes, bool, np.bool_, np.complexfloating, np.timedelta64, np.datetime64, type(None))
 
 
 def shown(value) -> str:
@@ -90,11 +91,14 @@ def float_array(value, name: str) -> np.ndarray:
     """``value`` as a float array; raises :class:`T2SplineError` naming
     ``name`` when it is ragged or holds anything but numbers: a string,
     bytes, None, a bool or a value ``float()`` refuses or overflows, the
-    first one overflowing named by :func:`shown`.  A numeric array is
-    converted without looking at its elements (not copied when float), a
-    flat list of plain ints and floats in one step."""
+    first one overflowing named by :func:`shown`; an array of timedeltas or
+    datetimes holds no numbers.  A numeric array is converted without
+    looking at its elements (not copied when float), a flat list of plain
+    ints and floats in one step."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
         return np.asarray(value, dtype=float)
+    if isinstance(value, np.ndarray) and value.dtype.kind in "mM":
+        raise T2SplineError(f"{name} must be a rectangular array of numbers: {value.dtype} values are not numbers")
     try:
         if type(value) is list and set(map(type, value)) <= {int, float}:
             return np.array(value, dtype=float)
@@ -130,7 +134,8 @@ def param_array(value, name: str) -> np.ndarray:
     if params.ndim != 1:
         raise T2SplineError(f"{name} must be a 1-D array, got shape {params.shape}")
     # NaN fails the comparison, and increasing parameters lie between the first and the last.
-    if not (np.all(np.diff(params) > 0.0) and np.isfinite(params[:1]).all() and np.isfinite(params[-1:]).all()):
+    # Neighbours are compared, not subtracted: a difference can overflow.
+    if not (np.all(params[1:] > params[:-1]) and np.isfinite(params[:1]).all() and np.isfinite(params[-1:]).all()):
         raise T2SplineError(f"{name} must be finite and strictly increasing")
     return params
 
@@ -143,8 +148,9 @@ def read_only_copy(array: np.ndarray) -> np.ndarray:
 
 
 def is_integer(value) -> bool:
-    """True for a Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """True for a Python or numpy integer; a bool is not one, nor is a numpy
+    timedelta, although numpy counts it as an integer type."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.timedelta64))
 
 
 def check_order(order, n: int) -> int:

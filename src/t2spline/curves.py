@@ -190,7 +190,7 @@ def evaluate(model: FuzzyCurveModel, groups, samples: int = DEFAULT_SAMPLES) -> 
     choices = ", ".join((*GROUPS, "all"))
     try:
         names = set() if isinstance(groups, (str, bytes)) else set(groups)
-    except TypeError:  # not iterable, or a name that is not hashable
+    except (TypeError, ValueError):  # not iterable, or a name that is not hashable: a generic timedelta raises ValueError
         names = set()
     if not names:
         raise T2SplineError(f"series must be a non-empty collection of names from {choices}, got {type(groups).__name__}")

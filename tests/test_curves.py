@@ -6,39 +6,28 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_boundary import REFUSALS, refusal_tests
 from t2spline import (
     COMPONENT_LABELS,
-    AlphaCutScalar,
-    AlphaOutOfRange,
-    CurveBand,
     FuzzyCurveModel,
     KnotVector,
-    ModelDocument,
     NT2FuzzyPoint,
     NT2FuzzyScalar,
     Polyline,
-    RationalCurveModel,
-    ReducedCurves,
-    SampleMismatch,
-    T2SplineError,
-    alpha_cut_scalar,
-    basis,
     basis_row,
     clamped_uniform_knots,
     component_polygons,
     defuzzified_curve,
-    demo_document,
     deviation,
     fuzzy_curve_band,
-    pipeline_point,
-    rational_point,
     reduced_curves,
     sample_curve,
 )
-from t2spline.bspline import check_order, check_samples
 from t2spline.curves import GROUPS, SERIES, evaluate
-from t2spline.fuzzy import as_coords
 from t2spline.pipeline import solve
+
+# The refusal tests of this module are rows of test_boundary.REFUSALS.
+globals().update(refusal_tests(REFUSALS["test_curves"]))
 
 CRISP_XY = [(0.0, 0.0), (2.0, 4.0), (5.0, 5.0), (7.0, 1.0)]
 
@@ -252,49 +241,6 @@ def test_deviation_max_at_least_mean():
     assert rep.max_distance >= rep.mean_distance >= 0.0
 
 
-# Beside curves of 21 samples: one of 22 samples, and one of 21 at halved parameters.
-MISMATCHED_SAMPLING = pytest.mark.parametrize("samples, scale", [(22, 1), (21, 0.5)], ids=["length", "same-length"])
-
-
-@MISMATCHED_SAMPLING
-def test_deviation_rejects_mismatched_sampling(samples, scale):
-    m = degenerate_model().crisp_model()
-    b = sample_curve(m, samples)
-    with pytest.raises(SampleMismatch, match="^polyline b sampled at different parameters$"):
-        deviation(sample_curve(m, 21), Polyline(b.points, b.params * scale))
-
-
-@MISMATCHED_SAMPLING
-def test_band_rejects_differently_sampled_components(samples, scale):
-    lines = list(fuzzy_curve_band(asymmetric_model(), 21).items())
-    r = fuzzy_curve_band(asymmetric_model(), samples).r
-    lines[5] = ("r", Polyline(r.points, r.params * scale))
-    with pytest.raises(SampleMismatch, match="^band component r sampled at different parameters$"):
-        CurveBand(*(line for _, line in lines))
-
-
-@pytest.mark.parametrize("other", ["x", np.zeros((5, 2)), None], ids=["string", "array", "none"])
-def test_deviation_and_band_refuse_what_is_not_a_polyline(other):
-    line = sample_curve(degenerate_model().crisp_model(), 5)
-    kind = type(other).__name__
-    with pytest.raises(T2SplineError, match=f"^polyline b must be a Polyline, got {kind}$"):
-        deviation(line, other)
-    with pytest.raises(T2SplineError, match=f"^polyline a must be a Polyline, got {kind}$"):
-        deviation(other, line)
-    with pytest.raises(T2SplineError, match=f"^band component ll must be a Polyline, got {kind}$"):
-        CurveBand(other, *[line] * 6)
-    with pytest.raises(T2SplineError, match=f"^reduced curve tr_left must be a Polyline, got {kind}$"):
-        ReducedCurves(other, line, line)
-
-
-@MISMATCHED_SAMPLING
-def test_reduced_curves_reject_differently_sampled_curves(samples, scale):
-    red = reduced_curves(asymmetric_model(), 21)
-    right = reduced_curves(asymmetric_model(), samples).right
-    with pytest.raises(SampleMismatch, match="^reduced curve tr_right sampled at different parameters$"):
-        ReducedCurves(red.left, red.crisp, Polyline(right.points, right.params * scale))
-
-
 def test_each_group_pairs_its_curves_with_its_series_labels():
     model = asymmetric_model()
     band, red = fuzzy_curve_band(model, 5), reduced_curves(model, 5)
@@ -302,34 +248,6 @@ def test_each_group_pairs_its_curves_with_its_series_labels():
     assert red.items() == (("tr_left", red.left), ("crisp", red.crisp), ("tr_right", red.right))
     left, crisp, right = red
     assert (left, crisp, right, len(red)) == (red.left, red.crisp, red.right, 3)
-
-
-_CHOICES = "band, reduced, crisp, defuzzified, all"
-
-
-def test_evaluate_rejects_unknown_groups():
-    with pytest.raises(T2SplineError, match=rf"^unknown series \['bogus', 'tr_left'\]; choose from {_CHOICES}$"):
-        evaluate(asymmetric_model(), ["band", "tr_left", "bogus"], 5)
-
-
-@pytest.mark.parametrize(
-    "request_, unknown",
-    [(["bogus", "tr_left"], "'bogus', 'tr_left'"), (["all", "bogus"], "'bogus'"), ({"crisp", 7}, "7")],
-    ids=["two-unknown", "all-and-unknown", "not-a-str"],
-)
-def test_evaluate_names_every_unknown_series(request_, unknown):
-    with pytest.raises(T2SplineError, match=rf"^unknown series \[{unknown}\]; choose from {_CHOICES}$"):
-        evaluate(asymmetric_model(), request_, 5)
-
-
-@pytest.mark.parametrize(
-    "request_", [[], set(), 0, None, "crisp", b"crisp", [["crisp"]]],
-    ids=["empty-list", "empty-set", "int", "none", "str", "bytes", "unhashable-name"],
-)
-def test_evaluate_refuses_a_request_that_is_not_a_collection_of_names(request_):
-    kind = type(request_).__name__
-    with pytest.raises(T2SplineError, match=f"^series must be a non-empty collection of names from {_CHOICES}, got {kind}$"):
-        evaluate(asymmetric_model(), request_, 5)
 
 
 @pytest.mark.parametrize("request_", [["all"], ["all", "band"], ("defuzzified", "all", "crisp")])
@@ -344,187 +262,7 @@ def test_all_requests_every_group_also_beside_other_names(request_):
 
 # --- model validation ---------------------------------------------------------------------
 
-def test_fuzzy_model_validation():
-    points = [NT2FuzzyPoint.crisp(x, y) for x, y in CRISP_XY]
-    with pytest.raises(T2SplineError):
-        FuzzyCurveModel.with_uniform_knots(points, order=3, alpha=1.0)
-    with pytest.raises(T2SplineError):
-        FuzzyCurveModel.with_uniform_knots(points, weights=np.array([1, 1, 1, -1.0]), order=3)
-    with pytest.raises(T2SplineError):
-        FuzzyCurveModel.with_uniform_knots(points[:2], order=3)
-
-
-@pytest.mark.parametrize("alpha", [1.0, float("nan"), -0.1])
-def test_fuzzy_model_alpha_is_checked_by_the_pipeline_rule(alpha):
-    points = [NT2FuzzyPoint.crisp(x, y) for x, y in CRISP_XY]
-    with pytest.raises(AlphaOutOfRange) as exc:
-        FuzzyCurveModel.with_uniform_knots(points, order=3, alpha=alpha)
-    assert str(exc.value) == f"alpha must lie in [0, 1), got {alpha!r}"
-
-
-@pytest.mark.parametrize("order", [1, 4])
-def test_fuzzy_model_order_must_match_the_knots(order):
-    points = [NT2FuzzyPoint.crisp(x, y) for x, y in CRISP_XY]
-    with pytest.raises(T2SplineError):
-        FuzzyCurveModel(points, np.ones(4), order, clamped_uniform_knots(4, 3), 0.8)
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: ModelDocument(np.array(0.5), [1], 2, 0.5, 5),
-        lambda: FuzzyCurveModel.with_uniform_knots(np.array(0.5)),
-    ],
-    ids=["document", "with-uniform-knots"],
-)
-def test_a_zero_dimensional_coordinate_array_is_refused_by_its_shape(build):
-    with pytest.raises(T2SplineError, match=r"^coordinates must be an \(n, 2, 8\) array, got shape \(\)$"):
-        build()
-
-
 _CRISP_COORDS = FuzzyCurveModel.with_uniform_knots([NT2FuzzyPoint.crisp(x, y) for x, y in CRISP_XY]).coords
-_CRISP_CURVE = RationalCurveModel.with_uniform_knots(CRISP_XY)
-_CRISP_POINT = NT2FuzzyPoint.crisp(*CRISP_XY[1])
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: clamped_uniform_knots(4, 3.0),
-        lambda: clamped_uniform_knots(4, True),
-        lambda: demo_document().to_model(order=2.5),
-        lambda: demo_document().to_model(order=3.0),
-        lambda: ModelDocument(_CRISP_COORDS, np.ones(4), 3, 0.0, 101).to_model(alpha=False),
-        lambda: RationalCurveModel.with_uniform_knots(CRISP_XY, order="3"),
-        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, order="3"),
-        lambda: KnotVector([0, 0, 0, 0.5, 1, 1, 1], 3.7),
-        lambda: KnotVector([0, 0, 0, 0.5, 1, 1, 1], None),
-        lambda: RationalCurveModel(CRISP_XY, np.ones(4), 3.7, clamped_uniform_knots(4, 3)),
-        lambda: FuzzyCurveModel(_CRISP_COORDS, np.ones(4), 3.0, clamped_uniform_knots(4, 3), 0.8),
-        lambda: sample_curve(_CRISP_CURVE, 2.5),
-        lambda: sample_curve(_CRISP_CURVE, None),
-        lambda: sample_curve(_CRISP_CURVE, True),
-        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, alpha=None),
-        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, alpha="0.5"),
-        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, alpha=False),
-        lambda: ModelDocument(5, np.ones(4), 3, 0.8, 101),
-        lambda: FuzzyCurveModel(5, np.ones(4), 3, clamped_uniform_knots(4, 3), 0.8),
-        lambda: FuzzyCurveModel.with_uniform_knots(5),
-        lambda: as_coords(5),
-        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, alpha=10**400),
-        lambda: ModelDocument(_CRISP_COORDS, np.ones(4), 3, 10**400, 101),
-        lambda: demo_document().to_model(alpha=10**400),
-        lambda: alpha_cut_scalar(_CRISP_POINT.x, 10**400),
-        lambda: pipeline_point(_CRISP_POINT, 10**400),
-        lambda: basis_row(clamped_uniform_knots(4, 3), "0.5"),
-        lambda: basis(clamped_uniform_knots(4, 3), 0, 3, "0.25"),
-        lambda: rational_point(_CRISP_CURVE, True),
-        lambda: rational_point(_CRISP_CURVE, 10**400),
-        lambda: _CRISP_POINT.x.membership_upper("0.1"),
-        lambda: clamped_uniform_knots("4", 3),
-        lambda: RationalCurveModel.with_uniform_knots(5),
-        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS.astype(str)),
-        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS.astype(complex)),
-        lambda: as_coords(_CRISP_COORDS.astype(bool)),
-    ],
-    ids=[
-        "knots-float-order",
-        "knots-bool-order",
-        "to-model-float-order",
-        "to-model-float-order-equal-to-the-document-order",
-        "to-model-bool-alpha-at-document-alpha-0",
-        "rational-string-order",
-        "fuzzy-string-order",
-        "knot-vector-float-order",
-        "knot-vector-none-order",
-        "rational-float-order",
-        "fuzzy-integral-float-order",
-        "float-samples",
-        "none-samples",
-        "bool-samples",
-        "none-alpha",
-        "string-alpha",
-        "bool-alpha",
-        "document-int-points",
-        "fuzzy-int-coords",
-        "uniform-knots-int-points",
-        "as-coords-int",
-        "uniform-knots-overflowing-alpha",
-        "document-overflowing-alpha",
-        "to-model-overflowing-alpha",
-        "cut-overflowing-alpha",
-        "pipeline-point-overflowing-alpha",
-        "basis-row-string-t",
-        "basis-string-t",
-        "rational-point-bool-t",
-        "rational-point-overflowing-t",
-        "membership-string-x",
-        "uniform-knots-string-count",
-        "rational-int-controls",
-        "fuzzy-string-coords",
-        "fuzzy-complex-coords",
-        "as-coords-bool",
-    ],
-)
-def test_integer_and_alpha_inputs_of_constructors_raise_the_package_error(build):
-    with pytest.raises(T2SplineError):
-        build()
-
-
-_HUGE = 10**5000  # float() overflows on it, and repr() refuses it
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: check_order(_HUGE, 4),
-        lambda: check_samples(_HUGE, 3),
-        lambda: basis(clamped_uniform_knots(4, 3), _HUGE, 3, 0.5),
-        lambda: NT2FuzzyScalar(1, 2, 3, 4, 5, 6, _HUGE, 0.5),
-        lambda: NT2FuzzyScalar.from_spreads(_HUGE, (1,) * 6, 0.5),
-        lambda: NT2FuzzyScalar.from_spreads(5, (1, 1, 1, 1, 1, -_HUGE), 0.5),
-        lambda: _CRISP_POINT.x.membership_upper(_HUGE),
-        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, order=_HUGE),
-        lambda: FuzzyCurveModel.with_uniform_knots(_CRISP_COORDS, alpha=_HUGE),
-        lambda: ModelDocument(_CRISP_COORDS, np.ones(4), _HUGE, 0.8, 101),
-        lambda: ModelDocument(_CRISP_COORDS, np.ones(4), 3, 0.8, _HUGE),
-        lambda: demo_document().to_model(order=_HUGE),
-        lambda: demo_document().to_model(alpha=_HUGE),
-        lambda: fuzzy_curve_band(demo_document().model, _HUGE),
-        lambda: sample_curve(_CRISP_CURVE, _HUGE),
-        lambda: alpha_cut_scalar(_CRISP_POINT.x, _HUGE),
-        lambda: KnotVector([0, 0, 0, 1, 1, 1], _HUGE),
-        lambda: NT2FuzzyScalar.from_spreads(5, _HUGE, 0.5),
-        lambda: AlphaCutScalar(0.5, 1, 2, 3, 4, 5, 6, 7, _HUGE),
-    ],
-    ids=[
-        "check-order",
-        "check-samples",
-        "basis-index",
-        "scalar-component",
-        "from-spreads-crisp",
-        "from-spreads-spread",
-        "membership-x",
-        "uniform-knots-order",
-        "uniform-knots-alpha",
-        "document-order",
-        "document-samples",
-        "to-model-order",
-        "to-model-alpha",
-        "band-samples",
-        "sample-curve-samples",
-        "cut-alpha",
-        "knot-vector-order",
-        "from-spreads-spreads",
-        "cut-regime",
-    ],
-)
-def test_an_integer_too_long_to_print_is_shown_by_its_digit_count(build):
-    with pytest.raises(T2SplineError) as exc:
-        build()
-    assert "a 5001-digit integer" in str(exc.value)
-
-
 def test_numpy_integer_order_and_samples_are_taken_as_ints():
     knots = clamped_uniform_knots(np.int64(4), np.int64(3))
     assert type(knots.order) is int

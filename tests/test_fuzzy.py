@@ -7,19 +7,20 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from test_boundary import REFUSALS, refusal_tests
 from t2spline import (
     FuzzyCurveModel,
-    HeightOutOfRange,
     NT2FuzzyPoint,
     NT2FuzzyScalar,
-    NegativeSpread,
     OrderingViolation,
-    SpreadOrderViolation,
     T2SplineError,
     ValidationError,
 )
 from t2spline import fuzzy
-from t2spline.fuzzy import SPREAD_FIELDS, as_coords, coords_from_rows, points_of
+from t2spline.fuzzy import as_coords, coords_from_rows, points_of
+
+# The refusal tests of this module are rows of test_boundary.REFUSALS.
+globals().update(refusal_tests(REFUSALS["test_fuzzy"]))
 
 REFERENCE = NT2FuzzyScalar(4, 4.3, 4.6, 5, 5.4, 5.7, 6, h=0.6)
 
@@ -39,13 +40,6 @@ def test_degenerate_all_equal_scalar():
     assert s.spreads == (0.0,) * 6
 
 
-def test_ordering_violation_names_the_pair():
-    with pytest.raises(OrderingViolation) as exc:
-        NT2FuzzyScalar(4, 4.6, 4.3, 5, 5.4, 5.7, 6, h=0.6)
-    assert exc.value.pair == ("l", "rl")
-    assert "l > rl" in str(exc.value)
-
-
 @pytest.mark.parametrize(
     "values,pair",
     [
@@ -54,6 +48,7 @@ def test_ordering_violation_names_the_pair():
         ((4, 4.3, 4.6, 5, 4.9, 5.7, 6), ("c", "lr")),
         ((4, 4.3, 4.6, 5, 5.8, 5.7, 6), ("lr", "r")),
         ((4, 4.3, 4.6, 5, 5.4, 6.1, 6), ("r", "rr")),
+        ((4, 4.6, 4.3, 5, 5.4, 5.7, 6), ("l", "rl")),
     ],
 )
 def test_every_adjacent_pair_is_checked(values, pair):
@@ -62,67 +57,8 @@ def test_every_adjacent_pair_is_checked(values, pair):
     assert exc.value.pair == pair
 
 
-@pytest.mark.parametrize("h", [0.0, -0.2, 1.0001, math.nan])
-def test_height_out_of_range(h):
-    with pytest.raises(HeightOutOfRange):
-        NT2FuzzyScalar(4, 4.3, 4.6, 5, 5.4, 5.7, 6, h=h)
-
-
 def test_height_of_exactly_one_is_allowed():
     NT2FuzzyScalar(4, 4.3, 4.6, 5, 5.4, 5.7, 6, h=1.0)
-
-
-def test_non_finite_component_rejected():
-    with pytest.raises(T2SplineError):
-        NT2FuzzyScalar(4, 4.3, math.inf, 5, 5.4, 5.7, 6, h=0.6)
-
-
-_VALID = (1, 2, 3, 4, 5, 6, 7, 0.5)
-_SPREADS = (1,) * 6
-
-#: Field values ``float()`` converts, or would, that are not numbers, and
-#: the field each builder names: (builder, field).
-NOT_NUMBERS = {
-    "numeric-string-component": (lambda: NT2FuzzyScalar("1", *_VALID[1:]), "ll"),
-    "bytes-component": (lambda: NT2FuzzyScalar(*_VALID[:3], b"4", *_VALID[4:]), "c"),
-    "none-component": (lambda: NT2FuzzyScalar(*_VALID[:6], None, 0.5), "rr"),
-    "bool-component": (lambda: NT2FuzzyScalar(True, *_VALID[1:]), "ll"),
-    "numpy-bool-component": (lambda: NT2FuzzyScalar(np.True_, *_VALID[1:]), "ll"),
-    "bool-height": (lambda: NT2FuzzyScalar(*_VALID[:7], True), "h"),
-    "refused-by-float": (lambda: NT2FuzzyScalar(*_VALID[:7], 0.5j), "h"),
-    "overflowing-int": (lambda: NT2FuzzyScalar(*_VALID[:6], 10**400, 0.5), "rr"),
-    "numeric-string-crisp": (lambda: NT2FuzzyScalar.from_spreads("5", _SPREADS, 0.5), "c"),
-    "none-crisp": (lambda: NT2FuzzyScalar.from_spreads(None, _SPREADS, 0.5), "c"),
-    "none-spread": (lambda: NT2FuzzyScalar.from_spreads(5, (1, 1, None, 1, 1, 1), 0.5), "spread inner_left"),
-    "string-spread": (lambda: NT2FuzzyScalar.from_spreads(5, (1, 1, 1, 1, 1, "1"), 0.5), "spread outer_right"),
-    "bool-spread": (lambda: NT2FuzzyScalar.from_spreads(5, (True, 1, 1, 1, 1, 1), 0.5), "spread outer_left"),
-    "string-height-of-spreads": (lambda: NT2FuzzyScalar.from_spreads(5, _SPREADS, "0.5"), "h"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(NOT_NUMBERS))
-def test_scalar_constructors_reject_what_is_not_a_number(name):
-    """The rule of ``bspline.float_array``, applied per field."""
-    build, field = NOT_NUMBERS[name]
-    with pytest.raises(T2SplineError, match=f"^{field} must be a number, got "):
-        build()
-
-
-@pytest.mark.parametrize(
-    "spreads, got",
-    [
-        ((1,) * 5, "a tuple of 5 values"),
-        ([1] * 7, "a list of 7 values"),
-        ((10**5000,) * 5, "a tuple of 5 values"),
-        (3, "3"),
-        (None, "None"),
-    ],
-    ids=["five", "seven", "five-too-long-to-print", "int", "none"],
-)
-def test_from_spreads_rejects_other_than_six_spreads(spreads, got):
-    with pytest.raises(T2SplineError) as exc:
-        NT2FuzzyScalar.from_spreads(5, spreads, 0.5)
-    assert str(exc.value) == f"spreads must be the six values {', '.join(SPREAD_FIELDS)}, got {got}"
 
 
 def test_scalar_constructors_accept_every_kind_of_number():
@@ -147,18 +83,6 @@ def test_from_spreads_reproduces_reference_scalar():
 def test_from_spreads_around_zero():
     s = NT2FuzzyScalar.from_spreads(0.0, (1, 0.5, 0.2, 0.2, 0.5, 1), h=0.8)
     assert s.components() == (-1.0, -0.5, -0.2, 0.0, 0.2, 0.5, 1.0)
-
-
-def test_from_spreads_rejects_negative():
-    with pytest.raises(NegativeSpread):
-        NT2FuzzyScalar.from_spreads(5.0, (1, 0.7, -0.1, 0.4, 0.7, 1), h=0.6)
-
-
-def test_from_spreads_rejects_bad_side_order():
-    with pytest.raises(SpreadOrderViolation):
-        NT2FuzzyScalar.from_spreads(5.0, (0.4, 0.7, 1, 0.4, 0.7, 1), h=0.6)
-    with pytest.raises(SpreadOrderViolation):
-        NT2FuzzyScalar.from_spreads(5.0, (1, 0.7, 0.4, 0.7, 0.4, 1), h=0.6)
 
 
 # --- membership functions ----------------------------------------------------
@@ -313,11 +237,6 @@ def test_point_holds_two_scalars():
     assert p.crisp_xy == (5.0, 3.0)
 
 
-def test_point_rejects_non_scalar_coordinates():
-    with pytest.raises(T2SplineError):
-        NT2FuzzyPoint(1.0, REFERENCE)
-
-
 def test_crisp_point_constructor():
     p = NT2FuzzyPoint.crisp(5.0, 3.0)
     assert p.x.is_degenerate and p.y.is_degenerate
@@ -380,11 +299,3 @@ def test_fuzzy_points_take_the_validation_path_of_an_array(monkeypatch):
     assert np.array_equal(checked[0], model.coords.reshape(-1, 8))
 
 
-def test_coordinate_array_shape_and_values_checked():
-    with pytest.raises(T2SplineError, match=r"\(n, 2, 8\) array"):
-        as_coords(np.zeros((3, 8)))
-    bad = np.array([[[4, 4.3, 4.6, 5, 5.4, 5.7, 6, 0.6], [4, 4.3, 4.6, 5, 5.4, 5.7, 6, 1.5]]])
-    with pytest.raises(ValidationError, match="^point 0, coordinate y: h must lie in"):
-        as_coords(bad)
-    with pytest.raises(T2SplineError, match="NT2FuzzyPoint instances"):
-        as_coords([REFERENCE])

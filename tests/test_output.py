@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from test_boundary import REFUSALS, refusal_tests
 from texts import assert_same_text
 
 from t2spline import (
     Polyline,
-    SampleMismatch,
     Scene,
     T2SplineError,
     demo_document,
@@ -30,6 +30,9 @@ from t2spline import (
 from t2spline import output
 from t2spline.curves import SERIES, evaluate
 from t2spline.output import BLOCK_CELLS
+
+# The refusal tests of this module are rows of test_boundary.REFUSALS.
+globals().update(refusal_tests(REFUSALS["test_output"]))
 
 
 @pytest.fixture
@@ -90,79 +93,6 @@ def test_failed_csv_write_leaves_an_existing_file_untouched(tmp_path, model, mon
         write_csv(*evaluate(model, ["crisp"], 5), path)
     assert path.read_bytes() == b"previous,bytes\r\n"
     assert [p.name for p in tmp_path.iterdir()] == ["band.csv"]
-
-
-@pytest.mark.parametrize("rows, label", [((21, 22), "b"), ((22, 22), "a")], ids=["length", "same-length"])
-def test_csv_rejects_mismatched_series(rows, label):
-    """Each series is held to the length of ``ts``, not of the first series:
-    series of the same length as each other are refused too."""
-    series = {"a": np.zeros((rows[0], 2)), "b": np.zeros((rows[1], 2))}
-    with pytest.raises(SampleMismatch, match=f"^series {label} has 22 points for 21 parameters$"):
-        csv_text(np.linspace(0.0, 1.0, 21), series)
-
-
-def test_csv_rejects_no_series():
-    with pytest.raises(T2SplineError, match="^no series to write$"):
-        csv_text(np.linspace(0.0, 1.0, 5), {})
-
-
-@pytest.mark.parametrize("series", [5, None, np.array(1.0)], ids=["int", "none", "0-d-array"])
-def test_csv_rejects_series_that_is_not_iterable(series):
-    with pytest.raises(T2SplineError, match="^series must be a mapping of labels to points, got "):
-        csv_text(np.linspace(0.0, 1.0, 5), series)
-
-
-#: Arrays a writer refuses, each with one message: the points of a series
-#: "tr_left" beside a good series "crisp" of five points, and the parameters
-#: ``ts`` of a CSV table.
-BAD_POINTS = {
-    "ragged": ([[0.0, 1.0]] * 4 + [[2.0]], r"^tr_left must be a rectangular array of numbers"),
-    "strings": ([["a", "b"]] * 5, r"^tr_left must be a rectangular array of numbers: 'a' is not a number$"),
-    "none": ([[1.0, None]] * 5, r"^tr_left must be a rectangular array of numbers: None is not a number$"),
-    "nan": (np.full((5, 2), np.nan), r"^tr_left must be finite$"),
-    "three-columns": (np.zeros((5, 3)), r"^tr_left must be an \(m, 2\) array, got shape \(5, 3\)$"),
-    "polyline": (Polyline(np.zeros((5, 2)), np.arange(5.0)), r"^tr_left must be a rectangular array of numbers"),
-}
-BAD_PARAMS = {
-    "2-d": (np.zeros((5, 2)), r"^ts must be a 1-D array, got shape \(5, 2\)$"),
-    "decreasing": (np.linspace(1.0, 0.0, 5), r"^ts must be finite and strictly increasing$"),
-    "nan": (np.array([0.0, 0.25, np.nan, 0.75, 1.0]), r"^ts must be finite and strictly increasing$"),
-    "inf": (np.array([0.0, 0.25, 0.5, 0.75, np.inf]), r"^ts must be finite and strictly increasing$"),
-    "strings": (["0", "1", "2", "3", "4"], r"^ts must be a rectangular array of numbers: '0' is not a number$"),
-}
-
-
-@pytest.mark.parametrize("points, match", BAD_POINTS.values(), ids=list(BAD_POINTS))
-def test_writers_reject_points_that_are_not_finite_point_pairs(points, match):
-    series = {"crisp": np.zeros((5, 2)), "tr_left": points}
-    with pytest.raises(T2SplineError, match=match):
-        csv_text(np.linspace(0.0, 1.0, 5), series)
-    with pytest.raises(T2SplineError, match=match):
-        svg_document(Scene(series))
-
-
-@pytest.mark.parametrize("ts, match", BAD_PARAMS.values(), ids=list(BAD_PARAMS))
-def test_csv_rejects_params_that_are_not_finite_and_strictly_increasing(ts, match):
-    with pytest.raises(T2SplineError, match=match):
-        csv_text(ts, {"a": np.zeros((5, 2))})
-
-
-#: Series that are not a mapping of str labels to points, and the message
-#: each is refused with by both writers.
-NOT_LABELLED = {
-    "pairs": ([("crisp", np.zeros((5, 2)))], "^series must be a mapping of labels to points, got list$"),
-    "string": ("crisp", "^series must be a mapping of labels to points, got str$"),
-    "int-label": ({1: np.zeros((5, 2))}, "^a series label must be a str, got int$"),
-    "tuple-label": ({("crisp",): np.zeros((5, 2))}, "^a series label must be a str, got tuple$"),
-}
-
-
-@pytest.mark.parametrize("series, match", NOT_LABELLED.values(), ids=list(NOT_LABELLED))
-def test_writers_reject_what_is_not_a_mapping_of_str_labels(series, match):
-    with pytest.raises(T2SplineError, match=match):
-        csv_text(np.linspace(0.0, 1.0, 5), series)
-    with pytest.raises(T2SplineError, match=match):
-        svg_document(Scene(series))
 
 
 def test_csv_of_reduced_curves_labels_their_columns(model):
@@ -522,14 +452,6 @@ def test_series_styles_are_exactly_the_curve_labels():
     assert set(output.SERIES_STYLE) == {label for labels in SERIES.values() for label in labels}
 
 
-def test_svg_refuses_a_series_labelled_controls():
-    """``controls`` names the control markers, not a curve: a series of that
-    label would draw a second ``markers-controls`` group and legend entry."""
-    points = np.array([[0.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(T2SplineError, match="^unknown series label 'controls'$"):
-        svg_document(Scene({"controls": points}, points))
-
-
 def test_legend_names_each_series(model):
     scene = Scene(
         evaluate(model, ["band", "reduced", "defuzzified"], 5)[1],
@@ -552,69 +474,6 @@ def test_scene_with_title_escapes_markup():
     doc = svg_document(Scene({}, title="a < b & c"))
     assert "a &lt; b &amp; c" in doc
     ET.fromstring(doc)
-
-
-@pytest.mark.parametrize(
-    "render",
-    [lambda: svg_document(Scene({}, title=5)), lambda: render_svg(Scene({}, title=5), io.StringIO())],
-    ids=["scene", "figure"],
-)
-def test_svg_refuses_a_title_that_is_not_a_string(render):
-    with pytest.raises(T2SplineError, match="^title must be a str, got int$"):
-        render()
-
-
-def _svg_of(label, points):
-    """The SVG figure of ``points`` as its controls, or as its one series ``label``."""
-    if label == "controls":
-        return svg_document(Scene({}, points))
-    return svg_document(Scene({label: points}))
-
-
-@pytest.mark.parametrize(
-    "label, points, match",
-    [
-        ("controls", np.array([1.0, 2.0]), r"\(m, 2\)"),
-        ("controls", np.zeros((3, 3)), r"\(m, 2\)"),
-        ("controls", np.float64(5.0), r"\(m, 2\)"),
-        ("crisp", np.array([1.0, 2.0]), r"^crisp must be an \(m, 2\) array, got shape \(2,\)$"),
-        ("tr_left", np.zeros((3, 3)), r"^tr_left must be an \(m, 2\) array, got shape \(3, 3\)$"),
-        ("bogus", np.zeros((2, 2)), "^unknown series label 'bogus'$"),
-        (("crisp",), np.zeros((2, 2)), r"^a series label must be a str, got tuple$"),
-    ],
-    ids=["controls0", "controls1", "5.0", "series-1d", "series-3-columns", "unknown-label", "non-str-label"],
-)
-def test_svg_rejects_controls_that_are_not_point_pairs(label, points, match):
-    with pytest.raises(T2SplineError, match=match):
-        _svg_of(label, points)
-
-
-@pytest.mark.parametrize(
-    "label, points",
-    [
-        ("controls", [[1.0, 2.0], [3.0]]),
-        ("controls", [["a", "b"]]),
-        ("controls", [[1.0, {}]]),
-        ("defuzzified", [[1.0, 2.0], [3.0]]),
-        ("ll", [["a", "b"]]),
-        ("rr", [[1.0, None]]),
-    ],
-    ids=["controls0", "controls1", "controls2", "series-ragged", "series-strings", "series-none"],
-)
-def test_svg_rejects_ragged_or_non_numeric_controls(label, points):
-    with pytest.raises(T2SplineError, match=f"^{label} must be a rectangular array of numbers"):
-        _svg_of(label, points)
-
-
-@pytest.mark.parametrize(
-    "series",
-    [5, None, "crisp", [("crisp",)], [("crisp", np.zeros((2, 2)), "")], [["crisp", np.zeros((2, 2))]]],
-    ids=["int", "none", "string", "single", "triple", "list-pair"],
-)
-def test_svg_rejects_series_that_are_not_label_point_pairs(series):
-    kind = type(series).__name__
-    with pytest.raises(T2SplineError, match=f"^series must be a mapping of labels to points, got {kind}$"):
-        svg_document(Scene(series))
 
 
 @pytest.mark.parametrize("controls", [[], np.empty((0, 2))])

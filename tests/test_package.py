@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import t2spline
+from test_boundary import ENTRY_POINTS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,6 +22,27 @@ def test_all_lists_exactly_the_public_names():
     }
     assert sorted(t2spline.__all__) == sorted(public)
     assert len(t2spline.__all__) == len(set(t2spline.__all__))
+
+
+#: The public callables that are no entry point of ``test_boundary``, and
+#: why; an exception class is none either.
+NOT_ENTRY_POINTS = {
+    "DeviationReport": "a result of deviation, which checks nothing it holds",
+    "TRInterval": "a result of type_reduce, which checks nothing it holds",
+    "Regime": "an Enum: Python looks its members up",
+    "demo_document": "takes no arguments",
+    "load_document": "reads a path: a failed read is the builtin OSError, and the text is parse_document's",
+    "load_model": "load_document, then the document's model",
+}
+
+
+def test_every_public_callable_is_an_entry_point_or_named_as_none():
+    """The call boundary grows with the API: each public constructor and
+    each function that takes data is an entry point of the boundary tests."""
+    public = {name: getattr(t2spline, name) for name in t2spline.__all__ if callable(getattr(t2spline, name))}
+    errors = {name for name, value in public.items() if isinstance(value, type) and issubclass(value, Exception)}
+    assert sorted(public.keys() - errors - ENTRY_POINTS.keys()) == sorted(NOT_ENTRY_POINTS)
+    assert all(ENTRY_POINTS[name][0] is public[name] for name in public.keys() & ENTRY_POINTS.keys())
 
 
 @pytest.mark.parametrize("path", ["tests/oracles.py", "tests/texts.py", "perfbench/oracle.py"])

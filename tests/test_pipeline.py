@@ -4,15 +4,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from test_boundary import REFUSALS, refusal_tests
 from t2spline import (
     AlphaCutScalar,
-    AlphaOutOfRange,
     NT2FuzzyPoint,
     NT2FuzzyScalar,
     Regime,
-    T2SplineError,
     TRInterval,
-    ValidationError,
     alpha_cut_point,
     alpha_cut_scalar,
     defuzzify,
@@ -21,6 +19,9 @@ from t2spline import (
 )
 from t2spline.fuzzy import as_coords, points_of
 from t2spline.pipeline import alpha_cut_array, solve
+
+# The refusal tests of this module are rows of test_boundary.REFUSALS.
+globals().update(refusal_tests(REFUSALS["test_pipeline"]))
 
 TALL = NT2FuzzyScalar(4, 4.3, 4.6, 5, 5.4, 5.7, 6, h=0.9)   # alpha=0.8 cuts below h
 SHORT = NT2FuzzyScalar(4, 4.3, 4.6, 5, 5.4, 5.7, 6, h=0.6)  # alpha=0.8 cuts between
@@ -72,33 +73,6 @@ def test_regime_boundary_belongs_below():
     assert cut.left_inner == pytest.approx(5.0, abs=1e-12)
     assert cut.right_inner == pytest.approx(5.0, abs=1e-12)
     assert alpha_cut_scalar(SHORT, 0.6000001).regime is Regime.BETWEEN
-
-
-@pytest.mark.parametrize("alpha", [-0.1, 1.0, 1.5, float("nan")])
-def test_alpha_out_of_range(alpha):
-    with pytest.raises(AlphaOutOfRange):
-        alpha_cut_scalar(TALL, alpha)
-
-
-def test_cut_scalar_structural_consistency_enforced():
-    with pytest.raises(ValueError):
-        AlphaCutScalar(
-            alpha=0.5, left_outer=4.0, left_principal=4.5, left_inner=None,
-            c=5.0, right_inner=None, right_principal=5.5, right_outer=6.0,
-            regime=Regime.BELOW,
-        )
-    with pytest.raises(ValueError):
-        AlphaCutScalar(
-            alpha=0.5, left_outer=4.0, left_principal=4.5, left_inner=4.8,
-            c=5.0, right_inner=5.2, right_principal=5.5, right_outer=6.0,
-            regime=Regime.BETWEEN,
-        )
-
-
-@pytest.mark.parametrize("regime", ["below", None])
-def test_cut_scalar_regime_must_be_a_regime(regime):
-    with pytest.raises(T2SplineError, match=f"^regime must be a Regime, got {regime!r}$"):
-        AlphaCutScalar(0.5, 1, 2, 3, 4, 5, 6, 7, regime)
 
 
 # --- alpha_cut_point ----------------------------------------------------------
@@ -382,26 +356,3 @@ def test_scalar_views_overflow_as_the_oracle_does_without_a_warning(row, alpha):
     assert _bits((tr.left, tr.c, tr.right)) == _bits(oracles.type_reduce(expected_cut, below))
 
 
-def test_pipeline_point_refuses_an_overflowing_point_as_solve_does():
-    point = NT2FuzzyPoint(NT2FuzzyScalar(*OVERFLOWING[0]), NT2FuzzyPoint.crisp(0, 0).y)
-    with pytest.raises(ValidationError, match=r"^point 0, coordinate x: .* at alpha 0\.3 must be finite"):
-        pipeline_point(point, 0.3)
-
-
-@pytest.mark.parametrize("alpha", [-0.1, 1.0, float("nan")])
-def test_array_chain_alpha_out_of_range(alpha):
-    coords = np.array([[[4, 4.3, 4.6, 5, 5.4, 5.7, 6, 0.6]] * 2])
-    with pytest.raises(AlphaOutOfRange):
-        solve(coords, alpha)
-
-
-def test_array_chain_names_the_first_overflowing_coordinate():
-    ok = [0.0, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0, 0.6]
-    wide = [-1e308, -1e308, 0.0, 1e308, 1e308, 1e308, 1e308, 0.6]
-    coords = np.array([[ok, ok], [ok, wide], [wide, ok]])
-    with pytest.raises(ValidationError, match=r"^point 1, coordinate y: .* at alpha 0\.5 must be finite"):
-        solve(coords, 0.5)
-    # the sum of three finite cut values can overflow too
-    huge = [1e308] * 7 + [0.9]
-    with pytest.raises(ValidationError, match="^point 0, coordinate x: "):
-        solve(np.array([[huge, ok]]), 0.5)
