@@ -376,16 +376,23 @@ def _points(m: RationalCurveModel, polygons, ts) -> np.ndarray:
     """The ``(polygons, len(ts), 2)`` points of one curve of ``m`` per control
     polygon of the stack: numerator and denominator sum their ``order``
     non-zero terms in index order.  The denominator is positive on the domain
-    (positive weights and partition of unity), so no pole handling is needed."""
+    (positive weights and partition of unity), so no pole handling is needed.
+
+    Each gathered term is weighted and added in place and released before
+    the next gather, so at most two arrays of the result's size are held."""
     first, values = basis_rows(m.knots, ts)
     stack = np.asarray(polygons, dtype=float)
-    num = den = 0.0
+    points = np.zeros((len(stack), len(first), 2))
+    den = np.zeros(len(first))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         for j in range(m.order):
             coeff = np.take(m.weights, first + j) * values[:, j]
-            num = num + coeff[:, None] * np.take(stack, first + j, axis=1)
-            den = den + coeff
-        points = num / den[:, None]
+            term = np.take(stack, first + j, axis=1)
+            term *= coeff[:, None]
+            points += term
+            del term
+            den += coeff
+        points /= den[:, None]
     if not np.isfinite(points).all():
         raise T2SplineError("curve points are not finite: the weighted control coordinates must stay within the float range")
     return points

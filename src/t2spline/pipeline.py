@@ -28,7 +28,7 @@ both with an independent scalar chain, bit for bit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -51,7 +51,8 @@ class AlphaCutScalar:
 
     ``left_inner`` / ``right_inner`` are the cut LMF components; they are
     ``None`` in the *between* regime.  All present values lie between their
-    source component and ``c``.
+    source component and ``c``.  Every present value is read as a float by
+    :func:`~t2spline.bspline.as_float`.
     """
 
     alpha: float
@@ -72,6 +73,8 @@ class AlphaCutScalar:
             raise T2SplineError("below-regime cut must carry both inner components")
         if self.regime is Regime.BETWEEN and inner_present != (False, False):
             raise T2SplineError("between-regime cut must carry no inner components")
+        absent = () if self.regime is Regime.BELOW else ("left_inner", "right_inner")
+        _read_floats(self, [f.name for f in fields(self) if f.name not in ("regime", *absent)])
 
     @property
     def left(self) -> tuple[float, float, float | None]:
@@ -86,12 +89,24 @@ class AlphaCutScalar:
 
 @dataclass(frozen=True)
 class TRInterval:
-    """Type-reduced interval (left <= c <= right) at one cut level."""
+    """Type-reduced interval (left <= c <= right) at one cut level; each
+    value is read as a float by :func:`~t2spline.bspline.as_float`.  The
+    order is not checked: the chain can leave it by one ulp."""
 
     left: float
     c: float
     right: float
     alpha: float
+
+    def __post_init__(self):
+        _read_floats(self, [f.name for f in fields(self)])
+
+
+def _read_floats(record, names) -> None:
+    """Store each field of ``names`` of the frozen ``record`` as a float,
+    refused with :class:`T2SplineError` naming the field unless it is a number."""
+    for name in names:
+        object.__setattr__(record, name, as_float(getattr(record, name), name))
 
 
 #: The chain's arithmetic may overflow: :func:`solve` reports it, and the

@@ -17,10 +17,24 @@ its own, so a test keeps the id it had when it checked its inputs by hand.
 
 :func:`test_a_hostile_value_is_returned_or_refused` puts one value of a
 hostile pool into one parameter of one entry point.
+
+The command line is the last boundary.  :data:`CLI_REFUSALS` holds the
+inputs its commands refuse, as rows of ``(argv, document, exit code, exact
+standard error)`` filed by the test of ``test_cli`` that runs them, and
+:func:`assert_cli_refused` checks a row.
+:func:`test_a_mutated_document_is_accepted_or_refused_by_every_command`
+runs one edit of a small valid document through every command that reads
+one.
 """
 
+import contextlib
+import functools
 import io
+import json
 import math
+import operator
+import pathlib
+import tempfile
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -39,6 +53,7 @@ from t2spline import (
     fuzzy_curve_band, parse_document, pipeline_point, rational_point, reduced_curves, render_svg, sample_curve,
     save_document, svg_document, type_reduce, write_csv,
 )
+from t2spline import cli
 from t2spline.bspline import MAX_SAMPLES, _IndexOutOfRange, check_order, check_samples, float_array, sample_curves
 from t2spline.curves import evaluate
 from t2spline.fuzzy import COORD_FIELDS, as_coords
@@ -101,6 +116,7 @@ ENTRY_POINTS = {
     "alpha_cut_scalar": (alpha_cut_scalar, dict(s=SCALAR, alpha=0.5)),
     "alpha_cut_point": (alpha_cut_point, dict(p=POINT, alpha=0.5)),
     "type_reduce": (type_reduce, dict(a=CUT)),
+    "TRInterval": (TRInterval, dict(left=1, c=2, right=3, alpha=0.5)),
     "defuzzify": (defuzzify, dict(t=type_reduce(CUT))),
     "pipeline_point": (pipeline_point, dict(p=POINT, alpha=0.5)),
     "component_polygons": (component_polygons, dict(model=MODEL)),
@@ -151,21 +167,21 @@ def assert_refused(entry, parameter, value, cls, message):
     assert str(exc.value) == message
 
 
-def refusal_tests(tests):
-    """The test of each ``{name: rows}`` item of ``tests``, by name: a list
-    of rows is checked in one test, and a ``{id: row or rows}`` dict in a
-    test parametrized by those ids."""
+def refusal_tests(tests, check=assert_refused):
+    """The test of each ``{name: rows}`` item of ``tests``, by name, which
+    checks each row with ``check``: a list of rows is checked in one test,
+    and a ``{id: row or rows}`` dict in a test parametrized by those ids."""
 
     def build(name, cases):
         if isinstance(cases, dict):
             @pytest.mark.parametrize("case", list(cases.values()), ids=list(cases))
             def test(case):
                 for row in case if isinstance(case, list) else [case]:
-                    assert_refused(*row)
+                    check(*row)
         else:
             def test():
                 for row in cases:
-                    assert_refused(*row)
+                    check(*row)
         test.__name__ = test.__qualname__ = name
         return test
 
@@ -501,6 +517,13 @@ REFUSALS = {
             ("AlphaCutScalar", ("left_inner", "right_inner"), (None, None), T2SplineError, "below-regime cut must carry both inner components"),
             ("AlphaCutScalar", "regime", Regime.BETWEEN, T2SplineError, "between-regime cut must carry no inner components"),
         ],
+        "test_cut_and_interval_records_hold_numbers": {
+            "cut-string": ("AlphaCutScalar", "left_outer", "a", T2SplineError, "left_outer must be a number, got 'a'"),
+            "cut-none-inner-of-the-between-regime": ("AlphaCutScalar", ("left_inner", "right_inner", "regime", "right_outer"), (None, None, Regime.BETWEEN, None), T2SplineError, "right_outer must be a number, got None"),
+            "cut-overflowing-alpha": ("AlphaCutScalar", "alpha", HUGE, T2SplineError, "alpha must be a number, got a 5001-digit integer"),
+            "interval-string": ("TRInterval", "left", "x", T2SplineError, "left must be a number, got 'x'"),
+            "interval-bool": ("TRInterval", "alpha", True, T2SplineError, "alpha must be a number, got True"),
+        },
         "test_cut_scalar_regime_must_be_a_regime": {
             str(regime): ("AlphaCutScalar", "regime", regime, T2SplineError, f"regime must be a Regime, got {regime!r}") for regime in ("below", None)
         },
@@ -693,3 +716,190 @@ def test_a_hostile_value_is_returned_or_refused(where, value):
             call(entry, parameter, value)
         except T2SplineError:
             pass
+
+
+# --- the command line ------------------------------------------------------------
+
+
+def run_cli(argv, document=None, sentinel=None):
+    """``cli.run`` in process on ``argv``, split at spaces, its ``{doc}`` and
+    ``{out}`` two paths in a new directory that hold ``document`` and
+    ``sentinel`` (text or bytes) unless None.  Returns the exit code, the
+    standard output and error with the paths shown as ``{doc}`` and
+    ``{out}``, and the bytes at ``{out}`` afterwards (None if absent)."""
+    with tempfile.TemporaryDirectory() as folder:
+        paths = {"{doc}": pathlib.Path(folder, "doc.json"), "{out}": pathlib.Path(folder, "out")}
+        for path, data in zip(paths.values(), (document, sentinel)):
+            if data is not None:
+                path.write_bytes(data.encode() if isinstance(data, str) else data)
+        streams = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
+            code = cli.run([str(paths.get(arg, arg)) for arg in argv.split()])
+        after = paths["{out}"].read_bytes() if paths["{out}"].exists() else None
+    shown = [functools.reduce(lambda text, key: text.replace(str(paths[key]), key), paths, s.getvalue()) for s in streams]
+    return code, *shown, after
+
+
+def cli_output(argv, document) -> str:
+    """What the command ``argv`` writes to ``{out}`` from ``document``; it must succeed silently."""
+    code, stdout, stderr, out = run_cli(argv, document)
+    assert (code, stdout, stderr) == (0, "", ""), (argv, stderr)
+    return out.decode()
+
+
+def assert_cli_refused(argv, document, code, message):
+    """The row's command exits ``code`` with nothing on standard output and
+    the line ``message`` on standard error, after the usage of an argparse
+    error, and leaves ``{out}`` as it was: absent, or a sentinel's bytes."""
+    for sentinel in (None, b"sentinel\r\n"):
+        got, stdout, stderr, after = run_cli(argv, document, sentinel)
+        *usage, last = stderr.splitlines(keepends=True) or [""]
+        assert (got, stdout, last, after) == (code, "", message, sentinel)
+        assert usage == [] if message.startswith("error: ") else usage[0].startswith("usage: t2spline")
+
+
+def edited(raw, path, text) -> str:
+    """The JSON text of ``raw`` with the node at ``path``, keys and indices,
+    replaced by (or added as) the JSON ``text``, or deleted if it is None."""
+    raw = json.loads(json.dumps(raw))  # a copy that shares no node
+    *parents, last = path
+    node = functools.reduce(operator.getitem, parents, raw)
+    if text is None:
+        del node[last]
+        return json.dumps(raw)
+    node[last] = "\0"
+    return json.dumps(raw).replace(json.dumps("\0"), text)
+
+
+def gen_style_document(seed=5, n=40):
+    """Abscissae in micro-units and heights on both sides of the cut level,
+    as the benchmark's generated documents have."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for i in range(n):
+        coords = []
+        for c in (i * 1_500_000 + int(rng.integers(-300_000, 300_000)), int(rng.integers(-2_000_000, 2_000_000))):
+            left = np.sort(rng.integers(0, 1_200_000, 3))[::-1]
+            right = np.sort(rng.integers(0, 1_200_000, 3))
+            micro = (c - left[0], c - left[1], c - left[2], c, c + right[0], c + right[1], c + right[2])
+            coord = {k: int(v) / 1e6 for k, v in zip(("ll", "l", "rl", "c", "lr", "r", "rr"), micro)}
+            coord["h"] = int(rng.integers(500, 1000)) / 1000
+            coords.append(coord)
+        points.append({"x": coords[0], "y": coords[1]})
+    return {"order": 3, "alpha": 0.8, "weights": [int(w) / 1000 for w in rng.integers(500, 3000, n)], "points": points}
+
+
+DEMO_TEXT = document_to_json(DOC)
+_DEMO, _MANY = json.loads(DEMO_TEXT), gen_style_document(n=400)
+BROKEN = edited(_DEMO, ("points", 0, "x", "l"), "0.7")  # the demo with l > rl
+_UNIT = {"ll": 0, "l": 0.5, "rl": 0.8, "c": 1, "lr": 1.2, "r": 1.5, "rr": 2, "h": 0.6}
+_UNITS = {"points": [{"x": _UNIT, "y": _UNIT}] * 3}
+_WIDE_X = {"order": 2, "alpha": 0.5, "points": [{"x": dict(zip(_UNIT, (-1e308, -1e308, 0, 1e308, 1e308, 1e308, 1e308, 0.6))), "y": _UNIT}, *_UNITS["points"][1:]]}
+#: A valid document whose curve points overflow: a weight of 100 on a control at 5e307.
+HEAVY = json.dumps({"weights": [1, 1, 100, 1], "points": [{"x": dict.fromkeys(_UNIT, 5e307) | {"h": 0.5}, "y": dict.fromkeys(_UNIT, 1.0) | {"h": 0.5}}] * 4})
+_SAMPLES = "error: samples must be an integer from 2 to {} for order {}, got {}\n"
+_UNKNOWN = "error: unknown series [{!r}]; choose from band, reduced, crisp, defuzzified, all\n"
+_NOT_FINITE = "error: curve points are not finite: the weighted control coordinates must stay within the float range\n"
+
+#: The inputs the commands refuse, filed by the test of ``test_cli`` that
+#: runs them: ``(argv, document, exit code, exact standard error)``, where
+#: ``{doc}`` and ``{out}`` stand for paths, and an argparse usage error pins
+#: the last line of its message.
+CLI_REFUSALS = {
+    "test_validate_broken_ordering_exits_1": [("validate {doc}", BROKEN, 1, "error: point 0, coordinate x: ordering violated: l > rl (0.7 > -0.3)\n")],
+    "test_missing_file_exits_2": [("validate {doc}", None, 2, "error: [Errno 2] No such file or directory: '{doc}'\n")],
+    "test_malformed_json_exits_2": [("validate {doc}", "{not json", 2, "error: cannot parse {doc}: line 1, column 2: Expecting property name enclosed in double quotes\n")],
+    "test_usage_error_returns_argparse_code": [
+        ("", None, 2, "t2spline: error: the following arguments are required: command\n"),
+        ("bogus-command", None, 2, "t2spline: error: argument command: invalid choice: 'bogus-command' (choose from 'demo', 'validate', 'pipeline', 'curve', 'plot')\n"),
+        ("demo --out", None, 2, "t2spline demo: error: argument --out: expected one argument\n"),
+    ],
+    "test_curve_rejects_unknown_series": [("curve {doc} --series nonsense", DEMO_TEXT, 1, _UNKNOWN.format("nonsense"))],
+    "test_series_spec_exit_code_and_error_line": {
+        f"{command}-{name}": (f"{command} {{doc}} --series {spec}", DEMO_TEXT, 1, _UNKNOWN.format("bogus")) for command in ("curve", "plot") for name, spec in (("unknown", "bogus"), ("all-and-unknown", "all,bogus"))
+    },
+    "test_non_utf8_input_exits_2": {command: (f"{command} {{doc}}", b'{"points": [], "note": "caf\xe9"}', 2, "error: cannot parse {doc}: not UTF-8 text: invalid continuation byte\n") for command in ("validate", "curve")},
+    "test_deeply_nested_json_exits_2": {command: (f"{command} {{doc}}", "[" * 100000, 2, "error: cannot parse {doc}: document is nested too deeply\n") for command in ("validate", "curve")},
+    "test_curve_order_below_two_exits_1": {order: (f"curve {{doc}} --order {order}", DEMO_TEXT, 1, f"error: order must be at least 2, got {order}\n") for order in ("-1", "0", "1")},
+    "test_failed_curve_creates_no_output_file": [("curve {doc} --samples 1 --out {out}", DEMO_TEXT, 1, _SAMPLES.format(MAX_SAMPLES, 3, 1))],
+    "test_oversized_sample_count_exits_1_without_output": {command: (f"{command} {{doc}} --samples {10**9} --out {{out}}", DEMO_TEXT, 1, _SAMPLES.format(MAX_SAMPLES, 3, 10**9)) for command in ("curve", "plot")},
+    # At order 20 the basis work admits 838,860 samples.
+    "test_many_points_at_a_million_samples_exit_1_without_output": [
+        (f"curve {{doc}} --samples {samples} --out {{out}}", json.dumps({**_MANY, "order": 20}), 1, _SAMPLES.format(838860, 20, samples)) for samples in (10**6, 10**9, 10**12)
+    ],
+    # 16,777,216 samples are the most a curve takes, but at order 400 their basis work would take hours.
+    "test_high_order_document_at_the_sample_bound_is_refused_at_once": [
+        (argv, json.dumps({**_MANY, "order": 400, "samples": 2**24}), 1, _SAMPLES.format(2097, 400, 2**24)) for argv in ("validate {doc}", "curve {doc} --out {out}")
+    ],
+    "test_a_sample_count_is_refused_with_one_message": [
+        (argv, document, 1, _SAMPLES.format(MAX_SAMPLES, 3, 1)) for argv, document in (("validate {doc}", json.dumps({**_DEMO, "samples": 1})), ("curve {doc} --samples 1", DEMO_TEXT))
+    ],
+    "test_overflowing_type_reduction_is_refused": {
+        argv.split()[0]: (argv, json.dumps(_WIDE_X), 1, "error: point 0, coordinate x: the type-reduced interval (inf, 1e+308, inf) and its defuzzified value inf at alpha 0.5 must be finite\n")
+        for argv in ("validate {doc}", "pipeline {doc} --out {out}", "curve {doc} --out {out}", "plot {doc} --out {out}")
+    },
+    "test_non_finite_curve_points_are_refused": {command: (f"{command} {{doc}} --series crisp --out {{out}}", HEAVY, 1, _NOT_FINITE) for command in ("curve", "plot")},
+    "test_huge_integer_literal_exits_without_traceback": {
+        "400-1": ("validate {doc}", edited(_UNITS, ("points", 0, "x", "rr"), "1" + "0" * 400), 1, "error: point 0, coordinate x.rr must be a number, got a 401-digit integer\n"),
+        "5000-2": ("validate {doc}", edited(_UNITS, ("points", 0, "x", "rr"), "1" + "0" * 5000), 2, "error: cannot parse {doc}: an integer literal has too many digits to convert\n"),
+    },
+}
+
+#: Every command that reads a document, as the mutated-document property runs it.
+CLI_COMMANDS = {
+    "validate": "validate {doc}", "pipeline-json": "pipeline {doc} --format json --out {out}", "pipeline-csv": "pipeline {doc} --format csv --out {out}",
+    "curve": "curve {doc} --series all --out {out}", "plot": "plot {doc} --out {out}",
+}
+#: The JSON texts an edit puts in a node's place.  No integer from 4 to
+#: 2**24 is one: as a sample count it is valid, and allocates that many points.
+_HOSTILE_JSON = [
+    "NaN", "Infinity", "-Infinity", "1" + "0" * 399, "-1" + "0" * 399, "1" + "0" * 4999, "0", "1", "2", "3", "-1", "0.5", "-0.0", "1e308", "-1e308", "5e-324",
+    str(2**63), '""', '"1"', '"x"', "true", "false", "null", "[]", "{}", "[[]]", "[null]", "[1, [2]]", "[0.5, 0.5]", '{"x": {}}',
+]
+#: The small valid documents an edit starts from: the demo and six generated points.
+_SMALL = [_DEMO, gen_style_document(n=6)]
+
+
+def _paths(node, path=()):
+    """The path of every node below ``node``: a tuple of keys and indices."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ():
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A document of ``_SMALL`` with one node replaced, deleted or added;
+    then perhaps cut short or given a byte that is not UTF-8."""
+    raw, edit = draw(st.sampled_from(_SMALL)), draw(st.sampled_from(["replace", "delete", "add"]))
+    if edit == "add":
+        objects = [p for p in [(), *_paths(raw)] if isinstance(functools.reduce(operator.getitem, p, raw), dict)]
+        path = draw(st.sampled_from(objects)) + (draw(st.sampled_from(["points", "weights", "order", "samples", "x", "h", "c", "bogus"])),)
+    else:
+        path = draw(st.sampled_from(list(_paths(raw))))
+    text = edited(raw, path, None if edit == "delete" else draw(st.sampled_from(_HOSTILE_JSON))).encode()
+    at = draw(st.integers(0, len(text)))  # most texts stay whole: the parser alone refuses the others
+    return draw(st.sampled_from([text] * 6 + [text[:at], text[:at] + b"\xe9" + text[at:]]))
+
+
+@settings(deadline=None)
+@given(document=_mutated_documents())
+@example(document=HEAVY)
+def test_a_mutated_document_is_accepted_or_refused_by_every_command(document):
+    """Each command exits 0, 1 or 2; a refusal prints one ``error:`` line and
+    no output, and leaves ``--out`` as it was.  Every command refuses what
+    ``validate`` refuses, with its code and line; ``curve`` and ``plot`` may
+    also refuse, with exit 1, a valid document whose curve points are not
+    finite.  No draw holds more than 40 points or a sample count from 4 to
+    2**24: those are valid, and allocate arrays that long."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = {name: run_cli(argv, document, b"sentinel\r\n") for name, argv in CLI_COMMANDS.items()}
+    verdict = results["validate"][:3]
+    for name, (code, stdout, stderr, after) in results.items():
+        assert code in (0, 1, 2), name
+        assert (stdout, after, stderr.count("\n"), stderr[:7]) == ("", b"sentinel\r\n", 1, "error: ") if code else stderr == "", name
+        if verdict[0]:
+            assert (code, stdout, stderr) == verdict, name
+        elif code:
+            assert name in ("curve", "plot") and (code, stderr) == (1, _NOT_FINITE), name

@@ -7,7 +7,6 @@ import re
 import stat
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from t2spline import (
     demo_document,
     document_to_json,
     fuzzy_curve_band,
-    load_model,
+    parse_document,
     reduced_curves,
     render_svg,
     sample_curve,
@@ -33,6 +32,11 @@ from t2spline import (
 from t2spline import bspline, cli, curves, output, pipeline
 from t2spline.cli import run
 from t2spline.output import BLOCK_CELLS
+from test_boundary import BROKEN, CLI_REFUSALS, DEMO_TEXT, assert_cli_refused, cli_output, gen_style_document, refusal_tests
+
+#: Tests defined here that run their rows of CLI_REFUSALS beside checks of their own.
+_RUN_HERE = ("test_series_spec_exit_code_and_error_line", "test_high_order_document_at_the_sample_bound_is_refused_at_once")
+globals().update(refusal_tests({name: rows for name, rows in CLI_REFUSALS.items() if name not in _RUN_HERE}, check=assert_cli_refused))
 
 
 @pytest.fixture
@@ -53,67 +57,36 @@ def test_demo_to_stdout(capsys):
     assert json.loads(out)["weights"] == [1.0, 1.0, 3.0, 1.0]
 
 
-def test_validate_broken_ordering_exits_1(tmp_path, capsys):
-    raw = json.loads(document_to_json(demo_document()))
-    raw["points"][0]["x"]["l"] = raw["points"][0]["x"]["rl"] + 1.0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
-    assert run(["validate", str(bad)]) == 1
-    assert "l > rl" in capsys.readouterr().err
-
-
-def test_missing_file_exits_2(tmp_path, capsys):
-    assert run(["validate", str(tmp_path / "absent.json")]) == 2
-    assert "error" in capsys.readouterr().err
-
-
-def test_malformed_json_exits_2(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert run(["validate", str(path)]) == 2
-    assert "line" in capsys.readouterr().err
-
-
-def test_curve_crisp_two_samples_hits_endpoints(demo_path, tmp_path):
-    out = tmp_path / "crisp.csv"
-    assert run(["curve", str(demo_path), "--series", "crisp", "--samples", "2", "--out", str(out)]) == 0
-    rows = list(csv.reader(out.read_text().splitlines()))
+def test_curve_crisp_two_samples_hits_endpoints():
+    rows = list(csv.reader(cli_output("curve {doc} --series crisp --samples 2 --out {out}", DEMO_TEXT).splitlines()))
     assert rows[0] == ["t", "crisp_x", "crisp_y"]
     assert [float(v) for v in rows[1]] == [0.0, 0.0, 0.0]
     assert [float(v) for v in rows[2]] == [1.0, 7.0, 1.0]
 
 
-def test_curve_all_series_columns(demo_path, tmp_path):
-    out = tmp_path / "all.csv"
-    assert run(["curve", str(demo_path), "--samples", "5", "--out", str(out)]) == 0
-    header = out.read_text().split("\n")[0].split(",")
+def test_curve_all_series_columns():
+    header = cli_output("curve {doc} --samples 5 --out {out}", DEMO_TEXT).split("\n")[0].split(",")
     # band (7) + tr_left/tr_right + defuzzified, crisp deduplicated
     assert len(header) == 1 + 2 * 10
     assert header.count("crisp_x") == 1
 
 
-def test_curve_rejects_unknown_series(demo_path, capsys):
-    assert run(["curve", str(demo_path), "--series", "nonsense"]) == 1
-    assert "unknown series" in capsys.readouterr().err
+_SPECS_OF_ALL = {f"{command}-{name}": (command, spec) for command in ("curve", "plot") for name, spec in (("empty", ""), ("comma", ","), ("all-beside-a-group", " crisp , all "))}
 
 
-_UNKNOWN_BOGUS = "error: unknown series ['bogus']; choose from band, reduced, crisp, defuzzified, all\n"
-
-
-@pytest.mark.parametrize(
-    "spec, code, err",
-    [("bogus", 1, _UNKNOWN_BOGUS), ("all,bogus", 1, _UNKNOWN_BOGUS), ("", 0, ""), (",", 0, ""), (" crisp , all ", 0, "")],
-    ids=["unknown", "all-and-unknown", "empty", "comma", "all-beside-a-group"],
-)
-@pytest.mark.parametrize("command", ["curve", "plot"])
-def test_series_spec_exit_code_and_error_line(demo_path, capsys, command, spec, code, err):
-    """An unknown name is refused with one line naming it; an empty spec,
-    and one naming ``all``, give what ``--series all`` gives."""
+@pytest.mark.parametrize("case", [*CLI_REFUSALS["test_series_spec_exit_code_and_error_line"], *_SPECS_OF_ALL])
+def test_series_spec_exit_code_and_error_line(demo_path, capsys, case):
+    """An unknown name is refused with one line naming it (the rows of
+    CLI_REFUSALS); an empty spec, and one naming ``all``, give what
+    ``--series all`` gives."""
+    if case not in _SPECS_OF_ALL:
+        assert_cli_refused(*CLI_REFUSALS["test_series_spec_exit_code_and_error_line"][case])
+        return
+    command, spec = _SPECS_OF_ALL[case]
     assert run([command, str(demo_path), "--series", "all"]) == 0
     every = capsys.readouterr().out
-    assert run([command, str(demo_path), "--series", spec]) == code
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == (every if code == 0 else "", err)
+    assert run([command, str(demo_path), "--series", spec]) == 0
+    assert capsys.readouterr() == (every, "")
 
 
 def test_plot_of_a_subnormal_span_draws_finite_pixels(tmp_path):
@@ -131,10 +104,8 @@ def test_plot_of_a_subnormal_span_draws_finite_pixels(tmp_path):
     assert len(px) == 101 and np.ptp(px[:, 0]) > 400 and np.ptp(px[:, 1]) > 400
 
 
-def test_plot_writes_svg(demo_path, tmp_path):
-    out = tmp_path / "fig.svg"
-    assert run(["plot", str(demo_path), "--series", "crisp,defuzzified", "--out", str(out)]) == 0
-    text = out.read_text()
+def test_plot_writes_svg():
+    text = cli_output("plot {doc} --series crisp,defuzzified --out {out}", DEMO_TEXT)
     assert text.startswith('<?xml')
     assert text.count("<polyline") == 2
     assert "markers-controls" in text
@@ -158,25 +129,14 @@ def test_pipeline_csv_format(demo_path, capsys):
     assert len(rows) == 5
 
 
-def test_alpha_override_changes_pipeline(demo_path, tmp_path):
-    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(["pipeline", str(demo_path), "--out", str(out1)]) == 0
-    assert run(["pipeline", str(demo_path), "--alpha", "0.2", "--out", str(out2)]) == 0
-    a = json.loads(out1.read_text())
-    b = json.loads(out2.read_text())
+def test_alpha_override_changes_pipeline():
+    a, b = (json.loads(cli_output(f"pipeline {{doc}}{alpha} --out {{out}}", DEMO_TEXT)) for alpha in ("", " --alpha 0.2"))
     assert a["alpha"] == 0.8 and b["alpha"] == 0.2
     assert a["points"] != b["points"]
 
 
-def test_samples_override(demo_path, tmp_path):
-    out = tmp_path / "c.csv"
-    assert run(["curve", str(demo_path), "--series", "crisp", "--samples", "7", "--out", str(out)]) == 0
-    assert len(out.read_text().strip().split("\n")) == 8
-
-
-def test_usage_error_returns_argparse_code():
-    assert run([]) == 2
-    assert run(["bogus-command"]) == 2
+def test_samples_override():
+    assert len(cli_output("curve {doc} --series crisp --samples 7 --out {out}", DEMO_TEXT).strip().split("\n")) == 8
 
 
 def test_console_module_entrypoint(demo_path, tmp_path):
@@ -294,9 +254,7 @@ def test_the_process_flushes_standard_output_before_it_ends(demo_path, tmp_path,
     ids=["valid", "refused", "absent"],
 )
 def test_the_process_exits_with_the_code_of_run(demo_path, tmp_path, argv, code):
-    raw = json.loads(demo_path.read_text())
-    raw["points"][0]["x"]["l"] = raw["points"][0]["x"]["rl"] + 1.0
-    (tmp_path / "BAD").write_text(json.dumps(raw))
+    (tmp_path / "BAD").write_text(BROKEN)
     argv = [str(tmp_path / arg) if arg in ("BAD", "ABSENT") else arg for arg in argv]
     proc = _process(argv, demo_path, capture_output=True, text=True)
     assert proc.returncode == code
@@ -326,9 +284,7 @@ def test_an_error_keeps_its_exit_code_when_standard_error_cannot_be_written(demo
     with descriptor 2 open for reading only, a write to it fails.  Either
     way the ``error:`` line is dropped, standard output stays empty and the
     exit code is the documented one."""
-    raw = json.loads(demo_path.read_text())
-    raw["points"][0]["x"]["l"] = raw["points"][0]["x"]["rl"] + 1.0
-    (tmp_path / "BAD").write_text(json.dumps(raw))
+    (tmp_path / "BAD").write_text(BROKEN)
     (tmp_path / "BROKEN").write_text("{not json")
     argv = [str(tmp_path / arg) if arg.isupper() else arg for arg in argv]
     if stderr == "closed":
@@ -337,22 +293,6 @@ def test_an_error_keeps_its_exit_code_when_standard_error_cannot_be_written(demo
         with open(demo_path, "rb") as read_only:
             proc = _process(argv, demo_path, stdout=subprocess.PIPE, stderr=read_only, text=True)
     assert (proc.returncode, proc.stdout) == (code, "")
-
-
-@pytest.mark.parametrize("command", ["validate", "curve"])
-def test_non_utf8_input_exits_2(tmp_path, capsys, command):
-    path = tmp_path / "latin1.json"
-    path.write_bytes(b'{"points": [], "note": "caf\xe9"}')
-    assert run([command, str(path)]) == 2
-    assert "UTF-8" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["validate", "curve"])
-def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 100000)
-    assert run([command, str(path)]) == 2
-    assert "nested too deeply" in capsys.readouterr().err
 
 
 def _order4_document(n=12):
@@ -372,12 +312,8 @@ def _order4_document(n=12):
 
 
 @pytest.mark.parametrize("doc", [demo_document(), _order4_document()], ids=["demo", "order4"])
-def test_curve_all_columns_match_library_views(tmp_path, doc):
-    path = tmp_path / "model.json"
-    path.write_text(document_to_json(doc))
-    out = tmp_path / "all.csv"
-    assert run(["curve", str(path), "--series", "all", "--out", str(out)]) == 0
-    rows = list(csv.reader(out.read_text().splitlines()))
+def test_curve_all_columns_match_library_views(doc):
+    rows = list(csv.reader(cli_output("curve {doc} --series all --out {out}", document_to_json(doc)).splitlines()))
     columns = dict(zip(rows[0], np.array(rows[1:], dtype=float).T))
 
     model = doc.to_model()
@@ -394,27 +330,6 @@ def test_curve_all_columns_match_library_views(tmp_path, doc):
     for name, line in expected.items():
         assert np.array_equal(columns[f"{name}_x"], line.points[:, 0]), name
         assert np.array_equal(columns[f"{name}_y"], line.points[:, 1]), name
-
-
-@pytest.mark.parametrize("order", ["-1", "0", "1"])
-def test_curve_order_below_two_exits_1(demo_path, capsys, order):
-    assert run(["curve", str(demo_path), "--order", order]) == 1
-    assert "order must be at least 2" in capsys.readouterr().err
-
-
-def test_failed_curve_creates_no_output_file(demo_path, tmp_path):
-    out = tmp_path / "x.csv"
-    assert run(["curve", str(demo_path), "--samples", "1", "--out", str(out)]) == 1
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["curve", "plot"])
-def test_oversized_sample_count_exits_1_without_output(demo_path, tmp_path, capsys, command):
-    out = tmp_path / "out"
-    assert run([command, str(demo_path), "--samples", str(10**9), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "samples" in err and "Traceback" not in err
-    assert not out.exists()
 
 
 def test_failed_render_leaves_existing_output_untouched(demo_path, tmp_path, monkeypatch):
@@ -444,45 +359,11 @@ def test_curve_all_computes_the_basis_once(demo_path, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_many_points_at_a_million_samples_exit_1_without_output(tmp_path, capsys):
-    """At order 20 the basis work admits 838,860 samples."""
-    payload = json.loads(document_to_json(_order4_document(400)))
-    payload.update(order=20)
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps(payload))
-    out = tmp_path / "out.csv"
-    for samples in (10**6, 10**9, 10**12):
-        assert run(["curve", str(path), "--samples", str(samples), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: samples must be an integer from 2 to 838860 for order 20, got {samples}\n"
-    assert not out.exists()
-
-
-def test_high_order_document_at_the_sample_bound_is_refused_at_once(tmp_path, capsys):
-    """16,777,216 samples are the most a curve takes, but at order 400 their
-    basis work would take hours."""
-    payload = json.loads(document_to_json(_order4_document(400)))
-    payload.update(order=400, samples=2**24)
-    path = tmp_path / "high-order.json"
-    path.write_text(json.dumps(payload))
-    message = "error: samples must be an integer from 2 to 2097 for order 400, got 16777216\n"
-    for argv in (["validate", str(path)], ["curve", str(path), "--out", str(tmp_path / "out.csv")]):
-        start = time.perf_counter()
-        assert run(argv) == 1
-        assert time.perf_counter() - start < 1.0
-        assert capsys.readouterr().err == message
-    assert not (tmp_path / "out.csv").exists()
-
-
-def test_a_sample_count_is_refused_with_one_message(demo_path, tmp_path, capsys):
-    payload = json.loads(demo_path.read_text())
-    payload["samples"] = 1
-    path = tmp_path / "one-sample.json"
-    path.write_text(json.dumps(payload))
-    message = "error: samples must be an integer from 2 to 16777216 for order 3, got 1\n"
-    for argv in (["validate", str(path)], ["curve", str(demo_path), "--samples", "1"]):
-        assert run(argv) == 1
-        assert capsys.readouterr().err == message
+def test_high_order_document_at_the_sample_bound_is_refused_at_once(monkeypatch):
+    """The sample bound of order 400 is read before any basis work."""
+    monkeypatch.setattr(bspline, "basis_rows", lambda *args: pytest.fail("the basis was computed"))
+    for row in CLI_REFUSALS["test_high_order_document_at_the_sample_bound_is_refused_at_once"]:
+        assert_cli_refused(*row)
 
 
 def test_out_of_memory_is_one_error_line(demo_path, tmp_path, capsys, monkeypatch):
@@ -544,91 +425,19 @@ def test_out_to_a_fifo_writes_into_it(demo_path, tmp_path):
     assert data == demo_path.read_bytes()
 
 
-def _write_doc(path, points, **settings):
-    path.write_text(json.dumps({**settings, "points": points}))
-    return path
-
-
-def _crisp(v):
-    return {"ll": v, "l": v, "rl": v, "c": v, "lr": v, "r": v, "rr": v, "h": 0.5}
-
-
-_UNIT = {"ll": 0, "l": 0.5, "rl": 0.8, "c": 1, "lr": 1.2, "r": 1.5, "rr": 2, "h": 0.6}
-
-
-def _exits_1_with_one_error_line(argv, out, capsys):
-    assert run([*argv, "--out", str(out)] if argv[0] != "validate" else argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1 and captured.err.startswith("error: ")
-    assert not out.exists()
-    return captured.err
-
-
-@pytest.mark.parametrize("command", ["validate", "pipeline", "curve", "plot"])
-def test_overflowing_type_reduction_is_refused(tmp_path, capsys, command):
-    wide = {"ll": -1e308, "l": -1e308, "rl": 0, "c": 1e308, "lr": 1e308, "r": 1e308, "rr": 1e308, "h": 0.6}
-    points = [{"x": wide, "y": _UNIT}] + [{"x": _UNIT, "y": _UNIT}] * 2
-    doc = _write_doc(tmp_path / "wide.json", points, order=2, alpha=0.5)
-    err = _exits_1_with_one_error_line([command, str(doc)], tmp_path / "out", capsys)
-    assert err.startswith("error: point 0, coordinate x: the type-reduced interval")
-
-
-@pytest.mark.parametrize("command", ["curve", "plot"])
-def test_non_finite_curve_points_are_refused(tmp_path, capsys, command):
-    points = [{"x": _crisp(5e307), "y": _crisp(1.0)}] * 4
-    doc = _write_doc(tmp_path / "heavy.json", points, weights=[1, 1, 100, 1])
-    assert run(["validate", str(doc)]) == 0
-    capsys.readouterr()
-    err = _exits_1_with_one_error_line([command, str(doc), "--series", "crisp"], tmp_path / "out", capsys)
-    assert "curve points are not finite" in err
-
-
-@pytest.mark.parametrize("digits,code", [(400, 1), (5000, 2)])
-def test_huge_integer_literal_exits_without_traceback(tmp_path, capsys, digits, code):
-    doc = _write_doc(tmp_path / "big.json", [{"x": _UNIT, "y": _UNIT}] * 3)
-    doc.write_text(doc.read_text().replace('"rr": 2', '"rr": 1' + "0" * digits, 1))
-    assert run(["validate", str(doc)]) == code
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def _gen_style_document(seed=5, n=40):
-    """Abscissae in micro-units and heights on both sides of the cut level,
-    as the benchmark's generated documents have."""
-    rng = np.random.default_rng(seed)
-    points = []
-    for i in range(n):
-        coords = []
-        for c in (i * 1_500_000 + int(rng.integers(-300_000, 300_000)), int(rng.integers(-2_000_000, 2_000_000))):
-            left = np.sort(rng.integers(0, 1_200_000, 3))[::-1]
-            right = np.sort(rng.integers(0, 1_200_000, 3))
-            micro = (c - left[0], c - left[1], c - left[2], c, c + right[0], c + right[1], c + right[2])
-            coord = {k: int(v) / 1e6 for k, v in zip(("ll", "l", "rl", "c", "lr", "r", "rr"), micro)}
-            coord["h"] = int(rng.integers(500, 1000)) / 1000
-            coords.append(coord)
-        points.append({"x": coords[0], "y": coords[1]})
-    return {"order": 3, "alpha": 0.8, "weights": [int(w) / 1000 for w in rng.integers(500, 3000, n)], "points": points}
-
-
 @pytest.mark.parametrize("source", ["demo", "generated"])
 @pytest.mark.parametrize("alpha", [None, "0.3", "0"])
-def test_pipeline_output_equals_the_scalar_chain_serialised(tmp_path, source, alpha):
-    path = tmp_path / "doc.json"
-    if source == "demo":
-        path.write_text(document_to_json(demo_document()))
-    else:
-        path.write_text(json.dumps(_gen_style_document(), indent=2))
-    model = load_model(path)
+def test_pipeline_output_equals_the_scalar_chain_serialised(source, alpha):
+    text = DEMO_TEXT if source == "demo" else json.dumps(gen_style_document(), indent=2)
+    model = parse_document(text).to_model()
     if alpha is not None:
         model = curves.FuzzyCurveModel(model.coords, model.weights, model.order, model.knots, float(alpha))
     solutions = [oracles.pipeline_point(rows, model.alpha) for rows in model.coords.tolist()]
     expected_json = json.dumps({"alpha": model.alpha, "points": [{"x": x, "y": y} for x, y in solutions]}, indent=2)
     expected_csv = "index,x,y\n" + "".join(f"{i},{x:.16e},{y:.16e}\n" for i, (x, y) in enumerate(solutions))
-    override = [] if alpha is None else ["--alpha", alpha]
+    override = "" if alpha is None else f" --alpha {alpha}"
     for fmt, expected in (("json", expected_json + "\n"), ("csv", expected_csv)):
-        out = tmp_path / f"out.{fmt}"
-        assert run(["pipeline", str(path), "--format", fmt, *override, "--out", str(out)]) == 0
-        assert_same_text(out.read_text(), expected)
+        assert_same_text(cli_output(f"pipeline {{doc}} --format {fmt}{override} --out {{out}}", text), expected)
 
 
 def test_pipeline_builds_the_model_once(demo_path, tmp_path, monkeypatch):
@@ -678,28 +487,17 @@ def test_each_model_is_solved_once(demo_path, tmp_path, monkeypatch, argv, solve
 
 @pytest.mark.parametrize("cut", ["own", "height"])
 @pytest.mark.parametrize("source", ["demo", "generated"])
-def test_overrides_give_the_bytes_of_the_document_saved_with_them(tmp_path, source, cut):
+def test_overrides_give_the_bytes_of_the_document_saved_with_them(source, cut):
     """--order and --alpha give the bytes of the same document saved with
     that order and alpha: the document's own alpha, or a coordinate's height
     (the boundary of the two cut regimes)."""
-    raw = json.loads(document_to_json(demo_document())) if source == "demo" else _gen_style_document()
+    raw = json.loads(DEMO_TEXT) if source == "demo" else gen_style_document()
     order, alpha = 2, raw["alpha"] if cut == "own" else raw["points"][1]["y"]["h"]
-    given, saved = tmp_path / "given.json", tmp_path / "saved.json"
-    given.write_text(json.dumps(raw))
-    saved.write_text(json.dumps({**raw, "order": order, "alpha": alpha}))
-    reorder = ["--order", str(order), "--alpha", repr(alpha)]
-    recut = ["--alpha", repr(alpha)]
-    runs = [
-        (["curve", "--series", "all"], reorder),
-        (["plot"], reorder),
-        (["pipeline"], recut),
-        (["pipeline", "--format", "csv"], recut),
-    ]
-    for (command, *options), overrides in runs:
-        got, want = tmp_path / "got", tmp_path / "want"
-        assert run([command, str(given), *options, *overrides, "--out", str(got)]) == 0
-        assert run([command, str(saved), *options, "--out", str(want)]) == 0
-        assert got.read_bytes() == want.read_bytes(), (command, *options)
+    saved = json.dumps({**raw, "order": order, "alpha": alpha})
+    reorder, recut = f" --order {order} --alpha {alpha!r}", f" --alpha {alpha!r}"
+    for argv, overrides in [("curve {doc} --series all", reorder), ("plot {doc}", reorder), ("pipeline {doc}", recut), ("pipeline {doc} --format csv", recut)]:
+        got = cli_output(f"{argv}{overrides} --out {{out}}", json.dumps(raw))
+        assert got == cli_output(f"{argv} --out {{out}}", saved), argv
 
 
 _BAND = ["ll", "l", "rl", "crisp", "lr", "r", "rr"]
@@ -759,10 +557,8 @@ def test_plot_equals_the_scene_of_library_views(tmp_path, spec):
     """``plot`` writes the bytes ``render_svg`` writes of ``evaluate``'s
     arrays, which are the points of the library's views."""
     doc = _order4_document()
-    path, out = tmp_path / "model.json", tmp_path / "out.svg"
-    path.write_text(document_to_json(doc))
-    assert run(["plot", str(path), "--series", spec, "--out", str(out)]) == 0
-    assert out.read_bytes() == _library_files(tmp_path, doc, spec)[1].read_bytes()
+    written = cli_output(f"plot {{doc}} --series {spec} --out {{out}}", document_to_json(doc))
+    assert written == _library_files(tmp_path, doc, spec)[1].read_bytes().decode()
 
 
 @pytest.mark.parametrize("spec", _SERIES_COLUMNS)
@@ -770,20 +566,16 @@ def test_curve_equals_the_table_of_library_views(tmp_path, spec):
     """``curve`` writes the bytes ``write_csv`` writes of ``evaluate``'s
     arrays, which are the points of the library's views."""
     doc = _order4_document()
-    path, out = tmp_path / "model.json", tmp_path / "out.csv"
-    path.write_text(document_to_json(doc))
-    assert run(["curve", str(path), "--series", spec, "--out", str(out)]) == 0
-    assert out.read_bytes() == _library_files(tmp_path, doc, spec)[0].read_bytes()
+    written = cli_output(f"curve {{doc}} --series {spec} --out {{out}}", document_to_json(doc))
+    assert written == _library_files(tmp_path, doc, spec)[0].read_bytes().decode()
 
 
-def test_pipeline_csv_across_row_blocks(tmp_path):
-    path, out = tmp_path / "doc.json", tmp_path / "out.csv"
-    path.write_text(json.dumps(_gen_style_document(n=2 * (BLOCK_CELLS // 3) + 1), indent=2))
-    model = load_model(path)
+def test_pipeline_csv_across_row_blocks():
+    text = json.dumps(gen_style_document(n=2 * (BLOCK_CELLS // 3) + 1), indent=2)
+    model = parse_document(text).to_model()
     solutions = [oracles.pipeline_point(rows, model.alpha) for rows in model.coords.tolist()]
     expected = "index,x,y\n" + "".join(f"{i},{x:.16e},{y:.16e}\n" for i, (x, y) in enumerate(solutions))
-    assert run(["pipeline", str(path), "--format", "csv", "--out", str(out)]) == 0
-    assert_same_text(out.read_text(), expected)
+    assert_same_text(cli_output("pipeline {doc} --format csv --out {out}", text), expected)
 
 
 def _demo_scaled(scale, points=None):
@@ -799,18 +591,17 @@ def _demo_scaled(scale, points=None):
 
 @pytest.mark.parametrize(
     "raw",
-    [_demo_scaled(1e-9), _demo_scaled(1e20), _demo_scaled(1e-3, points={0}), _gen_style_document(n=BLOCK_CELLS // 2 + 1)],
+    [_demo_scaled(1e-9), _demo_scaled(1e20), _demo_scaled(1e-3, points={0}), gen_style_document(n=BLOCK_CELLS // 2 + 1)],
     ids=["demo-1e-9", "demo-1e20", "demo-one-point-1e-3", "generated-two-blocks"],
 )
-def test_pipeline_json_equals_json_dumps_of_the_scalar_chain(tmp_path, raw):
+def test_pipeline_json_equals_json_dumps_of_the_scalar_chain(raw):
     """Solutions beyond the positional range of repr, below 1e-4 beside
     ordinary ones in one block, and in two blocks, byte for byte."""
-    path, out = tmp_path / "doc.json", tmp_path / "out.json"
-    path.write_text(json.dumps(raw, indent=2))
-    model = load_model(path)
+    text = json.dumps(raw, indent=2)
+    model = parse_document(text).to_model()
     solutions = np.array([oracles.pipeline_point(rows, model.alpha) for rows in model.coords.tolist()])
-    assert run(["pipeline", str(path), "--format", "json", "--out", str(out)]) == 0
-    assert_same_text(out.read_bytes(), oracles.pipeline_json(model.alpha, solutions).encode("ascii"))
+    written = cli_output("pipeline {doc} --format json --out {out}", text).encode()
+    assert_same_text(written, oracles.pipeline_json(model.alpha, solutions).encode("ascii"))
 
 
 # --- one argument parser per process ---------------------------------------------

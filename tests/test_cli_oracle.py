@@ -9,8 +9,8 @@ without the ``--order``, ``--alpha`` and ``--samples`` overrides.
 
 import csv
 import importlib.util
+import io
 import json
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from t2spline.cli import run
+from test_boundary import cli_output
 from t2spline.fuzzy import COMPONENT_FIELDS, SPREAD_FIELDS
 
 pytest.importorskip("scipy")
@@ -85,10 +85,6 @@ def cases(draw):
     return {**fields, "points": given_points}, {**fields, "points": explicit_points}, overrides
 
 
-def _run(*argv) -> None:
-    assert run([str(a) for a in argv]) == 0, argv
-
-
 def _check(kind, text, doc):
     # The oracle divides alpha by every h, also where alpha > h discards the
     # quotient, and a subnormal h overflows that unused quotient.
@@ -100,29 +96,19 @@ def _check(kind, text, doc):
 @given(case=cases())
 def test_cli_output_matches_the_benchmark_oracle(case):
     document, twin, overrides = case
+    document = json.dumps(document)
     flags = {name: value for name, value in overrides.items() if value is not None}
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        path = tmp / "doc.json"
-        path.write_text(json.dumps(document))
+    alpha_flag = f" --alpha {flags['alpha']!r}" if "alpha" in flags else ""
+    overridden = "".join(f" --{name} {value!r}" for name, value in flags.items())
+    solved = {**twin, "alpha": flags.get("alpha", twin["alpha"])}
+    assert _check("json", cli_output(f"pipeline {{doc}} --format json{alpha_flag} --out {{out}}", document), solved) == [], "pipeline json"
 
-        alpha_flag = ["--alpha", repr(flags["alpha"])] if "alpha" in flags else []
-        solved = {**twin, "alpha": flags.get("alpha", twin["alpha"])}
-        _run("pipeline", path, "--format", "json", *alpha_flag, "--out", tmp / "p.json")
-        assert _check("json", (tmp / "p.json").read_text(), solved) == [], "pipeline json"
+    rows = list(csv.DictReader(io.StringIO(cli_output(f"pipeline {{doc}} --format csv{alpha_flag} --out {{out}}", document), newline="")))
+    got = np.array([[float(r["x"]), float(r["y"])] for r in rows])
+    assert [int(r["index"]) for r in rows] == list(range(len(twin["points"])))
+    with np.errstate(over="ignore"):
+        want = oracle.defuzzified(solved)
+    assert np.abs(got - want).max() <= oracle.tolerance(solved), "pipeline csv"
 
-        _run("pipeline", path, "--format", "csv", *alpha_flag, "--out", tmp / "p.csv")
-        with open(tmp / "p.csv", newline="") as f:
-            rows = list(csv.DictReader(f))
-        got = np.array([[float(r["x"]), float(r["y"])] for r in rows])
-        assert [int(r["index"]) for r in rows] == list(range(len(twin["points"])))
-        with np.errstate(over="ignore"):
-            want = oracle.defuzzified(solved)
-        assert np.abs(got - want).max() <= oracle.tolerance(solved), "pipeline csv"
-
-        for command, kind, out in (("curve", "csv", tmp / "c.csv"), ("plot", "svg", tmp / "c.svg")):
-            argv = [command, path, "--series", "all", "--out", out]
-            for name, value in flags.items():
-                argv += [f"--{name}", repr(value)]
-            _run(*argv)
-            assert _check(kind, out.read_text(), {**twin, **flags}) == [], command
+    for command, kind in (("curve", "csv"), ("plot", "svg")):
+        assert _check(kind, cli_output(f"{command} {{doc}} --series all{overridden} --out {{out}}", document), {**twin, **flags}) == [], command

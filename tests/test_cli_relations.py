@@ -1,6 +1,6 @@
 """Exact metamorphic relations of the whole CLI, from document to bytes.
 
-The property runs ``t2spline`` in process (:func:`t2spline.cli.run`) on a
+The property runs ``t2spline`` in process (``test_boundary.cli_output``) on a
 generated document and on transformed copies of it, and compares the bytes
 they give, against no second implementation:
 
@@ -21,18 +21,15 @@ and finite: each component is 0 or has a magnitude in ``[2**-20, 2**20]``,
 ``[2**-4, 2**4]``; orders 2 to 4, up to 6 points and up to 21 samples.
 """
 
-import contextlib
 import csv
 import io
 import json
-import os
 import re
-import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from t2spline.cli import run
+from test_boundary import cli_output
 from t2spline.fuzzy import COMPONENT_FIELDS, COORD_FIELDS
 
 _component = st.floats(-(2.0**20), 2.0**20).map(lambda v: v if abs(v) >= 2.0**-20 else 0.0)
@@ -64,16 +61,8 @@ def documents(draw):
 
 
 def _output(document: dict, command: str, *options: str) -> str:
-    """What ``t2spline <command> <document file> <options>`` writes to
-    standard output; the command must succeed."""
-    with tempfile.TemporaryDirectory() as directory:
-        path = os.path.join(directory, "document.json")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps(document))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert run([command, path, *options]) == 0
-    return out.getvalue()
+    """What ``t2spline <command> <document file> <options>`` writes; the command must succeed."""
+    return cli_output(" ".join([command, "{doc}", *options, "--out", "{out}"]), json.dumps(document))
 
 
 def _columns(table: str) -> dict[str, tuple[str, ...]]:

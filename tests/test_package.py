@@ -1,3 +1,4 @@
+import argparse
 import ast
 import subprocess
 import sys
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import t2spline
-from test_boundary import ENTRY_POINTS
+from t2spline import cli
+from test_boundary import CLI_COMMANDS, CLI_REFUSALS, ENTRY_POINTS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,7 +30,6 @@ def test_all_lists_exactly_the_public_names():
 #: why; an exception class is none either.
 NOT_ENTRY_POINTS = {
     "DeviationReport": "a result of deviation, which checks nothing it holds",
-    "TRInterval": "a result of type_reduce, which checks nothing it holds",
     "Regime": "an Enum: Python looks its members up",
     "demo_document": "takes no arguments",
     "load_document": "reads a path: a failed read is the builtin OSError, and the text is parse_document's",
@@ -43,6 +44,17 @@ def test_every_public_callable_is_an_entry_point_or_named_as_none():
     errors = {name for name, value in public.items() if isinstance(value, type) and issubclass(value, Exception)}
     assert sorted(public.keys() - errors - ENTRY_POINTS.keys()) == sorted(NOT_ENTRY_POINTS)
     assert all(ENTRY_POINTS[name][0] is public[name] for name in public.keys() & ENTRY_POINTS.keys())
+
+
+def test_every_command_is_on_the_cli_boundary():
+    """The CLI boundary grows with the parser: each subcommand has a row of
+    ``CLI_REFUSALS``, and the mutated-document property runs each one that
+    reads a FILE."""
+    commands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    rows = [row for cases in CLI_REFUSALS.values() for row in (cases.values() if isinstance(cases, dict) else cases)]
+    assert commands.keys() <= {argv.split()[0] for argv, *_ in rows if argv}
+    reading = {name for name, parser in commands.items() if any(action.dest == "file" for action in parser._actions)}
+    assert {argv.split()[0] for argv in CLI_COMMANDS.values()} == reading
 
 
 @pytest.mark.parametrize("path", ["tests/oracles.py", "tests/texts.py", "perfbench/oracle.py"])
