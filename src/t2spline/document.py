@@ -281,8 +281,8 @@ def parse_document(text: str) -> ModelDocument:
 
 
 def _read_text(path) -> str:
-    """The UTF-8 text of the file at ``path``."""
-    with open(path, "r", encoding="utf-8") as f:
+    """The UTF-8 text of the file at ``path``, after its byte-order mark if it has one."""
+    with open(path, "r", encoding="utf-8-sig") as f:
         try:
             return f.read()
         except UnicodeDecodeError as exc:

@@ -21,6 +21,7 @@ writer takes a path or a stream, and every CLI command writes through one.
 from __future__ import annotations
 
 import csv
+import errno
 import math
 import os
 import stat
@@ -330,7 +331,8 @@ def _series_items(series) -> list[tuple[str, np.ndarray]]:
 def write_output(target, render) -> None:
     """Call ``render(stream)`` on the open text stream ``target``, or on the
     file at the ``str``, ``bytes`` or ``os.PathLike`` path ``target``; any
-    other target, and a path holding NUL, is refused with :class:`T2SplineError`.
+    other target, and a path holding NUL, is refused with :class:`T2SplineError`,
+    and an empty path with the ``FileNotFoundError`` that ``open`` raises.
 
     A new file, or a regular file of this user with one link, is rendered
     into a file beside it that replaces it only once ``render`` has
@@ -345,6 +347,8 @@ def write_output(target, render) -> None:
         raise T2SplineError(f"output target must be a text stream or a path, got {type(target).__name__}")
     if "\0" in os.fsdecode(target):
         raise T2SplineError(f"output path must not hold a NUL character, got {target!r}")
+    if not os.fspath(target):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), target)
     staged = _stage_beside(target)
     if staged is None:
         with open(target, "w", encoding="utf-8", newline="") as f:

@@ -20,13 +20,17 @@ hostile pool into one parameter of one entry point.
 
 The command line is the last boundary.  :data:`CLI_REFUSALS` holds the
 inputs its commands refuse, as rows of ``(argv, document, exit code, exact
-standard error)`` filed by the test of ``test_cli`` that runs them, and
-:func:`assert_cli_refused` checks a row.
+standard error)``, and :data:`CLI_OUTPUTS` the inputs its writing commands
+accept, as rows of ``(argv, document)``; both are filed by the test of
+``test_cli`` that runs them.  :func:`assert_cli_refused` checks a refusal,
+and :func:`assert_cli_writes` that an accepted row writes the bytes
+:func:`oracle_output` predicts from ``tests/oracles.py``.
 :func:`test_a_mutated_document_is_accepted_or_refused_by_every_command`
 runs one edit of a small valid document through every command that reads
 one.
 """
 
+import codecs
 import contextlib
 import functools
 import io
@@ -44,6 +48,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from texts import assert_same_text
 from t2spline import (
     AlphaCutScalar, AlphaOutOfRange, CurveBand, FuzzyCurveModel, HeightOutOfRange, KnotVector, ModelDocument,
     NegativeSpread, NT2FuzzyPoint, NT2FuzzyScalar, OrderExceedsControlCount, OrderingViolation, ParameterOutOfDomain,
@@ -53,11 +59,11 @@ from t2spline import (
     fuzzy_curve_band, parse_document, pipeline_point, rational_point, reduced_curves, render_svg, sample_curve,
     save_document, svg_document, type_reduce, write_csv,
 )
-from t2spline import cli
+from t2spline import cli, output
 from t2spline.bspline import MAX_SAMPLES, _IndexOutOfRange, check_order, check_samples, float_array, sample_curves
 from t2spline.curves import evaluate
 from t2spline.fuzzy import COORD_FIELDS, as_coords
-from t2spline.output import write_output, write_pipeline_csv, write_pipeline_json
+from t2spline.output import BLOCK_CELLS, write_output, write_pipeline_csv, write_pipeline_json
 from t2spline.pipeline import solve
 
 
@@ -721,9 +727,15 @@ def test_a_hostile_value_is_returned_or_refused(where, value):
 # --- the command line ------------------------------------------------------------
 
 
+def split(argv) -> list:
+    """A row's ``argv`` as a list: a string is split at spaces, and a list,
+    which can hold an empty argument or one with spaces, is taken as it is."""
+    return argv.split() if isinstance(argv, str) else list(argv)
+
+
 def run_cli(argv, document=None, sentinel=None):
-    """``cli.run`` in process on ``argv``, split at spaces, its ``{doc}`` and
-    ``{out}`` two paths in a new directory that hold ``document`` and
+    """``cli.run`` in process on ``argv`` (see :func:`split`), its ``{doc}``
+    and ``{out}`` two paths in a new directory that hold ``document`` and
     ``sentinel`` (text or bytes) unless None.  Returns the exit code, the
     standard output and error with the paths shown as ``{doc}`` and
     ``{out}``, and the bytes at ``{out}`` afterwards (None if absent)."""
@@ -734,7 +746,7 @@ def run_cli(argv, document=None, sentinel=None):
                 path.write_bytes(data.encode() if isinstance(data, str) else data)
         streams = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
-            code = cli.run([str(paths.get(arg, arg)) for arg in argv.split()])
+            code = cli.run([str(paths.get(arg, arg)) for arg in split(argv)])
         after = paths["{out}"].read_bytes() if paths["{out}"].exists() else None
     shown = [functools.reduce(lambda text, key: text.replace(str(paths[key]), key), paths, s.getvalue()) for s in streams]
     return code, *shown, after
@@ -756,6 +768,78 @@ def assert_cli_refused(argv, document, code, message):
         *usage, last = stderr.splitlines(keepends=True) or [""]
         assert (got, stdout, last, after) == (code, "", message, sentinel)
         assert usage == [] if message.startswith("error: ") else usage[0].startswith("usage: t2spline")
+
+
+def assert_cli_writes(argv, document):
+    """The row's command, run once with ``--out`` and once to standard
+    output, exits 0 with nothing on standard error, and writes the bytes of
+    :func:`oracle_output` both times."""
+    expected = oracle_output(argv, document)
+    code, stdout, stderr, written = run_cli([*split(argv), "--out", "{out}"], document)
+    assert (code, stdout, stderr) == (0, "", ""), (argv, stderr)
+    assert_same_text(written, expected)
+    code, stdout, stderr, _ = run_cli(argv, document)
+    assert (code, stderr) == (0, ""), (argv, stderr)
+    assert_same_text(stdout.encode(), expected)
+
+
+_BAND = ["ll", "l", "rl", "crisp", "lr", "r", "rr"]
+
+#: Curve labels, in column and drawing order, for each --series subset.
+_SERIES_COLUMNS = {
+    "band": _BAND,
+    "reduced": ["tr_left", "crisp", "tr_right"],
+    "defuzzified": ["defuzzified"],
+    "crisp": ["crisp"],
+    "band,reduced": [*_BAND, "tr_left", "tr_right"],
+    "band,defuzzified": [*_BAND, "defuzzified"],
+    "band,crisp": _BAND,
+    "reduced,defuzzified": ["tr_left", "crisp", "tr_right", "defuzzified"],
+    "reduced,crisp": ["tr_left", "crisp", "tr_right"],
+    "defuzzified,crisp": ["crisp", "defuzzified"],
+    "band,reduced,defuzzified": [*_BAND, "tr_left", "tr_right", "defuzzified"],
+    "band,reduced,crisp": [*_BAND, "tr_left", "tr_right"],
+    "band,defuzzified,crisp": [*_BAND, "defuzzified"],
+    "reduced,defuzzified,crisp": ["tr_left", "crisp", "tr_right", "defuzzified"],
+    "band,reduced,defuzzified,crisp": [*_BAND, "tr_left", "tr_right", "defuzzified"],
+}
+
+
+def oracle_output(argv, document) -> bytes:
+    """The bytes that ``pipeline``, ``curve`` or ``plot`` write for ``argv``
+    from ``document``, with the row's ``--alpha``, ``--order``,
+    ``--samples``, ``--series`` and ``--format`` read from ``argv``.  The
+    library parses the document, builds its model and evaluates the curve
+    points; ``tests/oracles.py`` solves and prints, and the columns and
+    curves follow :data:`_SERIES_COLUMNS`."""
+    command, _, *rest = split(argv)
+    options = dict(zip(rest[::2], rest[1::2]))
+    doc = parse_document(document)
+    alpha = float(options.get("--alpha", doc.model.alpha))
+    model = FuzzyCurveModel.with_uniform_knots(doc.model.coords, doc.model.weights, int(options.get("--order", doc.model.order)), alpha)
+    if command == "pipeline":
+        solution = np.array([oracles.pipeline_point(rows, alpha) for rows in model.coords.tolist()])
+        if options.get("--format", "json") == "json":
+            return oracles.pipeline_json(alpha, solution).encode()
+        table = oracles.csv_table(["index", "x", "y"], np.column_stack([np.arange(len(solution)), solution]), ["%d", "%.16e", "%.16e"])
+        return table.encode()
+    names = {name.strip() for name in options.get("--series", "all").split(",")} - {""} or {"all"}
+    groups = [group for group in ("band", "reduced", "defuzzified", "crisp") if {group, "all"} & names]
+    labels = _SERIES_COLUMNS[",".join(groups)]
+    ts, series = evaluate(model, groups, int(options.get("--samples", doc.samples)))
+    if command == "curve":
+        header = ["t", *(f"{label}_{axis}" for label in labels for axis in "xy")]
+        return oracles.csv_table(header, np.column_stack([ts, *(series[label] for label in labels)]), ["%.16e"] * len(header)).encode()
+    crisp_controls = model.coords[:, :, COORD_FIELDS.index("c")].tolist()
+    return oracles.svg_figure([(label, series[label]) for label in labels], crisp_controls, "", output).encode()
+
+
+def cli_rows(table):
+    """Every row of the CLI table ``table``, its argv split."""
+    for cases in table.values():
+        for case in cases.values() if isinstance(cases, dict) else cases:
+            for argv, *rest in case if isinstance(case, list) else [case]:
+                yield split(argv), *rest
 
 
 def edited(raw, path, text) -> str:
@@ -787,6 +871,33 @@ def gen_style_document(seed=5, n=40):
             coords.append(coord)
         points.append({"x": coords[0], "y": coords[1]})
     return {"order": 3, "alpha": 0.8, "weights": [int(w) / 1000 for w in rng.integers(500, 3000, n)], "points": points}
+
+
+def order4_document(n=12):
+    """Order-4 document with asymmetric spreads and heights on both sides
+    of the cut level, so both alpha-cut regimes occur."""
+    rng = np.random.default_rng(12)
+    points = []
+    for i in range(n):
+        coords = []
+        for c in (1.5 * i + rng.uniform(-0.3, 0.3), rng.uniform(-2.0, 2.0)):
+            left = np.sort(rng.uniform(0.05, 1.0, 3))[::-1]
+            right = np.sort(rng.uniform(0.05, 1.0, 3))
+            coords.append(NT2FuzzyScalar.from_spreads(c, (*left, *right), rng.uniform(0.5, 1.0)))
+        points.append(NT2FuzzyPoint(*coords))
+    weights = list(rng.uniform(0.5, 3.0, n))
+    return ModelDocument(points=points, weights=weights, order=4, alpha=0.8, samples=37)
+
+
+def _demo_scaled(scale, points=None):
+    """The demo document, the seven components of each coordinate of
+    ``points`` (all by default) multiplied by ``scale``."""
+    raw = json.loads(DEMO_TEXT)
+    for i, point in enumerate(raw["points"]):
+        if points is None or i in points:
+            for coord in point.values():
+                coord.update({key: value * scale for key, value in coord.items() if key != "h"})
+    return raw
 
 
 DEMO_TEXT = document_to_json(DOC)
@@ -843,6 +954,63 @@ CLI_REFUSALS = {
         "400-1": ("validate {doc}", edited(_UNITS, ("points", 0, "x", "rr"), "1" + "0" * 400), 1, "error: point 0, coordinate x.rr must be a number, got a 401-digit integer\n"),
         "5000-2": ("validate {doc}", edited(_UNITS, ("points", 0, "x", "rr"), "1" + "0" * 5000), 2, "error: cannot parse {doc}: an integer literal has too many digits to convert\n"),
     },
+    "test_an_empty_out_path_exits_2": {
+        command: ([command, *(["{doc}"] if document else []), "--out", ""], document, 2, "error: [Errno 2] No such file or directory: ''\n")
+        for command, document in (("demo", None), ("pipeline", DEMO_TEXT), ("curve", DEMO_TEXT), ("plot", DEMO_TEXT))
+    },
+}
+
+ORDER4_TEXT = document_to_json(order4_document())
+_GENERATED = gen_style_document()
+
+#: The inputs the writing commands accept, filed by the test of ``test_cli``
+#: that runs them: ``(argv, document)``, where ``{doc}`` stands for a path.
+#: Each row pins the bytes it writes: :func:`assert_cli_writes` checks it.
+CLI_OUTPUTS = {
+    "test_curve_crisp_two_samples_hits_endpoints": [("curve {doc} --series crisp --samples 2", DEMO_TEXT)],
+    "test_curve_all_series_columns": [("curve {doc} --samples 5", DEMO_TEXT)],
+    # An empty spec, and one naming ``all``, write what ``--series all`` writes.
+    "test_series_spec_exit_code_and_error_line": {
+        f"{command}-{name}": ([command, "{doc}", "--series", spec], DEMO_TEXT)
+        for command in ("curve", "plot") for name, spec in (("empty", ""), ("comma", ","), ("all-beside-a-group", " crisp , all "))
+    },
+    "test_plot_writes_svg": [("plot {doc} --series crisp,defuzzified", DEMO_TEXT)],
+    "test_pipeline_json_matches_library": [("pipeline {doc}", DEMO_TEXT)],
+    "test_pipeline_csv_format": [("pipeline {doc} --format csv", DEMO_TEXT)],
+    "test_alpha_override_changes_pipeline": [("pipeline {doc}", DEMO_TEXT), ("pipeline {doc} --alpha 0.2", DEMO_TEXT)],
+    "test_samples_override": [("curve {doc} --series crisp --samples 7", DEMO_TEXT)],
+    "test_curve_all_columns_match_library_views": {"demo": ("curve {doc} --series all", DEMO_TEXT), "order4": ("curve {doc} --series all", ORDER4_TEXT)},
+    "test_pipeline_output_equals_the_scalar_chain_serialised": {
+        f"{alpha}-{source}": [(f"pipeline {{doc}} --format {fmt}" + ("" if alpha is None else f" --alpha {alpha}"), text) for fmt in ("json", "csv")]
+        for source, text in (("demo", DEMO_TEXT), ("generated", json.dumps(_GENERATED, indent=2)))
+        for alpha in (None, "0.3", "0")
+    },
+    # --order and --alpha write the bytes of the document saved with that
+    # order and alpha: its own alpha, or a coordinate's height (the boundary
+    # of the two cut regimes).
+    "test_overrides_give_the_bytes_of_the_document_saved_with_them": {
+        f"{source}-{cut}": [
+            row
+            for argv, order in (("curve {doc} --series all", " --order 2"), ("plot {doc}", " --order 2"), ("pipeline {doc}", ""), ("pipeline {doc} --format csv", ""))
+            for row in ((f"{argv}{order} --alpha {alpha!r}", json.dumps(raw)), (argv, json.dumps({**raw, "order": 2, "alpha": alpha})))
+        ]
+        for source, raw in (("demo", _DEMO), ("generated", _GENERATED))
+        for cut, alpha in (("own", raw["alpha"]), ("height", raw["points"][1]["y"]["h"]))
+    },
+    "test_series_subset_column_and_drawing_order": {spec: [(f"{command} {{doc}} --series {spec} --samples 3", DEMO_TEXT) for command in ("curve", "plot")] for spec in _SERIES_COLUMNS},
+    "test_plot_equals_the_scene_of_library_views": {spec: (f"plot {{doc}} --series {spec}", ORDER4_TEXT) for spec in _SERIES_COLUMNS},
+    "test_curve_equals_the_table_of_library_views": {spec: (f"curve {{doc}} --series {spec}", ORDER4_TEXT) for spec in _SERIES_COLUMNS},
+    "test_pipeline_csv_across_row_blocks": [("pipeline {doc} --format csv", json.dumps(gen_style_document(n=2 * (BLOCK_CELLS // 3) + 1), indent=2))],
+    # Solutions beyond the positional range of repr, below 1e-4 beside
+    # ordinary ones in one block, and in two blocks.
+    "test_pipeline_json_equals_json_dumps_of_the_scalar_chain": {
+        name: ("pipeline {doc} --format json", json.dumps(raw, indent=2))
+        for name, raw in (
+            ("demo-1e-9", _demo_scaled(1e-9)), ("demo-1e20", _demo_scaled(1e20)), ("demo-one-point-1e-3", _demo_scaled(1e-3, points={0})),
+            ("generated-two-blocks", gen_style_document(n=BLOCK_CELLS // 2 + 1)),
+        )
+    },
+    "test_a_document_with_a_utf8_byte_order_mark_is_read": [(argv, codecs.BOM_UTF8 + DEMO_TEXT.encode()) for argv in ("pipeline {doc}", "curve {doc}", "plot {doc}")],
 }
 
 #: Every command that reads a document, as the mutated-document property runs it.
@@ -890,8 +1058,9 @@ def test_a_mutated_document_is_accepted_or_refused_by_every_command(document):
     no output, and leaves ``--out`` as it was.  Every command refuses what
     ``validate`` refuses, with its code and line; ``curve`` and ``plot`` may
     also refuse, with exit 1, a valid document whose curve points are not
-    finite.  No draw holds more than 40 points or a sample count from 4 to
-    2**24: those are valid, and allocate arrays that long."""
+    finite.  A writing command that accepts the document writes the bytes of
+    :func:`oracle_output`.  No draw holds more than 40 points or a sample
+    count from 4 to 2**24: those are valid, and allocate arrays that long."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         results = {name: run_cli(argv, document, b"sentinel\r\n") for name, argv in CLI_COMMANDS.items()}
@@ -903,3 +1072,5 @@ def test_a_mutated_document_is_accepted_or_refused_by_every_command(document):
             assert (code, stdout, stderr) == verdict, name
         elif code:
             assert name in ("curve", "plot") and (code, stderr) == (1, _NOT_FINITE), name
+        elif name != "validate":
+            assert_same_text(after, oracle_output(CLI_COMMANDS[name], document))

@@ -1,5 +1,4 @@
 import argparse
-import csv
 import json
 import os
 import platform
@@ -11,32 +10,18 @@ import sys
 import numpy as np
 import pytest
 
-import oracles
-from texts import assert_same_text
-from t2spline import (
-    ModelDocument,
-    NT2FuzzyPoint,
-    NT2FuzzyScalar,
-    Scene,
-    T2SplineError,
-    defuzzified_curve,
-    demo_document,
-    document_to_json,
-    fuzzy_curve_band,
-    parse_document,
-    reduced_curves,
-    render_svg,
-    sample_curve,
-    write_csv,
-)
-from t2spline import bspline, cli, curves, output, pipeline
+from t2spline import ModelDocument, T2SplineError, document_to_json
+from t2spline import bspline, curves, output, pipeline
 from t2spline.cli import run
-from t2spline.output import BLOCK_CELLS
-from test_boundary import BROKEN, CLI_REFUSALS, DEMO_TEXT, assert_cli_refused, cli_output, gen_style_document, refusal_tests
+from test_boundary import BROKEN, CLI_OUTPUTS, CLI_REFUSALS, assert_cli_refused, assert_cli_writes, order4_document, refusal_tests
 
-#: Tests defined here that run their rows of CLI_REFUSALS beside checks of their own.
-_RUN_HERE = ("test_series_spec_exit_code_and_error_line", "test_high_order_document_at_the_sample_bound_is_refused_at_once")
-globals().update(refusal_tests({name: rows for name, rows in CLI_REFUSALS.items() if name not in _RUN_HERE}, check=assert_cli_refused))
+#: A test defined here that runs its rows of CLI_REFUSALS beside a check of its own.
+_RUN_HERE = "test_high_order_document_at_the_sample_bound_is_refused_at_once"
+#: A test whose unknown series names are refused and whose other specs are written.
+_SPEC = "test_series_spec_exit_code_and_error_line"
+globals().update(refusal_tests({name: rows for name, rows in CLI_REFUSALS.items() if name not in (_RUN_HERE, _SPEC)}, check=assert_cli_refused))
+globals().update(refusal_tests({name: rows for name, rows in CLI_OUTPUTS.items() if name != _SPEC}, check=assert_cli_writes))
+globals().update(refusal_tests({_SPEC: CLI_REFUSALS[_SPEC] | CLI_OUTPUTS[_SPEC]}, check=lambda *row: (assert_cli_writes if len(row) == 2 else assert_cli_refused)(*row)))
 
 
 @pytest.fixture
@@ -57,38 +42,6 @@ def test_demo_to_stdout(capsys):
     assert json.loads(out)["weights"] == [1.0, 1.0, 3.0, 1.0]
 
 
-def test_curve_crisp_two_samples_hits_endpoints():
-    rows = list(csv.reader(cli_output("curve {doc} --series crisp --samples 2 --out {out}", DEMO_TEXT).splitlines()))
-    assert rows[0] == ["t", "crisp_x", "crisp_y"]
-    assert [float(v) for v in rows[1]] == [0.0, 0.0, 0.0]
-    assert [float(v) for v in rows[2]] == [1.0, 7.0, 1.0]
-
-
-def test_curve_all_series_columns():
-    header = cli_output("curve {doc} --samples 5 --out {out}", DEMO_TEXT).split("\n")[0].split(",")
-    # band (7) + tr_left/tr_right + defuzzified, crisp deduplicated
-    assert len(header) == 1 + 2 * 10
-    assert header.count("crisp_x") == 1
-
-
-_SPECS_OF_ALL = {f"{command}-{name}": (command, spec) for command in ("curve", "plot") for name, spec in (("empty", ""), ("comma", ","), ("all-beside-a-group", " crisp , all "))}
-
-
-@pytest.mark.parametrize("case", [*CLI_REFUSALS["test_series_spec_exit_code_and_error_line"], *_SPECS_OF_ALL])
-def test_series_spec_exit_code_and_error_line(demo_path, capsys, case):
-    """An unknown name is refused with one line naming it (the rows of
-    CLI_REFUSALS); an empty spec, and one naming ``all``, give what
-    ``--series all`` gives."""
-    if case not in _SPECS_OF_ALL:
-        assert_cli_refused(*CLI_REFUSALS["test_series_spec_exit_code_and_error_line"][case])
-        return
-    command, spec = _SPECS_OF_ALL[case]
-    assert run([command, str(demo_path), "--series", "all"]) == 0
-    every = capsys.readouterr().out
-    assert run([command, str(demo_path), "--series", spec]) == 0
-    assert capsys.readouterr() == (every, "")
-
-
 def test_plot_of_a_subnormal_span_draws_finite_pixels(tmp_path):
     """Points whose every component is 0, 5e-324 and 0: the span is too
     small to divide the canvas by, and the figure is still drawn."""
@@ -102,52 +55,6 @@ def test_plot_of_a_subnormal_span_draws_finite_pixels(tmp_path):
     polyline = re.search(r'<polyline class="series-crisp"[^>]* points="([^"]*)"', proc.stdout).group(1)
     px = np.array([pair.split(",") for pair in polyline.split()], dtype=float)
     assert len(px) == 101 and np.ptp(px[:, 0]) > 400 and np.ptp(px[:, 1]) > 400
-
-
-def test_plot_writes_svg():
-    text = cli_output("plot {doc} --series crisp,defuzzified --out {out}", DEMO_TEXT)
-    assert text.startswith('<?xml')
-    assert text.count("<polyline") == 2
-    assert "markers-controls" in text
-
-
-def test_pipeline_json_matches_library(demo_path, tmp_path):
-    out = tmp_path / "solutions.json"
-    assert run(["pipeline", str(demo_path), "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    model = demo_document().to_model()
-    expected = [oracles.pipeline_point(rows, model.alpha) for rows in model.coords.tolist()]
-    assert payload["alpha"] == 0.8
-    got = [(rec["x"], rec["y"]) for rec in payload["points"]]
-    assert np.allclose(got, expected, atol=0)
-
-
-def test_pipeline_csv_format(demo_path, capsys):
-    assert run(["pipeline", str(demo_path), "--format", "csv"]) == 0
-    rows = capsys.readouterr().out.strip().split("\n")
-    assert rows[0] == "index,x,y"
-    assert len(rows) == 5
-
-
-def test_alpha_override_changes_pipeline():
-    a, b = (json.loads(cli_output(f"pipeline {{doc}}{alpha} --out {{out}}", DEMO_TEXT)) for alpha in ("", " --alpha 0.2"))
-    assert a["alpha"] == 0.8 and b["alpha"] == 0.2
-    assert a["points"] != b["points"]
-
-
-def test_samples_override():
-    assert len(cli_output("curve {doc} --series crisp --samples 7 --out {out}", DEMO_TEXT).strip().split("\n")) == 8
-
-
-def test_console_module_entrypoint(demo_path, tmp_path):
-    out = tmp_path / "fig.svg"
-    proc = subprocess.run(
-        [sys.executable, "-m", "t2spline.cli", "plot", str(demo_path), "--out", str(out)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert out.exists()
 
 
 def _process(argv, doc, **kwargs) -> subprocess.CompletedProcess:
@@ -181,7 +88,7 @@ def test_curve_bytes_do_not_depend_on_the_blas_kernel(demo_path, tmp_path):
     if reason:
         pytest.skip(reason)
     wide = tmp_path / "order4.json"
-    wide.write_text(document_to_json(_order4_document(12)))
+    wide.write_text(document_to_json(order4_document(12)))
     for doc in (demo_path, wide):
         outputs = set()
         for kernel in ("Sandybridge", "Haswell"):
@@ -295,43 +202,6 @@ def test_an_error_keeps_its_exit_code_when_standard_error_cannot_be_written(demo
     assert (proc.returncode, proc.stdout) == (code, "")
 
 
-def _order4_document(n=12):
-    """Order-4 document with asymmetric spreads and heights on both sides
-    of the cut level, so both alpha-cut regimes occur."""
-    rng = np.random.default_rng(12)
-    points = []
-    for i in range(n):
-        coords = []
-        for c in (1.5 * i + rng.uniform(-0.3, 0.3), rng.uniform(-2.0, 2.0)):
-            left = np.sort(rng.uniform(0.05, 1.0, 3))[::-1]
-            right = np.sort(rng.uniform(0.05, 1.0, 3))
-            coords.append(NT2FuzzyScalar.from_spreads(c, (*left, *right), rng.uniform(0.5, 1.0)))
-        points.append(NT2FuzzyPoint(*coords))
-    weights = list(rng.uniform(0.5, 3.0, n))
-    return ModelDocument(points=points, weights=weights, order=4, alpha=0.8, samples=37)
-
-
-@pytest.mark.parametrize("doc", [demo_document(), _order4_document()], ids=["demo", "order4"])
-def test_curve_all_columns_match_library_views(doc):
-    rows = list(csv.reader(cli_output("curve {doc} --series all --out {out}", document_to_json(doc)).splitlines()))
-    columns = dict(zip(rows[0], np.array(rows[1:], dtype=float).T))
-
-    model = doc.to_model()
-    reduced = reduced_curves(model, doc.samples)
-    expected = dict(fuzzy_curve_band(model, doc.samples).items())
-    expected.update(tr_left=reduced.left, tr_right=reduced.right)
-    expected["defuzzified"] = defuzzified_curve(model, doc.samples)
-    crisp = sample_curve(model.crisp_model(), doc.samples)
-    assert np.array_equal(reduced.crisp.points, crisp.points)
-    assert np.array_equal(expected["crisp"].points, crisp.points)
-
-    assert len(columns) == 1 + 2 * len(expected)
-    assert np.array_equal(columns["t"], crisp.params)
-    for name, line in expected.items():
-        assert np.array_equal(columns[f"{name}_x"], line.points[:, 0]), name
-        assert np.array_equal(columns[f"{name}_y"], line.points[:, 1]), name
-
-
 def test_failed_render_leaves_existing_output_untouched(demo_path, tmp_path, monkeypatch):
     out = tmp_path / "curve.csv"
     out.write_bytes(b"previous,bytes\r\n")
@@ -362,7 +232,7 @@ def test_curve_all_computes_the_basis_once(demo_path, tmp_path, monkeypatch):
 def test_high_order_document_at_the_sample_bound_is_refused_at_once(monkeypatch):
     """The sample bound of order 400 is read before any basis work."""
     monkeypatch.setattr(bspline, "basis_rows", lambda *args: pytest.fail("the basis was computed"))
-    for row in CLI_REFUSALS["test_high_order_document_at_the_sample_bound_is_refused_at_once"]:
+    for row in CLI_REFUSALS[_RUN_HERE]:
         assert_cli_refused(*row)
 
 
@@ -425,21 +295,6 @@ def test_out_to_a_fifo_writes_into_it(demo_path, tmp_path):
     assert data == demo_path.read_bytes()
 
 
-@pytest.mark.parametrize("source", ["demo", "generated"])
-@pytest.mark.parametrize("alpha", [None, "0.3", "0"])
-def test_pipeline_output_equals_the_scalar_chain_serialised(source, alpha):
-    text = DEMO_TEXT if source == "demo" else json.dumps(gen_style_document(), indent=2)
-    model = parse_document(text).to_model()
-    if alpha is not None:
-        model = curves.FuzzyCurveModel(model.coords, model.weights, model.order, model.knots, float(alpha))
-    solutions = [oracles.pipeline_point(rows, model.alpha) for rows in model.coords.tolist()]
-    expected_json = json.dumps({"alpha": model.alpha, "points": [{"x": x, "y": y} for x, y in solutions]}, indent=2)
-    expected_csv = "index,x,y\n" + "".join(f"{i},{x:.16e},{y:.16e}\n" for i, (x, y) in enumerate(solutions))
-    override = "" if alpha is None else f" --alpha {alpha}"
-    for fmt, expected in (("json", expected_json + "\n"), ("csv", expected_csv)):
-        assert_same_text(cli_output(f"pipeline {{doc}} --format {fmt}{override} --out {{out}}", text), expected)
-
-
 def test_pipeline_builds_the_model_once(demo_path, tmp_path, monkeypatch):
     built = []
     post_init = curves.FuzzyCurveModel.__post_init__
@@ -483,125 +338,6 @@ def test_each_model_is_solved_once(demo_path, tmp_path, monkeypatch, argv, solve
     command, *options = argv
     assert run([command, str(demo_path), *options, "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == solves
-
-
-@pytest.mark.parametrize("cut", ["own", "height"])
-@pytest.mark.parametrize("source", ["demo", "generated"])
-def test_overrides_give_the_bytes_of_the_document_saved_with_them(source, cut):
-    """--order and --alpha give the bytes of the same document saved with
-    that order and alpha: the document's own alpha, or a coordinate's height
-    (the boundary of the two cut regimes)."""
-    raw = json.loads(DEMO_TEXT) if source == "demo" else gen_style_document()
-    order, alpha = 2, raw["alpha"] if cut == "own" else raw["points"][1]["y"]["h"]
-    saved = json.dumps({**raw, "order": order, "alpha": alpha})
-    reorder, recut = f" --order {order} --alpha {alpha!r}", f" --alpha {alpha!r}"
-    for argv, overrides in [("curve {doc} --series all", reorder), ("plot {doc}", reorder), ("pipeline {doc}", recut), ("pipeline {doc} --format csv", recut)]:
-        got = cli_output(f"{argv}{overrides} --out {{out}}", json.dumps(raw))
-        assert got == cli_output(f"{argv} --out {{out}}", saved), argv
-
-
-_BAND = ["ll", "l", "rl", "crisp", "lr", "r", "rr"]
-
-#: Curve labels, in column and drawing order, for each --series subset.
-_SERIES_COLUMNS = {
-    "band": _BAND,
-    "reduced": ["tr_left", "crisp", "tr_right"],
-    "defuzzified": ["defuzzified"],
-    "crisp": ["crisp"],
-    "band,reduced": [*_BAND, "tr_left", "tr_right"],
-    "band,defuzzified": [*_BAND, "defuzzified"],
-    "band,crisp": _BAND,
-    "reduced,defuzzified": ["tr_left", "crisp", "tr_right", "defuzzified"],
-    "reduced,crisp": ["tr_left", "crisp", "tr_right"],
-    "defuzzified,crisp": ["crisp", "defuzzified"],
-    "band,reduced,defuzzified": [*_BAND, "tr_left", "tr_right", "defuzzified"],
-    "band,reduced,crisp": [*_BAND, "tr_left", "tr_right"],
-    "band,defuzzified,crisp": [*_BAND, "defuzzified"],
-    "reduced,defuzzified,crisp": ["tr_left", "crisp", "tr_right", "defuzzified"],
-    "band,reduced,defuzzified,crisp": [*_BAND, "tr_left", "tr_right", "defuzzified"],
-}
-
-
-@pytest.mark.parametrize("spec, labels", _SERIES_COLUMNS.items(), ids=list(_SERIES_COLUMNS))
-def test_series_subset_column_and_drawing_order(demo_path, tmp_path, spec, labels):
-    table, figure = tmp_path / "out.csv", tmp_path / "out.svg"
-    assert run(["curve", str(demo_path), "--series", spec, "--samples", "3", "--out", str(table)]) == 0
-    assert run(["plot", str(demo_path), "--series", spec, "--samples", "3", "--out", str(figure)]) == 0
-    assert table.read_text().split("\n")[0].split(",") == ["t", *(f"{label}_{axis}" for label in labels for axis in "xy")]
-    assert re.findall(r'<polyline class="series-([^"]*)"', figure.read_text()) == labels
-
-
-def _library_files(tmp_path, doc, spec):
-    """The CSV and SVG files the library writes of ``evaluate``'s arrays of
-    the ``--series`` groups ``spec``, after checking that those arrays are
-    the points of the library's views."""
-    model = doc.to_model()
-    ts, series = curves.evaluate(model, spec.split(","), doc.samples)
-    reduced = reduced_curves(model, doc.samples)
-    views = {
-        **dict(fuzzy_curve_band(model, doc.samples).items()),
-        **dict(reduced.items()),
-        "defuzzified": defuzzified_curve(model, doc.samples),
-        "crisp": sample_curve(model.crisp_model(), doc.samples),
-    }
-    for label, points in series.items():
-        assert np.array_equal(points, views[label].points) and np.array_equal(ts, views[label].params), label
-    table, figure = tmp_path / "library.csv", tmp_path / "library.svg"
-    write_csv(ts, series, table)
-    render_svg(Scene(series, model.crisp_model().controls), figure)
-    return table, figure
-
-
-@pytest.mark.parametrize("spec", _SERIES_COLUMNS)
-def test_plot_equals_the_scene_of_library_views(tmp_path, spec):
-    """``plot`` writes the bytes ``render_svg`` writes of ``evaluate``'s
-    arrays, which are the points of the library's views."""
-    doc = _order4_document()
-    written = cli_output(f"plot {{doc}} --series {spec} --out {{out}}", document_to_json(doc))
-    assert written == _library_files(tmp_path, doc, spec)[1].read_bytes().decode()
-
-
-@pytest.mark.parametrize("spec", _SERIES_COLUMNS)
-def test_curve_equals_the_table_of_library_views(tmp_path, spec):
-    """``curve`` writes the bytes ``write_csv`` writes of ``evaluate``'s
-    arrays, which are the points of the library's views."""
-    doc = _order4_document()
-    written = cli_output(f"curve {{doc}} --series {spec} --out {{out}}", document_to_json(doc))
-    assert written == _library_files(tmp_path, doc, spec)[0].read_bytes().decode()
-
-
-def test_pipeline_csv_across_row_blocks():
-    text = json.dumps(gen_style_document(n=2 * (BLOCK_CELLS // 3) + 1), indent=2)
-    model = parse_document(text).to_model()
-    solutions = [oracles.pipeline_point(rows, model.alpha) for rows in model.coords.tolist()]
-    expected = "index,x,y\n" + "".join(f"{i},{x:.16e},{y:.16e}\n" for i, (x, y) in enumerate(solutions))
-    assert_same_text(cli_output("pipeline {doc} --format csv --out {out}", text), expected)
-
-
-def _demo_scaled(scale, points=None):
-    """The demo document, the seven components of each coordinate of
-    ``points`` (all by default) multiplied by ``scale``."""
-    raw = json.loads(document_to_json(demo_document()))
-    for i, point in enumerate(raw["points"]):
-        if points is None or i in points:
-            for coord in point.values():
-                coord.update({key: value * scale for key, value in coord.items() if key != "h"})
-    return raw
-
-
-@pytest.mark.parametrize(
-    "raw",
-    [_demo_scaled(1e-9), _demo_scaled(1e20), _demo_scaled(1e-3, points={0}), gen_style_document(n=BLOCK_CELLS // 2 + 1)],
-    ids=["demo-1e-9", "demo-1e20", "demo-one-point-1e-3", "generated-two-blocks"],
-)
-def test_pipeline_json_equals_json_dumps_of_the_scalar_chain(raw):
-    """Solutions beyond the positional range of repr, below 1e-4 beside
-    ordinary ones in one block, and in two blocks, byte for byte."""
-    text = json.dumps(raw, indent=2)
-    model = parse_document(text).to_model()
-    solutions = np.array([oracles.pipeline_point(rows, model.alpha) for rows in model.coords.tolist()])
-    written = cli_output("pipeline {doc} --format json --out {out}", text).encode()
-    assert_same_text(written, oracles.pipeline_json(model.alpha, solutions).encode("ascii"))
 
 
 # --- one argument parser per process ---------------------------------------------

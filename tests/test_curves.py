@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from test_boundary import REFUSALS, refusal_tests
+from test_boundary import REFUSALS, order4_document, refusal_tests
 from t2spline import (
     COMPONENT_LABELS,
     FuzzyCurveModel,
@@ -19,6 +19,7 @@ from t2spline import (
     clamped_uniform_knots,
     component_polygons,
     defuzzified_curve,
+    demo_document,
     deviation,
     fuzzy_curve_band,
     reduced_curves,
@@ -259,6 +260,20 @@ def test_all_requests_every_group_also_beside_other_names(request_):
     assert list(series) == list(every) == list(dict.fromkeys(label for group in GROUPS for label in SERIES[group]))
     assert np.array_equal(ts, every_ts)
     assert all(np.array_equal(series[label], every[label]) for label in every)
+
+
+@pytest.mark.parametrize("doc", [demo_document(), order4_document()], ids=["demo", "order4"])
+def test_evaluate_returns_the_points_of_the_library_views(doc):
+    """The arrays ``curve`` and ``plot`` print are the points and parameters
+    of the band, the reduced curves, the defuzzified curve and the curve of
+    the crisp model."""
+    model, samples = doc.model, doc.samples
+    ts, series = evaluate(model, ["all"], samples)
+    views = {**dict(fuzzy_curve_band(model, samples).items()), **dict(reduced_curves(model, samples).items())}
+    views.update(defuzzified=defuzzified_curve(model, samples), crisp=sample_curve(model.crisp_model(), samples))
+    assert series.keys() == views.keys()
+    for label, line in views.items():
+        assert np.array_equal(series[label], line.points) and np.array_equal(ts, line.params), label
 
 
 # --- model validation ---------------------------------------------------------------------

@@ -325,6 +325,20 @@ def test_writers_refuse_a_path_holding_nul(tmp_path, monkeypatch, writer, target
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("target", ["", b""], ids=["str", "bytes"])
+@pytest.mark.parametrize("writer", _TARGET_WRITERS.values(), ids=list(_TARGET_WRITERS))
+def test_writers_refuse_an_empty_path_as_open_does(tmp_path, monkeypatch, writer, target):
+    """Before, the output was rendered into a file in the working directory,
+    and the error named that file."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError) as opened:
+        open(target)
+    with pytest.raises(FileNotFoundError) as refused:
+        writer(target)
+    assert str(refused.value) == str(opened.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_bytes_path_is_replaced_only_once_rendered(tmp_path):
     """A ``bytes`` path in another directory is staged beside the file, as
     a ``str`` path is, so a failed render leaves the file untouched."""

@@ -9,7 +9,7 @@ import pytest
 
 import t2spline
 from t2spline import cli
-from test_boundary import CLI_COMMANDS, CLI_REFUSALS, ENTRY_POINTS
+from test_boundary import CLI_COMMANDS, CLI_OUTPUTS, CLI_REFUSALS, ENTRY_POINTS, cli_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,13 +48,18 @@ def test_every_public_callable_is_an_entry_point_or_named_as_none():
 
 def test_every_command_is_on_the_cli_boundary():
     """The CLI boundary grows with the parser: each subcommand has a row of
-    ``CLI_REFUSALS``, and the mutated-document property runs each one that
-    reads a FILE."""
+    ``CLI_REFUSALS``, the mutated-document property runs each one that
+    reads a FILE, and ``CLI_OUTPUTS`` has a row for each one that writes a
+    FILE's output to ``--out``, in each ``--format``."""
     commands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
-    rows = [row for cases in CLI_REFUSALS.values() for row in (cases.values() if isinstance(cases, dict) else cases)]
-    assert commands.keys() <= {argv.split()[0] for argv, *_ in rows if argv}
-    reading = {name for name, parser in commands.items() if any(action.dest == "file" for action in parser._actions)}
+    assert commands.keys() <= {argv[0] for argv, *_ in cli_rows(CLI_REFUSALS) if argv}
+    options = {name: {action.dest: action for action in parser._actions} for name, parser in commands.items()}
+    reading = {name for name, actions in options.items() if "file" in actions}
     assert {argv.split()[0] for argv in CLI_COMMANDS.values()} == reading
+    writing = {name: actions.get("format") for name, actions in options.items() if {"file", "out"} <= actions.keys()}
+    formats = {(name, choice) for name, action in writing.items() for choice in (action.choices if action else [None])}
+    written = {(command, rest[rest.index("--format") + 1] if "--format" in rest else getattr(writing[command], "default", None)) for (command, *rest), _ in cli_rows(CLI_OUTPUTS)}
+    assert formats <= written
 
 
 @pytest.mark.parametrize("path", ["tests/oracles.py", "tests/texts.py", "perfbench/oracle.py"])
