@@ -38,6 +38,7 @@ import json
 import math
 import operator
 import pathlib
+import shlex
 import tempfile
 import warnings
 from decimal import Decimal
@@ -727,16 +728,11 @@ def test_a_hostile_value_is_returned_or_refused(where, value):
 # --- the command line ------------------------------------------------------------
 
 
-def split(argv) -> list:
-    """A row's ``argv`` as a list: a string is split at spaces, and a list,
-    which can hold an empty argument or one with spaces, is taken as it is."""
-    return argv.split() if isinstance(argv, str) else list(argv)
-
-
 def run_cli(argv, document=None, sentinel=None):
-    """``cli.run`` in process on ``argv`` (see :func:`split`), its ``{doc}``
-    and ``{out}`` two paths in a new directory that hold ``document`` and
-    ``sentinel`` (text or bytes) unless None.  Returns the exit code, the
+    """``cli.run`` in process on the command line ``argv``, split into words
+    as a POSIX shell splits it, its ``{doc}`` and ``{out}`` two paths in a
+    new directory that hold ``document`` and ``sentinel`` (text or bytes)
+    unless None.  Returns the exit code, the
     standard output and error with the paths shown as ``{doc}`` and
     ``{out}``, and the bytes at ``{out}`` afterwards (None if absent)."""
     with tempfile.TemporaryDirectory() as folder:
@@ -746,7 +742,7 @@ def run_cli(argv, document=None, sentinel=None):
                 path.write_bytes(data.encode() if isinstance(data, str) else data)
         streams = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
-            code = cli.run([str(paths.get(arg, arg)) for arg in split(argv)])
+            code = cli.run([str(paths.get(arg, arg)) for arg in shlex.split(argv)])
         after = paths["{out}"].read_bytes() if paths["{out}"].exists() else None
     shown = [functools.reduce(lambda text, key: text.replace(str(paths[key]), key), paths, s.getvalue()) for s in streams]
     return code, *shown, after
@@ -775,7 +771,7 @@ def assert_cli_writes(argv, document):
     output, exits 0 with nothing on standard error, and writes the bytes of
     :func:`oracle_output` both times."""
     expected = oracle_output(argv, document)
-    code, stdout, stderr, written = run_cli([*split(argv), "--out", "{out}"], document)
+    code, stdout, stderr, written = run_cli(argv + " --out {out}", document)
     assert (code, stdout, stderr) == (0, "", ""), (argv, stderr)
     assert_same_text(written, expected)
     code, stdout, stderr, _ = run_cli(argv, document)
@@ -812,7 +808,7 @@ def oracle_output(argv, document) -> bytes:
     library parses the document, builds its model and evaluates the curve
     points; ``tests/oracles.py`` solves and prints, and the columns and
     curves follow :data:`_SERIES_COLUMNS`."""
-    command, _, *rest = split(argv)
+    command, _, *rest = shlex.split(argv)
     options = dict(zip(rest[::2], rest[1::2]))
     doc = parse_document(document)
     alpha = float(options.get("--alpha", doc.model.alpha))
@@ -835,11 +831,10 @@ def oracle_output(argv, document) -> bytes:
 
 
 def cli_rows(table):
-    """Every row of the CLI table ``table``, its argv split."""
+    """Every row of the CLI table ``table``."""
     for cases in table.values():
-        for case in cases.values() if isinstance(cases, dict) else cases:
-            for argv, *rest in case if isinstance(case, list) else [case]:
-                yield split(argv), *rest
+        for rows in cases.values() if isinstance(cases, dict) else [cases]:
+            yield from rows
 
 
 def edited(raw, path, text) -> str:
@@ -913,9 +908,10 @@ _UNKNOWN = "error: unknown series [{!r}]; choose from band, reduced, crisp, defu
 _NOT_FINITE = "error: curve points are not finite: the weighted control coordinates must stay within the float range\n"
 
 #: The inputs the commands refuse, filed by the test of ``test_cli`` that
-#: runs them: ``(argv, document, exit code, exact standard error)``, where
-#: ``{doc}`` and ``{out}`` stand for paths, and an argparse usage error pins
-#: the last line of its message.
+#: runs them, as a list of rows or an ``{id: rows}`` dict: ``(argv,
+#: document, exit code, exact standard error)``, where ``argv`` is a command
+#: line (see :func:`run_cli`) in which ``{doc}`` and ``{out}`` stand for
+#: paths, and an argparse usage error pins the last line of its message.
 CLI_REFUSALS = {
     "test_validate_broken_ordering_exits_1": [("validate {doc}", BROKEN, 1, "error: point 0, coordinate x: ordering violated: l > rl (0.7 > -0.3)\n")],
     "test_missing_file_exits_2": [("validate {doc}", None, 2, "error: [Errno 2] No such file or directory: '{doc}'\n")],
@@ -927,13 +923,13 @@ CLI_REFUSALS = {
     ],
     "test_curve_rejects_unknown_series": [("curve {doc} --series nonsense", DEMO_TEXT, 1, _UNKNOWN.format("nonsense"))],
     "test_series_spec_exit_code_and_error_line": {
-        f"{command}-{name}": (f"{command} {{doc}} --series {spec}", DEMO_TEXT, 1, _UNKNOWN.format("bogus")) for command in ("curve", "plot") for name, spec in (("unknown", "bogus"), ("all-and-unknown", "all,bogus"))
+        f"{command}-{name}": [(f"{command} {{doc}} --series {spec}", DEMO_TEXT, 1, _UNKNOWN.format("bogus"))] for command in ("curve", "plot") for name, spec in (("unknown", "bogus"), ("all-and-unknown", "all,bogus"))
     },
-    "test_non_utf8_input_exits_2": {command: (f"{command} {{doc}}", b'{"points": [], "note": "caf\xe9"}', 2, "error: cannot parse {doc}: not UTF-8 text: invalid continuation byte\n") for command in ("validate", "curve")},
-    "test_deeply_nested_json_exits_2": {command: (f"{command} {{doc}}", "[" * 100000, 2, "error: cannot parse {doc}: document is nested too deeply\n") for command in ("validate", "curve")},
-    "test_curve_order_below_two_exits_1": {order: (f"curve {{doc}} --order {order}", DEMO_TEXT, 1, f"error: order must be at least 2, got {order}\n") for order in ("-1", "0", "1")},
+    "test_non_utf8_input_exits_2": {command: [(f"{command} {{doc}}", b'{"points": [], "note": "caf\xe9"}', 2, "error: cannot parse {doc}: not UTF-8 text: invalid continuation byte\n")] for command in ("validate", "curve")},
+    "test_deeply_nested_json_exits_2": {command: [(f"{command} {{doc}}", "[" * 100000, 2, "error: cannot parse {doc}: document is nested too deeply\n")] for command in ("validate", "curve")},
+    "test_curve_order_below_two_exits_1": {order: [(f"curve {{doc}} --order {order}", DEMO_TEXT, 1, f"error: order must be at least 2, got {order}\n")] for order in ("-1", "0", "1")},
     "test_failed_curve_creates_no_output_file": [("curve {doc} --samples 1 --out {out}", DEMO_TEXT, 1, _SAMPLES.format(MAX_SAMPLES, 3, 1))],
-    "test_oversized_sample_count_exits_1_without_output": {command: (f"{command} {{doc}} --samples {10**9} --out {{out}}", DEMO_TEXT, 1, _SAMPLES.format(MAX_SAMPLES, 3, 10**9)) for command in ("curve", "plot")},
+    "test_oversized_sample_count_exits_1_without_output": {command: [(f"{command} {{doc}} --samples {10**9} --out {{out}}", DEMO_TEXT, 1, _SAMPLES.format(MAX_SAMPLES, 3, 10**9))] for command in ("curve", "plot")},
     # At order 20 the basis work admits 838,860 samples.
     "test_many_points_at_a_million_samples_exit_1_without_output": [
         (f"curve {{doc}} --samples {samples} --out {{out}}", json.dumps({**_MANY, "order": 20}), 1, _SAMPLES.format(838860, 20, samples)) for samples in (10**6, 10**9, 10**12)
@@ -946,16 +942,16 @@ CLI_REFUSALS = {
         (argv, document, 1, _SAMPLES.format(MAX_SAMPLES, 3, 1)) for argv, document in (("validate {doc}", json.dumps({**_DEMO, "samples": 1})), ("curve {doc} --samples 1", DEMO_TEXT))
     ],
     "test_overflowing_type_reduction_is_refused": {
-        argv.split()[0]: (argv, json.dumps(_WIDE_X), 1, "error: point 0, coordinate x: the type-reduced interval (inf, 1e+308, inf) and its defuzzified value inf at alpha 0.5 must be finite\n")
+        argv.split()[0]: [(argv, json.dumps(_WIDE_X), 1, "error: point 0, coordinate x: the type-reduced interval (inf, 1e+308, inf) and its defuzzified value inf at alpha 0.5 must be finite\n")]
         for argv in ("validate {doc}", "pipeline {doc} --out {out}", "curve {doc} --out {out}", "plot {doc} --out {out}")
     },
-    "test_non_finite_curve_points_are_refused": {command: (f"{command} {{doc}} --series crisp --out {{out}}", HEAVY, 1, _NOT_FINITE) for command in ("curve", "plot")},
+    "test_non_finite_curve_points_are_refused": {command: [(f"{command} {{doc}} --series crisp --out {{out}}", HEAVY, 1, _NOT_FINITE)] for command in ("curve", "plot")},
     "test_huge_integer_literal_exits_without_traceback": {
-        "400-1": ("validate {doc}", edited(_UNITS, ("points", 0, "x", "rr"), "1" + "0" * 400), 1, "error: point 0, coordinate x.rr must be a number, got a 401-digit integer\n"),
-        "5000-2": ("validate {doc}", edited(_UNITS, ("points", 0, "x", "rr"), "1" + "0" * 5000), 2, "error: cannot parse {doc}: an integer literal has too many digits to convert\n"),
+        "400-1": [("validate {doc}", edited(_UNITS, ("points", 0, "x", "rr"), "1" + "0" * 400), 1, "error: point 0, coordinate x.rr must be a number, got a 401-digit integer\n")],
+        "5000-2": [("validate {doc}", edited(_UNITS, ("points", 0, "x", "rr"), "1" + "0" * 5000), 2, "error: cannot parse {doc}: an integer literal has too many digits to convert\n")],
     },
     "test_an_empty_out_path_exits_2": {
-        command: ([command, *(["{doc}"] if document else []), "--out", ""], document, 2, "error: [Errno 2] No such file or directory: ''\n")
+        command: [(f"{command}{' {doc}' if document else ''} --out ''", document, 2, "error: [Errno 2] No such file or directory: ''\n")]
         for command, document in (("demo", None), ("pipeline", DEMO_TEXT), ("curve", DEMO_TEXT), ("plot", DEMO_TEXT))
     },
 }
@@ -963,23 +959,23 @@ CLI_REFUSALS = {
 ORDER4_TEXT = document_to_json(order4_document())
 _GENERATED = gen_style_document()
 
-#: The inputs the writing commands accept, filed by the test of ``test_cli``
-#: that runs them: ``(argv, document)``, where ``{doc}`` stands for a path.
+#: The inputs the writing commands accept, filed as :data:`CLI_REFUSALS` is:
+#: ``(argv, document)``, where ``{doc}`` stands for a path.
 #: Each row pins the bytes it writes: :func:`assert_cli_writes` checks it.
 CLI_OUTPUTS = {
     "test_curve_crisp_two_samples_hits_endpoints": [("curve {doc} --series crisp --samples 2", DEMO_TEXT)],
     "test_curve_all_series_columns": [("curve {doc} --samples 5", DEMO_TEXT)],
     # An empty spec, and one naming ``all``, write what ``--series all`` writes.
     "test_series_spec_exit_code_and_error_line": {
-        f"{command}-{name}": ([command, "{doc}", "--series", spec], DEMO_TEXT)
-        for command in ("curve", "plot") for name, spec in (("empty", ""), ("comma", ","), ("all-beside-a-group", " crisp , all "))
+        f"{command}-{name}": [(f"{command} {{doc}} --series {spec}", DEMO_TEXT)]
+        for command in ("curve", "plot") for name, spec in (("empty", "''"), ("comma", ","), ("all-beside-a-group", "' crisp , all '"))
     },
     "test_plot_writes_svg": [("plot {doc} --series crisp,defuzzified", DEMO_TEXT)],
     "test_pipeline_json_matches_library": [("pipeline {doc}", DEMO_TEXT)],
     "test_pipeline_csv_format": [("pipeline {doc} --format csv", DEMO_TEXT)],
     "test_alpha_override_changes_pipeline": [("pipeline {doc}", DEMO_TEXT), ("pipeline {doc} --alpha 0.2", DEMO_TEXT)],
     "test_samples_override": [("curve {doc} --series crisp --samples 7", DEMO_TEXT)],
-    "test_curve_all_columns_match_library_views": {"demo": ("curve {doc} --series all", DEMO_TEXT), "order4": ("curve {doc} --series all", ORDER4_TEXT)},
+    "test_curve_all_columns_match_library_views": {"demo": [("curve {doc} --series all", DEMO_TEXT)], "order4": [("curve {doc} --series all", ORDER4_TEXT)]},
     "test_pipeline_output_equals_the_scalar_chain_serialised": {
         f"{alpha}-{source}": [(f"pipeline {{doc}} --format {fmt}" + ("" if alpha is None else f" --alpha {alpha}"), text) for fmt in ("json", "csv")]
         for source, text in (("demo", DEMO_TEXT), ("generated", json.dumps(_GENERATED, indent=2)))
@@ -998,13 +994,13 @@ CLI_OUTPUTS = {
         for cut, alpha in (("own", raw["alpha"]), ("height", raw["points"][1]["y"]["h"]))
     },
     "test_series_subset_column_and_drawing_order": {spec: [(f"{command} {{doc}} --series {spec} --samples 3", DEMO_TEXT) for command in ("curve", "plot")] for spec in _SERIES_COLUMNS},
-    "test_plot_equals_the_scene_of_library_views": {spec: (f"plot {{doc}} --series {spec}", ORDER4_TEXT) for spec in _SERIES_COLUMNS},
-    "test_curve_equals_the_table_of_library_views": {spec: (f"curve {{doc}} --series {spec}", ORDER4_TEXT) for spec in _SERIES_COLUMNS},
+    "test_plot_equals_the_scene_of_library_views": {spec: [(f"plot {{doc}} --series {spec}", ORDER4_TEXT)] for spec in _SERIES_COLUMNS},
+    "test_curve_equals_the_table_of_library_views": {spec: [(f"curve {{doc}} --series {spec}", ORDER4_TEXT)] for spec in _SERIES_COLUMNS},
     "test_pipeline_csv_across_row_blocks": [("pipeline {doc} --format csv", json.dumps(gen_style_document(n=2 * (BLOCK_CELLS // 3) + 1), indent=2))],
     # Solutions beyond the positional range of repr, below 1e-4 beside
     # ordinary ones in one block, and in two blocks.
     "test_pipeline_json_equals_json_dumps_of_the_scalar_chain": {
-        name: ("pipeline {doc} --format json", json.dumps(raw, indent=2))
+        name: [("pipeline {doc} --format json", json.dumps(raw, indent=2))]
         for name, raw in (
             ("demo-1e-9", _demo_scaled(1e-9)), ("demo-1e20", _demo_scaled(1e20)), ("demo-one-point-1e-3", _demo_scaled(1e-3, points={0})),
             ("generated-two-blocks", gen_style_document(n=BLOCK_CELLS // 2 + 1)),

@@ -17,11 +17,20 @@ from test_boundary import BROKEN, CLI_OUTPUTS, CLI_REFUSALS, assert_cli_refused,
 
 #: A test defined here that runs its rows of CLI_REFUSALS beside a check of its own.
 _RUN_HERE = "test_high_order_document_at_the_sample_bound_is_refused_at_once"
-#: A test whose unknown series names are refused and whose other specs are written.
+#: A test defined here whose unknown series names are refused and whose other specs are written.
 _SPEC = "test_series_spec_exit_code_and_error_line"
 globals().update(refusal_tests({name: rows for name, rows in CLI_REFUSALS.items() if name not in (_RUN_HERE, _SPEC)}, check=assert_cli_refused))
 globals().update(refusal_tests({name: rows for name, rows in CLI_OUTPUTS.items() if name != _SPEC}, check=assert_cli_writes))
-globals().update(refusal_tests({_SPEC: CLI_REFUSALS[_SPEC] | CLI_OUTPUTS[_SPEC]}, check=lambda *row: (assert_cli_writes if len(row) == 2 else assert_cli_refused)(*row)))
+
+
+@pytest.mark.parametrize(
+    "check, rows",
+    [pytest.param(assert_cli_refused, rows, id=name) for name, rows in CLI_REFUSALS[_SPEC].items()]
+    + [pytest.param(assert_cli_writes, rows, id=name) for name, rows in CLI_OUTPUTS[_SPEC].items()],
+)
+def test_series_spec_exit_code_and_error_line(check, rows):
+    for row in rows:
+        check(*row)
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from test_boundary import REFUSALS, order4_document, refusal_tests
+from test_boundary import _SERIES_COLUMNS, REFUSALS, order4_document, refusal_tests
 from t2spline import (
     COMPONENT_LABELS,
     FuzzyCurveModel,
@@ -262,18 +262,30 @@ def test_all_requests_every_group_also_beside_other_names(request_):
     assert all(np.array_equal(series[label], every[label]) for label in every)
 
 
+@pytest.mark.parametrize("spec", _SERIES_COLUMNS)
 @pytest.mark.parametrize("doc", [demo_document(), order4_document()], ids=["demo", "order4"])
-def test_evaluate_returns_the_points_of_the_library_views(doc):
-    """The arrays ``curve`` and ``plot`` print are the points and parameters
-    of the band, the reduced curves, the defuzzified curve and the curve of
-    the crisp model."""
+def test_evaluate_returns_the_points_of_the_library_views(doc, spec):
+    """The arrays ``curve`` and ``plot`` print for each ``--series`` subset
+    are the points and parameters of the views of its groups alone: the
+    band, the reduced curves, the defuzzified curve and the curve of the
+    crisp model, whose points the band's and the reduced curves' ``crisp``
+    also are."""
     model, samples = doc.model, doc.samples
-    ts, series = evaluate(model, ["all"], samples)
-    views = {**dict(fuzzy_curve_band(model, samples).items()), **dict(reduced_curves(model, samples).items())}
-    views.update(defuzzified=defuzzified_curve(model, samples), crisp=sample_curve(model.crisp_model(), samples))
-    assert series.keys() == views.keys()
-    for label, line in views.items():
-        assert np.array_equal(series[label], line.points) and np.array_equal(ts, line.params), label
+    crisp = sample_curve(model.crisp_model(), samples)
+    views = {
+        "band": dict(fuzzy_curve_band(model, samples).items()),
+        "reduced": dict(reduced_curves(model, samples).items()),
+        "defuzzified": {"defuzzified": defuzzified_curve(model, samples)},
+        "crisp": {"crisp": crisp},
+    }
+    assert np.array_equal(views["band"]["crisp"].points, crisp.points)
+    assert np.array_equal(views["reduced"]["crisp"].points, crisp.points)
+    groups = spec.split(",")
+    ts, series = evaluate(model, groups, samples)
+    assert list(series) == _SERIES_COLUMNS[spec]
+    for group in groups:
+        for label, line in views[group].items():
+            assert np.array_equal(series[label], line.points) and np.array_equal(ts, line.params), (group, label)
 
 
 # --- model validation ---------------------------------------------------------------------

@@ -328,8 +328,8 @@ def test_writers_refuse_a_path_holding_nul(tmp_path, monkeypatch, writer, target
 @pytest.mark.parametrize("target", ["", b""], ids=["str", "bytes"])
 @pytest.mark.parametrize("writer", _TARGET_WRITERS.values(), ids=list(_TARGET_WRITERS))
 def test_writers_refuse_an_empty_path_as_open_does(tmp_path, monkeypatch, writer, target):
-    """Before, the output was rendered into a file in the working directory,
-    and the error named that file."""
+    """An empty path is refused, with the error ``open`` raises for it,
+    before anything is written."""
     monkeypatch.chdir(tmp_path)
     with pytest.raises(FileNotFoundError) as opened:
         open(target)

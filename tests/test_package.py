@@ -1,5 +1,6 @@
 import argparse
 import ast
+import shlex
 import subprocess
 import sys
 import types
@@ -52,14 +53,14 @@ def test_every_command_is_on_the_cli_boundary():
     reads a FILE, and ``CLI_OUTPUTS`` has a row for each one that writes a
     FILE's output to ``--out``, in each ``--format``."""
     commands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
-    assert commands.keys() <= {argv[0] for argv, *_ in cli_rows(CLI_REFUSALS) if argv}
+    assert commands.keys() <= {argv.split(" ")[0] for argv, *_ in cli_rows(CLI_REFUSALS)}
     options = {name: {action.dest: action for action in parser._actions} for name, parser in commands.items()}
     reading = {name for name, actions in options.items() if "file" in actions}
     assert {argv.split()[0] for argv in CLI_COMMANDS.values()} == reading
     writing = {name: actions.get("format") for name, actions in options.items() if {"file", "out"} <= actions.keys()}
     formats = {(name, choice) for name, action in writing.items() for choice in (action.choices if action else [None])}
-    written = {(command, rest[rest.index("--format") + 1] if "--format" in rest else getattr(writing[command], "default", None)) for (command, *rest), _ in cli_rows(CLI_OUTPUTS)}
-    assert formats <= written
+    parsed = [cli._build_parser().parse_args(shlex.split(argv)) for argv, _ in cli_rows(CLI_OUTPUTS)]
+    assert formats <= {(args.command, getattr(args, "format", None)) for args in parsed}
 
 
 @pytest.mark.parametrize("path", ["tests/oracles.py", "tests/texts.py", "perfbench/oracle.py"])
