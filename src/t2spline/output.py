@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import io
 import math
 import os
 import stat
@@ -330,9 +331,12 @@ def _series_items(series) -> list[tuple[str, np.ndarray]]:
 
 def write_output(target, render) -> None:
     """Call ``render(stream)`` on the open text stream ``target``, or on the
-    file at the ``str``, ``bytes`` or ``os.PathLike`` path ``target``; any
-    other target, and a path holding NUL, is refused with :class:`T2SplineError`,
-    and an empty path with the ``FileNotFoundError`` that ``open`` raises.
+    file at the ``str``, ``bytes`` or ``os.PathLike`` path ``target``.  A
+    binary stream (an :class:`io.RawIOBase` or :class:`io.BufferedIOBase`,
+    such as :class:`io.BytesIO` or a file opened ``"wb"``), any other target
+    and a path holding NUL are refused with :class:`T2SplineError`, and an
+    empty path with the ``FileNotFoundError`` that ``open`` raises, before
+    anything is written.
 
     A new file, or a regular file of this user with one link, is rendered
     into a file beside it that replaces it only once ``render`` has
@@ -340,7 +344,7 @@ def write_output(target, render) -> None:
     other target (a symlink, a device, a FIFO, a hard-linked or foreign
     file) is written in place, so the path stays what it was.
     """
-    if hasattr(target, "write"):
+    if hasattr(target, "write") and not isinstance(target, (io.RawIOBase, io.BufferedIOBase)):
         render(target)
         return
     if not isinstance(target, (str, bytes, os.PathLike)):

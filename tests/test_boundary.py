@@ -7,7 +7,7 @@ same for the number rules and kernels behind them that rows call directly.
 parameter, value, exception class, exact message)``.  A row calls its entry
 with the valid arguments and ``value`` for ``parameter`` (a tuple of
 parameters takes a tuple of values), and :func:`assert_refused` checks that
-exactly that class is raised, with exactly that message.
+exactly that class is raised, with exactly that message, and nothing written.
 
 The rows are filed by test module, then by the test that runs them.
 :func:`refusal_tests` builds each such test, from a list of rows or from
@@ -28,21 +28,33 @@ and :func:`assert_cli_writes` that an accepted row writes the bytes
 :func:`test_a_mutated_document_is_accepted_or_refused_by_every_command`
 runs one edit of a small valid document through every command that reads
 one.
+
+Every output goes through one target.  :data:`OUTPUT_TARGETS` holds the
+paths it is written to, as rows of ``(given, before, fault, outcome)``
+filed by the test that runs them, and :func:`assert_target_written` runs
+each row through every writer of :data:`WRITERS` and every command of
+:data:`OUT_COMMANDS`; the targets they refuse are rows of :data:`REFUSALS`.
 """
 
 import codecs
 import contextlib
+import errno
+import fcntl
 import functools
 import io
 import json
 import math
 import operator
+import os
 import pathlib
 import shlex
+import stat
 import tempfile
+import types
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -158,6 +170,15 @@ INTERNALS = {
 }
 
 
+#: The entry points that write a file, those with a ``path_or_file``,
+#: ``path`` or ``target`` parameter, by function name: the entry and that parameter.
+WRITERS = {
+    entry.split(".")[-1]: (entry, parameter)
+    for entry, (_, valid) in ENTRY_POINTS.items()
+    for parameter in valid.keys() & {"path_or_file", "path", "target"}
+}
+
+
 def call(entry, parameter, value):
     """Call ``entry`` with its valid arguments, ``value`` given for
     ``parameter``; a tuple of parameters takes a tuple of values."""
@@ -166,12 +187,25 @@ def call(entry, parameter, value):
     return function(**{**valid, **given})
 
 
+@contextlib.contextmanager
+def _empty_folder():
+    """A new folder, made the working folder, that must be left empty."""
+    with tempfile.TemporaryDirectory() as folder, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(folder)
+        yield
+        assert os.listdir(folder) == []
+
+
 def assert_refused(entry, parameter, value, cls, message):
-    """The row's call raises exactly ``cls``, with exactly ``message``."""
-    with pytest.raises(cls) as exc:
+    """The row's call, made from an :func:`_empty_folder`, raises exactly
+    ``cls``, with exactly ``message``, and writes nothing: the folder and
+    any stream the row gives stay empty."""
+    with _empty_folder(), pytest.raises(cls) as exc:
         call(entry, parameter, value)
     assert type(exc.value) is cls
     assert str(exc.value) == message
+    for given in value if isinstance(parameter, tuple) else [value]:
+        assert not isinstance(given, (io.StringIO, io.BytesIO)) or not given.getvalue()
 
 
 def refusal_tests(tests, check=assert_refused):
@@ -594,6 +628,27 @@ REFUSALS = {
             "series-strings": ("svg_document", "scene", Scene({"ll": [["a", "b"]]}), T2SplineError, "ll must be a rectangular array of numbers: 'a' is not a number"),
             "series-none": ("svg_document", "scene", Scene({"rr": [[1.0, None]]}), T2SplineError, "rr must be a rectangular array of numbers: None is not a number"),
         },
+        "test_writers_refuse_a_target_that_is_no_stream_or_path": {
+            f"{writer}-{kind}": (*WRITERS[writer], target, T2SplineError, f"output target must be a text stream or a path, got {type(target).__name__}")
+            for writer in WRITERS
+            for kind, target in (("none", None), ("int", 3), ("ndarray", np.zeros(3)), ("binary-stream", io.BytesIO()))
+        },
+        "test_writers_refuse_a_path_holding_nul": {
+            f"{writer}-{kind}": (*WRITERS[writer], target, T2SplineError, f"output path must not hold a NUL character, got {target!r}")
+            for writer in WRITERS
+            for kind, target in (("str", "a\0b"), ("bytes", b"a\0b"), ("path", pathlib.Path("a\0b")))
+        },
+        # An empty path is refused with the error ``open`` raises for it.
+        "test_writers_refuse_an_empty_path_as_open_does": {
+            f"{writer}-{kind}": (*WRITERS[writer], target, FileNotFoundError, f"[Errno 2] No such file or directory: {target!r}")
+            for writer in WRITERS
+            for kind, target in (("str", ""), ("bytes", b""))
+        },
+        "test_pipeline_writers_refuse_what_no_solution_holds": {
+            "csv-shape": ("output.write_pipeline_csv", ("points", "path_or_file"), (np.zeros((2, 3)), io.StringIO()), T2SplineError, "points must be an (m, 2) array, got shape (2, 3)"),
+            "json-nan": ("output.write_pipeline_json", ("points", "path_or_file"), ([[0.0, np.nan]], io.StringIO()), T2SplineError, "points must be finite"),
+            "json-alpha": ("output.write_pipeline_json", ("alpha", "path_or_file"), (1.5, io.StringIO()), AlphaOutOfRange, "alpha must lie in [0, 1), got 1.5"),
+        },
         "test_svg_rejects_series_that_are_not_label_point_pairs": {
             name: ("svg_document", "scene", Scene(series), T2SplineError, f"series must be a mapping of labels to points, got {type(series).__name__}")
             for name, series in [
@@ -659,12 +714,12 @@ globals().update(refusal_tests(REFUSALS["test_boundary"]))
 _OBJECTS = (KnotVector, RationalCurveModel, Polyline, FuzzyCurveModel, ModelDocument, NT2FuzzyScalar, NT2FuzzyPoint, AlphaCutScalar, TRInterval, Scene, Regime)
 
 #: Each (entry point, parameter) pair a hostile value is drawn for: every
-#: parameter but a model, a render function and an output stream.
+#: parameter but a model and a render function.
 _DRAWN = [
     (entry, parameter)
     for entry, (_, valid) in ENTRY_POINTS.items()
     for parameter, value in valid.items()
-    if not (isinstance(value, _OBJECTS) or callable(value) or value is SINK)
+    if not (isinstance(value, _OBJECTS) or callable(value))
 ]
 
 #: Values that are no valid input, or are one only by a narrow rule; each
@@ -688,7 +743,7 @@ _HOSTILE = st.one_of(
         lambda: np.array([1 + 1j, 2]), lambda: np.array(["a", "b"]), lambda: np.array([b"a"]), lambda: np.array([True, False]),
         lambda: np.array([1, 2], "m8"), lambda: np.array([1, 2], "m8[s]"), lambda: np.zeros((2, 2), "m8[D]"), lambda: np.array(["2020-01-01"], "M8[D]"),
         lambda: np.array([None, 1.0], dtype=object), lambda: np.array([np.inf, np.inf]), lambda: np.full((2, 2), np.nan),
-        lambda: np.array([10**400, 1], dtype=object), lambda: np.zeros(3, dtype=[("a", float)]),
+        lambda: np.array([10**400, 1], dtype=object), lambda: np.zeros(3, dtype=[("a", float)]), io.BytesIO, io.StringIO,
     ]).map(lambda make: make()),
     st.builds(iter, st.lists(st.floats(), max_size=3)),
     st.floats(),
@@ -708,21 +763,26 @@ def test_a_hostile_value_is_returned_or_refused(where, value):
     valid: the call returns or raises :class:`T2SplineError`, and warns of
     nothing.
 
-    Out of scope: a parameter that takes one of the package's objects, a
-    render function or an output stream gets its valid value.  A value that
-    is not the object the parameter names raises ``AttributeError`` or
-    ``TypeError`` there, and a path's failures are the builtin ``OSError``.
+    An output target may also be the empty path, refused as ``open``
+    refuses it; a drawn path is written in a new working folder.
+
+    Out of scope: a parameter that takes one of the package's objects or a
+    render function gets its valid value.  A value that is not the object
+    the parameter names raises ``AttributeError`` or ``TypeError`` there.
     No integer from 4 to 2**63 - 2 is drawn: as a control count up to
     ``bspline._MOST_KNOTS`` or a sample count up to ``MAX_SAMPLES`` it is
     valid, and allocates arrays of that length.
     """
     entry, parameter = where
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as folder, pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("error")
+        patch.chdir(folder)
         try:
             call(entry, parameter, value)
         except T2SplineError:
             pass
+        except FileNotFoundError:
+            assert where in WRITERS.values() and value in ("", b"")
 
 
 # --- the command line ------------------------------------------------------------
@@ -1007,13 +1067,21 @@ CLI_OUTPUTS = {
         )
     },
     "test_a_document_with_a_utf8_byte_order_mark_is_read": [(argv, codecs.BOM_UTF8 + DEMO_TEXT.encode()) for argv in ("pipeline {doc}", "curve {doc}", "plot {doc}")],
+    # Every component 0, 5e-324 and 0: a span too small to divide the canvas by.
+    "test_plot_of_a_subnormal_span_draws_finite_pixels": [
+        ("plot {doc} --series crisp", json.dumps({"order": 2, "points": [{"x": dict.fromkeys(_UNIT, v) | {"h": 1}, "y": dict.fromkeys(_UNIT, v) | {"h": 1}} for v in (0, 5e-324, 0)]}))
+    ],
 }
 
-#: Every command that reads a document, as the mutated-document property runs it.
-CLI_COMMANDS = {
-    "validate": "validate {doc}", "pipeline-json": "pipeline {doc} --format json --out {out}", "pipeline-csv": "pipeline {doc} --format csv --out {out}",
-    "curve": "curve {doc} --series all --out {out}", "plot": "plot {doc} --out {out}",
+#: Every command that writes to ``--out``, as the output-target rows run it.
+OUT_COMMANDS = {
+    "demo": "demo", "pipeline-json": "pipeline {doc} --format json", "pipeline-csv": "pipeline {doc} --format csv",
+    "curve": "curve {doc} --series all", "plot": "plot {doc}",
 }
+#: Every command that reads a document, as the mutated-document property runs it.
+CLI_COMMANDS = {"validate": "validate {doc}", **{name: f"{argv} --out {{out}}" for name, argv in OUT_COMMANDS.items() if name != "demo"}}
+
+
 #: The JSON texts an edit puts in a node's place.  No integer from 4 to
 #: 2**24 is one: as a sample count it is valid, and allocates that many points.
 _HOSTILE_JSON = [
@@ -1070,3 +1138,160 @@ def test_a_mutated_document_is_accepted_or_refused_by_every_command(document):
             assert name in ("curve", "plot") and (code, stderr) == (1, _NOT_FINITE), name
         elif name != "validate":
             assert_same_text(after, oracle_output(CLI_COMMANDS[name], document))
+
+
+# --- the output target ------------------------------------------------------------
+
+_OLD = b"previous,bytes\r\n"
+
+#: What the output path ``out`` holds before a write, by name: a function
+#: that places it there, with a file ``target`` or ``other`` beside it.
+_BEFORE = {
+    "nothing": lambda out: None,
+    "a file": lambda out: out.write_bytes(_OLD),
+    "a private file": lambda out: (out.write_bytes(_OLD), out.chmod(0o600)),
+    "a symlink": lambda out: (out.with_name("target").write_bytes(_OLD), out.symlink_to("target")),
+    "a hard link": lambda out: (out.write_bytes(_OLD), os.link(out, out.with_name("other"))),
+    "a FIFO": os.mkfifo,
+}
+
+
+def _open_failing(error):
+    """``open`` as ``output`` calls it, for a text file whose first write
+    stops half-way with ``error``."""
+
+    class HalfWritten(io.TextIOWrapper):
+        def write(self, text):
+            super().write(text[: len(text) // 2])
+            raise error.with_traceback(None)
+
+    return lambda file, mode, **kwargs: HalfWritten(open(file, "wb"), **kwargs)
+
+
+def _os_failing(name, code):
+    """The ``os`` module, as ``output`` reads it, with its function ``name``
+    failing with errno ``code``."""
+    return types.SimpleNamespace(**{**vars(os), name: mock.Mock(side_effect=OSError(code, os.strerror(code)))})
+
+
+_ENOSPC, _EPERM = (OSError(code, os.strerror(code)) for code in (errno.ENOSPC, errno.EPERM))
+
+#: Each fault a write may meet, by name: the name of ``t2spline.output`` it
+#: is injected through, its replacement, and the error the write then fails
+#: with (None: the write goes on another way).
+_FAULTS = {
+    "disk full": ("open", _open_failing(_ENOSPC), _ENOSPC),
+    "render fails": ("open", _open_failing(T2SplineError("render failed")), T2SplineError("render failed")),
+    "os.open refused": ("os", _os_failing("open", errno.EACCES), None),
+    "fchmod refused": ("os", _os_failing("fchmod", errno.EPERM), _EPERM),
+}
+
+#: Where the writers and the commands' ``--out`` put their output, filed by
+#: the test of ``test_output`` or ``test_cli`` that runs them: rows of
+#: ``(given, before, fault, outcome)``.  ``given`` turns the path into the
+#: target a writer is given (a command takes its text), ``before`` names
+#: what the path holds (:data:`_BEFORE`) and ``fault`` what the write meets
+#: (:data:`_FAULTS`, or None).  :func:`assert_target_written` checks the
+#: ``outcome``: the path is ``created``, ``replaced`` by a new file of the
+#: old one's mode, written ``in place`` or left ``untouched``.
+OUTPUT_TARGETS = {
+    "test_output": {
+        "test_a_bytes_path_is_replaced_only_once_rendered": [
+            (str, "nothing", None, "created"), (os.fsencode, "nothing", None, "created"), (pathlib.Path, "nothing", None, "created"),
+            (os.fsencode, "a file", "render fails", "untouched"), (os.fsencode, "a file", "disk full", "untouched"), (os.fsencode, "a file", None, "replaced"),
+        ],
+        "test_failed_csv_write_leaves_an_existing_file_untouched": [
+            (pathlib.Path, before, fault, "untouched") for before in ("a file", "nothing") for fault in ("render fails", "disk full")
+        ],
+        "test_output_is_written_in_place_when_no_file_can_be_made_beside_it": [(pathlib.Path, "a file", "os.open refused", "in place")],
+        "test_staged_file_is_removed_when_its_mode_cannot_be_set": [(pathlib.Path, "a file", "fchmod refused", "untouched")],
+    },
+    "test_cli": {
+        "test_failed_render_leaves_existing_output_untouched": [(str, "a file", fault, "untouched") for fault in ("render fails", "disk full")],
+        "test_out_through_symlink_keeps_the_link": [(str, "a symlink", None, "in place")],
+        "test_out_keeps_the_mode_of_an_existing_file": [(str, "a private file", None, "replaced")],
+        "test_out_keeps_hard_links": [(str, "a hard link", None, "in place")],
+        "test_out_to_a_fifo_writes_into_it": [(str, "a FIFO", None, "in place")],
+    },
+}
+
+
+@functools.cache
+def _output(name) -> bytes:
+    """What the writer or the command ``name`` writes to a text stream."""
+    if name in WRITERS:
+        stream = io.StringIO()
+        call(*WRITERS[name], stream)
+        return stream.getvalue().encode()
+    code, stdout, stderr, _ = run_cli(OUT_COMMANDS[name], DEMO_TEXT)
+    assert (code, stderr) == (0, ""), stderr
+    return stdout.encode()
+
+
+def _write(name, target, error) -> str:
+    """Write the output of the writer or the command ``name`` to ``target``:
+    "" if it succeeds, or the text of the error of ``error``'s class it
+    fails with (a command exits 2 for an ``OSError`` and 1 for a
+    :class:`T2SplineError`, with that text on one line)."""
+    if name in WRITERS:
+        try:
+            call(*WRITERS[name], target)
+        except (type(error) if error else ()) as exc:
+            return str(exc)
+        return ""
+    code, stdout, stderr, _ = run_cli(f"{OUT_COMMANDS[name]} --out {shlex.quote(os.fsdecode(target))}", DEMO_TEXT)
+    assert (code, stdout) == ((2 if isinstance(error, OSError) else 1) if stderr else 0, ""), stderr
+    return stderr.removeprefix("error: ").removesuffix("\n")
+
+
+def _snapshot(folder) -> dict:
+    """What each name in ``folder`` holds: its file type, inode, mode, link
+    count, link text and, for a regular file, its bytes."""
+    state = {}
+    for entry in os.scandir(folder):
+        st = entry.stat(follow_symlinks=False)
+        link = os.readlink(entry.path) if entry.is_symlink() else None
+        data = pathlib.Path(entry.path).read_bytes() if stat.S_ISREG(st.st_mode) else None
+        state[entry.name] = [stat.S_IFMT(st.st_mode), st.st_ino, stat.S_IMODE(st.st_mode), st.st_nlink, link, data]
+    return state
+
+
+def assert_target_written(given, before, fault, outcome):
+    """Each writer of :data:`WRITERS` and each command of
+    :data:`OUT_COMMANDS`, run from an :func:`_empty_folder`, writes to the
+    path ``out`` of another new folder the row places ``before`` at, under
+    ``fault``, and fails with the fault's error, if it has one.  Afterwards
+    each name in that folder holds what it held, with these changes: a
+    ``created`` or ``replaced`` path holds a new regular file of the output,
+    of the mode a new file gets or the old file's mode; a file written ``in
+    place`` keeps its inode and mode and holds the output under each of its
+    names; a FIFO passes the output to its reader, and the output must fit
+    in its pipe, so the write never waits."""
+    error = _FAULTS[fault][2] if fault else None
+    for name in [*WRITERS, *OUT_COMMANDS]:
+        data = _output(name)
+        with _empty_folder(), tempfile.TemporaryDirectory() as folder:
+            out = pathlib.Path(folder, "out")
+            _BEFORE[before](out)
+            expected = _snapshot(folder)
+            with contextlib.ExitStack() as stack:
+                if fault:
+                    stack.enter_context(mock.patch.object(output, *_FAULTS[fault][:2], create=True))
+                if before == "a FIFO":  # a reader lets the writer open the FIFO at once
+                    stack.callback(os.close, reader := os.open(out, os.O_RDONLY | os.O_NONBLOCK))
+                    assert len(data) <= fcntl.fcntl(reader, fcntl.F_GETPIPE_SZ), name
+                written = _write(name, given(out), error)
+                if before == "a FIFO":
+                    assert b"".join(iter(functools.partial(os.read, reader, 1 << 16), b"")) == data, name
+            after = _snapshot(folder)
+            assert written == (str(error) if error else ""), name
+            if outcome == "created":
+                os.umask(umask := os.umask(0))  # reads the umask
+                expected["out"] = [stat.S_IFREG, None, 0o666 & ~umask, 1, None, None]
+            if outcome in ("created", "replaced"):
+                assert after["out"][1] != expected["out"][1], name
+                expected["out"][1], expected["out"][5] = after["out"][1], data
+            for held in expected.values() if outcome == "in place" else ():
+                if held[1] == out.stat().st_ino and held[5] is not None:
+                    held[5] = data
+            assert after == expected, name

@@ -2,18 +2,19 @@ import argparse
 import json
 import os
 import platform
-import re
-import stat
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from t2spline import ModelDocument, T2SplineError, document_to_json
-from t2spline import bspline, curves, output, pipeline
+from t2spline import document_to_json
+from t2spline import bspline, curves, pipeline
 from t2spline.cli import run
-from test_boundary import BROKEN, CLI_OUTPUTS, CLI_REFUSALS, assert_cli_refused, assert_cli_writes, order4_document, refusal_tests
+from test_boundary import (
+    BROKEN, CLI_OUTPUTS, CLI_REFUSALS, OUT_COMMANDS, OUTPUT_TARGETS, assert_cli_refused, assert_cli_writes, assert_target_written, order4_document,
+    refusal_tests,
+)
 
 #: A test defined here that runs its rows of CLI_REFUSALS beside a check of its own.
 _RUN_HERE = "test_high_order_document_at_the_sample_bound_is_refused_at_once"
@@ -21,6 +22,7 @@ _RUN_HERE = "test_high_order_document_at_the_sample_bound_is_refused_at_once"
 _SPEC = "test_series_spec_exit_code_and_error_line"
 globals().update(refusal_tests({name: rows for name, rows in CLI_REFUSALS.items() if name not in (_RUN_HERE, _SPEC)}, check=assert_cli_refused))
 globals().update(refusal_tests({name: rows for name, rows in CLI_OUTPUTS.items() if name != _SPEC}, check=assert_cli_writes))
+globals().update(refusal_tests(OUTPUT_TARGETS["test_cli"], check=assert_target_written))
 
 
 @pytest.mark.parametrize(
@@ -49,21 +51,6 @@ def test_demo_to_stdout(capsys):
     assert run(["demo"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["weights"] == [1.0, 1.0, 3.0, 1.0]
-
-
-def test_plot_of_a_subnormal_span_draws_finite_pixels(tmp_path):
-    """Points whose every component is 0, 5e-324 and 0: the span is too
-    small to divide the canvas by, and the figure is still drawn."""
-    coords = np.ones((3, 2, 8)) * np.array([0.0, 5e-324, 0.0])[:, None, None]
-    coords[:, :, -1] = 1.0
-    doc = tmp_path / "tiny.json"
-    doc.write_text(document_to_json(ModelDocument(coords, [1, 1, 1], 2, 0.8, 101)))
-    proc = _process(["plot", "DOC", "--series", "crisp"], doc, capture_output=True, text=True)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert "nan" not in proc.stdout and "inf" not in proc.stdout
-    polyline = re.search(r'<polyline class="series-crisp"[^>]* points="([^"]*)"', proc.stdout).group(1)
-    px = np.array([pair.split(",") for pair in polyline.split()], dtype=float)
-    assert len(px) == 101 and np.ptp(px[:, 0]) > 400 and np.ptp(px[:, 1]) > 400
 
 
 def _process(argv, doc, **kwargs) -> subprocess.CompletedProcess:
@@ -140,19 +127,9 @@ def test_a_failed_write_of_standard_output_exits_2_with_one_error_line(demo_path
     assert lines[0].startswith("error: ")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["demo"],
-        ["pipeline", "DOC"],
-        ["pipeline", "DOC", "--format", "csv"],
-        ["curve", "DOC", "--series", "all"],
-        ["plot", "DOC"],
-    ],
-    ids=["demo", "pipeline-json", "pipeline-csv", "curve", "plot"],
-)
+@pytest.mark.parametrize("argv", OUT_COMMANDS.values(), ids=list(OUT_COMMANDS))
 def test_the_process_flushes_standard_output_before_it_ends(demo_path, tmp_path, argv):
-    out = tmp_path / "out"
+    argv, out = argv.replace("{doc}", "DOC").split(), tmp_path / "out"
     piped = _process(argv, demo_path, capture_output=True)
     written = _process([*argv, "--out", str(out)], demo_path, capture_output=True)
     assert (piped.returncode, piped.stderr) == (0, b"")
@@ -211,20 +188,6 @@ def test_an_error_keeps_its_exit_code_when_standard_error_cannot_be_written(demo
     assert (proc.returncode, proc.stdout) == (code, "")
 
 
-def test_failed_render_leaves_existing_output_untouched(demo_path, tmp_path, monkeypatch):
-    out = tmp_path / "curve.csv"
-    out.write_bytes(b"previous,bytes\r\n")
-
-    def half_then_fail(f, header, columns, formats):
-        f.write("t,crisp_x\n0.0,")
-        raise T2SplineError("render failed")
-
-    monkeypatch.setattr(output, "write_table", half_then_fail)
-    assert run(["curve", str(demo_path), "--out", str(out)]) == 1
-    assert out.read_bytes() == b"previous,bytes\r\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "model.json"]
-
-
 def test_curve_all_computes_the_basis_once(demo_path, tmp_path, monkeypatch):
     calls = []
     kernel = bspline.basis_rows
@@ -256,52 +219,6 @@ def test_out_of_memory_is_one_error_line(demo_path, tmp_path, capsys, monkeypatc
     assert run(["curve", str(demo_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: out of memory: {message}\n"
     assert not out.exists()
-
-
-def test_out_through_symlink_keeps_the_link(demo_path, tmp_path, capsys):
-    target = tmp_path / "target.json"
-    target.write_text("old")
-    link = tmp_path / "link.json"
-    link.symlink_to(target)
-    assert run(["demo", "--out", str(link)]) == 0
-    assert link.is_symlink() and link.resolve() == target
-    assert target.read_text() == demo_path.read_text()
-
-
-def test_out_keeps_the_mode_of_an_existing_file(demo_path, tmp_path):
-    out = tmp_path / "private.csv"
-    out.write_text("old")
-    out.chmod(0o600)
-    assert run(["curve", str(demo_path), "--series", "crisp", "--out", str(out)]) == 0
-    assert stat.S_IMODE(out.stat().st_mode) == 0o600
-    assert out.read_text().startswith("t,crisp_x,crisp_y\n")
-
-
-def test_out_keeps_hard_links(demo_path, tmp_path):
-    out = tmp_path / "a.json"
-    out.write_text("old")
-    other = tmp_path / "b.json"
-    os.link(out, other)
-    assert run(["demo", "--out", str(out)]) == 0
-    assert os.path.samefile(out, other)
-    assert other.read_text() == demo_path.read_text()
-
-
-def test_out_to_a_fifo_writes_into_it(demo_path, tmp_path):
-    fifo = tmp_path / "pipe"
-    os.mkfifo(fifo)
-    # A reader opened without blocking lets the writer open the FIFO at once;
-    # the demo document fits in the pipe buffer.
-    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
-    try:
-        assert run(["demo", "--out", str(fifo)]) == 0
-        data = b""
-        while chunk := os.read(fd, 1 << 16):
-            data += chunk
-    finally:
-        os.close(fd)
-    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
-    assert data == demo_path.read_bytes()
 
 
 def test_pipeline_builds_the_model_once(demo_path, tmp_path, monkeypatch):

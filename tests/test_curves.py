@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from test_boundary import _SERIES_COLUMNS, REFUSALS, order4_document, refusal_tests
+from test_fuzzy import scalars
 from t2spline import (
     COMPONENT_LABELS,
     FuzzyCurveModel,
@@ -314,26 +315,16 @@ def test_numpy_integer_order_and_samples_are_taken_as_ints():
 
 # --- curve-level properties -------------------------------------------------------
 
-_spreads = st.lists(st.floats(0, 50), min_size=3, max_size=3)
-_scalars = st.builds(
-    lambda c, left, right, h: NT2FuzzyScalar.from_spreads(c, (*sorted(left, reverse=True), *sorted(right)), h),
-    st.floats(-100, 100),
-    _spreads,
-    _spreads,
-    st.floats(0.01, 1.0),
-)
-
-
 @st.composite
 def fuzzy_models(draw):
     """Random clamped knots of order 2 to 10, weights in [0.5, 3] and fuzzy
-    controls drawn like the pipeline tests' scalars."""
+    controls drawn by ``test_fuzzy.scalars``."""
     order = draw(st.integers(2, 10))
     n = draw(st.integers(order, order + 12))
     interior = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=n - order, max_size=n - order)))
     knots = KnotVector(np.concatenate([np.zeros(order), interior, np.ones(order)]), order)
     weights = draw(st.lists(st.floats(0.5, 3.0), min_size=n, max_size=n))
-    points = [NT2FuzzyPoint(draw(_scalars), draw(_scalars)) for _ in range(n)]
+    points = [NT2FuzzyPoint(draw(scalars()), draw(scalars())) for _ in range(n)]
     return FuzzyCurveModel(points, weights, order, knots, draw(st.floats(0.0, 0.999)))
 
 

@@ -131,6 +131,8 @@ _side = st.tuples(
 
 @st.composite
 def scalars(draw):
+    """A scalar centred in [-100, 100], its spreads in [0, 50] and its height
+    in [0.01, 1]; the property tests of the pipeline and the curves draw it too."""
     c = draw(st.floats(-100, 100, allow_nan=False, allow_infinity=False))
     left = sorted(draw(_side))
     right = sorted(draw(_side))

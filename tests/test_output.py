@@ -1,7 +1,5 @@
 import csv
 import io
-import os
-import pathlib
 import re
 import xml.etree.ElementTree as ET
 
@@ -12,18 +10,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from test_boundary import REFUSALS, refusal_tests
+from test_boundary import OUTPUT_TARGETS, REFUSALS, assert_target_written, refusal_tests
 from texts import assert_same_text
 
 from t2spline import (
     Polyline,
     Scene,
-    T2SplineError,
     demo_document,
     reduced_curves,
     render_svg,
     sample_curve,
-    save_document,
     svg_document,
     write_csv,
 )
@@ -31,8 +27,10 @@ from t2spline import output
 from t2spline.curves import SERIES, evaluate
 from t2spline.output import BLOCK_CELLS
 
-# The refusal tests of this module are rows of test_boundary.REFUSALS.
+# The refusal tests of this module are rows of test_boundary.REFUSALS, and
+# its tests of where a file is written rows of test_boundary.OUTPUT_TARGETS.
 globals().update(refusal_tests(REFUSALS["test_output"]))
+globals().update(refusal_tests(OUTPUT_TARGETS["test_output"], check=assert_target_written))
 
 
 @pytest.fixture
@@ -70,29 +68,6 @@ def test_csv_round_trips_doubles(model):
         assert float(row[0]) == line.params[i]
         assert float(row[1]) == line.points[i, 0]
         assert float(row[2]) == line.points[i, 1]
-
-
-def test_csv_deterministic_bytes(tmp_path, model):
-    ts, band = evaluate(model, ["band"], 11)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(ts, band, p1)
-    write_csv(ts, band, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_failed_csv_write_leaves_an_existing_file_untouched(tmp_path, model, monkeypatch):
-    path = tmp_path / "band.csv"
-    path.write_bytes(b"previous,bytes\r\n")
-
-    def half_then_fail(f, *args):
-        f.write("t,crisp_x\n0.0,")
-        raise T2SplineError("write failed")
-
-    monkeypatch.setattr(output, "write_table", half_then_fail)
-    with pytest.raises(T2SplineError, match="write failed"):
-        write_csv(*evaluate(model, ["crisp"], 5), path)
-    assert path.read_bytes() == b"previous,bytes\r\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["band.csv"]
 
 
 def test_csv_of_reduced_curves_labels_their_columns(model):
@@ -238,124 +213,14 @@ def test_pipeline_json_of_no_points_is_an_empty_list():
 
 
 @pytest.mark.parametrize("n", [0, 2 * (BLOCK_CELLS // 3)], ids=["no-points", "two-blocks"])
-def test_pipeline_csv_is_the_index_and_each_point(tmp_path, n):
+def test_pipeline_csv_is_the_index_and_each_point(n):
     """The header ``index,x,y``, then one ``%d,%.16e,%.16e`` row a point,
-    across two blocks of :data:`BLOCK_CELLS` cells, to a stream or a path."""
+    across two blocks of :data:`BLOCK_CELLS` cells."""
     points = np.random.default_rng(n).normal(scale=1e3, size=(n, 2))
     expected = "index,x,y\n" + "".join(f"{i},{x:.16e},{y:.16e}\n" for i, (x, y) in enumerate(points.tolist()))
-    buf, path = io.StringIO(), tmp_path / "pipeline.csv"
-    output.write_pipeline_csv(points, buf)
-    output.write_pipeline_csv(points, path)
-    assert_same_text(buf.getvalue(), expected)
-    assert path.read_text(encoding="utf-8") == expected
-
-
-@pytest.mark.parametrize(
-    "write, match",
-    [
-        (lambda f: output.write_pipeline_csv(np.zeros((2, 3)), f), r"^points must be an \(m, 2\) array, got shape \(2, 3\)$"),
-        (lambda f: output.write_pipeline_json(0.8, [[0.0, np.nan]], f), "^points must be finite$"),
-        (lambda f: output.write_pipeline_json(1.5, np.zeros((1, 2)), f), r"^alpha must lie in \[0, 1\), got 1.5$"),
-    ],
-    ids=["csv-shape", "json-nan", "json-alpha"],
-)
-def test_pipeline_writers_refuse_what_no_solution_holds(write, match):
     buf = io.StringIO()
-    with pytest.raises(T2SplineError, match=match):
-        write(buf)
-    assert buf.getvalue() == ""
-
-
-def test_output_is_written_in_place_when_no_file_can_be_made_beside_it(tmp_path, monkeypatch):
-    path = tmp_path / "out.csv"
-    path.write_text("old")
-    inode = path.stat().st_ino
-
-    def refused(*args):
-        raise PermissionError("read-only directory")
-
-    monkeypatch.setattr(output.os, "open", refused)
-    output.write_output(path, lambda f: f.write("new"))
-    assert path.read_text() == "new" and path.stat().st_ino == inode
-    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
-
-
-def test_staged_file_is_removed_when_its_mode_cannot_be_set(tmp_path, monkeypatch):
-    path = tmp_path / "out.csv"
-    path.write_text("old")
-    rendered = []
-
-    def refused(*args):
-        raise PermissionError("fchmod refused")
-
-    monkeypatch.setattr(output.os, "fchmod", refused)
-    with pytest.raises(PermissionError, match="fchmod refused"):
-        output.write_output(path, rendered.append)
-    assert path.read_text() == "old" and rendered == []
-    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
-
-
-_TARGET_WRITERS = {
-    "write_output": lambda target: output.write_output(target, lambda f: f.write("text")),
-    "save_document": lambda target: save_document(demo_document(), target),
-    "write_csv": lambda target: write_csv([0.0, 1.0], {"crisp": np.zeros((2, 2))}, target),
-    "render_svg": lambda target: render_svg(Scene({}), target),
-    "write_pipeline_json": lambda target: output.write_pipeline_json(0.8, np.zeros((1, 2)), target),
-    "write_pipeline_csv": lambda target: output.write_pipeline_csv(np.zeros((1, 2)), target),
-}
-
-
-@pytest.mark.parametrize("target", [None, 3, np.zeros(3)], ids=["none", "int", "ndarray"])
-@pytest.mark.parametrize("writer", _TARGET_WRITERS.values(), ids=list(_TARGET_WRITERS))
-def test_writers_refuse_a_target_that_is_no_stream_or_path(tmp_path, monkeypatch, writer, target):
-    monkeypatch.chdir(tmp_path)
-    kind = type(target).__name__
-    with pytest.raises(T2SplineError, match=f"^output target must be a text stream or a path, got {kind}$"):
-        writer(target)
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("target", ["a\0b", b"a\0b", pathlib.Path("a\0b")], ids=["str", "bytes", "path"])
-@pytest.mark.parametrize("writer", _TARGET_WRITERS.values(), ids=list(_TARGET_WRITERS))
-def test_writers_refuse_a_path_holding_nul(tmp_path, monkeypatch, writer, target):
-    """Before, ``os.lstat`` raised a bare ``ValueError: embedded null byte``."""
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(T2SplineError, match=re.escape(f"output path must not hold a NUL character, got {target!r}")):
-        writer(target)
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("target", ["", b""], ids=["str", "bytes"])
-@pytest.mark.parametrize("writer", _TARGET_WRITERS.values(), ids=list(_TARGET_WRITERS))
-def test_writers_refuse_an_empty_path_as_open_does(tmp_path, monkeypatch, writer, target):
-    """An empty path is refused, with the error ``open`` raises for it,
-    before anything is written."""
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(FileNotFoundError) as opened:
-        open(target)
-    with pytest.raises(FileNotFoundError) as refused:
-        writer(target)
-    assert str(refused.value) == str(opened.value)
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_a_bytes_path_is_replaced_only_once_rendered(tmp_path):
-    """A ``bytes`` path in another directory is staged beside the file, as
-    a ``str`` path is, so a failed render leaves the file untouched."""
-    path = tmp_path / "sub" / "out.csv"
-    path.parent.mkdir()
-    path.write_text("old")
-
-    def failing(f):
-        f.write("new")
-        raise RuntimeError("render failed")
-
-    with pytest.raises(RuntimeError, match="render failed"):
-        output.write_output(os.fsencode(path), failing)
-    assert path.read_text() == "old"
-    assert [p.name for p in path.parent.iterdir()] == ["out.csv"]
-    output.write_output(os.fsencode(path), lambda f: f.write("new"))
-    assert path.read_text() == "new"
+    output.write_pipeline_csv(points, buf)
+    assert_same_text(buf.getvalue(), expected)
 
 
 # --- SVG --------------------------------------------------------------------
@@ -474,14 +339,6 @@ def test_legend_names_each_series(model):
     doc = svg_document(scene)
     for name in ("ll", "rr", "crisp", "tr_left", "tr_right", "defuzzified", "controls"):
         assert f">{name}</text>" in doc
-
-
-def test_svg_deterministic_bytes(tmp_path, model):
-    scene = Scene(evaluate(model, ["band", "defuzzified"], 11)[1])
-    p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    render_svg(scene, p1)
-    render_svg(scene, p2)
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_scene_with_title_escapes_markup():

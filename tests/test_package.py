@@ -10,7 +10,7 @@ import pytest
 
 import t2spline
 from t2spline import cli
-from test_boundary import CLI_COMMANDS, CLI_OUTPUTS, CLI_REFUSALS, ENTRY_POINTS, cli_rows
+from test_boundary import CLI_COMMANDS, CLI_OUTPUTS, CLI_REFUSALS, ENTRY_POINTS, OUT_COMMANDS, REFUSALS, WRITERS, cli_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,6 +47,17 @@ def test_every_public_callable_is_an_entry_point_or_named_as_none():
     assert all(ENTRY_POINTS[name][0] is public[name] for name in public.keys() & ENTRY_POINTS.keys())
 
 
+def _formats(argvs, taking) -> tuple[set, set]:
+    """``(subcommand, --format choice or None)`` of each command line of
+    ``argvs``, and of each subcommand that takes every option of ``taking``."""
+    parser = cli._build_parser()
+    parsed = [parser.parse_args(shlex.split(argv)) for argv in argvs]
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    options = {name: {action.dest: action for action in sub._actions} for name, sub in commands.items()}
+    formats = {name: getattr(actions.get("format"), "choices", [None]) for name, actions in options.items() if taking <= actions.keys()}
+    return {(args.command, getattr(args, "format", None)) for args in parsed}, {(name, f) for name, fs in formats.items() for f in fs}
+
+
 def test_every_command_is_on_the_cli_boundary():
     """The CLI boundary grows with the parser: each subcommand has a row of
     ``CLI_REFUSALS``, the mutated-document property runs each one that
@@ -54,13 +65,19 @@ def test_every_command_is_on_the_cli_boundary():
     FILE's output to ``--out``, in each ``--format``."""
     commands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
     assert commands.keys() <= {argv.split(" ")[0] for argv, *_ in cli_rows(CLI_REFUSALS)}
-    options = {name: {action.dest: action for action in parser._actions} for name, parser in commands.items()}
-    reading = {name for name, actions in options.items() if "file" in actions}
-    assert {argv.split()[0] for argv in CLI_COMMANDS.values()} == reading
-    writing = {name: actions.get("format") for name, actions in options.items() if {"file", "out"} <= actions.keys()}
-    formats = {(name, choice) for name, action in writing.items() for choice in (action.choices if action else [None])}
-    parsed = [cli._build_parser().parse_args(shlex.split(argv)) for argv, _ in cli_rows(CLI_OUTPUTS)]
-    assert formats <= {(args.command, getattr(args, "format", None)) for args in parsed}
+    assert {argv.split()[0] for argv in CLI_COMMANDS.values()} == {name for name, sub in commands.items() if "file" in {a.dest for a in sub._actions}}
+    ran, offered = _formats((argv for argv, _ in cli_rows(CLI_OUTPUTS)), {"file", "out"})
+    assert offered <= ran
+
+
+def test_every_writer_is_on_the_output_boundary():
+    """Each entry point with an output target (``WRITERS``) is refused
+    every bad target, and each subcommand with ``--out`` is run, in each
+    ``--format``, by ``OUT_COMMANDS``: both run through ``OUTPUT_TARGETS``."""
+    for test in ("test_writers_refuse_a_target_that_is_no_stream_or_path", "test_writers_refuse_a_path_holding_nul", "test_writers_refuse_an_empty_path_as_open_does"):
+        assert sorted({row[:2] for row in REFUSALS["test_output"][test].values()}) == sorted(WRITERS.values()), test
+    ran, offered = _formats(OUT_COMMANDS.values(), {"out"})
+    assert ran == offered
 
 
 @pytest.mark.parametrize("path", ["tests/oracles.py", "tests/texts.py", "perfbench/oracle.py"])

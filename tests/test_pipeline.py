@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from test_boundary import REFUSALS, refusal_tests
+from test_fuzzy import scalars
 from t2spline import (
     AlphaCutScalar,
     NT2FuzzyPoint,
@@ -191,20 +192,6 @@ def test_type_reduced_value_jumps_at_h():
 
 
 # --- property tests ---------------------------------------------------------------
-
-_side = st.tuples(st.floats(0, 50), st.floats(0, 50), st.floats(0, 50))
-
-
-@st.composite
-def scalars(draw):
-    c = draw(st.floats(-100, 100, allow_nan=False, allow_infinity=False))
-    left = sorted(draw(_side))
-    right = sorted(draw(_side))
-    h = draw(st.floats(0.01, 1.0))
-    return NT2FuzzyScalar.from_spreads(
-        c, (left[2], left[1], left[0], right[0], right[1], right[2]), h
-    )
-
 
 _alphas = st.floats(0.0, 0.999)
 
