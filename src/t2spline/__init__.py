@@ -10,20 +10,17 @@ pair, and the crisp solution curve, plus deviation reports between curves.
 
 from .bspline import (
     KnotVector,
-    Polyline,
     RationalCurveModel,
     basis,
     basis_row,
     clamped_uniform_knots,
+    deferred,
     rational_point,
     sample_curve,
 )
 from .curves import (
     COMPONENT_LABELS,
-    CurveBand,
-    DeviationReport,
     FuzzyCurveModel,
-    ReducedCurves,
     component_polygons,
     defuzzified_curve,
     deviation,
@@ -53,12 +50,8 @@ from .errors import (
     TooFewSamples,
     ValidationError,
 )
-from .fuzzy import NT2FuzzyPoint, NT2FuzzyScalar
 from .output import Scene, render_svg, svg_document, write_csv
 from .pipeline import (
-    AlphaCutScalar,
-    Regime,
-    TRInterval,
     alpha_cut_point,
     alpha_cut_scalar,
     defuzzify,
@@ -67,6 +60,14 @@ from .pipeline import (
 )
 
 __version__ = "0.1.0"
+
+#: The record classes no command builds: they load from
+#: :mod:`t2spline._records` on first access.
+__getattr__, __dir__ = deferred(globals(), (
+    "NT2FuzzyScalar", "NT2FuzzyPoint", "AlphaCutScalar", "TRInterval", "Regime",
+    "Polyline", "CurveBand", "ReducedCurves", "DeviationReport",
+))
+del deferred
 
 __all__ = [
     "AlphaCutScalar",

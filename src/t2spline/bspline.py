@@ -13,13 +13,18 @@ The input rules of the package are stated here once: a number
 (:func:`as_float`, :func:`float_array`), an integer (:func:`is_integer`),
 an array of planar points (:func:`point_array`), curve parameters
 (:func:`param_array`) and the read-only copy of each array an object holds
-(:func:`read_only_copy`); a refused value is shown by :func:`shown`.
+(:func:`read_only_copy`); a refused value is shown by :func:`shown`.  So is
+the rule by which a module resolves record classes that no command builds:
+:func:`deferred`.  This module's own, :class:`~t2spline._records.Polyline`,
+the result of :func:`sample_curve`, lives in :mod:`t2spline._records` and
+loads on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,6 +34,34 @@ from .errors import (
     T2SplineError,
     TooFewSamples,
 )
+
+if TYPE_CHECKING:
+    from ._records import Polyline
+
+
+def deferred(namespace: dict, names: tuple[str, ...]) -> tuple:
+    """The module ``__getattr__`` and ``__dir__`` (PEP 562) of the module
+    whose globals are ``namespace``: each of ``names`` is read from
+    :mod:`t2spline._records`, loaded on the first access, and then bound
+    in ``namespace``; ``dir`` lists them from the start.
+
+    A function of the module reads its globals without ``__getattr__``, so
+    one that builds or tests such a class imports it where it runs."""
+    def __getattr__(name: str):
+        if name not in names:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        from . import _records
+
+        namespace[name] = value = getattr(_records, name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *names})
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = deferred(globals(), ("Polyline",))
 
 #: Most samples :func:`sample_curves` takes: 256 MiB of float64 points per
 #: curve.  A larger request is refused before anything is allocated.
@@ -332,25 +365,6 @@ class RationalCurveModel:
         return cls(controls, weights, order, clamped_uniform_knots(len(controls), order))
 
 
-@dataclass(frozen=True, eq=False)
-class Polyline:
-    """A sampled curve: m >= 1 points[i] at finite, strictly increasing params[i], both read-only copies."""
-
-    points: np.ndarray
-    params: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", read_only_copy(point_array(self.points, "points")))
-        object.__setattr__(self, "params", read_only_copy(param_array(self.params, "params")))
-        if not len(self.points):
-            raise T2SplineError("a polyline needs at least one point")
-        if self.params.shape != (len(self),):
-            raise T2SplineError("params must match points in length")
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
 def rational_point(m: RationalCurveModel, t: float) -> np.ndarray:
     """Evaluate sum(w_i N_i(t) P_i) / sum(w_r N_r(t)) at parameter t."""
     return _points(m, m.controls[None], [_parameter(t)])[0, 0]
@@ -358,6 +372,8 @@ def rational_point(m: RationalCurveModel, t: float) -> np.ndarray:
 
 def sample_curve(m: RationalCurveModel, samples: int) -> Polyline:
     """Evaluate the curve at `samples` uniform parameters across the domain."""
+    from ._records import Polyline
+
     ts, points = sample_curves(m, m.controls[None], samples)
     return Polyline(points[0], ts)
 

@@ -6,8 +6,12 @@ polygons (and the type-reduced / defuzzified ones) share a single weight
 vector and knot vector, so the curves are one basis times one stack of
 polygons, sampled by :func:`evaluate` into one table of labelled points
 sharing one parameter array (the rule of :func:`shared_params`); its views
-:class:`CurveBand`, :class:`ReducedCurves` and :class:`Polyline` are compared
-sample by sample.  The controls are one ``(n, 2, 8)`` coordinate array (see
+:class:`CurveBand`, :class:`ReducedCurves` and
+:class:`~t2spline.bspline.Polyline` are compared sample by sample, in a
+:class:`DeviationReport`.  These records live in :mod:`t2spline._records`:
+no command builds them, so they load on first use, all but the polyline
+also as names of this module (:func:`~t2spline.bspline.deferred`).  The
+controls are one ``(n, 2, 8)`` coordinate array (see
 :mod:`t2spline.fuzzy`), so each component polygon is a slice of it.  A
 :class:`FuzzyCurveModel` is solved when it is built, and refuses there, with
 :class:`ValidationError`, controls whose type-reduced values overflow.
@@ -25,15 +29,21 @@ writers of :mod:`t2spline.output` take, the one path from curves to bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bspline import DEFAULT_ORDER, KnotVector, Polyline, RationalCurveModel, clamped_uniform_knots
+from .bspline import DEFAULT_ORDER, KnotVector, RationalCurveModel, clamped_uniform_knots, deferred
 from .bspline import read_only_copy, sample_curve, sample_curves  # noqa: F401  (curves.sample_curve stays importable)
 from .errors import SampleMismatch, T2SplineError
-from .fuzzy import C, COMPONENT_FIELDS, NT2FuzzyPoint, as_coords, point_items, points_of
+from .fuzzy import C, COMPONENT_FIELDS, as_coords, point_items, points_of
 from .pipeline import check_alpha, solve
+
+if TYPE_CHECKING:
+    from ._records import CurveBand, DeviationReport, NT2FuzzyPoint, Polyline, ReducedCurves
+
+__getattr__, __dir__ = deferred(globals(), ("CurveBand", "ReducedCurves", "DeviationReport"))
 
 #: Band labels in control-polygon order; "crisp" extracts the c component.
 COMPONENT_LABELS = tuple("crisp" if name == "c" else name for name in COMPONENT_FIELDS)
@@ -101,41 +111,11 @@ class FuzzyCurveModel:
         return self._crisp
 
 
-class _CurveGroup:
-    """The curves of the group ``GROUP``: the fields of a frozen dataclass,
-    in :data:`SERIES` order, each sampled at the parameters of its ``crisp``
-    curve (:func:`shared_params`, naming a curve ``WHAT``)."""
-
-    def __post_init__(self):
-        shared_params([("crisp", self.crisp), *self.items()], self.WHAT)
-
-    def __iter__(self):
-        return (getattr(self, field.name) for field in fields(self))
-
-    def __len__(self) -> int:
-        return len(fields(self))
-
-    def items(self) -> tuple[tuple[str, Polyline], ...]:
-        return tuple(zip(SERIES[self.GROUP], self))
-
-
-@dataclass(frozen=True, eq=False)
-class CurveBand(_CurveGroup):
-    """Seven component curves sampled at identical parameter values."""
-
-    GROUP, WHAT = "band", "band component"
-    ll: Polyline
-    l: Polyline
-    rl: Polyline
-    crisp: Polyline
-    lr: Polyline
-    r: Polyline
-    rr: Polyline
-
-
 def shared_params(lines, what: str) -> np.ndarray:
     """The params all ``(label, Polyline)`` pairs of ``lines`` share, else :class:`SampleMismatch` naming ``what``.
     A line that is not a :class:`Polyline` is refused with :class:`T2SplineError`."""
+    from ._records import Polyline
+
     first = lines[0][1]
     for label, line in lines:
         if not isinstance(line, Polyline):
@@ -143,26 +123,6 @@ def shared_params(lines, what: str) -> np.ndarray:
         if not np.array_equal(line.params, first.params):
             raise SampleMismatch(f"{what} {label} sampled at different parameters")
     return first.params
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedCurves(_CurveGroup):
-    """Type-reduced curve triple sampled at identical parameter values: left
-    interval curve, crisp, right."""
-
-    GROUP, WHAT = "reduced", "reduced curve"
-    left: Polyline
-    crisp: Polyline
-    right: Polyline
-
-
-@dataclass(frozen=True, eq=False)
-class DeviationReport:
-    """Sample-wise Euclidean distances between two matched polylines."""
-
-    max_distance: float
-    mean_distance: float
-    per_sample: np.ndarray
 
 
 def component_polygons(model: FuzzyCurveModel) -> dict[str, np.ndarray]:
@@ -207,6 +167,8 @@ def evaluate(model: FuzzyCurveModel, groups, samples: int = DEFAULT_SAMPLES) -> 
 
 def _views(model: FuzzyCurveModel, group: str, samples: int) -> list[Polyline]:
     """The curves of one group as polylines sharing one parameter array."""
+    from ._records import Polyline
+
     ts, points = evaluate(model, [group], samples)
     return [Polyline(points[label], ts) for label in SERIES[group]]
 
@@ -217,12 +179,16 @@ def fuzzy_curve_band(model: FuzzyCurveModel, samples: int = DEFAULT_SAMPLES) -> 
     All seven curves share the model's weights, order and knots; only the
     control positions differ.
     """
+    from ._records import CurveBand
+
     return CurveBand(*_views(model, "band", samples))
 
 
 def reduced_curves(model: FuzzyCurveModel, samples: int = DEFAULT_SAMPLES) -> ReducedCurves:
     """Cut and type-reduce every control point, then sample the rational
     curve over the left-interval, crisp, and right-interval polygons."""
+    from ._records import ReducedCurves
+
     return ReducedCurves(*_views(model, "reduced", samples))
 
 
@@ -235,6 +201,8 @@ def defuzzified_curve(model: FuzzyCurveModel, samples: int = DEFAULT_SAMPLES) ->
 def deviation(a: Polyline, b: Polyline) -> DeviationReport:
     """Per-sample Euclidean distance between two polylines sampled at the
     same parameters (matched-parameter distance, not closest-point)."""
+    from ._records import DeviationReport
+
     shared_params([("a", a), ("b", b)], "polyline")
     d = np.linalg.norm(a.points - b.points, axis=1)
     return DeviationReport(

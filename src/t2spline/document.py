@@ -60,15 +60,18 @@ import json
 from contextlib import contextmanager
 from itertools import chain
 from operator import itemgetter
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .bspline import DEFAULT_ORDER, as_float, check_samples, clamped_uniform_knots, float_array
 from .curves import DEFAULT_ALPHA, DEFAULT_SAMPLES, FuzzyCurveModel
 from .errors import ParseError, T2SplineError, ValidationError
-from .fuzzy import COORD_FIELDS, SPREAD_FIELDS, NT2FuzzyPoint, NT2FuzzyScalar, coords_from_rows, point_items, points_of
+from .fuzzy import COORD_FIELDS, SPREAD_FIELDS, coords_from_rows, point_items, points_of
 from .output import write_output
+
+if TYPE_CHECKING:
+    from ._records import NT2FuzzyPoint
 
 _EXPLICIT_KEYS = frozenset(COORD_FIELDS)
 _EXPLICIT_VALUES = itemgetter(*COORD_FIELDS)
@@ -142,6 +145,8 @@ def _read_coordinate(record: Any, where: str) -> list[float]:
             raise ValidationError(f"{where}: spreads must be an object")
         if set(spreads) != set(SPREAD_FIELDS):
             raise ValidationError(f"{where}: spreads must have exactly the keys {list(SPREAD_FIELDS)}")
+        from ._records import NT2FuzzyScalar
+
         try:
             s = NT2FuzzyScalar.from_spreads(record["c"], [spreads[k] for k in SPREAD_FIELDS], record["h"])
         except T2SplineError as exc:
@@ -335,6 +340,8 @@ def demo_document() -> ModelDocument:
     (left-heavy), which makes the defuzzified solution curve deviate
     visibly from the crisp curve.
     """
+    from ._records import NT2FuzzyPoint, NT2FuzzyScalar
+
     def fuzzy(cx, cy, left, right, h):
         # left/right are (outer, principal, inner) spreads per side
         spreads = (*left, *reversed(right))

@@ -23,90 +23,28 @@ as :func:`~t2spline.bspline.rational_point` is of :func:`~t2spline.bspline.sampl
 There vanished LMF entries are ``None``, never numeric zero, since a literal
 0.0 would poison averages for data away from the origin.  The tests compare
 both with an independent scalar chain, bit for bit.
+
+The records of the scalar views, :class:`AlphaCutScalar`,
+:class:`TRInterval` and their :class:`Regime`, live in
+:mod:`t2spline._records`: no command builds them, so they load on first
+use, also as names of this module (:func:`~t2spline.bspline.deferred`).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
-from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bspline import as_float, shown
+from .bspline import as_float, deferred
 from .errors import AlphaOutOfRange, T2SplineError, ValidationError
-from .fuzzy import C, COMPONENTS, H, LR, RL, NT2FuzzyPoint, NT2FuzzyScalar, as_coords
+from .fuzzy import C, COMPONENTS, H, LR, RL, as_coords
 
+if TYPE_CHECKING:
+    from ._records import AlphaCutScalar, NT2FuzzyPoint, NT2FuzzyScalar, TRInterval
 
-class Regime(Enum):
-    """Which alpha-cut case applies; selection is exhaustive and exclusive."""
-
-    BELOW = "below"        # alpha <= h
-    BETWEEN = "between"    # h < alpha < 1
-
-
-@dataclass(frozen=True)
-class AlphaCutScalar:
-    """Alpha-level values of one fuzzy scalar.
-
-    ``left_inner`` / ``right_inner`` are the cut LMF components; they are
-    ``None`` in the *between* regime.  All present values lie between their
-    source component and ``c``.  Every present value is read as a float by
-    :func:`~t2spline.bspline.as_float`.
-    """
-
-    alpha: float
-    left_outer: float
-    left_principal: float
-    left_inner: float | None
-    c: float
-    right_inner: float | None
-    right_principal: float
-    right_outer: float
-    regime: Regime
-
-    def __post_init__(self):
-        if not isinstance(self.regime, Regime):
-            raise T2SplineError(f"regime must be a Regime, got {shown(self.regime)}")
-        inner_present = (self.left_inner is not None, self.right_inner is not None)
-        if self.regime is Regime.BELOW and inner_present != (True, True):
-            raise T2SplineError("below-regime cut must carry both inner components")
-        if self.regime is Regime.BETWEEN and inner_present != (False, False):
-            raise T2SplineError("between-regime cut must carry no inner components")
-        absent = () if self.regime is Regime.BELOW else ("left_inner", "right_inner")
-        _read_floats(self, [f.name for f in fields(self) if f.name not in ("regime", *absent)])
-
-    @property
-    def left(self) -> tuple[float, float, float | None]:
-        """(outer, principal, inner) alpha-level values left of c."""
-        return (self.left_outer, self.left_principal, self.left_inner)
-
-    @property
-    def right(self) -> tuple[float | None, float, float]:
-        """(inner, principal, outer) alpha-level values right of c."""
-        return (self.right_inner, self.right_principal, self.right_outer)
-
-
-@dataclass(frozen=True)
-class TRInterval:
-    """Type-reduced interval (left <= c <= right) at one cut level; each
-    value is read as a float by :func:`~t2spline.bspline.as_float`.  The
-    order is not checked: the chain can leave it by one ulp."""
-
-    left: float
-    c: float
-    right: float
-    alpha: float
-
-    def __post_init__(self):
-        _read_floats(self, [f.name for f in fields(self)])
-
-
-def _read_floats(record, names) -> None:
-    """Store each field of ``names`` of the frozen ``record`` as a float,
-    refused with :class:`T2SplineError` naming the field unless it is a number."""
-    for name in names:
-        object.__setattr__(record, name, as_float(getattr(record, name), name))
+__getattr__, __dir__ = deferred(globals(), ("Regime", "AlphaCutScalar", "TRInterval"))
 
 
 #: The chain's arithmetic may overflow: :func:`solve` reports it, and the
@@ -132,6 +70,8 @@ def alpha_cut_scalar(s: NT2FuzzyScalar, alpha: float) -> AlphaCutScalar:
     LMF cut reaches ``c`` exactly, so the three-term and collapsed readings
     coincide and the closed boundary avoids a spurious case.
     """
+    from ._records import AlphaCutScalar, Regime
+
     alpha = check_alpha(alpha)
     with _quietly():
         cuts, below = alpha_cut_array(np.array([*s.components(), s.h]), alpha)
@@ -154,6 +94,8 @@ def alpha_cut_point(p: NT2FuzzyPoint, alpha: float) -> tuple[AlphaCutScalar, Alp
 def type_reduce(a: AlphaCutScalar) -> TRInterval:
     """Centroid-min type-reduction: per side, the mean of the surviving
     alpha-level values (three terms below h, two terms above)."""
+    from ._records import Regime, TRInterval
+
     cuts = np.array([a.c if v is None else v for v in (*a.left, a.c, *a.right)], dtype=float)
     with _quietly():
         left, c, right = type_reduce_array(cuts, a.regime is Regime.BELOW)
