@@ -6,16 +6,17 @@ curve table is laid out by :func:`write_csv` alone and the pipeline's
 solution points by the ``write_pipeline_*`` writers alone.  CSV rows,
 JSON points and SVG points are cut from arrays a block at a time by
 ``_fill`` alone, each row filled into a ``%`` template.  Two kernels print
-whole blocks with numpy array arithmetic instead, to the template's text:
-``_format_e16`` the cells of :data:`FLOAT_FORMAT` (``%.16e``) and
-``_format_repr`` the cells of ``%r``.  A block holding a cell outside a
-kernel's domain is filled into the template: ``_format_e16`` takes ±0 and
-``1e-6 < |x| < 1e17``, ``_format_repr`` ±0 and ``1e-4 <= |x| < 1e16``
-without the powers of two.  Every output file of the package is written by
-:func:`write_output`.  Curves take one path to bytes: :func:`write_csv` and
-a :class:`Scene` take the labelled arrays :func:`~t2spline.curves.evaluate`
-returns, ``ts`` and a ``{label: (len(ts), 2) points}`` mapping.  Each
-writer takes a path or a stream, and every CLI command writes through one.
+every CSV and JSON float of a block in their domains with numpy array
+arithmetic instead, to the template's text: ``_format_e16`` the cells of
+:data:`FLOAT_FORMAT` (``%.16e``), ±0 and ``1e-6 < |x| < 1e17``, and
+``_format_repr`` those of ``%r``, ±0 and ``1e-4 <= |x| < 1e16`` without
+the powers of two.  Only a block with a cell outside them, and SVG's
+``%.3f`` cells, take the template.  Every output file of the package is
+written by :func:`write_output`.  Curves take one path to bytes:
+:func:`write_csv` and a :class:`Scene` take the labelled arrays
+:func:`~t2spline.curves.evaluate` returns, ``ts`` and a
+``{label: (len(ts), 2) points}`` mapping.  Each writer takes a path or a
+stream, and every CLI command writes through one.
 """
 
 from __future__ import annotations
@@ -113,14 +114,6 @@ def _ascii_digits(d):
     return text
 
 
-def write_table(f, header, columns, formats) -> None:
-    """Write a CSV table to the text stream ``f``: the ``header`` row, then
-    one row per row of the ``(rows, k)`` arrays of ``columns`` placed side by
-    side, each cell printed with its ``%`` format from ``formats``."""
-    csv.writer(f, lineterminator="\n").writerow(header)  # quotes names as needed
-    f.writelines(_fill(",".join(formats) + "\n", *columns))
-
-
 def write_pipeline_json(alpha, points, path_or_file) -> None:
     """Write the solution ``points``, ``(n, 2)`` (:func:`point_array`), found
     at the cut level ``alpha`` (:func:`~t2spline.pipeline.check_alpha`) as
@@ -142,9 +135,15 @@ def write_pipeline_csv(points, path_or_file) -> None:
     """Write the solution ``points``, ``(n, 2)`` (:func:`point_array`), as
     CSV: the header ``index,x,y``, then each point's index and coordinates."""
     points = point_array(points, "points")
-    columns = [np.arange(len(points))[:, None], points]
-    formats = ["%d", FLOAT_FORMAT, FLOAT_FORMAT]
-    write_output(path_or_file, lambda f: write_table(f, ["index", "x", "y"], columns, formats))
+
+    def render(f):
+        f.write("index,x,y\n")
+        index = 0
+        for rows in map(str.splitlines, _fill(f"{FLOAT_FORMAT},{FLOAT_FORMAT}\n", points)):
+            f.write("".join(map("%d,%s\n".__mod__, enumerate(rows, index))))
+            index += len(rows)
+
+    write_output(path_or_file, render)
 
 
 def _fill(row_format, *columns):
@@ -410,7 +409,12 @@ def write_csv(ts, series, path_or_file) -> None:
             raise SampleMismatch(f"series {label} has {len(points)} points for {len(ts)} parameters")
     header = ["t", *(f"{label}_{axis}" for label, _ in items for axis in "xy")]
     columns = [ts[:, None], *(points for _, points in items)]
-    write_output(path_or_file, lambda f: write_table(f, header, columns, [FLOAT_FORMAT] * len(header)))
+
+    def render(f):
+        csv.writer(f, lineterminator="\n").writerow(header)  # quotes names as needed
+        f.writelines(_fill(",".join([FLOAT_FORMAT] * len(header)) + "\n", *columns))
+
+    write_output(path_or_file, render)
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +530,8 @@ def svg_document(scene: Scene) -> str:
     lx = plot_x1 + 14
     for row, (name, colour) in enumerate(legend_entries):
         ly = plot_y0 + 10 + row * 18
-        out.append(
-            f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" stroke="{colour}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{lx + 28}" y="{ly + 4}" {label}>{_escape(name)}</text>'
-        )
+        out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" stroke="{colour}" stroke-width="2"/>')
+        out.append(f'<text x="{lx + 28}" y="{ly + 4}" {label}>{_escape(name)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -117,9 +117,8 @@ def test_float_tables_print_exactly_as_the_percent_template(cells):
     k = cells.shape[1]
     header = [f"c{i}" for i in range(k)]
     formats = [output.FLOAT_FORMAT] * k
-    buf = io.StringIO()
-    output.write_table(buf, header, [cells[:, :1], cells[:, 1:]], formats)
-    assert_same_text(buf.getvalue(), oracles.csv_table(header, cells, formats))
+    rows = "".join(output._fill(",".join(formats) + "\n", cells[:, :1], cells[:, 1:]))
+    assert_same_text(",".join(header) + "\n" + rows, oracles.csv_table(header, cells, formats))
     # One block is printed without the template exactly when every cell is
     # ±0 or has 1e-6 < |cell| < 1e17.
     inside = (cells == 0) | ((np.abs(cells) > 1e-6) & (np.abs(cells) < 1e17))
@@ -221,6 +220,67 @@ def test_pipeline_csv_is_the_index_and_each_point(n):
     buf = io.StringIO()
     output.write_pipeline_csv(points, buf)
     assert_same_text(buf.getvalue(), expected)
+
+
+@st.composite
+def _pipeline_points(draw):
+    """From 1 point to 3 blocks' worth of points, each cell a random double
+    of either sign from 1e-5 to below 1e17, in the ``%.16e`` kernel's
+    domain.  Then up to 3 cells are set to finite doubles of any magnitude
+    (subnormal, at least 1e17, ±0), so that blocks the kernel prints and
+    blocks it leaves to the template meet in one table, and the index runs
+    on across them."""
+    n = draw(st.integers(1, 3 * BLOCK_CELLS // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.choice([-1.0, 1.0], (n, 2)) * rng.uniform(1.0, 10.0, (n, 2)) * 10.0 ** rng.integers(-5, 17, (n, 2))
+    edges = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-6, 1e17, -1.7976931348623157e308])
+    finite = edges | st.floats(allow_nan=False, allow_infinity=False)
+    for i, x in draw(st.lists(st.tuples(st.integers(0, 2 * n - 1), finite), max_size=3)):
+        cells.flat[i] = x
+    return cells
+
+
+#: Three blocks the kernel prints, the second holding a subnormal and the
+#: third 1e17 and -0: the template prints the second and the third.
+_THREE_BLOCKS = np.full((3 * BLOCK_CELLS // 2, 2), 730.7419270333334)
+_THREE_BLOCKS[BLOCK_CELLS // 2, 1] = 5e-324
+_THREE_BLOCKS[-1] = [1e17, -0.0]
+
+
+@settings(deadline=None)
+@example(points=_THREE_BLOCKS)
+@given(points=_pipeline_points())
+def test_pipeline_csv_is_the_percent_template_of_the_index_and_points(points):
+    buf = io.StringIO()
+    output.write_pipeline_csv(points, buf)
+    cells = np.column_stack([np.arange(len(points)), points])
+    formats = ["%d", output.FLOAT_FORMAT, output.FLOAT_FORMAT]
+    assert_same_text(buf.getvalue(), oracles.csv_table(["index", "x", "y"], cells, formats))
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda f: write_csv([0.0, 0.75], {"crisp": [[1.5, 2.5], [3.5, -4.5]]}, f),
+        lambda f: output.write_pipeline_csv([[1.5, 2.5], [3.5, -4.5]], f),
+        lambda f: output.write_pipeline_json(0.5, [[1.5, 2.5], [3.5, -4.5]], f),
+    ],
+    ids=["write_csv", "write_pipeline_csv", "write_pipeline_json"],
+)
+def test_each_csv_and_json_writer_prints_an_in_domain_table_by_its_kernel(monkeypatch, write):
+    printed = []
+
+    def counted(kernel):
+        def count(block):
+            cells = kernel(block)
+            printed.append(cells is not None)
+            return cells
+
+        return count
+
+    monkeypatch.setattr(output, "_KERNELS", tuple((spec, counted(kernel)) for spec, kernel in output._KERNELS))
+    write(io.StringIO())
+    assert printed and all(printed)
 
 
 # --- SVG --------------------------------------------------------------------
