@@ -37,12 +37,10 @@ then ``h``; see :mod:`t2spline.fuzzy`) and :attr:`ModelDocument.points` is
 the fuzzy-point view of it.  The parser validates the coordinates at once,
 and the model checks them again when it is built, and solves them: a
 document whose type-reduced values overflow is refused there with
-:class:`~t2spline.errors.ValidationError`, as the model is.  A document whose
-points all have exactly the keys ``x`` and ``y``, whose coordinates all
-have exactly the explicit keys and whose values are all numbers is gathered
-into that array by C-level maps, without a Python loop over the coordinates.
-Any other document is read by a loop that reads each coordinate with
-:func:`_read_coordinate`, the only source of the structural error messages.
+:class:`~t2spline.errors.ValidationError`, as the model is.  One pass over
+the points takes the values of each explicit-form coordinate as they are and
+reads any other coordinate with :func:`_read_coordinate`, the source of every
+coordinate's structural error message; the values are then converted at once.
 The parser checks structure only: it reads numbers with the rules of
 :mod:`t2spline.bspline`, and hands the settings to :class:`ModelDocument`.
 
@@ -58,7 +56,6 @@ from __future__ import annotations
 import gc
 import json
 from contextlib import contextmanager
-from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
@@ -75,7 +72,7 @@ if TYPE_CHECKING:
 
 _EXPLICIT_KEYS = frozenset(COORD_FIELDS)
 _EXPLICIT_VALUES = itemgetter(*COORD_FIELDS)
-_POINT_KEYS = frozenset("xy")
+_WIDTH = len(COORD_FIELDS)
 _POINT_VALUES = itemgetter("x", "y")
 
 
@@ -120,100 +117,92 @@ class ModelDocument:
         return FuzzyCurveModel.with_uniform_knots(model.coords, model.weights, order, alpha)
 
 
-def _read_coordinate(record: Any, where: str) -> list[float]:
-    """The eight numbers of one coordinate object in the explicit layout of
-    :data:`~t2spline.fuzzy.COORD_FIELDS`.
+def _coordinate_name(row: int) -> str:
+    """The name of coordinate row ``row``, as :func:`~t2spline.fuzzy.coords_from_rows` counts rows."""
+    return f"point {row // 2}, coordinate {'xy'[row % 2]}"
 
-    Raises :class:`ValidationError` for a wrong key, an explicit value that
-    :func:`~t2spline.bspline.as_float` refuses or a spreads-form coordinate
-    that :meth:`~t2spline.fuzzy.NT2FuzzyScalar.from_spreads`, which reads
-    its own values, rejects; the ordering and ``h`` of an explicit-form
-    coordinate are checked later, all at once.
+
+def _read_coordinate(record: Any, where: str) -> list[float]:
+    """The eight numbers, in the explicit layout of
+    :data:`~t2spline.fuzzy.COORD_FIELDS`, of a spreads-form coordinate
+    object, converted by :meth:`~t2spline.fuzzy.NT2FuzzyScalar.from_spreads`,
+    which reads its own values.  Raises :class:`ValidationError` for a record
+    that is not an object, a wrong key or a rejected spreads form;
+    :func:`_read_points` reads an explicit-form coordinate itself.
     """
     if not isinstance(record, dict):
         raise ValidationError(f"{where}: coordinate must be an object, got {type(record).__name__}")
     keys = set(record)
-    if "spreads" in keys:
-        extra = keys - {"c", "h", "spreads"}
+    if "spreads" not in keys:
+        extra = keys - _EXPLICIT_KEYS
         if extra:
-            raise ValidationError(f"{where}: unexpected keys {sorted(extra)} in spreads form")
-        missing = {"c", "h"} - keys
-        if missing:
-            raise ValidationError(f"{where}: missing keys {sorted(missing)}")
-        spreads = record["spreads"]
-        if not isinstance(spreads, dict):
-            raise ValidationError(f"{where}: spreads must be an object")
-        if set(spreads) != set(SPREAD_FIELDS):
-            raise ValidationError(f"{where}: spreads must have exactly the keys {list(SPREAD_FIELDS)}")
-        from ._records import NT2FuzzyScalar
-
-        try:
-            s = NT2FuzzyScalar.from_spreads(record["c"], [spreads[k] for k in SPREAD_FIELDS], record["h"])
-        except T2SplineError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
-        return [*s.components(), s.h]
-    extra = keys - _EXPLICIT_KEYS
+            raise ValidationError(f"{where}: unexpected keys {sorted(extra)}")
+        raise ValidationError(f"{where}: missing keys {sorted(_EXPLICIT_KEYS - keys)}")
+    extra = keys - {"c", "h", "spreads"}
     if extra:
-        raise ValidationError(f"{where}: unexpected keys {sorted(extra)}")
-    missing = _EXPLICIT_KEYS - keys
+        raise ValidationError(f"{where}: unexpected keys {sorted(extra)} in spreads form")
+    missing = {"c", "h"} - keys
     if missing:
         raise ValidationError(f"{where}: missing keys {sorted(missing)}")
+    spreads = record["spreads"]
+    if not isinstance(spreads, dict):
+        raise ValidationError(f"{where}: spreads must be an object")
+    if set(spreads) != set(SPREAD_FIELDS):
+        raise ValidationError(f"{where}: spreads must have exactly the keys {list(SPREAD_FIELDS)}")
+    from ._records import NT2FuzzyScalar
+
     try:
-        return [as_float(record[k], f"{where}.{k}") for k in COORD_FIELDS]
+        s = NT2FuzzyScalar.from_spreads(record["c"], [spreads[k] for k in SPREAD_FIELDS], record["h"])
     except T2SplineError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
-def _scan_points(points: list) -> np.ndarray:
-    """The ``(m, 8)`` explicit-form rows of the coordinates in document
-    order, each read with :func:`_read_coordinate`.  The first error in
-    document order is raised: at a wrong key, a value that is not a number or
-    a rejected spreads form, the rows before it are checked first."""
-    flat = []
-    try:
-        for idx, rec in enumerate(points):
-            if type(rec) is not dict or rec.keys() != _POINT_KEYS:
-                raise ValidationError(f"point {idx}: must be an object with exactly 'x' and 'y'")
-            for axis in "xy":
-                flat.extend(_read_coordinate(rec[axis], f"point {idx}, coordinate {axis}"))
-    except ValidationError:
-        coords_from_rows(np.array(flat, dtype=float).reshape(-1, len(COORD_FIELDS)))
-        raise
-    return np.array(flat, dtype=float).reshape(-1, len(COORD_FIELDS))
-
-
-def _gather_explicit(points: list) -> list | None:
-    """The eight explicit-form values of each coordinate, in document order,
-    as :func:`_scan_points` reads them; None unless every point is an
-    object of exactly the keys 'x' and 'y' and every coordinate an object of
-    exactly the explicit keys.  An object of the right length holding every
-    key has no other key."""
-    if set(map(type, points)) != {dict} or set(map(len, points)) != {2}:
-        return None
-    try:
-        coords = list(chain.from_iterable(map(_POINT_VALUES, points)))
-        if set(map(type, coords)) != {dict} or set(map(len, coords)) != {len(COORD_FIELDS)}:
-            return None
-        return list(chain.from_iterable(map(_EXPLICIT_VALUES, coords)))
-    except KeyError:
-        return None
+        raise ValidationError(f"{where}: {exc}") from exc
+    return [*s.components(), s.h]
 
 
 def _read_points(points: list) -> np.ndarray:
     """The validated ``(n, 2, 8)`` coordinate array of the 'points' list.
 
-    Of the errors in the document, the first in document order is raised
-    (:func:`_scan_points`): a wrong key, a value that is not a number, or a
-    coordinate the scalar constructors reject.
+    One pass gathers the eight values of each coordinate in document order:
+    those of an object of eight keys that all resolve as they are, any other
+    coordinate's by :func:`_read_coordinate`.  The values are then read and
+    checked at once.  Of the errors in the document, the first in document
+    order is raised: at a wrong key, a rejected spreads form or a value that
+    is not a number, the coordinates before it are checked first.
     """
-    flat = _gather_explicit(points)
+    values, structural = [], None
     try:
-        rows = None if flat is None else float_array(flat, "coordinates")
-    except T2SplineError:  # a value that is not a number: the loop finds the first error
+        for idx, point in enumerate(points):
+            try:
+                coords = _POINT_VALUES(point) if type(point) is dict and len(point) == 2 else None
+            except KeyError:
+                coords = None
+            if coords is None:
+                raise ValidationError(f"point {idx}: must be an object with exactly 'x' and 'y'")
+            for coord in coords:
+                if type(coord) is dict and len(coord) == _WIDTH:
+                    try:
+                        values += _EXPLICIT_VALUES(coord)
+                        continue
+                    except KeyError:  # not the explicit keys
+                        pass
+                values += _read_coordinate(coord, _coordinate_name(len(values) // _WIDTH))
+    except ValidationError as exc:
+        structural = exc
+    try:
+        rows = float_array(values, "coordinates")
+    except T2SplineError:
         rows = None
-    if rows is None or rows.ndim != 1:  # values that are all lists of one length: the loop refuses them
-        rows = _scan_points(points)
-    return coords_from_rows(rows.reshape(-1, len(COORD_FIELDS))).reshape(-1, 2, len(COORD_FIELDS))
+    if rows is None or rows.ndim != 1:  # some value is not a number: the first one is raised
+        for i, value in enumerate(values):
+            row, k = divmod(i, _WIDTH)
+            try:
+                as_float(value, f"{_coordinate_name(row)}.{COORD_FIELDS[k]}")
+            except T2SplineError as exc:
+                coords_from_rows(float_array(values[: i - k], "coordinates").reshape(-1, _WIDTH))
+                raise ValidationError(str(exc)) from exc
+    rows = coords_from_rows(rows.reshape(-1, _WIDTH))
+    if structural is not None:
+        raise structural
+    return rows.reshape(-1, 2, _WIDTH)
 
 
 @contextmanager

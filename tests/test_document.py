@@ -23,8 +23,8 @@ from t2spline import (
     save_document,
 )
 from t2spline import document
-from t2spline.bspline import MAX_SAMPLES
-from t2spline.fuzzy import coords_from_rows
+from t2spline.bspline import MAX_SAMPLES, as_float
+from t2spline.fuzzy import COORD_FIELDS, coords_from_rows
 from t2spline.pipeline import solve
 
 EXPLICIT_COORD = {"ll": 4, "l": 4.3, "rl": 4.6, "c": 5, "lr": 5.4, "r": 5.7, "rr": 6, "h": 0.6}
@@ -230,6 +230,10 @@ INVALID_DOCUMENTS = {
     "value-error-x-then-type-error-y": (_text(_both(_set(3, "x", h=-1), _set(3, "y", lr=None))), ValidationError, 'point 3, coordinate x: h must lie in (0, 1], got -1.0'),
     "spreads-error-2-then-value-error-3": (_text(_both(_spreads(2, "y", outer_left=-1), _set(3, "x", h=0))), ValidationError, 'point 2, coordinate y: spread outer_left must be >= 0, got -1.0'),
     "value-error-2-then-spreads-error-2-y": (_text(_both(_set(2, "x", h=0), _spreads(2, "y", outer_left=-1))), ValidationError, 'point 2, coordinate x: h must lie in (0, 1], got 0.0'),
+    "type-error-1-then-spreads-error-3": (_text(_both(_set(1, "x", r="5.7"), _spreads(3, "y", inner_left=0.8))), ValidationError, "point 1, coordinate x.r must be a number, got '5.7'"),
+    "type-error-1-then-point-3-not-object": (_text(_both(_set(1, "y", c=None), lambda p: p.__setitem__(3, 7))), ValidationError, 'point 1, coordinate y.c must be a number, got None'),
+    "spreads-error-1-then-type-error-3": (_text(_both(_spreads(1, "x", outer_left=-1), _set(3, "y", ll="4"))), ValidationError, 'point 1, coordinate x: spread outer_left must be >= 0, got -1.0'),
+    "spreads-1-then-type-error-3": (_text(_both(_spreads(1, "y"), _set(3, "x", h=True))), ValidationError, 'point 3, coordinate x.h must be a number, got True'),
     "weights-not-list": (_text(weights=3), ValidationError, 'expected 5 weights, got shape ()'),
     "weights-count": (_text(weights=[1.0, 2.0]), ValidationError, 'expected 5 weights, got shape (2,)'),
     "weights-zero": (_text(weights=[1.0, 0.0, 1.0, 1.0, 1.0]), ValidationError, 'weights must all be finite and > 0'),
@@ -390,10 +394,10 @@ def _shuffled(draw, record):
 _NOT_NUMBERS = [True, False, "0.6", None, 10**400, [6]]
 
 
-def _inject_fault(draw, points) -> bool:
+def _inject_fault(draw, points) -> None:
     """Break one point of ``points`` in place: a value that is not a number,
     a missing, extra or renamed key, or a point or coordinate that is not an
-    object.  Returns whether the keys and objects kept their layout."""
+    object."""
     i = draw(st.integers(0, len(points) - 1))
     axis = draw(st.sampled_from("xy"))
     coord = points[i][axis]
@@ -413,35 +417,52 @@ def _inject_fault(draw, points) -> bool:
         points[i] = draw(st.sampled_from([[1, 2], 7, None, {"x": coord}]))
     else:
         points[i][axis] = draw(st.sampled_from([[4, 5], "5", None, 5]))
-    return kind == "value"
 
 
 @st.composite
 def _point_lists(draw):
     """A 'points' list, in half the cases mixing explicit and spreads-form
-    coordinates, keys in any order, in half the cases with one fault; and
-    whether every point and coordinate has exactly the explicit layout."""
+    coordinates, keys in any order, in half the cases with one fault."""
     mixed = draw(st.booleans())
-    points, explicit = [], True
+    points = []
     for _ in range(draw(st.integers(1, 4))):
         point = {}
         for axis in "xy":
             if mixed and draw(st.booleans()):
-                coord, explicit = draw(_spreads_coordinates()), False
+                coord = draw(_spreads_coordinates())
                 coord["spreads"] = _shuffled(draw, coord["spreads"])
             else:
                 coord = draw(_explicit_coordinates())
             point[axis] = _shuffled(draw, coord)
         points.append(_shuffled(draw, point))
     if draw(st.booleans()):
-        explicit &= _inject_fault(draw, points)
-    return points, explicit
+        _inject_fault(draw, points)
+    return points
 
 
-def _read_points_by_loop(points):
-    """The coordinate array of ``points`` as the per-coordinate loop reads
-    it: the rows of :func:`document._scan_points`, checked by ``coords_from_rows``."""
-    return coords_from_rows(document._scan_points(points)).reshape(-1, 2, 8)
+def _read_points_by_coordinate(points):
+    """The coordinate array of ``points`` read one coordinate at a time: a
+    coordinate of exactly the explicit keys by ``as_float`` over its values,
+    any other by ``document._read_coordinate``; at the first error, the rows
+    before it are checked by ``coords_from_rows`` before it is raised."""
+    rows = []
+    try:
+        for idx, point in enumerate(points):
+            if type(point) is not dict or point.keys() != {"x", "y"}:
+                raise ValidationError(f"point {idx}: must be an object with exactly 'x' and 'y'")
+            for axis in "xy":
+                coord, where = point[axis], f"point {idx}, coordinate {axis}"
+                if type(coord) is dict and coord.keys() == set(COORD_FIELDS):
+                    try:
+                        rows.append([as_float(coord[k], f"{where}.{k}") for k in COORD_FIELDS])
+                    except T2SplineError as exc:
+                        raise ValidationError(str(exc)) from exc
+                else:
+                    rows.append(document._read_coordinate(coord, where))
+    except ValidationError:
+        coords_from_rows(np.array(rows, dtype=float).reshape(-1, 8))
+        raise
+    return coords_from_rows(np.array(rows, dtype=float).reshape(-1, 8)).reshape(-1, 2, 8)
 
 
 def _outcome(read, points):
@@ -451,25 +472,34 @@ def _outcome(read, points):
         return type(exc), str(exc)
 
 
-@settings(max_examples=200)
 @given(_point_lists())
-def test_bulk_gather_reads_points_as_the_loop_does(case):
-    points, explicit = case
-    assert _outcome(document._read_points, points) == _outcome(_read_points_by_loop, points)
-    assert (document._gather_explicit(points) is not None) == explicit
+def test_points_are_read_as_one_coordinate_at_a_time(points):
+    assert _outcome(document._read_points, points) == _outcome(_read_points_by_coordinate, points)
 
 
 @settings(max_examples=100)
 @given(_point_lists(), st.sampled_from([lambda v: [v], lambda v: [v, v], lambda v: []]))
-def test_bulk_gather_reads_values_that_are_all_lists_as_the_loop_does(case, wrap):
+def test_values_that_are_all_lists_are_read_as_one_coordinate_at_a_time(points, wrap):
     """Every value of every explicit-form coordinate a list of one length:
     a rectangular array that is still no coordinate row."""
-    points, _ = case
     for point in filter(lambda p: type(p) is dict, points):
         for coord in point.values():
             if type(coord) is dict and "spreads" not in coord:
                 coord.update({k: wrap(v) for k, v in coord.items()})
-    assert _outcome(document._read_points, points) == _outcome(_read_points_by_loop, points)
+    assert _outcome(document._read_points, points) == _outcome(_read_points_by_coordinate, points)
+
+
+def test_only_the_spreads_form_coordinates_are_read_one_at_a_time(monkeypatch):
+    """The demo with two of its eight coordinates in spreads form reads those
+    two with ``_read_coordinate`` and gathers the six explicit ones."""
+    payload = json.loads(document_to_json(demo_document()))
+    payload["points"][0]["x"] = {"c": 0.0, "h": 0.5, "spreads": dict(zip(_SPREAD_NAMES, (0.9, 0.6, 0.3, 0.2, 0.4, 0.6)))}
+    payload["points"][3]["y"] = {"c": 1.0, "h": 0.7, "spreads": dict(zip(_SPREAD_NAMES, (0.7, 0.5, 0.2, 0.35, 0.7, 1.1)))}
+    read = document._read_coordinate
+    calls = []
+    monkeypatch.setattr(document, "_read_coordinate", lambda *args: calls.append(args) or read(*args))
+    assert parse_document(json.dumps(payload)).points == demo_document().points
+    assert len(calls) == 2
 
 
 _json_values = st.one_of(
