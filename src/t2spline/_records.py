@@ -1,11 +1,11 @@
 """The record classes of the acceptance API, loaded on first use.
 
-Here live the fuzzy scalar and point of :mod:`t2spline.fuzzy`, the cut, its
-regime and the type-reduced interval of :mod:`t2spline.pipeline`, the
-sampled polyline of :mod:`t2spline.bspline`, and the curve groups and the
-deviation report of :mod:`t2spline.curves`.  The commands ``curve``,
-``plot``, ``pipeline`` and ``validate`` build none of them, so no module on
-their path imports this one.  The package and each owner module resolve
+Here live the fuzzy scalar and point of :mod:`t2spline.fuzzy`, views of
+coordinate rows whose rules that module states, the cut, its regime and the
+type-reduced interval of :mod:`t2spline.pipeline`, the sampled polyline of
+:mod:`t2spline.bspline`, and the curve groups and the deviation report of
+:mod:`t2spline.curves`.  No command builds any of them, so no module on a
+command's path imports this one.  The package and each owner module resolve
 these names on first access (:func:`~t2spline.bspline.deferred`), and a
 function that builds or tests one of them imports it where it runs.
 """
@@ -21,14 +21,8 @@ import numpy as np
 
 from .bspline import as_float, param_array, point_array, read_only_copy, shown
 from .curves import SERIES, shared_params
-from .errors import (
-    HeightOutOfRange,
-    NegativeSpread,
-    OrderingViolation,
-    SpreadOrderViolation,
-    T2SplineError,
-)
-from .fuzzy import COMPONENT_FIELDS, SPREAD_FIELDS
+from .errors import T2SplineError
+from .fuzzy import COORD_FIELDS, row_error, row_from_spreads
 
 
 @dataclass(frozen=True)
@@ -47,10 +41,9 @@ class NT2FuzzyScalar:
     rr   outer right support edge (UMF)
     ==== =====================================================
 
-    plus ``h``, the LMF apex height in (0, 1].  Construction validates the
-    ordering exactly (inputs are user data, not computed values) and rejects
-    non-finite components and fields that are not numbers
-    (:func:`~t2spline.bspline.as_float`).
+    plus ``h``, the LMF apex height in (0, 1].  Construction reads each
+    field as a number (:func:`~t2spline.bspline.as_float`) and raises the
+    error of :func:`~t2spline.fuzzy.row_error`, if any.
     """
 
     ll: float
@@ -67,45 +60,17 @@ class NT2FuzzyScalar:
             value = getattr(self, f.name)
             if type(value) is not float:  # floats, as points_of passes them, need no check
                 object.__setattr__(self, f.name, as_float(value, f.name))
-        values = [getattr(self, name) for name in COMPONENT_FIELDS]
-        if not all(math.isfinite(v) for v in values):
-            raise T2SplineError(f"components must be finite, got {values}")
-        if not math.isfinite(self.h) or not 0.0 < self.h <= 1.0:
-            raise HeightOutOfRange(f"h must lie in (0, 1], got {self.h!r}")
-        for (lo_name, lo), (hi_name, hi) in zip(
-            zip(COMPONENT_FIELDS, values), zip(COMPONENT_FIELDS[1:], values[1:])
-        ):
-            if lo > hi:
-                raise OrderingViolation(lo_name, lo, hi_name, hi)
+        error = row_error([getattr(self, name) for name in COORD_FIELDS])
+        if error is not None:
+            raise error
 
     @classmethod
     def from_spreads(
         cls, c: float, spreads: tuple[float, float, float, float, float, float], h: float
     ) -> "NT2FuzzyScalar":
-        """Build a scalar from its crisp value and six non-negative spreads.
-
-        ``spreads`` is ``(outer_left, principal_left, inner_left,
-        inner_right, principal_right, outer_right)``; each side must satisfy
-        inner <= principal <= outer.  The component ordering then holds by
-        construction.
-        """
-        try:
-            values = tuple(spreads)
-        except TypeError:  # not iterable
-            values = None
-        if values is None or len(values) != len(SPREAD_FIELDS):
-            got = shown(spreads) if values is None else f"a {type(spreads).__name__} of {len(values)} values"
-            raise T2SplineError(f"spreads must be the six values {', '.join(SPREAD_FIELDS)}, got {got}")
-        spreads = [as_float(s, f"spread {name}") for name, s in zip(SPREAD_FIELDS, values)]
-        outer_l, prin_l, inner_l, inner_r, prin_r, outer_r = spreads
-        for name, s in zip(SPREAD_FIELDS, spreads):
-            if not math.isfinite(s) or s < 0.0:
-                raise NegativeSpread(f"spread {name} must be >= 0, got {s!r}")
-        for side, widths in (("left", (inner_l, prin_l, outer_l)), ("right", (inner_r, prin_r, outer_r))):
-            if not widths[0] <= widths[1] <= widths[2]:
-                raise SpreadOrderViolation(f"{side} spreads must satisfy inner <= principal <= outer, got {widths}")
-        c = as_float(c, "c")
-        return cls(c - outer_l, c - prin_l, c - inner_l, c, c + inner_r, c + prin_r, c + outer_r, h)
+        """Build a scalar from its crisp value, six non-negative spreads and
+        ``h``, as :func:`~t2spline.fuzzy.row_from_spreads` reads them."""
+        return cls(*row_from_spreads(c, spreads, h))
 
     @property
     def spreads(self) -> tuple[float, float, float, float, float, float]:

@@ -24,11 +24,12 @@ or a crisp value, six named spreads and h::
                  "inner_right": 0.4, "principal_right": 0.7, "outer_right": 1}}
 
 The parser converts the spreads form with
-:meth:`~t2spline.fuzzy.NT2FuzzyScalar.from_spreads` and the writer always
-emits the canonical explicit form.  Parse failures raise
+:func:`~t2spline.fuzzy.row_from_spreads`, which with
+:func:`~t2spline.fuzzy.row_error` states every rule of a coordinate, and the
+writer always emits the canonical explicit form.  Parse failures raise
 :class:`~t2spline.errors.ParseError` with the text position; invariant
-failures raise :class:`~t2spline.errors.ValidationError` naming the point,
-the first failure in document order.
+failures raise :class:`~t2spline.errors.ValidationError` naming the point
+(:func:`~t2spline.fuzzy.coordinate_name`), the first failure in document order.
 
 A document is its :class:`~t2spline.curves.FuzzyCurveModel` plus a sample
 count: :class:`ModelDocument` builds that model once and holds nothing else,
@@ -64,7 +65,7 @@ import numpy as np
 from .bspline import DEFAULT_ORDER, as_float, check_samples, clamped_uniform_knots, float_array
 from .curves import DEFAULT_ALPHA, DEFAULT_SAMPLES, FuzzyCurveModel
 from .errors import ParseError, T2SplineError, ValidationError
-from .fuzzy import COORD_FIELDS, SPREAD_FIELDS, coords_from_rows, point_items, points_of
+from .fuzzy import COORD_FIELDS, SPREAD_FIELDS, coordinate_name, coords_from_rows, point_items, points_of, row_from_spreads
 from .output import write_output
 
 if TYPE_CHECKING:
@@ -117,16 +118,11 @@ class ModelDocument:
         return FuzzyCurveModel.with_uniform_knots(model.coords, model.weights, order, alpha)
 
 
-def _coordinate_name(row: int) -> str:
-    """The name of coordinate row ``row``, as :func:`~t2spline.fuzzy.coords_from_rows` counts rows."""
-    return f"point {row // 2}, coordinate {'xy'[row % 2]}"
-
-
 def _read_coordinate(record: Any, where: str) -> list[float]:
     """The eight numbers, in the explicit layout of
     :data:`~t2spline.fuzzy.COORD_FIELDS`, of a spreads-form coordinate
-    object, converted by :meth:`~t2spline.fuzzy.NT2FuzzyScalar.from_spreads`,
-    which reads its own values.  Raises :class:`ValidationError` for a record
+    object, converted by :func:`~t2spline.fuzzy.row_from_spreads`, which
+    reads its own values.  Raises :class:`ValidationError` for a record
     that is not an object, a wrong key or a rejected spreads form;
     :func:`_read_points` reads an explicit-form coordinate itself.
     """
@@ -149,13 +145,10 @@ def _read_coordinate(record: Any, where: str) -> list[float]:
         raise ValidationError(f"{where}: spreads must be an object")
     if set(spreads) != set(SPREAD_FIELDS):
         raise ValidationError(f"{where}: spreads must have exactly the keys {list(SPREAD_FIELDS)}")
-    from ._records import NT2FuzzyScalar
-
     try:
-        s = NT2FuzzyScalar.from_spreads(record["c"], [spreads[k] for k in SPREAD_FIELDS], record["h"])
+        return row_from_spreads(record["c"], [spreads[k] for k in SPREAD_FIELDS], record["h"])
     except T2SplineError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
-    return [*s.components(), s.h]
 
 
 def _read_points(points: list) -> np.ndarray:
@@ -184,7 +177,7 @@ def _read_points(points: list) -> np.ndarray:
                         continue
                     except KeyError:  # not the explicit keys
                         pass
-                values += _read_coordinate(coord, _coordinate_name(len(values) // _WIDTH))
+                values += _read_coordinate(coord, coordinate_name(len(values) // _WIDTH))
     except ValidationError as exc:
         structural = exc
     try:
@@ -195,7 +188,7 @@ def _read_points(points: list) -> np.ndarray:
         for i, value in enumerate(values):
             row, k = divmod(i, _WIDTH)
             try:
-                as_float(value, f"{_coordinate_name(row)}.{COORD_FIELDS[k]}")
+                as_float(value, f"{coordinate_name(row)}.{COORD_FIELDS[k]}")
             except T2SplineError as exc:
                 coords_from_rows(float_array(values[: i - k], "coordinates").reshape(-1, _WIDTH))
                 raise ValidationError(str(exc)) from exc
@@ -329,22 +322,17 @@ def demo_document() -> ModelDocument:
     (left-heavy), which makes the defuzzified solution curve deviate
     visibly from the crisp curve.
     """
-    from ._records import NT2FuzzyPoint, NT2FuzzyScalar
-
     def fuzzy(cx, cy, left, right, h):
         # left/right are (outer, principal, inner) spreads per side
         spreads = (*left, *reversed(right))
-        return NT2FuzzyPoint(
-            NT2FuzzyScalar.from_spreads(cx, spreads, h),
-            NT2FuzzyScalar.from_spreads(cy, spreads, h),
-        )
+        return [row_from_spreads(cx, spreads, h), row_from_spreads(cy, spreads, h)]
 
-    points = [
+    points = np.array([
         fuzzy(0.0, 0.0, (0.9, 0.6, 0.3), (0.6, 0.4, 0.2), 0.5),
         fuzzy(2.0, 4.0, (1.2, 0.8, 0.4), (0.5, 0.3, 0.15), 0.6),
         fuzzy(5.0, 5.0, (0.8, 0.5, 0.25), (0.8, 0.5, 0.25), 0.5),
         fuzzy(7.0, 1.0, (0.7, 0.5, 0.2), (1.1, 0.7, 0.35), 0.7),
-    ]
+    ])
     return ModelDocument(
         points=points,
         weights=[1.0, 1.0, 3.0, 1.0],

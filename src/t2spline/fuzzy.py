@@ -8,30 +8,32 @@ the inner support ``[rl, lr]`` with apex ``(c, h)``.  The region between the
 two triangles is the footprint of uncertainty.  A scalar is *normal* when
 ``h < 1`` while the UMF peaks at exactly 1.
 
-The scalar and point classes, :class:`NT2FuzzyScalar` and
-:class:`NT2FuzzyPoint`, live in :mod:`t2spline._records`: no command builds
-them, so they load on first use, also as names of this module
-(:func:`~t2spline.bspline.deferred`).
+The rules of a coordinate, a row of eight floats, are stated here once:
+:func:`row_error` (finite components, ``0 < h <= 1``, components in order),
+:func:`row_from_spreads` and :func:`coordinate_name`.  The scalar and point
+classes, :class:`NT2FuzzyScalar` and :class:`NT2FuzzyPoint`, are views of
+such rows in :mod:`t2spline._records`: no command builds them, so they load
+on first use, also as names of this module (:func:`~t2spline.bspline.deferred`).
 
 Many coordinates are held as one float array whose last axis is
 :data:`COORD_FIELDS` (the seven components, then ``h``); a model's controls
 are an ``(n, 2, 8)`` array.  Other modules index that axis only by the
 positions :data:`COMPONENTS` (the seven), :data:`C`, :data:`RL`, :data:`LR`
-and :data:`H`.  :func:`coords_from_rows` validates such an array with the
-scalar constructors' rules and messages, and :func:`points_of` builds the
-scalar view of it.  The array holds the explicit form only; a coordinate
-given as ``c``, six spreads and ``h`` is converted by
-:meth:`NT2FuzzyScalar.from_spreads` alone.
+and :data:`H`.  :func:`coords_from_rows` validates such an array by the
+row rule, and :func:`points_of` builds the scalar view of it.  The array
+holds the explicit form only; a coordinate given as ``c``, six spreads and
+``h`` is converted by :func:`row_from_spreads` alone.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bspline import deferred, float_array, read_only_copy
-from .errors import T2SplineError, ValidationError
+from .bspline import as_float, deferred, float_array, read_only_copy, shown
+from .errors import HeightOutOfRange, NegativeSpread, OrderingViolation, SpreadOrderViolation, T2SplineError, ValidationError
 
 if TYPE_CHECKING:
     from ._records import NT2FuzzyPoint
@@ -46,35 +48,79 @@ COORD_FIELDS = (*COMPONENT_FIELDS, "h")
 COMPONENTS = slice(0, len(COMPONENT_FIELDS))
 C, RL, LR, H = map(COORD_FIELDS.index, ("c", "rl", "lr", "h"))
 
-#: Spread names in the order :meth:`NT2FuzzyScalar.from_spreads` takes them.
+#: Spread names in the order :func:`row_from_spreads` takes them.
 SPREAD_FIELDS = ("outer_left", "principal_left", "inner_left", "inner_right", "principal_right", "outer_right")
 
 __getattr__, __dir__ = deferred(globals(), ("NT2FuzzyScalar", "NT2FuzzyPoint"))
+
+
+def coordinate_name(row: int) -> str:
+    """The name of coordinate row ``row``: coordinate ``"xy"[row % 2]`` of point ``row // 2``."""
+    return f"point {row // 2}, coordinate {'xy'[row % 2]}"
+
+
+def row_error(row: list[float]) -> T2SplineError | None:
+    """The first rule that the coordinate row ``row``, eight floats in the
+    layout of :data:`COORD_FIELDS`, breaks, as the error to raise, or None;
+    the order is checked exactly (rows are user data, not computed values)."""
+    *values, h = row
+    if not all(math.isfinite(v) for v in values):
+        return T2SplineError(f"components must be finite, got {values}")
+    if not math.isfinite(h) or not 0.0 < h <= 1.0:
+        return HeightOutOfRange(f"h must lie in (0, 1], got {h!r}")
+    for (lo_name, lo), (hi_name, hi) in zip(zip(COMPONENT_FIELDS, values), zip(COMPONENT_FIELDS[1:], values[1:])):
+        if lo > hi:
+            return OrderingViolation(lo_name, lo, hi_name, hi)
+    return None
+
+
+def row_from_spreads(c, spreads, h) -> list[float]:
+    """The coordinate row of the crisp value ``c``, the six non-negative
+    spreads ``(outer_left, principal_left, inner_left, inner_right,
+    principal_right, outer_right)``, each side inner <= principal <= outer,
+    and the height ``h``.  The spreads are checked first, then ``c`` and
+    ``h`` are read, then the row must pass :func:`row_error`."""
+    try:
+        values = tuple(spreads)
+    except TypeError:  # not iterable
+        values = None
+    if values is None or len(values) != len(SPREAD_FIELDS):
+        got = shown(spreads) if values is None else f"a {type(spreads).__name__} of {len(values)} values"
+        raise T2SplineError(f"spreads must be the six values {', '.join(SPREAD_FIELDS)}, got {got}")
+    spreads = [as_float(s, f"spread {name}") for name, s in zip(SPREAD_FIELDS, values)]
+    outer_l, prin_l, inner_l, inner_r, prin_r, outer_r = spreads
+    for name, s in zip(SPREAD_FIELDS, spreads):
+        if not math.isfinite(s) or s < 0.0:
+            raise NegativeSpread(f"spread {name} must be >= 0, got {s!r}")
+    for side, widths in (("left", (inner_l, prin_l, outer_l)), ("right", (inner_r, prin_r, outer_r))):
+        if not widths[0] <= widths[1] <= widths[2]:
+            raise SpreadOrderViolation(f"{side} spreads must satisfy inner <= principal <= outer, got {widths}")
+    c = as_float(c, "c")
+    row = [c - outer_l, c - prin_l, c - inner_l, c, c + inner_r, c + prin_r, c + outer_r, as_float(h, "h")]
+    error = row_error(row)
+    if error is not None:
+        raise error
+    return row
 
 
 def coords_from_rows(rows: np.ndarray) -> np.ndarray:
     """Validate ``(m, 8)`` coordinate rows in the layout of
     :data:`COORD_FIELDS` and return them as a float array.
 
-    Row ``i`` is coordinate ``"xy"[i % 2]`` of point ``i // 2``.  A row is
-    rejected exactly when :class:`NT2FuzzyScalar` would reject it; the first
-    rejected row raises that constructor's error as a
-    :class:`ValidationError` prefixed with ``point i, coordinate x:``.
-    Spreads-form coordinates are converted by
-    :meth:`NT2FuzzyScalar.from_spreads` before they reach this array; the
-    rows are read by :func:`~t2spline.bspline.float_array`, not copied.
+    A row is rejected exactly when :func:`row_error` rejects it; the first
+    rejected row raises that error as the ``__cause__`` of a
+    :class:`ValidationError` prefixed with its :func:`coordinate_name`.
+    Spreads-form coordinates are converted by :func:`row_from_spreads`
+    before they reach this array; the rows are read by
+    :func:`~t2spline.bspline.float_array`, not copied.
     """
     comps = float_array(rows, "coordinates")
     values, h = comps[:, COMPONENTS], comps[:, H]
     bad = ~np.isfinite(values).all(axis=1) | ~((h > 0.0) & (h <= 1.0)) | (values[:, :-1] > values[:, 1:]).any(axis=1)
     if bad.any():
-        from ._records import NT2FuzzyScalar
-
         i = int(np.argmax(bad))
-        try:
-            NT2FuzzyScalar(*comps[i].tolist())
-        except T2SplineError as exc:
-            raise ValidationError(f"point {i // 2}, coordinate {'xy'[i % 2]}: {exc}") from exc
+        error = row_error(comps[i].tolist())
+        raise ValidationError(f"{coordinate_name(i)}: {error}") from error
     return comps
 
 

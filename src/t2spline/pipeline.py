@@ -39,7 +39,7 @@ import numpy as np
 
 from .bspline import as_float, deferred
 from .errors import AlphaOutOfRange, T2SplineError, ValidationError
-from .fuzzy import C, COMPONENTS, H, LR, RL, as_coords
+from .fuzzy import C, COMPONENTS, H, LR, RL, as_coords, coordinate_name
 
 if TYPE_CHECKING:
     from ._records import AlphaCutScalar, NT2FuzzyPoint, NT2FuzzyScalar, TRInterval
@@ -157,10 +157,10 @@ def solve(coords: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, np.
         solution = defuzzify_array(left, c, right)
     bad = ~(np.isfinite(left) & np.isfinite(right) & np.isfinite(solution))
     if bad.any():
-        i, axis = np.unravel_index(np.argmax(bad), bad.shape)
-        interval = (float(left[i, axis]), float(c[i, axis]), float(right[i, axis]))
+        i = int(np.argmax(bad))
+        interval = (float(left.flat[i]), float(c.flat[i]), float(right.flat[i]))
         raise ValidationError(
-            f"point {i}, coordinate {'xy'[axis]}: the type-reduced interval {interval} and its "
-            f"defuzzified value {float(solution[i, axis])!r} at alpha {float(alpha)!r} must be finite"
+            f"{coordinate_name(i)}: the type-reduced interval {interval} and its "
+            f"defuzzified value {float(solution.flat[i])!r} at alpha {float(alpha)!r} must be finite"
         )
     return left, c, right, solution

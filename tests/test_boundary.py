@@ -75,7 +75,7 @@ from t2spline import (
 from t2spline import cli, output
 from t2spline.bspline import MAX_SAMPLES, _IndexOutOfRange, check_order, check_samples, float_array, sample_curves
 from t2spline.curves import evaluate
-from t2spline.fuzzy import COORD_FIELDS, as_coords
+from t2spline.fuzzy import COORD_FIELDS, as_coords, row_from_spreads
 from t2spline.output import BLOCK_CELLS, write_output, write_pipeline_csv, write_pipeline_json
 from t2spline.pipeline import solve
 
@@ -158,14 +158,16 @@ ENTRY_POINTS = {
     "save_document": (save_document, dict(doc=DOC, path=SINK)),
 }
 
-#: The module functions behind the entry points that the rows call: the
-#: number and integer rules, and kernels that read what a model checked.
+#: The module functions behind the entry points that the rows call or a
+#: hostile value is drawn for: the number and integer rules, the spreads
+#: rule, and kernels that read what a model checked.
 INTERNALS = {
     "bspline.float_array": (float_array, dict(value=[1.0, 2.0], name="w")),
     "bspline.check_order": (check_order, dict(order=3, n=4)),
     "bspline.check_samples": (check_samples, dict(samples=5, order=3)),
     "bspline.sample_curves": (sample_curves, dict(m=CURVE, polygons=CONTROLS[None], samples=5)),
     "fuzzy.as_coords": (as_coords, dict(points=CRISP_COORDS)),
+    "fuzzy.row_from_spreads": (row_from_spreads, dict(c=5, spreads=(1, 0.7, 0.4, 0.4, 0.7, 1), h=0.6)),
     "pipeline.solve": (solve, dict(coords=CRISP_COORDS, alpha=0.5)),
 }
 
@@ -714,10 +716,11 @@ globals().update(refusal_tests(REFUSALS["test_boundary"]))
 _OBJECTS = (KnotVector, RationalCurveModel, Polyline, FuzzyCurveModel, ModelDocument, NT2FuzzyScalar, NT2FuzzyPoint, AlphaCutScalar, TRInterval, Scene, Regime)
 
 #: Each (entry point, parameter) pair a hostile value is drawn for: every
-#: parameter but a model and a render function.
+#: parameter but a model and a render function, also of the spreads rule,
+#: which the parser calls with a document's values.
 _DRAWN = [
     (entry, parameter)
-    for entry, (_, valid) in ENTRY_POINTS.items()
+    for entry, (_, valid) in [*ENTRY_POINTS.items(), ("fuzzy.row_from_spreads", INTERNALS["fuzzy.row_from_spreads"])]
     for parameter, value in valid.items()
     if not (isinstance(value, _OBJECTS) or callable(value))
 ]

@@ -1,8 +1,9 @@
 """The record classes of ``t2spline._records`` load on first use.
 
-No command that reads a document imports them, and every function of the
-package that builds or tests one finds it in a fresh interpreter, where no
-earlier access has bound the name in the function's module."""
+No command imports them, nor does reading, refusing or building a
+document, and every function of the package that builds or tests one finds
+it in a fresh interpreter, where no earlier access has bound the name in the
+function's module."""
 
 import dataclasses
 import importlib
@@ -105,35 +106,42 @@ def run_fresh(code: str, files: list[str]) -> list:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "curve DOC --out OUT",
-        "curve DOC --series band,reduced --alpha 0.5 --order 2 --samples 7 --out OUT",
-        "plot DOC --out OUT",
-        "pipeline DOC --format json --out OUT",
-        "pipeline DOC --format csv --out OUT",
-        "validate DOC",
-    ],
-)
-def test_no_command_that_reads_a_document_loads_the_records(argv, files):
-    """``import t2spline.cli`` and one ``cli.run`` leave the record classes
-    unloaded; touching one of them afterwards loads them."""
+#: Command lines, over the paths ``DOC``, ``SPREADS``, ``BAD`` and ``OUT``
+#: of the ``files`` fixture, and their exit codes.
+COMMANDS = {
+    "curve DOC --out OUT": 0,
+    "curve DOC --series band,reduced --alpha 0.5 --order 2 --samples 7 --out OUT": 0,
+    "plot DOC --out OUT": 0,
+    "pipeline DOC --format json --out OUT": 0,
+    "pipeline DOC --format csv --out OUT": 0,
+    "validate DOC": 0,
+    "demo --out OUT": 0,
+    "curve SPREADS --out OUT": 0,
+    "validate BAD": 1,
+}
+
+
+@pytest.mark.parametrize("argv, exit_code", COMMANDS.items(), ids=COMMANDS.keys())
+def test_no_command_that_reads_a_document_loads_the_records(argv, exit_code, files):
+    """``import t2spline.cli`` and one ``cli.run``, of a command that reads
+    an explicit, spreads-form or refused document or of ``demo``, leave the
+    record classes unloaded; touching one of them afterwards loads them."""
     code = f"""
-argv = {argv!r}.replace("DOC", sys.argv[1]).replace("OUT", OUT).split()
+paths = dict(zip(("DOC", "SPREADS", "BAD", "OUT"), FILES))
+argv = [paths.get(word, word) for word in {argv!r}.split()]
 code = cli.run(argv)
 loaded = {RECORDS!r} in sys.modules
 import t2spline
 t2spline.NT2FuzzyScalar
 print(json.dumps([code, loaded, {RECORDS!r} in sys.modules]))
 """
-    assert run_fresh(code, files) == [0, False, True]
+    assert run_fresh(code, files) == [exit_code, False, True]
 
 
-#: Each first use of a record class in the package: an expression over the
-#: names of :data:`PRELUDE`, the type of its value or error, and the message
-#: of an error.
-FIRST_USES = {
+#: Expressions over the names of :data:`PRELUDE` that read, refuse or build
+#: a document without a record class: the type of its value or error, and
+#: the message of an error.
+RECORD_FREE_USES = {
     "parse-spreads-form": ("parse_document(SPREADS).model.coords.tolist()", "list", None),
     "parse-refused-spreads-form": (
         "parse_document(BAD_SPREADS)",
@@ -145,6 +153,14 @@ FIRST_USES = {
         "ValidationError",
         "point 0, coordinate x: h must lie in (0, 1], got 2.0",
     ),
+    "demo-document": ("document_to_json(demo_document())", "str", None),
+    "demo-command": ("(cli.run(['demo', '--out', OUT]), Path(OUT).read_text(encoding='utf-8'))", "tuple", None),
+}
+
+#: Each first use of a record class in the package: an expression over the
+#: names of :data:`PRELUDE`, the type of its value or error, and the message
+#: of an error.
+FIRST_USES = {
     "as-coords-of-points": ("as_coords(parse_document(DOC).points).tolist()", "list", None),
     "as-coords-refusal": ("as_coords([object()])", "T2SplineError", "fuzzy_controls must be NT2FuzzyPoint instances"),
     "document-points": ("parse_document(DOC).points", "list", None),
@@ -162,17 +178,15 @@ FIRST_USES = {
         None,
     ),
     "deviation-refusal": ("deviation(object(), object())", "T2SplineError", "polyline a must be a Polyline, got object"),
-    "demo-document": ("document_to_json(demo_document())", "str", None),
-    "demo-command": ("(cli.run(['demo', '--out', OUT]), Path(OUT).read_text(encoding='utf-8'))", "tuple", None),
 }
 
 
-@pytest.mark.parametrize("expression, kind, message", FIRST_USES.values(), ids=FIRST_USES.keys())
-def test_a_first_use_in_a_fresh_interpreter_loads_the_records_and_gives_the_same_outcome(expression, kind, message, files, tmp_path):
-    """The outcome, the type and ``repr`` of a value or the type and
-    message of an error, is the expected one, and the one the same
-    expression has in this process, where the records were loaded long
-    before."""
+def fresh_and_here(expression, kind, message, files, tmp_path) -> tuple[list, list]:
+    """Whether a fresh interpreter has the record classes loaded before and
+    after ``expression``, with its outcome there between them, and its
+    outcome in this process, where the records were loaded long before: the
+    type and ``repr`` of a value or the type and message of an error, checked
+    to be ``kind`` and ``message``."""
     code = f"""
 loaded = {RECORDS!r} in sys.modules
 print(json.dumps([loaded, outcome({expression!r}), {RECORDS!r} in sys.modules]))
@@ -181,7 +195,23 @@ print(json.dumps([loaded, outcome({expression!r}), {RECORDS!r} in sys.modules]))
     exec(PRELUDE, names)
     here = names["outcome"](expression)
     assert here[0] == kind and (message is None or here[1] == message), here
-    assert run_fresh(code, files) == [False, here, True]
+    return run_fresh(code, files), here
+
+
+@pytest.mark.parametrize("expression, kind, message", FIRST_USES.values(), ids=FIRST_USES.keys())
+def test_a_first_use_in_a_fresh_interpreter_loads_the_records_and_gives_the_same_outcome(expression, kind, message, files, tmp_path):
+    """The outcome is the expected one, and the one the same expression has
+    in this process."""
+    fresh, here = fresh_and_here(expression, kind, message, files, tmp_path)
+    assert fresh == [False, here, True]
+
+
+@pytest.mark.parametrize("expression, kind, message", RECORD_FREE_USES.values(), ids=RECORD_FREE_USES.keys())
+def test_a_document_is_read_refused_or_built_without_the_records(expression, kind, message, files, tmp_path):
+    """The outcome is the expected one, and the one the same expression has
+    in this process, and the record classes stay unloaded."""
+    fresh, here = fresh_and_here(expression, kind, message, files, tmp_path)
+    assert fresh == [False, here, False]
 
 
 def _sample(name: str):
