@@ -50,7 +50,7 @@ from .errors import (
     TooFewSamples,
     ValidationError,
 )
-from .output import Scene, render_svg, svg_document, write_csv
+from .output import render_svg, svg_document, write_csv
 from .pipeline import (
     alpha_cut_point,
     alpha_cut_scalar,
@@ -61,12 +61,16 @@ from .pipeline import (
 
 __version__ = "0.1.0"
 
-#: The record classes no command builds: they load from
-#: :mod:`t2spline._records` on first access.
-__getattr__, __dir__ = deferred(globals(), (
-    "NT2FuzzyScalar", "NT2FuzzyPoint", "AlphaCutScalar", "TRInterval", "Regime",
-    "Polyline", "CurveBand", "ReducedCurves", "DeviationReport",
-))
+#: The record classes no command builds, which load from
+#: :mod:`t2spline._records`, and the figure only ``plot`` draws, which loads
+#: from :mod:`t2spline._svg`, on first access.
+__getattr__, __dir__ = deferred(globals(), {
+    "_records": (
+        "NT2FuzzyScalar", "NT2FuzzyPoint", "AlphaCutScalar", "TRInterval", "Regime",
+        "Polyline", "CurveBand", "ReducedCurves", "DeviationReport",
+    ),
+    "_svg": ("Scene",),
+})
 del deferred
 
 __all__ = [

@@ -14,10 +14,10 @@ The input rules of the package are stated here once: a number
 an array of planar points (:func:`point_array`), curve parameters
 (:func:`param_array`) and the read-only copy of each array an object holds
 (:func:`read_only_copy`); a refused value is shown by :func:`shown`.  So is
-the rule by which a module resolves record classes that no command builds:
-:func:`deferred`.  This module's own, :class:`~t2spline._records.Polyline`,
-the result of :func:`sample_curve`, lives in :mod:`t2spline._records` and
-loads on first use.
+the rule by which a module resolves names that a command does not need, the
+record classes and the SVG renderer's: :func:`deferred`.  This module's own,
+:class:`~t2spline._records.Polyline`, the result of :func:`sample_curve`,
+lives in :mod:`t2spline._records` and loads on first use.
 """
 
 from __future__ import annotations
@@ -39,29 +39,32 @@ if TYPE_CHECKING:
     from ._records import Polyline
 
 
-def deferred(namespace: dict, names: tuple[str, ...]) -> tuple:
+def deferred(namespace: dict, sources: dict[str, tuple[str, ...]]) -> tuple:
     """The module ``__getattr__`` and ``__dir__`` (PEP 562) of the module
-    whose globals are ``namespace``: each of ``names`` is read from
-    :mod:`t2spline._records`, loaded on the first access, and then bound
-    in ``namespace``; ``dir`` lists them from the start.
+    whose globals are ``namespace``: each of the names of a ``{module:
+    names}`` item of ``sources`` is read from that module of the package,
+    such as ``_records``, loaded on the first access, and then bound in
+    ``namespace``; ``dir`` lists them from the start.
 
     A function of the module reads its globals without ``__getattr__``, so
-    one that builds or tests such a class imports it where it runs."""
-    def __getattr__(name: str):
-        if name not in names:
-            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        from . import _records
+    one that uses such a name imports it where it runs."""
+    owner = {name: module for module, names in sources.items() for name in names}
 
-        namespace[name] = value = getattr(_records, name)
+    def __getattr__(name: str):
+        if name not in owner:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        # __import__, unlike importlib.import_module, is seen by -X importtime.
+        module = __import__(f"{__package__}.{owner[name]}", fromlist=[name])
+        namespace[name] = value = getattr(module, name)
         return value
 
     def __dir__() -> list[str]:
-        return sorted({*namespace, *names})
+        return sorted({*namespace, *owner})
 
     return __getattr__, __dir__
 
 
-__getattr__, __dir__ = deferred(globals(), ("Polyline",))
+__getattr__, __dir__ = deferred(globals(), {"_records": ("Polyline",)})
 
 #: Most samples :func:`sample_curves` takes: 256 MiB of float64 points per
 #: curve.  A larger request is refused before anything is allocated.

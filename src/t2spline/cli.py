@@ -19,7 +19,7 @@ import sys
 from . import curves
 from .document import demo_document, load_document, save_document
 from .errors import ParseError, T2SplineError
-from .output import Scene, render_svg, write_csv, write_pipeline_csv, write_pipeline_json
+from .output import render_svg, write_csv, write_pipeline_csv, write_pipeline_json
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,6 +112,8 @@ def _cmd_curves(args) -> None:
     if args.command == "curve":
         write_csv(ts, series, _target(args))
     else:
+        from .output import Scene  # loads the renderer, which only plot needs
+
         render_svg(Scene(series, curves.component_polygons(model)["crisp"]), _target(args))
 
 

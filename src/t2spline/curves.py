@@ -43,7 +43,7 @@ from .pipeline import check_alpha, solve
 if TYPE_CHECKING:
     from ._records import CurveBand, DeviationReport, NT2FuzzyPoint, Polyline, ReducedCurves
 
-__getattr__, __dir__ = deferred(globals(), ("CurveBand", "ReducedCurves", "DeviationReport"))
+__getattr__, __dir__ = deferred(globals(), {"_records": ("CurveBand", "ReducedCurves", "DeviationReport")})
 
 #: Band labels in control-polygon order; "crisp" extracts the c component.
 COMPONENT_LABELS = tuple("crisp" if name == "c" else name for name in COMPONENT_FIELDS)

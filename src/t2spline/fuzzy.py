@@ -51,7 +51,7 @@ C, RL, LR, H = map(COORD_FIELDS.index, ("c", "rl", "lr", "h"))
 #: Spread names in the order :func:`row_from_spreads` takes them.
 SPREAD_FIELDS = ("outer_left", "principal_left", "inner_left", "inner_right", "principal_right", "outer_right")
 
-__getattr__, __dir__ = deferred(globals(), ("NT2FuzzyScalar", "NT2FuzzyPoint"))
+__getattr__, __dir__ = deferred(globals(), {"_records": ("NT2FuzzyScalar", "NT2FuzzyPoint")})
 
 
 def coordinate_name(row: int) -> str:

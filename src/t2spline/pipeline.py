@@ -44,7 +44,7 @@ from .fuzzy import C, COMPONENTS, H, LR, RL, as_coords, coordinate_name
 if TYPE_CHECKING:
     from ._records import AlphaCutScalar, NT2FuzzyPoint, NT2FuzzyScalar, TRInterval
 
-__getattr__, __dir__ = deferred(globals(), ("Regime", "AlphaCutScalar", "TRInterval"))
+__getattr__, __dir__ = deferred(globals(), {"_records": ("Regime", "AlphaCutScalar", "TRInterval")})
 
 
 #: The chain's arithmetic may overflow: :func:`solve` reports it, and the

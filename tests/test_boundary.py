@@ -613,6 +613,14 @@ REFUSALS = {
             "scene": ("svg_document", "scene", Scene({}, title=5), T2SplineError, "title must be a str, got int"),
             "figure": ("render_svg", "scene", Scene({}, title=5), T2SplineError, "title must be a str, got int"),
         },
+        "test_writers_refuse_text_they_cannot_write": {
+            "csv-label-surrogate": ("write_csv", ("series", "path_or_file"), ({"x\ud800": np.zeros((5, 2))}, "out.csv"), T2SplineError, "a series label must encode as UTF-8, got 'x\\ud800'"),
+            "svg-label-surrogate": ("svg_document", "scene", Scene({"crisp\ud800": np.zeros((5, 2))}), T2SplineError, "a series label must encode as UTF-8, got 'crisp\\ud800'"),
+            "figure-title-surrogate": ("render_svg", ("scene", "path_or_file"), (Scene({}, title="bad\ud800"), "out.svg"), T2SplineError, "title must hold only characters XML allows, got 'bad\\ud800'"),
+            "title-vertical-tab": ("svg_document", "scene", Scene({}, title="bad\x0b"), T2SplineError, "title must hold only characters XML allows, got 'bad\\x0b'"),
+            "title-nul": ("svg_document", "scene", Scene({}, title="\x00"), T2SplineError, "title must hold only characters XML allows, got '\\x00'"),
+            "title-non-character": ("svg_document", "scene", Scene({}, title="\ufffe"), T2SplineError, "title must hold only characters XML allows, got '\\ufffe'"),
+        },
         "test_svg_rejects_controls_that_are_not_point_pairs": {
             "controls0": ("svg_document", "scene", Scene({}, np.array([1.0, 2.0])), T2SplineError, "controls must be an (m, 2) array, got shape (2,)"),
             "controls1": ("svg_document", "scene", Scene({}, np.zeros((3, 3))), T2SplineError, "controls must be an (m, 2) array, got shape (3, 3)"),

@@ -1,9 +1,11 @@
-"""The record classes of ``t2spline._records`` load on first use.
+"""The record classes of ``t2spline._records`` and the SVG renderer of
+``t2spline._svg`` load on first use.
 
-No command imports them, nor does reading, refusing or building a
+No command imports the records, nor does reading, refusing or building a
 document, and every function of the package that builds or tests one finds
 it in a fresh interpreter, where no earlier access has bound the name in the
-function's module."""
+function's module.  Only ``plot`` imports the renderer, and no command
+imports :mod:`csv`."""
 
 import dataclasses
 import importlib
@@ -32,6 +34,7 @@ from t2spline import (
 
 ROOT = Path(__file__).resolve().parents[1]
 RECORDS = "t2spline._records"
+SVG = "t2spline._svg"
 
 #: Each moved class and the module it is documented in.
 OWNERS = {
@@ -53,9 +56,11 @@ OWNERS = {
 PRELUDE = """
 import json, sys
 from pathlib import Path
+from types import SimpleNamespace
+import t2spline
 from t2spline import (
     alpha_cut_scalar, cli, defuzzified_curve, demo_document, deviation, document_to_json,
-    fuzzy_curve_band, parse_document, pipeline_point, reduced_curves, sample_curve, type_reduce,
+    fuzzy_curve_band, output, parse_document, pipeline_point, reduced_curves, sample_curve, type_reduce,
 )
 from t2spline.fuzzy import as_coords, coords_from_rows
 
@@ -125,17 +130,17 @@ COMMANDS = {
 def test_no_command_that_reads_a_document_loads_the_records(argv, exit_code, files):
     """``import t2spline.cli`` and one ``cli.run``, of a command that reads
     an explicit, spreads-form or refused document or of ``demo``, leave the
-    record classes unloaded; touching one of them afterwards loads them."""
+    record classes and :mod:`csv` unloaded, and the SVG renderer too unless
+    the command is ``plot``; touching a record class afterwards loads them."""
     code = f"""
 paths = dict(zip(("DOC", "SPREADS", "BAD", "OUT"), FILES))
 argv = [paths.get(word, word) for word in {argv!r}.split()]
 code = cli.run(argv)
-loaded = {RECORDS!r} in sys.modules
-import t2spline
+loaded = [name in sys.modules for name in ({RECORDS!r}, {SVG!r}, "csv")]
 t2spline.NT2FuzzyScalar
 print(json.dumps([code, loaded, {RECORDS!r} in sys.modules]))
 """
-    assert run_fresh(code, files) == [exit_code, False, True]
+    assert run_fresh(code, files) == [exit_code, [False, argv.startswith("plot "), False], True]
 
 
 #: Expressions over the names of :data:`PRELUDE` that read, refuse or build
@@ -181,15 +186,15 @@ FIRST_USES = {
 }
 
 
-def fresh_and_here(expression, kind, message, files, tmp_path) -> tuple[list, list]:
-    """Whether a fresh interpreter has the record classes loaded before and
-    after ``expression``, with its outcome there between them, and its
-    outcome in this process, where the records were loaded long before: the
-    type and ``repr`` of a value or the type and message of an error, checked
-    to be ``kind`` and ``message``."""
+def fresh_and_here(expression, kind, message, files, tmp_path, module=RECORDS) -> tuple[list, list]:
+    """Whether a fresh interpreter has ``module`` loaded before and after
+    ``expression``, with its outcome there between them, and its outcome in
+    this process, where the module was loaded long before: the type and
+    ``repr`` of a value or the type and message of an error, checked to be
+    ``kind`` and ``message``."""
     code = f"""
-loaded = {RECORDS!r} in sys.modules
-print(json.dumps([loaded, outcome({expression!r}), {RECORDS!r} in sys.modules]))
+loaded = {module!r} in sys.modules
+print(json.dumps([loaded, outcome({expression!r}), {module!r} in sys.modules]))
 """
     names = {"FILES": [*files[:3], str(tmp_path / "here")]}
     exec(PRELUDE, names)
@@ -212,6 +217,33 @@ def test_a_document_is_read_refused_or_built_without_the_records(expression, kin
     in this process, and the record classes stay unloaded."""
     fresh, here = fresh_and_here(expression, kind, message, files, tmp_path)
     assert fresh == [False, here, False]
+
+
+#: Each first use of the SVG renderer: an expression over the names of
+#: :data:`PRELUDE`, the type of its value or error, and the message of an
+#: error.  A scene that is no :class:`Scene` draws without touching the class.
+SVG_FIRST_USES = {
+    "package-scene": ("t2spline.Scene", "type", None),
+    "output-series-style": ("output.SERIES_STYLE", "dict", None),
+    "svg-document": (
+        "output.svg_document(SimpleNamespace(series={'crisp': [[0.0, 1.0], [2.0, 3.0]]}, controls=None, title='t'))",
+        "str",
+        None,
+    ),
+    "svg-document-refusal": (
+        "output.svg_document(SimpleNamespace(series={}, controls=None, title='bad\\x0b'))",
+        "T2SplineError",
+        "title must hold only characters XML allows, got 'bad\\x0b'",
+    ),
+}
+
+
+@pytest.mark.parametrize("expression, kind, message", SVG_FIRST_USES.values(), ids=SVG_FIRST_USES.keys())
+def test_a_first_use_of_the_renderer_loads_it_and_gives_the_same_outcome(expression, kind, message, files, tmp_path):
+    """The outcome is the expected one, and the one the same expression has
+    in this process, and only the first use loads the renderer."""
+    fresh, here = fresh_and_here(expression, kind, message, files, tmp_path, SVG)
+    assert fresh == [False, here, True]
 
 
 def _sample(name: str):

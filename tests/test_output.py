@@ -16,6 +16,7 @@ from texts import assert_same_text
 from t2spline import (
     Polyline,
     Scene,
+    T2SplineError,
     demo_document,
     reduced_curves,
     render_svg,
@@ -94,6 +95,35 @@ def test_csv_rows_across_blocks_equal_cell_by_cell_formatting():
     cells = np.column_stack([line.params, line.points])
     expected = "t,curve_x,curve_y\n" + "".join(",".join(map("{:.16e}".format, row)) + "\n" for row in cells)
     assert csv_text(line.params, {"curve": line.points}) == expected
+
+
+#: Header names built of the characters that CSV quotes, or of any text.
+_NAMES = st.lists(st.sampled_from([",", '"', "\r", "\n", "\r\n", "a", "_x", " ", "é", "曲线"]), max_size=4).map("".join) | st.text(max_size=6)
+
+
+@settings(deadline=None)
+@example(labels=["", "a,b", 'say "hi"', "two\nlines", "crlf\r\n", "é"])
+@given(labels=st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+def test_csv_header_reads_back_and_is_the_csv_writers_where_no_name_holds_a_cr(labels):
+    """The header reads back through ``csv.reader`` as the column names,
+    and, for names without a CR, whose quoting :mod:`csv` gives alike on
+    every Python, it is the bytes ``csv.writer`` writes."""
+    names = ["t", *(f"{label}_{axis}" for label in labels for axis in "xy")]
+    text = csv_text([0.0, 1.0], {label: np.zeros((2, 2)) for label in labels})
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert len(rows) == 3 and rows[0] == names
+    if not any("\r" in name for name in names):
+        expected = io.StringIO(newline="")
+        csv.writer(expected, lineterminator="\n").writerow(names)
+        assert text.startswith(expected.getvalue())
+
+
+def test_csv_header_quotes_a_name_that_holds_a_cr():
+    """A CR is quoted as a comma, a quote and an LF are, on every Python:
+    ``csv`` before 3.13 writes it bare, and a reader splits the header there."""
+    text = csv_text([0.0, 1.0], {"a\rb": np.zeros((2, 2))})
+    assert text.startswith('t,"a\rb_x","a\rb_y"\n')
+    assert next(csv.reader(io.StringIO(text, newline=""))) == ["t", "a\rb_x", "a\rb_y"]
 
 
 @st.composite
@@ -436,5 +466,12 @@ def _figures(draw):
 @example(([], np.array([[1e5, 3.0], [1e5, 3.0]]), "t"))  # constant axes
 @given(figure=_figures())
 def test_svg_equals_the_per_point_reference_byte_for_byte(figure):
+    """A title of XML 1.0 characters is drawn as the reference draws it;
+    any other title is refused."""
     series, controls, title = figure
-    assert svg_document(Scene(dict(series), controls, title)) == oracles.svg_figure(series, controls.tolist(), title, output)
+    scene = Scene(dict(series), controls, title)
+    if all(c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000" for c in title):
+        assert svg_document(scene) == oracles.svg_figure(series, controls.tolist(), title, output)
+    else:
+        with pytest.raises(T2SplineError, match="^title must hold only characters XML allows, got "):
+            svg_document(scene)

@@ -173,9 +173,10 @@ def test_only_the_process_entry_ends_the_process():
 
 
 def test_the_cli_lays_out_no_output():
-    """Every table and document layout stays in ``t2spline.output``: ``cli``
-    imports no numpy, and from ``output`` only ``Scene`` and the writers its
-    command handlers call, not ``write_output`` or a format."""
+    """Every table and document layout stays in ``t2spline.output``, and the
+    figure's in ``t2spline._svg`` behind it: ``cli`` imports no numpy, and
+    from ``output`` only ``Scene`` and the writers its command handlers
+    call, not ``write_output`` or a format."""
     tree = ast.parse((ROOT / "src" / "t2spline" / "cli.py").read_text(encoding="utf-8"))
     found = []  # each import of numpy or of output, and each name imported from output
     for node in ast.walk(tree):
